@@ -44,7 +44,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "also print link/AS-level incidents")
 		unres    = flag.Bool("report-unresolved", true, "report outages whose epicenter could not be pinned (no data plane in replay mode)")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "path-state shard workers; 1 runs the sequential detector, <= 0 one worker per core")
-		invest   = flag.Int("invest-workers", 0, "goroutines for the bin-close signal investigation; <= 1 classifies inline (output is identical at any count)")
 		logFmt   = flag.String("log-format", "text", "stderr diagnostics format: text or json")
 		logLvl   = flag.String("log-level", "info", "minimum diagnostic severity: debug, info, warn or error")
 		binStats = flag.Bool("bin-stats", false, "print a staged bin-close latency summary at exit")
@@ -56,9 +55,6 @@ func main() {
 	}
 	if *tfail <= 0 || *tfail > 1 {
 		fatal(fmt.Errorf("-tfail must be in (0,1], got %v (it is the fraction of an AS's stable paths that must divert)", *tfail))
-	}
-	if *invest > 1024 {
-		fatal(fmt.Errorf("-invest-workers must be at most 1024, got %d (workers beyond the per-bin signal-group count idle anyway)", *invest))
 	}
 	logger, err := newLogger(os.Stderr, *logFmt, *logLvl)
 	if err != nil {
@@ -85,7 +81,6 @@ func main() {
 	kcfg := core.DefaultConfig()
 	kcfg.Tfail = *tfail
 	kcfg.ReportUnresolved = *unres
-	kcfg.InvestWorkers = *invest
 
 	// Both paths share one processing interface; the engine additionally
 	// reports ingestion stats at exit.

@@ -99,11 +99,10 @@
 // the data dir has been accumulating. Every read endpoint carries a strong
 // ETag per published snapshot and answers If-None-Match with 304; the
 // hottest bodies are pre-marshaled once per snapshot. /v1/events clients
-// fan out from a relay (-relay, on by default) that holds exactly one bus
-// subscription, so a thousand SSE streams cost the ingestion path one
-// subscriber; per-client queues stay bounded and an aggregate budget sheds
-// newest-joined clients first under overload (relay counters in /v1/stats
-// and /metrics).
+// fan out from a relay that holds exactly one bus subscription, so a
+// thousand SSE streams cost the ingestion path one subscriber; per-client
+// queues stay bounded and an aggregate budget sheds newest-joined clients
+// first under overload (relay counters in /v1/stats and /metrics).
 //
 // Endpoints: /healthz, /metrics (Prometheus text exposition),
 // /v1/health/feeds, /v1/outages, /v1/outages/{id}/trace,
@@ -169,7 +168,6 @@ func main() {
 		ringSize  = flag.Int("resume-ring", 4096, "recent events retained for SSE Last-Event-ID resume")
 		probeBkn  = flag.String("probe-backend", "", "active-measurement backend: sim, sim-fault (latency/loss-injected soak), or empty to disable probing; requires -synthetic")
 		probeBdg  = flag.Int("probe-budget", 256, "probes allowed per sliding one-hour window")
-		investW   = flag.Int("invest-workers", 0, "goroutines for the bin-close signal investigation; <= 1 classifies inline (output is identical at any count)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this host:port (own listener, never the API's); empty disables profiling")
 		logFormat = flag.String("log-format", logFormatText, "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log severity: debug, info, warn or error")
@@ -177,7 +175,6 @@ func main() {
 		tracing   = flag.Bool("trace", true, "record detection provenance traces, served at /v1/outages/{id}/trace; a data dir is bound to this setting like it is to the detection config")
 		feedSil   = flag.Duration("feed-silence", 30*time.Minute, "stream time after which a silent collector or peer session is flagged degraded (feed-health watchdog, /v1/health/feeds); 0 disables. A data dir is bound to this setting like it is to the detection config")
 		feedFloor = flag.Float64("feed-floor", 0, "feed coverage ratio (live/known peer sessions) below which /healthz reports 503; 0 disables, requires -feed-silence > 0")
-		relayOn   = flag.Bool("relay", true, "serve /v1/events through the SSE fan-out relay: every client shares one bus subscription; off subscribes each client to the bus directly")
 		readCache = flag.Int("read-cache", 4096, "decoded history entries cached in memory per type when paging /v1/outages and /v1/incidents off snapshot segments (with -data-dir)")
 	)
 	flag.Parse()
@@ -209,9 +206,6 @@ func main() {
 	if err := validateProbeFlags(*probeBkn, *probeBdg, *synthetic); err != nil {
 		fatal(err)
 	}
-	if *investW > 1024 {
-		fatal(fmt.Errorf("-invest-workers must be at most 1024, got %d (workers beyond the per-bin signal-group count idle anyway)", *investW))
-	}
 	if err := validatePprofFlags(*pprofAddr, *listen); err != nil {
 		fatal(err)
 	}
@@ -224,7 +218,7 @@ func main() {
 	if err := validateFeedFlags(*feedSil, *feedFloor); err != nil {
 		fatal(err)
 	}
-	if err := validateServeFlags(*relayOn, *readCache); err != nil {
+	if err := validateServeFlags(*readCache); err != nil {
 		fatal(err)
 	}
 
@@ -305,7 +299,6 @@ func main() {
 	kcfg := core.DefaultConfig()
 	kcfg.Tfail = *tfail
 	kcfg.ReportUnresolved = *unres
-	kcfg.InvestWorkers = *investW
 	kcfg.Tracing = *tracing
 	kcfg.FeedSilence = *feedSil
 
@@ -400,16 +393,11 @@ func main() {
 		})
 	}
 
-	// Engine → bus → server wiring. With the relay on, all SSE clients fan
-	// out from one bus subscription owned by the relay goroutine; the
-	// ingestion path pays for one subscriber no matter how many clients
-	// stream.
+	// Engine → bus → server wiring. All SSE clients fan out from the one bus
+	// subscription of the server's relay; the ingestion path pays for one
+	// subscriber no matter how many clients stream.
 	bus := events.New(svc, busOpts...)
 	bus.SeedRing(sum.Tail)
-	var relay *events.Relay
-	if *relayOn {
-		relay = events.NewRelay(bus, events.RelayOptions{})
-	}
 	eng := stack.NewEngine(kcfg, *shards)
 	eng.SetBinStageStats(binStage)
 	if sched != nil {
@@ -455,7 +443,6 @@ func main() {
 	feedStats := &metrics.FeedStats{}
 	srvOpts := server.Options{
 		Bus:       bus,
-		Relay:     relay,
 		Service:   svc,
 		Ingest:    func() metrics.IngestSnapshot { return eng.Stats() },
 		BinStage:  func() metrics.BinStageSnapshot { return binStage.Snapshot() },
@@ -795,6 +782,16 @@ func main() {
 	pumpDone := make(chan outcome, 1)
 	go func() {
 		res, err := live.Pump(ctx, src, eng)
+		if err == nil && st != nil {
+			// What the end-of-source eng.Flush resolved was appended after the
+			// last bin_closed, so it is still in the WAL buffer — and a restart
+			// from a checkpoint at the end-of-archive cursor reads no record,
+			// so never flushes again. Hand it to the OS before a SIGKILL can
+			// lose it. (An abort appends nothing here: the hooks are muted.)
+			if ferr := st.Flush(); ferr != nil {
+				dlog.Error("store flush at end of source failed", "error", ferr)
+			}
+		}
 		srv.PublishSnapshot(buildSnap(res.Last))
 		pumpDone <- outcome{res, err}
 	}()
@@ -818,9 +815,6 @@ func main() {
 	// (closing the bus drains the relay, which then closes its clients),
 	// sync the store, stop the HTTP server, stop the shard workers.
 	bus.Close()
-	if relay != nil {
-		relay.Close()
-	}
 	if st != nil {
 		if err := st.Close(); err != nil {
 			dlog.Error("store close failed", "error", err)

@@ -3,21 +3,12 @@ package main
 import "fmt"
 
 // validateServeFlags checks the serving-tier flags in the descriptive style
-// of probeflags.go.
-//
-// -relay is a boolean and needs no range check; it is accepted here so the
-// serving-tier knobs validate in one place. With the relay on (the
-// default), all SSE clients share one bus subscription through the fan-out
-// tier; off, each client subscribes to the bus directly — the pre-relay
-// behavior, useful for isolating the relay when debugging delivery.
-//
-// -read-cache sizes the store's decoded-entry LRU (per history type, in
-// entries). Deep pagination reads sealed segment files through this cache,
-// so it bounds the resident cost of serving history: too small thrashes on
-// hot pages, and zero or negative would disable the only bound between a
-// request and a disk read per entry.
-func validateServeFlags(relay bool, readCache int) error {
-	_ = relay
+// of probeflags.go. -read-cache sizes the store's decoded-entry LRU (per
+// history type, in entries). Deep pagination reads sealed segment files
+// through this cache, so it bounds the resident cost of serving history:
+// too small thrashes on hot pages, and zero or negative would disable the
+// only bound between a request and a disk read per entry.
+func validateServeFlags(readCache int) error {
 	if readCache <= 0 {
 		return fmt.Errorf("-read-cache must be positive, got %d (entries of decoded history kept in memory for segment-backed reads)", readCache)
 	}

@@ -8,23 +8,21 @@ import (
 func TestValidateServeFlags(t *testing.T) {
 	cases := []struct {
 		name      string
-		relay     bool
 		readCache int
 		wantErr   string // substring; empty means valid
 	}{
-		{name: "defaults", relay: true, readCache: 4096},
-		{name: "relay off", relay: false, readCache: 4096},
-		{name: "small cache", relay: true, readCache: 1},
-		{name: "zero cache", relay: true, readCache: 0,
+		{name: "defaults", readCache: 4096},
+		{name: "small cache", readCache: 1},
+		{name: "zero cache", readCache: 0,
 			wantErr: "-read-cache must be positive, got 0"},
-		{name: "negative cache", relay: true, readCache: -5,
+		{name: "negative cache", readCache: -5,
 			wantErr: "-read-cache must be positive, got -5"},
-		{name: "absurd cache", relay: true, readCache: 1 << 30,
+		{name: "absurd cache", readCache: 1 << 30,
 			wantErr: "-read-cache must be at most"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateServeFlags(tc.relay, tc.readCache)
+			err := validateServeFlags(tc.readCache)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

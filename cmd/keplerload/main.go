@@ -27,16 +27,15 @@
 // one phase per count (e.g. -sse-sweep 10,100,1000), each holding that
 // many SSE clients open for -duration and differencing /v1/stats across
 // the phase. Every phase reports delivery-lag quantiles (computed from the
-// server's per-bucket histogram deltas, so they cover exactly that phase),
-// drop and shed rates, and which serving tier handled the fan-out — relay
-// when the daemon runs with -relay (the default), direct otherwise. Tag
-// runs with -label to tell tiers apart when archiving reports side by side.
+// server's per-bucket histogram deltas, so they cover exactly that phase)
+// and the relay's drop and shed rates. Tag runs with -label to tell them
+// apart when archiving reports side by side.
 //
 // Example against a synthetic soak daemon:
 //
 //	keplerd -seed 1 -synthetic -listen :8080 &
 //	keplerload -addr http://127.0.0.1:8080 -duration 30s -out BENCH_pr9_serving.json
-//	keplerload -addr http://127.0.0.1:8080 -duration 20s -sse-sweep 10,100,1000 -label relay
+//	keplerload -addr http://127.0.0.1:8080 -duration 20s -sse-sweep 10,100,1000 -label nightly
 //
 // keplerload exits nonzero if the target is unreachable, if no poll ever
 // succeeded, or if fewer than -min-sse-events SSE events were delivered
@@ -89,7 +88,7 @@ func main() {
 		out      = flag.String("out", "-", "report destination: a file path, or - for stdout")
 		condGet  = flag.Bool("cond-get", true, "pollers revalidate with If-None-Match, counting 304s; false forces full responses")
 		sweep    = flag.String("sse-sweep", "", "comma-separated SSE client counts (e.g. 10,100,1000): replace the soak with one phase per count, -duration each")
-		label    = flag.String("label", "", "free-form tag recorded in the report, e.g. the serving tier under test")
+		label    = flag.String("label", "", "free-form tag recorded in the report, e.g. the build under test")
 	)
 	flag.Parse()
 
@@ -305,7 +304,6 @@ type EndpointReport struct {
 // phase, so they describe exactly the events this phase delivered.
 type SweepPhase struct {
 	Clients            int     `json:"clients"`
-	Tier               string  `json:"tier"` // "relay" or "direct"
 	DurationSeconds    float64 `json:"duration_seconds"`
 	EventsTotal        int64   `json:"events_total"`
 	EventsPerClientMin int64   `json:"events_per_client_min"`
@@ -320,7 +318,7 @@ type SweepPhase struct {
 
 	BusPublishedDelta int64 `json:"bus_published_delta"`
 	BusDroppedDelta   int64 `json:"bus_dropped_delta"`
-	// Relay-tier counters (zero deltas in direct mode).
+	// Relay counters.
 	RelayDeliveriesDelta      int64 `json:"relay_deliveries_delta,omitempty"`
 	RelayDroppedDelta         int64 `json:"relay_dropped_delta,omitempty"`
 	RelayShedDelta            int64 `json:"relay_shed_delta,omitempty"`
@@ -328,9 +326,8 @@ type SweepPhase struct {
 	// Observed mid-phase, while every client was still attached.
 	ClientsObserved       int `json:"clients_observed"`
 	UpstreamDepthObserved int `json:"upstream_depth_observed"`
-	// DropRate is dropped/(delivered+dropped) for the tier that served the
-	// phase: relay drops+sheds over relay deliveries, or bus drops over
-	// lag-counted deliveries in direct mode.
+	// DropRate is dropped/(delivered+dropped) at the relay: drops+sheds
+	// over deliveries.
 	DropRate float64 `json:"drop_rate"`
 }
 
@@ -360,7 +357,7 @@ type ServerReport struct {
 	SSELagAfter       *server.StageLatencyView `json:"sse_lag_after,omitempty"`
 	SubscribersAtEnd  []events.SubscriberDepth `json:"subscribers_at_end,omitempty"`
 	FeedCoverage      *float64                 `json:"feed_coverage,omitempty"`
-	// Relay-tier counters; absent when the daemon runs -relay=false.
+	// Relay counters.
 	RelayDeliveriesDelta      int64             `json:"relay_deliveries_delta,omitempty"`
 	RelayDroppedDelta         int64             `json:"relay_dropped_delta,omitempty"`
 	RelayShedDelta            int64             `json:"relay_shed_delta,omitempty"`
@@ -490,7 +487,6 @@ func runSweepPhase(client *http.Client, base string, clients int, dur time.Durat
 
 	p := SweepPhase{
 		Clients:         clients,
-		Tier:            "direct",
 		DurationSeconds: dur.Seconds(),
 		ClientErrors:    clientErrs.Load(),
 	}
@@ -522,27 +518,19 @@ func runSweepPhase(client *http.Client, base string, clients int, dur time.Durat
 	p.LagP90MS = ms(lag.Quantile(0.90))
 	p.LagP99MS = ms(lag.Quantile(0.99))
 
-	delivered, dropped := p.LagCount, p.BusDroppedDelta
-	if after.Relay != nil {
-		p.Tier = "relay"
-		if before.Relay != nil {
-			p.RelayDeliveriesDelta = after.Relay.Deliveries - before.Relay.Deliveries
-			p.RelayDroppedDelta = after.Relay.Dropped - before.Relay.Dropped
-			p.RelayShedDelta = after.Relay.Shed - before.Relay.Shed
-			p.RelayUpstreamDroppedDelta = after.Relay.UpstreamDropped - before.Relay.UpstreamDropped
-		}
-		delivered, dropped = p.RelayDeliveriesDelta, p.RelayDroppedDelta+p.RelayShedDelta
+	if before.Relay != nil && after.Relay != nil {
+		p.RelayDeliveriesDelta = after.Relay.Deliveries - before.Relay.Deliveries
+		p.RelayDroppedDelta = after.Relay.Dropped - before.Relay.Dropped
+		p.RelayShedDelta = after.Relay.Shed - before.Relay.Shed
+		p.RelayUpstreamDroppedDelta = after.Relay.UpstreamDropped - before.Relay.UpstreamDropped
 	}
-	if delivered+dropped > 0 {
-		p.DropRate = float64(dropped) / float64(delivered+dropped)
+	dropped := p.RelayDroppedDelta + p.RelayShedDelta
+	if total := p.RelayDeliveriesDelta + dropped; total > 0 {
+		p.DropRate = float64(dropped) / float64(total)
 	}
-	if mid != nil {
-		if mid.Relay != nil {
-			p.ClientsObserved = mid.Relay.Clients
-			p.UpstreamDepthObserved = mid.Relay.UpstreamDepth
-		} else {
-			p.ClientsObserved = len(mid.Subscribers)
-		}
+	if mid != nil && mid.Relay != nil {
+		p.ClientsObserved = mid.Relay.Clients
+		p.UpstreamDepthObserved = mid.Relay.UpstreamDepth
 	}
 	return p, nil
 }

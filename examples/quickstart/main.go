@@ -186,10 +186,10 @@ func main() {
 	//	curl localhost:8080/v1/probes                        # in-flight campaigns + verdicts
 	//
 	// The serving tier scales past a handful of clients: an SSE relay
-	// (-relay, on by default) holds the single upstream bus subscription
-	// and fans events out to every /v1/events client through bounded
-	// per-client queues — a thousand subscribers cost ingestion exactly
-	// one — shedding the newest-joined clients first under overload.
+	// holds the single upstream bus subscription and fans events out to
+	// every /v1/events client through bounded per-client queues — a
+	// thousand subscribers cost ingestion exactly one — shedding the
+	// newest-joined clients first under overload.
 	// History pages are served straight off the store's indexed segment
 	// files through a small decoded-frame cache (-read-cache), and read
 	// endpoints answer If-None-Match revalidations with 304s between bin

@@ -10,96 +10,6 @@ import (
 	"kepler/internal/mrt"
 )
 
-// runEngineInvest replays the stream through a sharded engine with the
-// parallel bin-close investigator enabled at the given worker count.
-func runEngineInvest(t *testing.T, recs []*mrt.Record, dp DataPlane, shards, workers int) ([]Outage, []Incident) {
-	t.Helper()
-	dict, cmap, _ := microWorld(t)
-	cfg := DefaultConfig()
-	cfg.InvestWorkers = workers
-	e := NewEngine(cfg, dict, cmap, nil, shards)
-	defer e.Close()
-	if dp != nil {
-		e.SetDataPlane(dp)
-	}
-	var outs []Outage
-	for _, r := range recs {
-		outs = append(outs, e.Process(r)...)
-	}
-	outs = append(outs, e.Flush(recs[len(recs)-1].Time)...)
-	return outs, e.Incidents()
-}
-
-// TestParallelInvestigatorMatchesDetector is the parallel investigator's
-// correctness contract: classifying the per-PoP signal groups across a
-// worker pool must leave the emitted outages and incidents byte-for-byte
-// identical to the sequential detector, at any worker count. Workers <= 1
-// exercises the inline path through the same restructured code.
-func TestParallelInvestigatorMatchesDetector(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		recs := genStream(seed, 4000)
-		wantOuts, wantIncs := runDetector(t, recs, nil)
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				gotOuts, gotIncs := runEngineInvest(t, recs, nil, 4, workers)
-				if !reflect.DeepEqual(gotOuts, wantOuts) {
-					t.Errorf("outages diverge:\n parallel:  %+v\n detector:  %+v", gotOuts, wantOuts)
-				}
-				if !reflect.DeepEqual(gotIncs, wantIncs) {
-					t.Errorf("incidents diverge:\n parallel:  %+v\n detector:  %+v", gotIncs, wantIncs)
-				}
-			})
-		}
-	}
-}
-
-// TestParallelInvestigatorOnDetector pins that the worker pool is a pure
-// investigator property, not an engine one: the sequential detector with
-// InvestWorkers set emits exactly its single-threaded output.
-func TestParallelInvestigatorOnDetector(t *testing.T) {
-	recs := genStream(2, 4000)
-	wantOuts, wantIncs := runDetector(t, recs, nil)
-	dict, cmap, _ := microWorld(t)
-	cfg := DefaultConfig()
-	cfg.InvestWorkers = 8
-	d := New(cfg, dict, cmap, nil)
-	var outs []Outage
-	for _, r := range recs {
-		outs = append(outs, d.Process(r)...)
-	}
-	outs = append(outs, d.Flush(recs[len(recs)-1].Time)...)
-	if !reflect.DeepEqual(outs, wantOuts) {
-		t.Errorf("outages diverge with 8 investigation workers")
-	}
-	if !reflect.DeepEqual(d.Incidents(), wantIncs) {
-		t.Errorf("incidents diverge with 8 investigation workers")
-	}
-}
-
-// TestParallelInvestigatorWithDataPlane pins the probe discipline under
-// parallel classification: data-plane confirmations still happen serially,
-// in deterministic sorted group order, issuing exactly the probes the
-// sequential detector issues. The countingDP budget model is order- and
-// count-sensitive, so a drifted merge order fails loudly.
-func TestParallelInvestigatorWithDataPlane(t *testing.T) {
-	recs := genStream(7, 4000)
-	seqDP := &countingDP{}
-	wantOuts, wantIncs := runDetector(t, recs, seqDP)
-	for _, workers := range []int{2, 8} {
-		dp := &countingDP{}
-		gotOuts, gotIncs := runEngineInvest(t, recs, dp, 4, workers)
-		if !reflect.DeepEqual(gotOuts, wantOuts) {
-			t.Errorf("workers=%d: outages diverge", workers)
-		}
-		if !reflect.DeepEqual(gotIncs, wantIncs) {
-			t.Errorf("workers=%d: incidents diverge", workers)
-		}
-		if dp.calls != seqDP.calls {
-			t.Errorf("workers=%d: data-plane probes = %d, detector issued %d", workers, dp.calls, seqDP.calls)
-		}
-	}
-}
-
 // ribLead splits a genStream into its leading same-instant baseline burst
 // re-kinded as table-dump records plus the live update suffix — the shape
 // of a real archive: RIB snapshot first, then the stream.

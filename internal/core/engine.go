@@ -74,22 +74,16 @@ func (s *engineShard) run() {
 // mergedView backs the investigator's state view with an on-demand merge
 // across shards. It is only consulted between a barrier's ready and resume
 // points, while every shard worker is paused, so the raw maps are safe to
-// read. Merged maps are cached per bin close and dropped before resume; mu
-// guards the cache against concurrent investigation workers (the shard
-// maps themselves are only read).
+// read. Merged maps are cached per bin close and dropped before resume.
 type mergedView struct {
 	shards []*engineShard
-	mu     sync.Mutex
 	cache  map[colo.PoP]map[bgp.ASN]map[PathKey]popEnd
 }
 
 func (v *mergedView) stableAt(pop colo.PoP) map[bgp.ASN]map[PathKey]popEnd {
-	v.mu.Lock()
 	if m, ok := v.cache[pop]; ok {
-		v.mu.Unlock()
 		return m
 	}
-	v.mu.Unlock()
 	var single map[bgp.ASN]map[PathKey]popEnd
 	contributors := 0
 	for _, s := range v.shards {
@@ -118,11 +112,7 @@ func (v *mergedView) stableAt(pop colo.PoP) map[bgp.ASN]map[PathKey]popEnd {
 			}
 		}
 	}
-	v.mu.Lock()
-	// Two workers may race to merge the same PoP; both build identical
-	// read-only maps, so last-write-wins is fine.
 	v.cache[pop] = out
-	v.mu.Unlock()
 	return out
 }
 
@@ -135,9 +125,7 @@ func (v *mergedView) pathsContaining(a bgp.ASN) int {
 }
 
 func (v *mergedView) reset() {
-	v.mu.Lock()
 	v.cache = make(map[colo.PoP]map[bgp.ASN]map[PathKey]popEnd)
-	v.mu.Unlock()
 }
 
 // Engine is the sharded concurrent Kepler pipeline: a fan-out stage routes

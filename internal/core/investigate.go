@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"kepler/internal/bgp"
@@ -24,8 +23,7 @@ type popGroup struct {
 	// group as a campaign over these instead of probing inline.
 	probeCands []colo.PoP
 	// trace is the provenance chapter under construction (Config.Tracing);
-	// nil when tracing is disabled. Built during the pure classification on
-	// the worker, so recording stays deterministic at any worker count.
+	// nil when tracing is disabled. Built during the pure classification.
 	trace *TraceChapter
 }
 
@@ -313,23 +311,11 @@ type groupResult struct {
 	needProbe bool
 }
 
-// workerCount returns how many goroutines to classify groups on.
-func (inv *investigator) workerCount(groups int) int {
-	w := inv.cfg.InvestWorkers
-	if w > groups {
-		w = groups
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // classifyGroup runs the Section 4.3 classification flowchart over one
 // per-PoP signal group. It is pure with respect to the investigator — it
 // only reads quiesced shard state (via the view), the colocation map and
-// the org table — which is what makes the classification phase safe to fan
-// across workers.
+// the org table; everything with side effects (data-plane probes, hooks,
+// the incident log) happens in investigate's ordered merge.
 func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) groupResult {
 	g := buildGroup(pop, sigs)
 	if inv.cfg.Tracing {
@@ -446,33 +432,11 @@ func (inv *investigator) investigate(at time.Time, signals []signal) {
 	binCommon := inv.binVanishedAS(signals)
 
 	// Classification phase: every per-PoP group is classified by the pure
-	// classifyGroup — optionally fanned across a worker pool (the groups
-	// are independent until the folding below, and classification only
-	// reads quiesced shard state). The merge that follows walks results in
-	// the sorted group order, so output is byte-for-byte identical to the
-	// inline path regardless of worker count.
+	// classifyGroup (the groups are independent until the folding below,
+	// and classification only reads quiesced shard state).
 	results := make([]groupResult, len(order))
-	if workers := inv.workerCount(len(order)); workers > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = inv.classifyGroup(at, order[i], groups[order[i]], binCommon)
-				}
-			}()
-		}
-		for i := range order {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range order {
-			results[i] = inv.classifyGroup(at, order[i], groups[order[i]], binCommon)
-		}
+	for i := range order {
+		results[i] = inv.classifyGroup(at, order[i], groups[order[i]], binCommon)
 	}
 
 	// Serial merge, in group order: run the data-plane probes that

@@ -479,10 +479,9 @@ func (inv *investigator) finishProbes(asOf time.Time) {
 // resolveByProbe is the shared tail of the disambiguation fallbacks: it
 // records the candidate set on the group and reports the epicenter
 // unresolved. Probing itself happens later, outside classification — which
-// keeps classifyGroup pure and safe to run on investigation workers: with a
-// synchronous data plane, investigate probes the recorded candidates
-// inline during its serial merge (in deterministic group order, so the
-// dp.Confirm sequence matches the sequential path exactly); with an
+// keeps classifyGroup pure: with a synchronous data plane, investigate
+// probes the recorded candidates inline during its serial merge (in
+// deterministic group order, fixing the dp.Confirm sequence); with an
 // asynchronous prober, openOutageFor parks the group as a disambiguation
 // campaign over them.
 func (inv *investigator) resolveByProbe(_ time.Time, g *popGroup, cands []colo.PoP) colo.PoP {

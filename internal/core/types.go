@@ -59,14 +59,6 @@ type Config struct {
 	// unreported. Zero selects 10 minutes. Irrelevant to the synchronous
 	// DataPlane path.
 	ProbeTTL time.Duration
-	// InvestWorkers is the number of goroutines the bin-close signal
-	// investigation fans per-PoP groups across. Groups are classified
-	// independently (they only interact in the serial collateral-folding
-	// and city-abstraction steps that follow), so a multi-core host can
-	// parallelize the investigation without changing output: results merge
-	// in deterministic group order and are byte-for-byte identical to the
-	// sequential path. Values <= 1 classify inline.
-	InvestWorkers int
 	// DisablePerASGrouping reverts to thresholding the aggregate path
 	// fraction per PoP instead of per near-end AS. The paper introduces
 	// per-AS grouping because aggregate fractions are "biased by ASes that

@@ -132,7 +132,7 @@ func WithSink(fn func(Event)) Option {
 }
 
 // WithRing retains the last n published events for replay to reconnecting
-// subscribers (SubscribeFrom). n <= 0 disables retention.
+// clients (Replay). n <= 0 disables retention.
 func WithRing(n int) Option {
 	return func(b *Bus) { b.ring = NewRing(n) }
 }
@@ -182,49 +182,11 @@ func (b *Bus) Subscribe(buffer int) *Subscriber {
 	return s
 }
 
-// SubscribeFrom registers a consumer that resumes after a previously seen
-// sequence number: events retained in the replay ring with Seq > after are
-// returned as the backlog, and registration happens under the same lock, so
-// the backlog plus the subscription channel together deliver every
-// subsequent event exactly once. complete reports whether the ring still
-// held position after+1; when false the client missed events that have
-// already been evicted (or predate the store horizon) and the backlog
-// starts at the oldest retained event. after=0 resumes from the start of
-// the ring.
-func (b *Bus) SubscribeFrom(after uint64, buffer int) (s *Subscriber, backlog []Event, complete bool) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	s = &Subscriber{bus: b, ch: make(chan Event, buffer)}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		close(s.ch)
-		return s, nil, after >= b.seq
-	}
-	b.subSeq++
-	s.id = b.subSeq
-	complete = true
-	b.ring.Each(func(ev Event) {
-		if ev.Seq <= after {
-			return
-		}
-		if len(backlog) == 0 && ev.Seq != after+1 {
-			complete = false // ring already evicted after+1 .. ev.Seq-1
-		}
-		backlog = append(backlog, ev)
-	})
-	if len(backlog) == 0 && after < b.seq {
-		complete = false // everything since `after` was evicted (or never retained)
-	}
-	b.subs[s] = struct{}{}
-	return s, backlog, complete
-}
-
 // Replay returns the retained events with Seq > after without registering
-// a subscription — the relay tier's join path, where registration happens
-// on the relay goroutine instead. complete has SubscribeFrom semantics:
-// false when the ring has already evicted position after+1.
+// a subscription — the relay's resume path, where registration happens on
+// the relay goroutine. complete is false when the ring no longer holds
+// position after+1 (evicted, or predating the store horizon): evs then
+// starts at the oldest retained event. after=0 replays the whole ring.
 func (b *Bus) Replay(after uint64) (evs []Event, complete bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,11 +1,48 @@
 package events
 
-import (
-	"time"
+import "kepler/internal/core"
 
-	"kepler/internal/bgpstream"
-	"kepler/internal/core"
-)
+// guard wraps one callback so it runs only when pass reports true. pass is
+// consulted on every call, even when f is nil: the replay gate counts
+// callbacks, not handlers.
+func guard[T any](pass func() bool, f func(T)) func(T) {
+	return func(v T) {
+		if pass() && f != nil {
+			f(v)
+		}
+	}
+}
+
+// guardHooks puts every callback of h behind pass — the one enumeration of
+// the hook fields that the middleware below shares.
+func guardHooks(h core.Hooks, pass func() bool) core.Hooks {
+	return core.Hooks{
+		OutageOpened:       guard(pass, h.OutageOpened),
+		OutageUpdated:      guard(pass, h.OutageUpdated),
+		OutageResolved:     guard(pass, h.OutageResolved),
+		IncidentClassified: guard(pass, h.IncidentClassified),
+		BinClosed:          guard(pass, h.BinClosed),
+		ProbeRequested:     guard(pass, h.ProbeRequested),
+		ProbeConfirmed:     guard(pass, h.ProbeConfirmed),
+		ProbeExpired:       guard(pass, h.ProbeExpired),
+		TraceRecorded:      guard(pass, h.TraceRecorded),
+		FeedDegraded:       guard(pass, h.FeedDegraded),
+		FeedRecovered:      guard(pass, h.FeedRecovered),
+	}
+}
+
+// MuteHooks wraps a hook set so every callback is dropped while muted
+// reports true. A store-backed daemon arms this at the moment its source
+// aborts (live.OnAbort): the engine flush that follows a shutdown emits
+// resolution events that are artifacts of stopping, not real detections —
+// publishing them would burn bus sequence numbers that the restarted
+// process reassigns to different (real) events, breaking Last-Event-ID
+// exactly-once across the restart for any client still connected at the
+// kill. Muting keeps the published stream identical to the persisted one,
+// so the sequence numbering is continuous across process lifetimes.
+func MuteHooks(h core.Hooks, muted func() bool) core.Hooks {
+	return guardHooks(h, func() bool { return !muted() })
+}
 
 // GateHooks wraps a hook set so that the first skip lifecycle callbacks are
 // swallowed and everything after passes through unchanged. It is the replay
@@ -20,142 +57,16 @@ import (
 //
 // The count is exact because EngineHooks publishes exactly one event per
 // callback, in callback order, on a single goroutine.
-// MuteHooks wraps a hook set so every callback is dropped while muted
-// reports true. A store-backed daemon arms this at the moment its source
-// aborts (live.OnAbort): the engine flush that follows a shutdown emits
-// resolution events that are artifacts of stopping, not real detections —
-// publishing them would burn bus sequence numbers that the restarted
-// process reassigns to different (real) events, breaking Last-Event-ID
-// exactly-once across the restart for any client still connected at the
-// kill. Muting keeps the published stream identical to the persisted one,
-// so the sequence numbering is continuous across process lifetimes.
-func MuteHooks(h core.Hooks, muted func() bool) core.Hooks {
-	return core.Hooks{
-		OutageOpened: func(s core.OutageStatus) {
-			if !muted() && h.OutageOpened != nil {
-				h.OutageOpened(s)
-			}
-		},
-		OutageUpdated: func(s core.OutageStatus) {
-			if !muted() && h.OutageUpdated != nil {
-				h.OutageUpdated(s)
-			}
-		},
-		OutageResolved: func(o core.Outage) {
-			if !muted() && h.OutageResolved != nil {
-				h.OutageResolved(o)
-			}
-		},
-		IncidentClassified: func(inc core.Incident) {
-			if !muted() && h.IncidentClassified != nil {
-				h.IncidentClassified(inc)
-			}
-		},
-		BinClosed: func(end time.Time) {
-			if !muted() && h.BinClosed != nil {
-				h.BinClosed(end)
-			}
-		},
-		ProbeRequested: func(p core.PendingConfirmation) {
-			if !muted() && h.ProbeRequested != nil {
-				h.ProbeRequested(p)
-			}
-		},
-		ProbeConfirmed: func(o core.ProbeOutcome) {
-			if !muted() && h.ProbeConfirmed != nil {
-				h.ProbeConfirmed(o)
-			}
-		},
-		ProbeExpired: func(o core.ProbeOutcome) {
-			if !muted() && h.ProbeExpired != nil {
-				h.ProbeExpired(o)
-			}
-		},
-		TraceRecorded: func(tr core.OutageTrace) {
-			if !muted() && h.TraceRecorded != nil {
-				h.TraceRecorded(tr)
-			}
-		},
-		FeedDegraded: func(tr bgpstream.FeedTransition) {
-			if !muted() && h.FeedDegraded != nil {
-				h.FeedDegraded(tr)
-			}
-		},
-		FeedRecovered: func(tr bgpstream.FeedTransition) {
-			if !muted() && h.FeedRecovered != nil {
-				h.FeedRecovered(tr)
-			}
-		},
-	}
-}
-
 func GateHooks(h core.Hooks, skip uint64) core.Hooks {
 	if skip == 0 {
 		return h
 	}
 	var seen uint64
-	pass := func() bool {
+	return guardHooks(h, func() bool {
 		if seen < skip {
 			seen++
 			return false
 		}
 		return true
-	}
-	return core.Hooks{
-		OutageOpened: func(s core.OutageStatus) {
-			if pass() && h.OutageOpened != nil {
-				h.OutageOpened(s)
-			}
-		},
-		OutageUpdated: func(s core.OutageStatus) {
-			if pass() && h.OutageUpdated != nil {
-				h.OutageUpdated(s)
-			}
-		},
-		OutageResolved: func(o core.Outage) {
-			if pass() && h.OutageResolved != nil {
-				h.OutageResolved(o)
-			}
-		},
-		IncidentClassified: func(inc core.Incident) {
-			if pass() && h.IncidentClassified != nil {
-				h.IncidentClassified(inc)
-			}
-		},
-		BinClosed: func(end time.Time) {
-			if pass() && h.BinClosed != nil {
-				h.BinClosed(end)
-			}
-		},
-		ProbeRequested: func(p core.PendingConfirmation) {
-			if pass() && h.ProbeRequested != nil {
-				h.ProbeRequested(p)
-			}
-		},
-		ProbeConfirmed: func(o core.ProbeOutcome) {
-			if pass() && h.ProbeConfirmed != nil {
-				h.ProbeConfirmed(o)
-			}
-		},
-		ProbeExpired: func(o core.ProbeOutcome) {
-			if pass() && h.ProbeExpired != nil {
-				h.ProbeExpired(o)
-			}
-		},
-		TraceRecorded: func(tr core.OutageTrace) {
-			if pass() && h.TraceRecorded != nil {
-				h.TraceRecorded(tr)
-			}
-		},
-		FeedDegraded: func(tr bgpstream.FeedTransition) {
-			if pass() && h.FeedDegraded != nil {
-				h.FeedDegraded(tr)
-			}
-		},
-		FeedRecovered: func(tr bgpstream.FeedTransition) {
-			if pass() && h.FeedRecovered != nil {
-				h.FeedRecovered(tr)
-			}
-		},
-	}
+	})
 }

@@ -64,8 +64,7 @@ type RelayOptions struct {
 	Metrics *metrics.RelayStats
 }
 
-// RelayClient is one downstream registration. Its accessors mirror
-// Subscriber so the SSE handler can serve either interchangeably.
+// RelayClient is one downstream registration.
 type RelayClient struct {
 	relay   *Relay
 	id      uint64
@@ -75,12 +74,6 @@ type RelayClient struct {
 	dropped atomic.Int64
 	shed    atomic.Int64
 }
-
-// ID returns the client's relay-unique registration id.
-func (c *RelayClient) ID() uint64 { return c.id }
-
-// Depth returns the client's current queue occupancy.
-func (c *RelayClient) Depth() int { return len(c.ch) }
 
 // Events returns the client's delivery channel. It is closed when the
 // client leaves or the relay shuts down (bus close).
@@ -279,10 +272,10 @@ func (r *Relay) Subscribe(buffer int, allow map[Kind]bool) *RelayClient {
 }
 
 // SubscribeFrom registers a downstream client resuming after a previously
-// seen sequence number, with bus.SubscribeFrom semantics: the backlog
-// covers (after, relayed-so-far] from the replay ring, the queue delivers
-// everything later exactly once, and complete is false when the ring has
-// already evicted position after+1.
+// seen sequence number: the backlog covers (after, relayed-so-far] from the
+// replay ring (Bus.Replay), the queue delivers everything later exactly
+// once, and complete is false when the ring has already evicted position
+// after+1.
 func (r *Relay) SubscribeFrom(after uint64, buffer int, allow map[Kind]bool) (*RelayClient, []Event, bool) {
 	return r.join(&joinReq{after: after, resume: true, buffer: buffer, allow: allow})
 }

@@ -233,6 +233,14 @@ func TestRelayShedNewestJoinFirst(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Publish(ev(KindBinClosed, time.Time{}))
 	}
+	// Draining frees budget, so let the relay finish the whole fan-out
+	// (every event either delivered or shed, per client) before reading.
+	for deadline := time.Now().Add(5 * time.Second); m.Deliveries.Load()+m.Shed.Load() < 20; {
+		if time.Now().After(deadline) {
+			t.Fatalf("fan-out stalled at %d deliveries, %d shed", m.Deliveries.Load(), m.Shed.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	b.Close()
 
 	oldGot := drainAll(oldC)

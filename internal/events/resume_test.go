@@ -24,48 +24,22 @@ func seqs(evs []Event) []uint64 {
 	return out
 }
 
-func TestSubscribeFromReplaysBacklog(t *testing.T) {
-	b := New(nil, WithRing(16))
-	defer b.Close()
-	publishN(b, 6)
-
-	sub, backlog, complete := b.SubscribeFrom(2, 8)
-	defer sub.Close()
-	if !complete {
-		t.Error("resume within ring reported incomplete")
-	}
-	if want := []uint64{3, 4, 5, 6}; !reflect.DeepEqual(seqs(backlog), want) {
-		t.Fatalf("backlog = %v, want %v", seqs(backlog), want)
-	}
-
-	// Live delivery continues after the backlog with no gap or repeat.
-	publishN(b, 2)
-	if ev := <-sub.Events(); ev.Seq != 7 {
-		t.Errorf("first live event = %d, want 7", ev.Seq)
-	}
-	if ev := <-sub.Events(); ev.Seq != 8 {
-		t.Errorf("second live event = %d, want 8", ev.Seq)
-	}
-}
-
-func TestSubscribeFromCurrentPosition(t *testing.T) {
+func TestReplayCurrentPosition(t *testing.T) {
 	b := New(nil, WithRing(16))
 	defer b.Close()
 	publishN(b, 4)
-	sub, backlog, complete := b.SubscribeFrom(4, 1)
-	defer sub.Close()
+	backlog, complete := b.Replay(4)
 	if len(backlog) != 0 || !complete {
 		t.Errorf("up-to-date resume: backlog %v, complete %v", seqs(backlog), complete)
 	}
 }
 
-func TestSubscribeFromEvictedPosition(t *testing.T) {
+func TestReplayEvictedPosition(t *testing.T) {
 	b := New(nil, WithRing(4))
 	defer b.Close()
 	publishN(b, 10) // ring holds 7..10
 
-	sub, backlog, complete := b.SubscribeFrom(2, 1)
-	defer sub.Close()
+	backlog, complete := b.Replay(2)
 	if complete {
 		t.Error("resume past eviction horizon reported complete")
 	}
@@ -77,8 +51,7 @@ func TestSubscribeFromEvictedPosition(t *testing.T) {
 	b2 := New(nil) // no ring at all
 	defer b2.Close()
 	publishN(b2, 3)
-	sub2, backlog2, complete2 := b2.SubscribeFrom(1, 1)
-	defer sub2.Close()
+	backlog2, complete2 := b2.Replay(1)
 	if complete2 || len(backlog2) != 0 {
 		t.Errorf("ringless resume: backlog %v, complete %v", seqs(backlog2), complete2)
 	}
@@ -100,8 +73,7 @@ func TestStartSeqAndSeedRing(t *testing.T) {
 
 	// New publications continue the persisted numbering.
 	publishN(b, 1)
-	sub, backlog, complete := b.SubscribeFrom(3, 4)
-	defer sub.Close()
+	backlog, complete := b.Replay(3)
 	if !complete {
 		t.Error("resume across seeded ring boundary reported incomplete")
 	}
@@ -110,9 +82,7 @@ func TestStartSeqAndSeedRing(t *testing.T) {
 	}
 
 	// A client from before the snapshot horizon is told it missed events.
-	sub2, _, complete2 := b.SubscribeFrom(1, 1)
-	defer sub2.Close()
-	if complete2 {
+	if _, complete2 := b.Replay(1); complete2 {
 		t.Error("resume from before the seeded tail reported complete")
 	}
 }
@@ -130,10 +100,11 @@ func TestSinkSeesEveryEventInOrder(t *testing.T) {
 	}
 }
 
-func TestSubscribeFromConcurrentWithPublish(t *testing.T) {
+func TestRelayResumeConcurrentWithPublish(t *testing.T) {
 	b := New(nil, WithRing(1<<12))
 	defer b.Close()
 	const prefix, total = 100, 500
+	r := NewRelay(b, RelayOptions{Buffer: total})
 	publishN(b, prefix) // resume positions below this exist before anyone joins
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -142,14 +113,15 @@ func TestSubscribeFromConcurrentWithPublish(t *testing.T) {
 		publishN(b, total-prefix)
 	}()
 
-	// Subscribers joining mid-stream must each observe a gapless suffix:
-	// backlog then live, exactly once.
+	// Clients joining mid-stream must each observe a gapless suffix: ring
+	// backlog then relay queue, exactly once, wherever the relay's fan-out
+	// position sits relative to the publisher at the join.
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(after uint64) {
 			defer wg.Done()
-			sub, backlog, _ := b.SubscribeFrom(after, total)
-			defer sub.Close()
+			c, backlog, _ := r.SubscribeFrom(after, total, nil)
+			defer c.Close()
 			last := after
 			for _, ev := range backlog {
 				if ev.Seq != last+1 {
@@ -159,9 +131,9 @@ func TestSubscribeFromConcurrentWithPublish(t *testing.T) {
 				last = ev.Seq
 			}
 			for last < total {
-				ev, ok := <-sub.Events()
+				ev, ok := <-c.Events()
 				if !ok {
-					t.Errorf("bus closed with subscriber at %d/%d", last, total)
+					t.Errorf("relay closed with client at %d/%d", last, total)
 					return
 				}
 				if ev.Seq != last+1 {
@@ -229,7 +201,7 @@ func TestRingEvictionOrder(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		b.Publish(Event{Kind: Kind(fmt.Sprintf("k%d", i))})
 	}
-	_, backlog, _ := b.SubscribeFrom(0, 1)
+	backlog, _ := b.Replay(0)
 	if want := []uint64{5, 6, 7}; !reflect.DeepEqual(seqs(backlog), want) {
 		t.Errorf("ring retained %v, want %v", seqs(backlog), want)
 	}

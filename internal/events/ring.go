@@ -2,7 +2,7 @@ package events
 
 // Ring is a fixed-capacity circular buffer of recent events that evicts the
 // oldest entry on overflow — the retention window behind both the bus's
-// Last-Event-ID replay (SubscribeFrom) and the store's persisted event tail.
+// Last-Event-ID replay (Bus.Replay) and the store's persisted event tail.
 // A nil *Ring is valid and retains nothing. Ring is not goroutine-safe;
 // each owner guards it with its own lock.
 type Ring struct {

@@ -2,7 +2,7 @@
 // that mechanically enforce the repository's determinism and concurrency
 // contracts. The load-bearing promise of the whole reproduction — detection
 // output is a pure function of the record stream, byte-for-byte identical
-// across shard counts, restarts, async probing and invest-worker counts —
+// across shard counts, restarts and async probing —
 // is guarded at runtime by equivalence tests; these analyzers catch the
 // known ways of breaking it at compile review time instead:
 //

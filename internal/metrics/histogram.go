@@ -118,9 +118,8 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 // Bin-close stages. Each bin barrier is decomposed into monotonic spans:
 // waiting for the shard workers to quiesce, merging their diverted-path
 // indexes, collecting asynchronous probe verdicts, the Section 4.3 signal
-// classification (including the InvestWorkers fan-out), the per-shard
-// baseline cleanup, and the lifecycle hooks (which a store-backed daemon
-// uses for its synchronous WAL flush).
+// classification, the per-shard baseline cleanup, and the lifecycle hooks
+// (which a store-backed daemon uses for its synchronous WAL flush).
 const (
 	StageBarrier  = iota // shard barrier wait (Engine only; zero on Detector)
 	StageMerge           // per-shard diverted-index merge (Engine only)

@@ -16,47 +16,10 @@ import (
 // through the sequential Detector and the sharded Engine at several shard
 // counts, asserting byte-for-byte identical Outage and Incident output.
 // This is the system-level counterpart of the randomized core test: real
-// dictionary, real colocation map, real noise.
+// dictionary, real colocation map, real noise. The rendered archive leads
+// with a table dump, so every subtest also drives Engine.BootstrapRIB
+// through RunEngine.
 func TestEngineEquivalenceOnSimulation(t *testing.T) {
-	s := buildStack(t)
-	target := bestTarget(s)
-	if target == 0 {
-		t.Fatal("no trackable facility")
-	}
-	ev := simulate.Event{
-		ID: 0, Kind: simulate.EvFacility, Facility: target,
-		Start:    tStart.Add(5 * 24 * time.Hour),
-		Duration: 45 * time.Minute,
-	}
-	res, err := simulate.Render(s.World, []simulate.Event{ev}, tStart, tEnd, simulate.RenderConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantOuts, wantIncs := s.Run(res.Records, core.DefaultConfig(), nil)
-	if len(wantOuts) == 0 {
-		t.Fatal("reference detector found nothing; equivalence would be vacuous")
-	}
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil, shards)
-			if !reflect.DeepEqual(gotOuts, wantOuts) {
-				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
-			}
-			if !reflect.DeepEqual(gotIncs, wantIncs) {
-				t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
-			}
-		})
-	}
-}
-
-// TestEngineEquivalenceParallelInvestigator repeats the full-scenario
-// equivalence check with the bin-close signal investigation fanned out
-// across a worker pool: at every worker count the engine must stay
-// byte-for-byte identical to the sequential detector. The rendered archive
-// leads with a table dump, so this also drives Engine.BootstrapRIB through
-// RunEngine on every subtest.
-func TestEngineEquivalenceParallelInvestigator(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
 	if target == 0 {
@@ -79,11 +42,9 @@ func TestEngineEquivalenceParallelInvestigator(t *testing.T) {
 	if len(wantOuts) == 0 {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("invest-workers=%d", workers), func(t *testing.T) {
-			cfg := core.DefaultConfig()
-			cfg.InvestWorkers = workers
-			gotOuts, gotIncs := s.RunEngine(res.Records, cfg, nil, 4)
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil, shards)
 			if !reflect.DeepEqual(gotOuts, wantOuts) {
 				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
 			}

@@ -336,7 +336,10 @@ func TestSSERelayTierServing(t *testing.T) {
 }
 
 // TestSSECoalescedBurstLagObserved pins that per-event delivery lag is
-// still observed per event (not per batch) after write coalescing.
+// still observed per event (not per batch) after write coalescing. Lag is
+// publish → completed client write, so the handler records it after the
+// flush — by which time the client may already hold every frame: the
+// assertion waits for the count instead of racing the handler goroutine.
 func TestSSECoalescedBurstLagObserved(t *testing.T) {
 	hs := metrics.NewHTTPStats()
 	bus := events.New(nil)
@@ -354,6 +357,7 @@ func TestSSECoalescedBurstLagObserved(t *testing.T) {
 	const n = 25
 	publishOpened(bus, n)
 	collectIDs(t, br, n)
+	waitFor(t, func() bool { return hs.Snapshot().SSELag.Count >= n })
 	if got := hs.Snapshot().SSELag.Count; got != n {
 		t.Errorf("SSE lag observations = %d, want %d (one per event, coalesced or not)", got, n)
 	}

@@ -630,3 +630,120 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainKillRestartKeepsFlushResolutions covers drain → SIGKILL →
+// restart: the source reaches EOF with an outage still open, so the
+// end-of-source flush resolves it after the last bin_closed — past the
+// store's last bin-boundary flush. If that final bin close also
+// checkpointed (record cursor = end of archive), the restarted daemon finds
+// zero records left and live.Pump never flushes again, so whatever the
+// first process left in the WAL buffer is lost for good. cmd/keplerd
+// therefore flushes the store when Pump returns at EOF; this test mirrors
+// that wiring and pins the outcome: the durable history after the kill
+// equals the uninterrupted run's.
+func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
+	stack, _, res, cfg, start := restartScenario(t)
+	// End the archive ten minutes into the last background link outage: the
+	// facility outages before it resolve on their own, this one at the flush.
+	eof := start.Add((6*24+5*8)*time.Hour + 10*time.Minute)
+	var records []*mrt.Record
+	for _, rec := range res.Records {
+		if rec.Time.Before(eof) {
+			records = append(records, rec)
+		}
+	}
+	wantOuts, _ := stack.Run(records, cfg, nil)
+
+	dir := t.TempDir()
+	st1, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var persisted []events.Event
+	bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
+		if err := st1.Append(ev); err != nil {
+			t.Errorf("phase 1 append: %v", err)
+		}
+		persisted = append(persisted, ev)
+	}))
+	eng1 := stack.NewEngine(cfg, 4)
+	hooks1 := events.EngineHooks(bus1)
+	publishBin := hooks1.BinClosed
+	hooks1.BinClosed = func(end time.Time) {
+		publishBin(end)
+		// Checkpoint at every bin close, so the last one — taken inside the
+		// end-of-source flush — carries the end-of-archive cursor.
+		c, err := eng1.Checkpoint()
+		if err != nil {
+			t.Errorf("checkpoint at %v: %v", end, err)
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Errorf("encode: %v", err)
+			return
+		}
+		if err := st1.SaveCheckpoint(&store.Checkpoint{
+			EventSeq: bus1.Seq(), Records: c.Records, BinEnd: end, Engine: enc,
+		}); err != nil {
+			t.Errorf("save checkpoint: %v", err)
+		}
+	}
+	eng1.SetHooks(hooks1)
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records)), eng1); err != nil {
+		t.Fatal(err)
+	}
+	// As cmd/keplerd's pump goroutine does at EOF.
+	if err := st1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	bus1.Close()
+	eng1.Close()
+	// SIGKILL model: st1 abandoned, never Closed.
+	n := len(persisted)
+	if n == 0 || persisted[n-1].Kind == events.KindBinClosed {
+		t.Fatal("no outage was open at EOF; the scenario must publish resolutions after the last bin close")
+	}
+
+	st2, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	hist := st2.History()
+	var engCkpt *core.Checkpoint
+	ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
+		if c.EventSeq > hist.LastSeq {
+			return fmt.Errorf("checkpoint ahead of durable horizon")
+		}
+		ec, err := core.DecodeCheckpoint(c.Engine)
+		engCkpt = ec
+		return err
+	})
+	if ck == nil || int(ck.Records) != len(records) {
+		t.Fatalf("recovered checkpoint = %+v, want one at the end-of-archive cursor %d", ck, len(records))
+	}
+	// The restart has nothing left to read, so nothing is ever flushed
+	// again: the durable history is all there will be.
+	resolved2 := hist.Resolved
+	bus2 := events.New(nil, events.WithStartSeq(hist.LastSeq))
+	hooks2 := events.EngineHooks(bus2)
+	pubRes2 := hooks2.OutageResolved
+	hooks2.OutageResolved = func(o core.Outage) { pubRes2(o); resolved2 = append(resolved2, o) }
+	eng2 := stack.NewEngine(cfg, 2)
+	defer eng2.Close()
+	if err := eng2.RestoreFrom(engCkpt); err != nil {
+		t.Fatal(err)
+	}
+	eng2.SetHooks(events.GateHooks(hooks2, hist.LastSeq-ck.EventSeq))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records[ck.Records:])), eng2); err != nil {
+		t.Fatal(err)
+	}
+	bus2.Close()
+	if hist.LastSeq != uint64(n) {
+		t.Errorf("durable horizon %d, the drained process published %d events", hist.LastSeq, n)
+	}
+	if !reflect.DeepEqual(resolved2, wantOuts) {
+		t.Errorf("restarted daemon serves %d resolved outages, uninterrupted run %d", len(resolved2), len(wantOuts))
+	}
+}

@@ -150,10 +150,10 @@ type Options struct {
 	// Bus feeds the SSE stream. Required for /v1/events; other endpoints
 	// work without it.
 	Bus *events.Bus
-	// Relay, when set, serves /v1/events through the fan-out tier instead
-	// of subscribing each client to the bus directly: N streaming clients
-	// cost the ingestion path one bus subscriber. The relay must be built
-	// over the same Bus (Last-Event-ID resume still replays its ring).
+	// Relay is the fan-out tier /v1/events clients subscribe to: N
+	// streaming clients cost the ingestion path one bus subscriber. Nil
+	// makes New build one over Bus, which Bus.Close shuts down; one passed
+	// in must be built over the same Bus (resume replays its ring).
 	Relay *events.Relay
 	// Service receives HTTP/SSE counter updates; shared with the bus so
 	// /v1/stats reports both sides. Optional.
@@ -221,6 +221,12 @@ func New(opts Options) *Server {
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
+	}
+	if opts.Relay == nil && opts.Bus != nil {
+		// Upstream queue at least as deep as one client's (and no shallower
+		// than the relay's default): a burst a client can absorb is never
+		// lost upstream of it.
+		opts.Relay = events.NewRelay(opts.Bus, events.RelayOptions{Buffer: max(opts.SSEBuffer, 1024)})
 	}
 	s := &Server{opts: opts, bootID: time.Now().UnixNano()}
 	s.snap.Store(&Snapshot{cache: &snapCache{etag: `"0-0"`}})

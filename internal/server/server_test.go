@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -356,9 +357,9 @@ func TestSSEKindFilter(t *testing.T) {
 
 // TestSSEManySubscribersSlowConsumer is the acceptance scenario: 8
 // concurrent SSE streams, one of which never reads. The stalled client's
-// bounded queue overflows and its events are dropped (counted in
-// /v1/stats); the reading clients keep receiving everything. Run with
-// -race.
+// bounded relay queue overflows and its events are dropped (counted in
+// /v1/stats under relay); the bus, with its single subscriber, loses
+// nothing, and the reading clients keep receiving. Run with -race.
 func TestSSEManySubscribersSlowConsumer(t *testing.T) {
 	svc := &metrics.ServiceStats{}
 	bus := events.New(svc)
@@ -406,23 +407,29 @@ func TestSSEManySubscribersSlowConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until all 8 handlers registered their subscriptions.
+	// Wait until all 8 handlers joined the relay.
+	relay := srv.opts.Relay
 	deadline := time.Now().Add(5 * time.Second)
-	for bus.Stats().Subscribers < readers+1 {
+	for relay.Info().Clients < readers+1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %d, want %d", bus.Stats().Subscribers, readers+1)
+			t.Fatalf("relay clients = %d, want %d", relay.Info().Clients, readers+1)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	// Publish until the stalled client demonstrably dropped events. The
 	// publisher never blocks (that is the point of the bounded queues), so
-	// the cap only guards against a regression.
+	// it is paced to the relay goroutine — outrunning the fan-out would
+	// overflow the upstream queue, a different loss than the one under
+	// test — and the cap only guards against a regression.
 	const maxEvents = 500000
 	published := 0
-	for svc.EventsDropped.Load() == 0 {
+	for relay.Info().Dropped == 0 {
 		if published >= maxEvents {
 			t.Fatal("no drops after 500k events: queues unbounded?")
+		}
+		for relay.Info().UpstreamDepth > 64 {
+			runtime.Gosched()
 		}
 		bus.Publish(events.Event{Kind: events.KindBinClosed, Time: t0})
 		published++
@@ -430,14 +437,17 @@ func TestSSEManySubscribersSlowConsumer(t *testing.T) {
 
 	var stats StatsView
 	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
-	if stats.Service == nil || stats.Service.EventsDropped == 0 {
-		t.Errorf("drops not reported in /v1/stats: %+v", stats.Service)
+	if stats.Relay == nil || stats.Relay.Dropped == 0 {
+		t.Fatalf("client drops not reported in /v1/stats: %+v", stats.Relay)
+	}
+	if stats.Relay.UpstreamDropped != 0 {
+		t.Errorf("relay lost %d events upstream of the stalled client", stats.Relay.UpstreamDropped)
 	}
 	if stats.Service.SSEActive != readers+1 {
 		t.Errorf("sse_active = %d, want %d", stats.Service.SSEActive, readers+1)
 	}
-	if stats.Bus == nil || stats.Bus.Dropped == 0 {
-		t.Errorf("bus drops missing: %+v", stats.Bus)
+	if stats.Bus == nil || stats.Bus.Subscribers != 1 || stats.Bus.Dropped != 0 {
+		t.Errorf("bus = %+v, want one subscriber and no drops", stats.Bus)
 	}
 
 	// Release everything: kill the stalled connection, close the bus, and

@@ -12,15 +12,6 @@ import (
 	"kepler/internal/events"
 )
 
-// eventStream is the downstream side of either event tier: a direct bus
-// subscription (events.Subscriber) or a relay client (events.RelayClient).
-// The SSE handler serves both interchangeably.
-type eventStream interface {
-	Events() <-chan events.Event
-	Dropped() int64
-	Close()
-}
-
 // sseBatchMax bounds how many queued events one SSE write coalesces. Large
 // enough to drain a bin burst in a handful of writes, small enough that a
 // slow client never stalls behind one enormous buffered write.
@@ -38,13 +29,13 @@ const sseBatchMax = 64
 // sseBatchMax) is marshaled into one buffered write with a single flush,
 // so a bin-close burst costs a client O(1) syscalls, not O(events).
 //
-// When Options.Relay is set, clients subscribe to the fan-out tier instead
-// of the bus — a thousand streams cost ingestion exactly one subscriber.
-// Either way the subscription queue is bounded (Options.SSEBuffer): a
-// client that stops reading blocks only its own writer goroutine, its
-// queue fills, and further events are dropped for it alone — drop totals
-// appear in /v1/stats. ?kinds=outage_resolved,incident filters server-side
-// (in the relay tier, before the client's queue).
+// Clients subscribe to the relay (events.Relay), never to the bus — a
+// thousand streams cost ingestion exactly one subscriber. Each client's
+// queue is bounded (Options.SSEBuffer): a client that stops reading blocks
+// only its own writer goroutine, its queue fills, and further events are
+// dropped for it alone — drop totals appear in /v1/stats under relay.
+// ?kinds=outage_resolved,incident filters server-side, before the client's
+// queue.
 //
 // A reconnecting client sends the standard Last-Event-ID header (every
 // frame's id is the bus sequence number) and first receives the events it
@@ -55,7 +46,7 @@ const sseBatchMax = 64
 // the ring, the replay starts at the oldest retained event after a
 // ": resume incomplete" comment.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Bus == nil && s.opts.Relay == nil {
+	if s.opts.Relay == nil {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "event bus not configured"})
 		return
 	}
@@ -91,23 +82,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		stream   eventStream
+		stream   *events.RelayClient
 		backlog  []events.Event
 		complete = true
 	)
-	switch {
-	case s.opts.Relay != nil && resuming:
+	if resuming {
 		stream, backlog, complete = s.opts.Relay.SubscribeFrom(lastID, s.opts.SSEBuffer, allow)
-	case s.opts.Relay != nil:
+	} else {
 		stream = s.opts.Relay.Subscribe(s.opts.SSEBuffer, allow)
-	case resuming:
-		stream, backlog, complete = s.opts.Bus.SubscribeFrom(lastID, s.opts.SSEBuffer)
-	default:
-		stream = s.opts.Bus.Subscribe(s.opts.SSEBuffer)
 	}
 	defer stream.Close()
-	s.opts.Logger.Debug("sse stream open", "remote", r.RemoteAddr,
-		"relay", s.opts.Relay != nil, "resuming", resuming,
+	s.opts.Logger.Debug("sse stream open", "remote", r.RemoteAddr, "resuming", resuming,
 		"backlog", len(backlog), "complete", complete)
 	defer func() {
 		s.opts.Logger.Debug("sse stream closed", "remote", r.RemoteAddr, "dropped", stream.Dropped())

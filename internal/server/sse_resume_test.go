@@ -98,6 +98,13 @@ func TestSSEResumeReplaysMissedEvents(t *testing.T) {
 	if live[0] != 8 {
 		t.Errorf("live event after backlog = %d, want 8", live[0])
 	}
+
+	// A Bus-only server serves all of this through its built-in relay.
+	var sv StatsView
+	getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &sv)
+	if sv.Relay == nil || sv.Relay.Joins != 2 || sv.Bus.Subscribers != 1 {
+		t.Errorf("stats relay = %+v, bus = %+v; want a relay section with 2 joins over 1 bus subscriber", sv.Relay, sv.Bus)
+	}
 }
 
 func TestSSEResumeRespectsKindFilter(t *testing.T) {

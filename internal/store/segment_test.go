@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"kepler/internal/metrics"
 )
@@ -262,76 +265,48 @@ func TestIndexCorruptionNeverWrongPages(t *testing.T) {
 	}
 }
 
-func TestLegacyManifestMigration(t *testing.T) {
-	// A v1 manifest inlines full history. Build one by hand: entries that
-	// today would live in segments, inlined in the snap frame.
+func TestLegacyManifestSkipped(t *testing.T) {
+	// A version-0 manifest (pre-incremental builds inlined full history in
+	// the snap frame) is no longer a supported format: recovery must treat
+	// it like any other unreadable snapshot — skip it whole, say so, and
+	// rebuild from the WAL — never adopt its sequence or totals.
 	dir := t.TempDir()
 	s := open(t, Options{Dir: dir, CompactBytes: 1 << 30})
 	appendAll(t, s, mkEvents(0, 4))
 	ref := s.History()
-	sum := s.Summary()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	legacy := t.TempDir()
-	writeLegacySnap(t, legacy, snapState{
-		Seq:       sum.LastSeq,
-		LastBin:   sum.LastBin,
-		Resolved:  ref.Resolved,
-		Incidents: ref.Incidents,
-		Pending:   sum.PendingProbes,
-		Traces:    sum.Traces,
+	payload, err := json.Marshal(map[string]any{
+		"seq": ref.LastSeq + 100, "last_bin": ref.LastBin.Add(time.Hour),
+		"resolved": ref.Resolved[:1], "incidents": ref.Incidents[:1], "tail": []any{},
 	})
-
-	m := &metrics.StoreStats{}
-	s2 := open(t, Options{Dir: legacy, CompactBytes: 1, Metrics: m})
-	if got := s2.History(); !reflect.DeepEqual(got.Resolved, ref.Resolved) || !reflect.DeepEqual(got.Incidents, ref.Incidents) {
-		t.Fatal("legacy manifest history differs after open")
-	}
-	// The next compaction migrates: inline history moves to segments and
-	// the manifest goes incremental.
-	appendAll(t, s2, mkEvents(sum.LastSeq, 1))
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := segFiles(t, legacy, outSegPrefix); len(got) == 0 {
-		t.Fatal("no segments after migrating compaction")
-	}
-
-	s3 := open(t, Options{Dir: legacy, CompactBytes: 1 << 30})
-	defer s3.Close()
-	got := s3.History()
-	if len(got.Resolved) != 5 || !reflect.DeepEqual(got.Resolved[:4], ref.Resolved) {
-		t.Errorf("migrated history has %d resolved, prefix match=%v", len(got.Resolved), reflect.DeepEqual(got.Resolved[:4], ref.Resolved))
-	}
-	if sum3 := s3.Summary(); sum3.ResolvedTotal != 5 || sum3.IncidentTotal != 5 {
-		t.Errorf("migrated totals = %d/%d, want 5/5", sum3.ResolvedTotal, sum3.IncidentTotal)
-	}
-}
-
-// writeLegacySnap writes a version-0 (inline-history) snapshot manifest the
-// way pre-incremental builds did.
-func writeLegacySnap(t *testing.T, dir string, st snapState) {
-	t.Helper()
-	st.Version = 0
-	payload, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(dir, segName(snapPrefix, st.Seq)))
+	f, err := os.Create(filepath.Join(dir, segName(snapPrefix, ref.LastSeq+100)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := writeFrame(f, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	var logged bytes.Buffer
+	s2 := open(t, Options{Dir: dir, CompactBytes: 1 << 30,
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	defer s2.Close()
+	if got := s2.History(); !reflect.DeepEqual(got, ref) {
+		t.Errorf("history after skipping the legacy manifest:\n got  %+v\n want %+v", got, ref)
+	}
+	if !strings.Contains(logged.String(), "unsupported manifest version 0") {
+		t.Errorf("skipped manifest not reported; log:\n%s", logged.String())
+	}
+	// Appends continue the WAL's numbering, not the rejected manifest's.
+	appendAll(t, s2, mkEvents(ref.LastSeq, 1))
 }
 
 func TestTruncatedSegmentTailDetected(t *testing.T) {

@@ -186,20 +186,16 @@ type Store struct {
 	log *slog.Logger
 }
 
-// snapState is the snapshot-manifest payload. Version 2 manifests are
-// incremental: history entries live in sealed segments, so the manifest
-// carries only the totals (plus the bounded pending/trace/tail state) and
-// its size no longer grows with history. Version 0 (legacy) manifests
-// inline the full Resolved/Incidents arrays; recovery accepts both and the
-// next compaction migrates a legacy history into segments.
+// snapState is the snapshot-manifest payload. Manifests are incremental:
+// history entries live in sealed segments, so the manifest carries only the
+// totals (plus the bounded pending/trace/tail state) and its size does not
+// grow with history.
 type snapState struct {
 	Version       int                        `json:"version,omitempty"`
 	Seq           uint64                     `json:"seq"`
 	LastBin       time.Time                  `json:"last_bin"`
 	ResolvedTotal int                        `json:"resolved_total,omitempty"`
 	IncidentTotal int                        `json:"incident_total,omitempty"`
-	Resolved      []core.Outage              `json:"resolved,omitempty"`
-	Incidents     []core.Incident            `json:"incidents,omitempty"`
 	Pending       []core.PendingConfirmation `json:"pending_probes,omitempty"`
 	Traces        []core.OutageTrace         `json:"traces,omitempty"`
 	TraceBase     int                        `json:"trace_base,omitempty"`
@@ -207,7 +203,7 @@ type snapState struct {
 }
 
 // snapVersionIncremental marks a manifest whose history is sealed in
-// segments rather than inlined.
+// segments rather than inlined. It is the only version loadSnap accepts.
 const snapVersionIncremental = 2
 
 // Open opens (or initializes) the store in dir, recovering any persisted
@@ -303,11 +299,12 @@ func (s *Store) recover() error {
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 
-	// Newest parseable snapshot wins; a corrupt one (torn rename is
+	// Newest loadable snapshot wins; a corrupt one (torn rename is
 	// prevented by tmp+rename, but disks lie) falls back to the next.
 	for _, n := range snaps {
 		st, err := s.loadSnap(segName(snapPrefix, n))
 		if err != nil {
+			s.log.Warn("snapshot skipped", "error", err)
 			continue
 		}
 		s.seq = st.Seq
@@ -320,21 +317,8 @@ func (s *Store) recover() error {
 		for _, ev := range st.Tail {
 			s.tail.Push(ev)
 		}
-		switch {
-		case st.Version >= snapVersionIncremental:
-			// Incremental manifest: history is sealed; only totals travel.
-			s.outBase, s.incBase = st.ResolvedTotal, st.IncidentTotal
-		case sealedTotal(s.outSegs) > 0 || sealedTotal(s.incSegs) > 0:
-			// Legacy inline manifest but segments exist: a crash landed
-			// between sealing and the first incremental manifest write, so
-			// every inline entry is already sealed — drop the inline copy.
-			s.outBase, s.incBase = len(st.Resolved), len(st.Incidents)
-		default:
-			// Legacy inline manifest: the inline entries become the
-			// unsealed tail and migrate into segments at the next
-			// compaction.
-			s.outTail, s.incTail = st.Resolved, st.Incidents
-		}
+		// History is sealed in segments; only the totals travel.
+		s.outBase, s.incBase = st.ResolvedTotal, st.IncidentTotal
 		break
 	}
 	s.walBase = s.seq
@@ -411,6 +395,9 @@ func (s *Store) loadSnap(name string) (*snapState, error) {
 	var st snapState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("store: snapshot %s: %w", name, err)
+	}
+	if st.Version != snapVersionIncremental {
+		return nil, fmt.Errorf("store: snapshot %s has unsupported manifest version %d", name, st.Version)
 	}
 	return &st, nil
 }

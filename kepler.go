@@ -24,17 +24,13 @@
 //   - Detector — the sequential pipeline (NewDetector), kept as the N=1
 //     compatibility path with zero goroutines.
 //
-// Three ingest-speed mechanisms ride inside that contract. The shards keep
+// Two ingest-speed mechanisms ride inside that contract. The shards keep
 // their per-path records in pooled, recycled state structs with small
 // slice-backed tag sets (no per-update map churn; withdrawn paths return
-// their storage to per-shard free lists). The bin-close signal
-// investigation optionally fans the independent per-PoP signal groups
-// across a worker pool (Config.InvestWorkers; the classification is pure
-// and results merge in deterministic sorted order, so output — including
-// data-plane probe order — is identical at any worker count). And a
-// cold-start table dump bulk-loads through Engine.BootstrapRIB, which
-// batches the dump across all shard workers concurrently instead of
-// trickling it through the per-record streaming path.
+// their storage to per-shard free lists). And a cold-start table dump
+// bulk-loads through Engine.BootstrapRIB, which batches the dump across
+// all shard workers concurrently instead of trickling it through the
+// per-record streaming path.
 //
 // # Live service layer
 //
@@ -87,17 +83,15 @@
 // views are pre-marshaled at the bin barrier and every read endpoint
 // carries a snapshot-generation ETag honoring If-None-Match — between
 // bin closes a polling fleet revalidates with 304s instead of
-// re-marshaling JSON. On the event side, an SSE relay tier (keplerd
-// -relay, on by default) interposes between the bus and the clients:
-// the relay holds the only upstream subscription and fans events to N
-// downstream clients through per-client bounded queues with per-tenant
-// kind filters and exactly-once Last-Event-ID resume, so a thousand
-// SSE clients cost ingestion exactly one subscriber. Overload sheds
-// the newest-joined clients first under an aggregate queue budget —
-// a client stampede degrades the edge, never the detection pipeline —
+// re-marshaling JSON. On the event side, an SSE relay sits between the
+// bus and the clients: it holds the only upstream subscription and fans
+// events to N downstream clients through per-client bounded queues with
+// per-tenant kind filters and exactly-once Last-Event-ID resume, so a
+// thousand SSE clients cost ingestion exactly one subscriber. Overload
+// sheds the newest-joined clients first under an aggregate queue budget
+// — a client stampede degrades the edge, never the detection pipeline —
 // and each client flush coalesces queued events into a single buffered
-// write. BENCH_pr10_serving.json quantifies the tiers under
-// cmd/keplerload's client sweep.
+// write. BENCH_pr10_serving.json holds cmd/keplerload's client sweep.
 //
 // # Checkpointed recovery
 //
@@ -208,10 +202,10 @@
 //
 // Everything above rests on one promise: detection output is a pure
 // function of the record stream — byte-for-byte identical across shard
-// counts, invest-worker counts, restarts and async probing. The
-// equivalence tests pin that promise at runtime; cmd/keplervet
-// (internal/lint) enforces the coding contracts behind it mechanically,
-// with zero dependencies beyond the go tool:
+// counts, restarts and async probing. The equivalence tests pin that
+// promise at runtime; cmd/keplervet (internal/lint) enforces the coding
+// contracts behind it mechanically, with zero dependencies beyond the go
+// tool:
 //
 //   - maporder — map iteration in internal/core, internal/bgpstream and
 //     internal/probe must not feed order-sensitive effects (slice appends
