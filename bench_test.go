@@ -11,6 +11,7 @@ package kepler_test
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,8 +22,10 @@ import (
 	"kepler/internal/experiments"
 	"kepler/internal/geo"
 	"kepler/internal/mrt"
+	"kepler/internal/pipeline"
 	"kepler/internal/probe"
 	"kepler/internal/routing"
+	"kepler/internal/simulate"
 	"kepler/internal/topology"
 )
 
@@ -511,4 +514,130 @@ type countWriter struct{ n int64 }
 func (c *countWriter) Write(p []byte) (int, error) {
 	c.n += int64(len(p))
 	return len(p), nil
+}
+
+// stormState is the detection state keplerd checkpoints on the benchmark's
+// storm-durable workload: the cmd/topogen world at seed 1 under a year-long
+// outage storm (30 facility, 12 IXP, 100 link and 20 AS outages), captured
+// at the last bin barrier and restored into a 2-shard engine that
+// Checkpoint can be called on repeatedly.
+var stormState struct {
+	once sync.Once
+	err  error
+	eng  *core.Engine
+	enc  []byte
+}
+
+func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
+	b.Helper()
+	s := &stormState
+	s.once.Do(func() {
+		wcfg := topology.DefaultConfig()
+		wcfg.Seed = 1
+		w, err := topology.Generate(wcfg)
+		if err != nil {
+			s.err = err
+			return
+		}
+		stack := pipeline.Build(w, 77)
+		start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+		end := start.Add(365 * 24 * time.Hour)
+		sched := simulate.GenerateSchedule(w, simulate.ScheduleConfig{
+			Seed: 2, Start: start.Add(3 * 24 * time.Hour), End: end.Add(-24 * time.Hour),
+			FacilityOutages: 30, IXPOutages: 12, LinkOutages: 100, ASOutages: 20,
+			PartialFraction: 0.15, MinMembers: 6,
+		})
+		res, err := simulate.Render(w, sched, start, end, simulate.RenderConfig{Seed: 3, SessionResets: 2, StickyFraction: 0.05})
+		if err != nil {
+			s.err = err
+			return
+		}
+		cfg := kepler.DefaultConfig()
+		cfg.FeedSilence = 30 * time.Minute
+		eng := stack.NewEngine(cfg, 2)
+		defer eng.Close()
+		eng.SetHooks(core.Hooks{BinClosed: func(time.Time) {
+			c, err := eng.Checkpoint()
+			if err == nil {
+				s.enc, err = c.Encode()
+			}
+			if err != nil && s.err == nil {
+				s.err = err
+			}
+		}})
+		for _, rec := range res.Records {
+			eng.Process(rec)
+		}
+		if s.err != nil {
+			return
+		}
+		c, err := core.DecodeCheckpoint(s.enc)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.eng = stack.NewEngine(cfg, 2)
+		s.err = s.eng.RestoreFrom(c)
+	})
+	if s.err != nil {
+		b.Fatal(s.err)
+	}
+	return s.eng, s.enc
+}
+
+var checkpointSink *core.Checkpoint
+
+// BenchmarkCheckpointCapture measures Engine.Checkpoint over the storm
+// state: flattening the shards' path and stable-baseline maps into sorted
+// slices. paths/op and stable/op size the state.
+func BenchmarkCheckpointCapture(b *testing.B) {
+	eng, _ := stormCheckpoint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := eng.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkpointSink = c
+	}
+	b.ReportMetric(float64(len(checkpointSink.Paths)), "paths/op")
+	b.ReportMetric(float64(len(checkpointSink.Stable)), "stable/op")
+}
+
+// BenchmarkCheckpointEncode measures Checkpoint.Encode over the storm
+// state; MB/s is over the encoded size, reported as ckpt-bytes/op.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	eng, _ := stormCheckpoint(b)
+	c, err := eng.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if enc, err = c.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportMetric(float64(len(enc)), "ckpt-bytes/op")
+}
+
+// BenchmarkCheckpointDecode measures DecodeCheckpoint over the encoded
+// storm state.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	_, enc := stormCheckpoint(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := core.DecodeCheckpoint(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkpointSink = c
+	}
+	b.ReportMetric(float64(len(enc)), "ckpt-bytes/op")
 }

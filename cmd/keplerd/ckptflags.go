@@ -16,6 +16,13 @@ import (
 // segments rotate on their own (newest two generations are kept) and WAL
 // compaction never touches them, so disk stays bounded by history size +
 // one WAL window + two checkpoints regardless of either setting.
+//
+// There is no format flag: a checkpoint is the version-3 binary encoding
+// (see core.CheckpointVersion for the layout), about 37 bytes per monitored
+// path plus 17 per stable-baseline entry. A segment in any other encoding —
+// an older build's JSON checkpoint after an upgrade — is discarded at boot
+// like a corrupt one, so the first start of a new build re-ingests from
+// record zero once and checkpoints in the new format from there on.
 func validateCheckpointFlags(interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("-checkpoint-interval must be positive, got %v (stream time between engine checkpoints; restart recovery re-ingests at most one interval of records)", interval)

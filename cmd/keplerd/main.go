@@ -32,7 +32,14 @@
 // already-persisted events suppressed — a restart mid-archive is
 // equivalent to one uninterrupted run, and the catch-up cost is bounded
 // by one checkpoint interval rather than the stream length
-// (store.resume_records in /v1/stats reports the resume offset). A data
+// (store.resume_records in /v1/stats reports the resume offset).
+// Checkpoints are binary (core.CheckpointVersion 3: path and
+// stable-baseline records as varints behind a "KPCK" magic, inside the
+// store's fixed "KCE1" envelope and CRC32C frame); a data dir whose only
+// checkpoints were written by an older build — versions 1 and 2 were JSON —
+// costs one full re-ingest after the upgrade: each is refused by its first
+// bytes, logged as "checkpoint segment discarded" and counted in
+// store.checkpoints_discarded, and the history comes out identical. A data
 // dir is bound to one (source, seed, detection config, probe config)
 // tuple; pointing it at a different archive or changing -tfail,
 // -probe-backend or -probe-budget desynchronizes the replay gate — in

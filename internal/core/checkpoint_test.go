@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"net/netip"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"kepler/internal/bgp"
+	"kepler/internal/colo"
 	"kepler/internal/mrt"
 )
 
@@ -388,4 +391,172 @@ func TestRestoreAfterProcessRejected(t *testing.T) {
 	if err := d.RestoreFrom(&Checkpoint{Version: CheckpointVersion}); err == nil {
 		t.Fatal("restore after Process succeeded")
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/checkpoint_v3.golden from the current encoder")
+
+const goldenCheckpoint = "testdata/checkpoint_v3.golden"
+
+// TestCheckpointGolden pins the version-3 byte layout: the scenario
+// stream's checkpoint at the signal bin, with one IPv6 path that stays in
+// the stable baseline through the outage (so paths, stable entries, an open
+// outage with waiting keys, incidents and sessions are all present), must
+// encode to exactly the checked-in bytes, and those bytes must decode and
+// re-encode to themselves. A layout change that does not bump CheckpointVersion fails
+// here; after a bump, regenerate with `go test ./internal/core -run
+// TestCheckpointGolden -update` and rename the file.
+func TestCheckpointGolden(t *testing.T) {
+	recs, failAt := scenarioStream()
+	recs = append([]*mrt.Record{mkUpdate(tBase, 11, "2a00:1450::/32", bgp.Path{11, 21},
+		bgp.Communities{bgp.MakeCommunity(11, 51001)})}, recs...)
+	dict, cmap, _ := microWorld(t)
+	d := New(DefaultConfig(), dict, cmap, nil)
+	var enc []byte
+	d.SetHooks(Hooks{BinClosed: func(end time.Time) {
+		if !end.Equal(failAt.Add(60 * time.Second)) {
+			return
+		}
+		c, err := d.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Paths) == 0 || len(c.Stable) == 0 || len(c.Open) == 0 || len(c.Incidents) == 0 {
+			t.Fatalf("golden state too thin: %d paths, %d stable, %d open, %d incidents",
+				len(c.Paths), len(c.Stable), len(c.Open), len(c.Incidents))
+		}
+		if enc, err = c.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	}})
+	for _, r := range recs {
+		d.Process(r)
+	}
+	if enc == nil {
+		t.Fatal("signal bin never closed")
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenCheckpoint, enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("checkpoint encoding (%d bytes) differs from %s (%d bytes): a layout change needs a CheckpointVersion bump and a new golden",
+			len(enc), goldenCheckpoint, len(want))
+	}
+	c, err := DecodeCheckpoint(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatal("Encode(Decode(golden)) != golden")
+	}
+}
+
+// TestCheckpointCodecRoundTrip drives the field shapes the scenario world
+// does not produce through the codec: IPv6 and IPv4-mapped prefixes, a
+// default route, 32-bit ASNs, sub-second and zero times, empty paths and
+// tag lists.
+func TestCheckpointCodecRoundTrip(t *testing.T) {
+	at := time.Date(2016, 3, 1, 12, 0, 0, 123456789, time.UTC)
+	key := func(peer bgp.ASN, pfx string) PathKeyCheckpoint {
+		return PathKeyCheckpoint{Peer: peer, Prefix: netip.MustParsePrefix(pfx)}
+	}
+	c := &Checkpoint{
+		Version:  CheckpointVersion,
+		BinStart: at,
+		Records:  1 << 40,
+		OpSeq:    1<<64 - 1,
+		ProbeSeq: 7,
+		Paths: []PathCheckpoint{
+			{Key: key(1, "0.0.0.0/0")},
+			{Key: key(4200000000, "2001:db8::/32"), Path: bgp.Path{4200000000, 3356, 1},
+				Tags: []TagCheckpoint{{PoP: colo.IXPPoP(9), Near: 3356, Far: 1, Since: at}, {PoP: colo.CityPoP(1<<32 - 1), Since: time.Time{}}}},
+			{Key: key(65000, "::ffff:10.0.0.0/104"), Path: bgp.Path{65000}},
+		},
+		Stable: []StableCheckpoint{{PoP: colo.FacilityPoP(3), Near: 3356, Far: 1, Key: key(4200000000, "2001:db8::/32")}},
+	}
+	c.Pending = []PendingProbeCheckpoint{{ID: 3, At: at, Deadline: at.Add(time.Hour), Waiting: []PathKeyCheckpoint{key(1, "10.0.0.0/8")}}}
+	enc, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, c) {
+		t.Fatalf("round trip diverges:\n got  %+v\n want %+v", got, c)
+	}
+	if _, err := (&Checkpoint{Version: CheckpointVersion, Paths: []PathCheckpoint{{}}}).Encode(); err == nil {
+		t.Fatal("encoded a path without a valid prefix")
+	}
+}
+
+// TestDecodeCheckpointMalformed pins that no cut of a valid encoding and no
+// appended byte decodes, and that none of them panics: the length checks,
+// not luck, reject them.
+func TestDecodeCheckpointMalformed(t *testing.T) {
+	golden, err := os.ReadFile(goldenCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range golden {
+		if _, err := DecodeCheckpoint(golden[:n]); err == nil {
+			t.Fatalf("decoded a checkpoint truncated to %d of %d bytes", n, len(golden))
+		}
+	}
+	if _, err := DecodeCheckpoint(append(golden[:len(golden):len(golden)], 0)); err == nil {
+		t.Fatal("decoded a checkpoint with a trailing byte")
+	}
+	// A count far beyond the input must be refused before it sizes anything.
+	huge := append([]byte(checkpointMagic), byte(CheckpointVersion), 0, 0, 0, 0, 0)
+	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	if _, err := DecodeCheckpoint(huge); err == nil {
+		t.Fatal("decoded a checkpoint claiming 2^63 paths")
+	}
+	if _, err := DecodeCheckpoint([]byte(`{"version":2,"records":10}`)); err == nil {
+		t.Fatal("decoded a version-2 JSON checkpoint")
+	}
+}
+
+// FuzzDecodeCheckpoint feeds the parser hostile bytes. Whatever decodes
+// must re-encode, and that encoding must be a fixed point of
+// decode-then-encode.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile(goldenCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte(checkpointMagic))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := DecodeCheckpoint(b)
+		if err != nil {
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+		}
+		c2, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		enc2, err := c2.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatal("encoding is not a fixed point of decode-then-encode")
+		}
+	})
 }

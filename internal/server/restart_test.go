@@ -4,11 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"log/slog"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -745,5 +751,130 @@ func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resolved2, wantOuts) {
 		t.Errorf("restarted daemon serves %d resolved outages, uninterrupted run %d", len(resolved2), len(wantOuts))
+	}
+}
+
+// TestRestartFromOlderCheckpointFormat is the upgrade path of the binary
+// checkpoint format: the data dir of a SIGKILLed daemon holds only a
+// checkpoint an older build wrote (a CRC-valid frame around the version-2
+// JSON envelope). The new build must refuse it by its first bytes — counted
+// in CheckpointsDiscarded and logged, never half-restored — and the daemon
+// wiring then re-ingests from record zero behind the replay gate, ending at
+// byte-for-byte the event sequence of one uninterrupted run.
+func TestRestartFromOlderCheckpointFormat(t *testing.T) {
+	stack, _, res, cfg, start := restartScenario(t)
+
+	var refEvents []events.Event
+	refBus := events.New(nil, events.WithSink(func(ev events.Event) { refEvents = append(refEvents, ev) }))
+	refEng := stack.NewEngine(cfg, 4)
+	refEng.SetHooks(events.EngineHooks(refBus))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), refEng); err != nil {
+		t.Fatal(err)
+	}
+	refBus.Close()
+	refEng.Close()
+
+	// ---- Phase 1: the older build, SIGKILLed mid-archive.
+	dir := t.TempDir()
+	st1, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	armed.Store(true)
+	var persisted []events.Event
+	bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
+		if !armed.Load() {
+			return
+		}
+		if err := st1.Append(ev); err != nil {
+			t.Errorf("phase 1 append: %v", err)
+		}
+		persisted = append(persisted, ev)
+	}))
+	eng1 := stack.NewEngine(cfg, 4)
+	var aborting atomic.Bool
+	eng1.SetHooks(events.MuteHooks(events.EngineHooks(bus1), aborting.Load))
+	cut := &countingCut{cutSource: cutSource{
+		src:    live.Adapt(bgpstream.NewSliceSource(res.Records)),
+		cutoff: start.Add(8 * 24 * time.Hour),
+	}}
+	src1 := live.OnAbort(cut, func() { armed.Store(false); aborting.Store(true) })
+	if _, err := live.Pump(context.Background(), src1, eng1); err != context.Canceled {
+		t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
+	}
+	bus1.Close()
+	eng1.Close()
+	// Its one checkpoint, as store.SaveCheckpoint framed it before version
+	// 3: length, CRC32C, then the JSON envelope around the JSON engine state.
+	old := fmt.Sprintf(`{"event_seq":%d,"records":%d,"bin_end":"2016-01-08T23:00:00Z","engine":{"version":2,"bin_start":"2016-01-08T23:00:00Z","records":%d,"op_seq":1,"probe_seq":0,"sessions":{},"feed":{}}}`,
+		len(persisted)/2, cut.delivered/2, cut.delivered/2)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(old)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum([]byte(old), crc32.MakeTable(crc32.Castagnoli)))
+	seg := filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt", len(persisted)/2))
+	if err := os.WriteFile(seg, append(frame, old...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// ---- Phase 2: the new build boots on that dir.
+	stats2 := &metrics.StoreStats{}
+	var logged bytes.Buffer
+	st2, err := store.Open(store.Options{Dir: dir, Metrics: stats2, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	hist := st2.History()
+	if got := uint64(len(persisted)); got != hist.LastSeq || got == 0 {
+		t.Fatalf("durable horizon %d but phase 1 published %d events", hist.LastSeq, got)
+	}
+	// cmd/keplerd's accept gate.
+	ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
+		if c.EventSeq > hist.LastSeq {
+			return fmt.Errorf("checkpoint ahead of durable horizon")
+		}
+		_, err := core.DecodeCheckpoint(c.Engine)
+		return err
+	})
+	if ck != nil {
+		t.Fatalf("an older build's checkpoint was accepted: %+v", ck)
+	}
+	if got := stats2.CheckpointsDiscarded.Load(); got != 1 {
+		t.Errorf("CheckpointsDiscarded = %d, want 1", got)
+	}
+	if !strings.Contains(logged.String(), "checkpoint segment discarded") || !strings.Contains(logged.String(), filepath.Base(seg)) {
+		t.Errorf("the discard was not logged: %q", logged.String())
+	}
+
+	// No checkpoint: record zero, every persisted event gated.
+	var evs2 []events.Event
+	bus2 := events.New(nil,
+		events.WithStartSeq(hist.LastSeq),
+		events.WithSink(func(ev events.Event) {
+			if err := st2.Append(ev); err != nil {
+				t.Errorf("phase 2 append: %v", err)
+			}
+			evs2 = append(evs2, ev)
+		}))
+	eng2 := stack.NewEngine(cfg, 2)
+	defer eng2.Close()
+	eng2.SetHooks(events.GateHooks(events.EngineHooks(bus2), hist.LastSeq))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), eng2); err != nil {
+		t.Fatal(err)
+	}
+	bus2.Close()
+
+	all := append(append([]events.Event{}, persisted...), evs2...)
+	if len(all) != len(refEvents) {
+		t.Fatalf("restarted run published %d events, uninterrupted run %d", len(all), len(refEvents))
+	}
+	for i := range all {
+		got, want := marshalEvent(t, all[i]), marshalEvent(t, refEvents[i])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("event %d diverges across the restart:\n got  %s\n want %s", i, got, want)
+		}
+	}
+	if final := st2.History(); final.LastSeq != uint64(len(refEvents)) {
+		t.Errorf("durable seq %d, want %d", final.LastSeq, len(refEvents))
 	}
 }

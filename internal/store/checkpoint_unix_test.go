@@ -1,0 +1,72 @@
+//go:build unix
+
+package store
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// TestCheckpointSaveHoldsNoLockOverIO parks a save inside its file I/O — a
+// FIFO squatting on the temp path blocks open(2) until somebody reads — and
+// pages history meanwhile. With Store.mu held across the save, the reads
+// would wait for it; they must complete while the save is still stuck.
+func TestCheckpointSaveHoldsNoLockOverIO(t *testing.T) {
+	dir := t.TempDir()
+	const bins = 6
+	fillCompacted(t, dir, nil, bins)
+	s := open(t, Options{Dir: dir, CompactBytes: 1 << 30})
+	defer s.Close()
+
+	c := mkCkpt(99, 1)
+	fifo := filepath.Join(dir, segName(ckptPrefix, c.EventSeq)+ckptTmpExt)
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	saved := make(chan error, 1)
+	go func() { saved <- s.SaveCheckpoint(c) }()
+
+	read := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 200 && err == nil; i++ {
+			_, err = s.ReadOutages(i%bins, 2)
+			time.Sleep(100 * time.Microsecond) // let the save reach open(2)
+		}
+		read <- err
+	}()
+	var stalled string
+	select {
+	case err := <-read:
+		if err != nil {
+			stalled = err.Error()
+		}
+	case err := <-saved:
+		t.Fatalf("save returned (%v) with nobody reading the FIFO", err)
+	case <-time.After(10 * time.Second):
+		stalled = "reads stalled behind a checkpoint save"
+	}
+
+	// Release the save (before failing: a save stuck under the lock would
+	// hang the deferred Close): drain the FIFO. fsync on a pipe is EINVAL,
+	// so the save fails — and must take its temp file with it.
+	r, err := os.OpenFile(fifo, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, r)
+	if err := <-saved; err == nil {
+		t.Error("save through a FIFO reported success")
+	}
+	r.Close()
+	if stalled != "" {
+		t.Fatal(stalled)
+	}
+	if _, err := os.Stat(fifo); !os.IsNotExist(err) {
+		t.Errorf("failed save left its temp file behind: %v", err)
+	}
+}

@@ -282,6 +282,7 @@ func (s *Store) recover() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	sweepCheckpointTmp(s.opts.Dir, entries)
 	// Segments first: their entry counts are the authoritative sealed
 	// totals the manifest is reconciled against.
 	if s.outSegs, err = s.loadSegments(outSegPrefix, entries); err != nil {
