@@ -21,6 +21,7 @@ import (
 	"kepler/internal/core"
 	"kepler/internal/experiments"
 	"kepler/internal/geo"
+	"kepler/internal/metrics"
 	"kepler/internal/mrt"
 	"kepler/internal/pipeline"
 	"kepler/internal/probe"
@@ -522,10 +523,13 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // at the last bin barrier and restored into a 2-shard engine that
 // Checkpoint can be called on repeatedly.
 var stormState struct {
-	once sync.Once
-	err  error
-	eng  *core.Engine
-	enc  []byte
+	once  sync.Once
+	err   error
+	eng   *core.Engine
+	enc   []byte
+	stack *pipeline.Stack
+	cfg   core.Config
+	recs  []*mrt.Record
 }
 
 func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
@@ -578,6 +582,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 		}
 		s.eng = stack.NewEngine(cfg, 2)
 		s.err = s.eng.RestoreFrom(c)
+		s.stack, s.cfg, s.recs = stack, cfg, res.Records
 	})
 	if s.err != nil {
 		b.Fatal(s.err)
@@ -588,21 +593,89 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 var checkpointSink *core.Checkpoint
 
 // BenchmarkCheckpointCapture measures Engine.Checkpoint over the storm
-// state: flattening the shards' path and stable-baseline maps into sorted
-// slices. paths/op and stable/op size the state.
+// state. paths/op and stable/op size the state.
+//
+//   - cold: the first capture of an engine just restored from the storm's
+//     last checkpoint: every path and stable group is sorted and encoded.
+//   - churn: the captures keplerd takes over the storm, one per 15 minutes
+//     of stream time that a bin closes in, each after the records of its
+//     interval (ingested with the timer stopped); every pass's first
+//     capture, which is cold, is left out.
 func BenchmarkCheckpointCapture(b *testing.B) {
-	eng, _ := stormCheckpoint(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := eng.Checkpoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		checkpointSink = c
+	_, enc := stormCheckpoint(b)
+	s := &stormState
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(checkpointSink.NumPaths()), "paths/op")
+		b.ReportMetric(float64(checkpointSink.NumStable()), "stable/op")
 	}
-	b.ReportMetric(float64(len(checkpointSink.Paths)), "paths/op")
-	b.ReportMetric(float64(len(checkpointSink.Stable)), "stable/op")
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c, err := core.DecodeCheckpoint(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := s.stack.NewEngine(s.cfg, 2)
+			if err := eng.RestoreFrom(c); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			checkpointSink, err = eng.Checkpoint()
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Close()
+			b.StartTimer()
+		}
+		report(b)
+	})
+	b.Run("churn", func(b *testing.B) {
+		const interval = 15 * time.Minute // keplerd's -checkpoint-interval default
+		b.ReportAllocs()
+		b.StopTimer()
+		var stats metrics.CheckpointStats
+		var dirtyPaths, dirtyStable int64
+		for n := 0; n < b.N; {
+			eng := s.stack.NewEngine(s.cfg, 2)
+			eng.SetCheckpointStats(&stats)
+			var last time.Time
+			eng.SetHooks(core.Hooks{BinClosed: func(end time.Time) {
+				if n == b.N || (!last.IsZero() && end.Sub(last) < interval) {
+					return
+				}
+				first := last.IsZero()
+				last = end
+				if first {
+					_, _ = eng.Checkpoint()
+					return
+				}
+				b.StartTimer()
+				c, err := eng.Checkpoint()
+				b.StopTimer()
+				if err != nil {
+					b.Error(err)
+				}
+				checkpointSink = c
+				dirtyPaths += stats.DirtyPaths.Load()
+				dirtyStable += stats.DirtyStable.Load()
+				n++
+			}})
+			for _, rec := range s.recs {
+				if eng.Process(rec); n == b.N || b.Failed() {
+					break
+				}
+			}
+			eng.Close()
+			if b.Failed() {
+				return
+			}
+		}
+		report(b)
+		b.ReportMetric(float64(dirtyPaths)/float64(b.N), "dirty-paths/op")
+		b.ReportMetric(float64(dirtyStable)/float64(b.N), "dirty-stable/op")
+	})
 }
 
 // BenchmarkCheckpointEncode measures Checkpoint.Encode over the storm

@@ -17,6 +17,15 @@ import (
 // compaction never touches them, so disk stays bounded by history size +
 // one WAL window + two checkpoints regardless of either setting.
 //
+// The interval sets how much a restart re-ingests, not what ingest pays per
+// record: the engine keeps the checkpoint's encoded sections between
+// captures and re-encodes only what changed since the last one, so a
+// checkpoint costs its 720 KB write + fsync plus work proportional to the
+// interval's churn (BENCH_pr16.json has the 1 m–6 h curve on the storm
+// archive). Checkpointing stops for good when a WAL append fails and the
+// daemon falls back to memory: a checkpoint past the frozen durable horizon
+// would be refused at boot and would rotate out the ones that are not.
+//
 // There is no format flag: a checkpoint is the version-3 binary encoding
 // (see core.CheckpointVersion for the layout), about 37 bytes per monitored
 // path plus 17 per stable-baseline entry. A segment in any other encoding —

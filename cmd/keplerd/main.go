@@ -33,6 +33,11 @@
 // equivalent to one uninterrupted run, and the catch-up cost is bounded
 // by one checkpoint interval rather than the stream length
 // (store.resume_records in /v1/stats reports the resume offset).
+// A checkpoint costs what changed since the previous one (the engine keeps
+// its encoded sections warm between bin barriers); /v1/stats and /metrics
+// report how long each took and how much it had to re-encode. If a WAL
+// append fails the daemon serves on in memory and stops checkpointing, so
+// the checkpoints already on disk stay the restart point.
 // Checkpoints are binary (core.CheckpointVersion 3: path and
 // stable-baseline records as varints behind a "KPCK" magic, inside the
 // store's fixed "KCE1" envelope and CRC32C frame); a data dir whose only
@@ -366,8 +371,9 @@ func main() {
 				}
 				if err := st.Append(ev); err != nil {
 					// Losing durability must not take down detection;
-					// serve on, in-memory, and say so loudly.
-					dlog.Error("store append failed, persistence disabled", "error", err)
+					// serve on, in-memory, and say so loudly. Checkpointing
+					// stops with it (see hooks.BinClosed below).
+					dlog.Error("store append failed, persistence and checkpointing disabled", "error", err)
 					sinkArmed.Store(false)
 				}
 			}),
@@ -405,8 +411,10 @@ func main() {
 	// subscriber no matter how many clients stream.
 	bus := events.New(svc, busOpts...)
 	bus.SeedRing(sum.Tail)
+	ckptStats := &metrics.CheckpointStats{}
 	eng := stack.NewEngine(kcfg, *shards)
 	eng.SetBinStageStats(binStage)
+	eng.SetCheckpointStats(ckptStats)
 	if sched != nil {
 		eng.SetProber(sched)
 	}
@@ -425,6 +433,7 @@ func main() {
 			eng.Close()
 			eng = stack.NewEngine(kcfg, *shards)
 			eng.SetBinStageStats(binStage)
+			eng.SetCheckpointStats(ckptStats)
 			if sched != nil {
 				eng.SetProber(sched)
 			}
@@ -462,6 +471,7 @@ func main() {
 	}
 	if storeStats != nil {
 		srvOpts.Store = func() metrics.StoreSnapshot { return storeStats.Snapshot() }
+		srvOpts.Checkpoint = func() metrics.CheckpointSnapshot { return ckptStats.Snapshot() }
 	}
 	if probeStats != nil {
 		srvOpts.Probe = func() metrics.ProbeSnapshot { return probeStats.Snapshot() }
@@ -662,6 +672,8 @@ func main() {
 		lastCkptBin = resume.BinEnd
 	}
 	saveCheckpoint := func(end time.Time) {
+		t0 := time.Now()
+		defer func() { ckptStats.Duration.Observe(time.Since(t0)) }()
 		c, err := eng.Checkpoint()
 		if err != nil {
 			dlog.Warn("checkpoint skipped", "error", err)
@@ -700,7 +712,11 @@ func main() {
 	hooks.BinClosed = func(end time.Time) {
 		publishBin(end)
 		srv.PublishSnapshot(buildSnap(end))
-		if st != nil && (lastCkptBin.IsZero() || end.Sub(lastCkptBin) >= *ckptIv) {
+		// sinkArmed, not st != nil: once an append has failed the durable
+		// horizon is frozen, a checkpoint taken past it is refused at boot
+		// (its EventSeq is ahead of the WAL), and saving two of them would
+		// rotate out both generations a restart can still use.
+		if sinkArmed.Load() && (lastCkptBin.IsZero() || end.Sub(lastCkptBin) >= *ckptIv) {
 			saveCheckpoint(end)
 			lastCkptBin = end
 		}

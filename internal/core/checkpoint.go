@@ -47,15 +47,19 @@ const checkpointMagic = "KPCK"
 // baseline, collector session state, the investigator's incident log and
 // outage tracker, and any probe campaigns parked as pending confirmations.
 //
-// The encoding is deterministic — every map is flattened into a sorted
-// slice — so for one record stream the checkpoint bytes are identical
-// regardless of shard count, and a checkpoint can be restored into an
-// engine with any shard count. Restoring a checkpoint taken after record N
-// and re-ingesting records N+1.. reproduces byte-for-byte the state and
-// lifecycle-hook sequence of an uninterrupted run.
+// The encoding is deterministic — every map is flattened in sorted order —
+// so for one record stream the checkpoint bytes are identical regardless of
+// shard count, and a checkpoint can be restored into an engine with any
+// shard count. Restoring a checkpoint taken after record N and re-ingesting
+// records N+1.. reproduces byte-for-byte the state and lifecycle-hook
+// sequence of an uninterrupted run.
 //
-// A captured checkpoint's Paths alias the engine's live AS paths: encode it
-// before the next Process call.
+// The two big sections — paths and stable baseline — are held encoded, in
+// pages that are never written once built: a captured checkpoint shares
+// them with the pipeline's checkpoint image (image.go), a decoded one
+// points into the buffer it was decoded from. A captured checkpoint
+// therefore stays valid however far the pipeline runs on, to be encoded
+// whenever; a decoded one for as long as its buffer is left alone.
 type Checkpoint struct {
 	Version int
 	// BinStart is the bin clock position: the start of the bin the next
@@ -69,11 +73,17 @@ type Checkpoint struct {
 	// ProbeSeq is the investigator's campaign-id counter.
 	ProbeSeq uint64
 
-	Paths  []PathCheckpoint
-	Stable []StableCheckpoint
+	paths  section[sortKey]
+	stable section[stableKey]
 
 	checkpointTail
 }
+
+// NumPaths is the number of monitored paths the checkpoint carries.
+func (c *Checkpoint) NumPaths() int { return c.paths.n }
+
+// NumStable is the number of stable-baseline entries the checkpoint carries.
+func (c *Checkpoint) NumStable() int { return c.stable.n }
 
 // checkpointTail holds the sections that stay small however many paths are
 // monitored (71 KB of a 1 MB storm checkpoint). They ride in the encoding
@@ -113,9 +123,9 @@ func cmpKey(a, b PathKeyCheckpoint) int {
 	return cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits())
 }
 
-// sortKey is a path key flattened to integers that compare in cmpKey order:
-// the sort over every monitored path moves 32-byte entries and never calls
-// into netip.
+// sortKey is a path key flattened to integers that compare in cmpKey order
+// — checkpoint order: sorting and merging move 32-byte entries and never
+// call into netip, and a record's key bytes are written straight from it.
 type sortKey struct {
 	peer        bgp.ASN
 	width, bits uint8 // address and prefix length in bits
@@ -147,17 +157,6 @@ func (a sortKey) compare(b sortKey) int {
 	return cmp.Compare(a.bits, b.bits)
 }
 
-func (k sortKey) key() PathKeyCheckpoint {
-	var raw [16]byte
-	binary.BigEndian.PutUint64(raw[:8], k.hi)
-	binary.BigEndian.PutUint64(raw[8:], k.lo)
-	addr := netip.AddrFrom16(raw)
-	if k.width == 32 {
-		addr = addr.Unmap()
-	}
-	return PathKeyCheckpoint{Peer: k.peer, Prefix: netip.PrefixFrom(addr, int(k.bits))}
-}
-
 func cmpPoP(a, b colo.PoP) int {
 	if a.Kind != b.Kind {
 		return cmp.Compare(a.Kind, b.Kind)
@@ -172,31 +171,6 @@ func sortKeySet(set map[PathKey]bool) []PathKeyCheckpoint {
 	}
 	slices.SortFunc(keys, cmpKey)
 	return keys
-}
-
-// TagCheckpoint is one currently tagged PoP of a path with its hop ends and
-// the instant the tag became continuous (the stability clock).
-type TagCheckpoint struct {
-	PoP   colo.PoP
-	Near  bgp.ASN
-	Far   bgp.ASN
-	Since time.Time
-}
-
-// PathCheckpoint is the full monitoring state of one path.
-type PathCheckpoint struct {
-	Key  PathKeyCheckpoint
-	Path bgp.Path
-	Tags []TagCheckpoint
-}
-
-// StableCheckpoint is one stable-baseline membership: key is stable at PoP
-// under the near-end AS grouping, with the recorded hop ends.
-type StableCheckpoint struct {
-	PoP  colo.PoP
-	Near bgp.ASN
-	Far  bgp.ASN
-	Key  PathKeyCheckpoint
 }
 
 // OpenOutageCheckpoint is the tracker state of one ongoing outage.
@@ -249,67 +223,60 @@ func appendPoP(b []byte, p colo.PoP) []byte {
 	return binary.AppendUvarint(append(b, byte(p.Kind)), uint64(p.ID))
 }
 
-func appendKey(b []byte, k PathKeyCheckpoint) ([]byte, error) {
-	if !k.Prefix.IsValid() {
-		return nil, fmt.Errorf("core: encoding checkpoint: %v has no valid prefix", k.Peer)
+func appendKey(b []byte, k sortKey) []byte {
+	b = binary.AppendUvarint(b, uint64(k.peer))
+	if k.width == 32 {
+		return binary.BigEndian.AppendUint32(append(b, 4, k.bits), uint32(k.lo))
 	}
-	b = binary.AppendUvarint(b, uint64(k.Peer))
-	addr, bits := k.Prefix.Addr(), byte(k.Prefix.Bits())
-	if addr.Is4() {
-		raw := addr.As4()
-		return append(append(b, 4, bits), raw[:]...), nil
-	}
-	raw := addr.As16()
-	return append(append(b, 6, bits), raw[:]...), nil
+	b = binary.BigEndian.AppendUint64(append(b, 6, k.bits), k.hi)
+	return binary.BigEndian.AppendUint64(b, k.lo)
 }
 
-// Encode renders the checkpoint as its canonical byte encoding. Because
-// every collection is sorted at capture, encoding the same detection state
-// always yields the same bytes.
+// appendPathRecord encodes one path record; tags must be sorted by PoP.
+func appendPathRecord(b []byte, k sortKey, path bgp.Path, tags []pathTag) []byte {
+	b = appendKey(b, k)
+	b = binary.AppendUvarint(b, uint64(len(path)))
+	for _, hop := range path {
+		b = binary.AppendUvarint(b, uint64(hop))
+	}
+	b = binary.AppendUvarint(b, uint64(len(tags)))
+	for i := range tags {
+		t := &tags[i]
+		b = appendPoP(b, t.pop)
+		b = binary.AppendUvarint(b, uint64(t.ends.near))
+		b = binary.AppendUvarint(b, uint64(t.ends.far))
+		b = appendTime(b, t.since)
+	}
+	return b
+}
+
+// appendStableRecord encodes one stable-baseline membership: k is stable at
+// pop under the near-end AS grouping, with the recorded far end.
+func appendStableRecord(b []byte, pop colo.PoP, ends popEnd, k sortKey) []byte {
+	b = appendPoP(b, pop)
+	b = binary.AppendUvarint(b, uint64(ends.near))
+	b = binary.AppendUvarint(b, uint64(ends.far))
+	return appendKey(b, k)
+}
+
+// Encode renders the checkpoint as its canonical byte encoding: the header,
+// the two big sections as they are held, and the small sections marshaled
+// now. Because every collection is sorted at capture, encoding the same
+// detection state always yields the same bytes.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	tail, err := json.Marshal(&c.checkpointTail)
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
-	// The storm checkpoint takes 37 B per path and 17 B per stable entry;
-	// sized a little above that, the buffer rarely grows.
-	b := make([]byte, 0, 64+48*len(c.Paths)+24*len(c.Stable)+len(tail))
+	b := make([]byte, 0, 96+c.paths.size+c.stable.size+len(tail))
 	b = append(b, checkpointMagic...)
 	b = binary.AppendUvarint(b, uint64(c.Version))
 	b = appendTime(b, c.BinStart)
 	b = binary.AppendUvarint(b, c.Records)
 	b = binary.AppendUvarint(b, c.OpSeq)
 	b = binary.AppendUvarint(b, c.ProbeSeq)
-
-	b = binary.AppendUvarint(b, uint64(len(c.Paths)))
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		if b, err = appendKey(b, p.Key); err != nil {
-			return nil, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(p.Path)))
-		for _, hop := range p.Path {
-			b = binary.AppendUvarint(b, uint64(hop))
-		}
-		b = binary.AppendUvarint(b, uint64(len(p.Tags)))
-		for j := range p.Tags {
-			t := &p.Tags[j]
-			b = appendPoP(b, t.PoP)
-			b = binary.AppendUvarint(b, uint64(t.Near))
-			b = binary.AppendUvarint(b, uint64(t.Far))
-			b = appendTime(b, t.Since)
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(c.Stable)))
-	for i := range c.Stable {
-		e := &c.Stable[i]
-		b = appendPoP(b, e.PoP)
-		b = binary.AppendUvarint(b, uint64(e.Near))
-		b = binary.AppendUvarint(b, uint64(e.Far))
-		if b, err = appendKey(b, e.Key); err != nil {
-			return nil, err
-		}
-	}
+	b = c.paths.appendTo(b)
+	b = c.stable.appendTo(b)
 	b = binary.AppendUvarint(b, uint64(len(tail)))
 	return append(b, tail...), nil
 }
@@ -405,7 +372,7 @@ func (r *ckptReader) pop() colo.PoP {
 	return colo.PoP{Kind: colo.PoPKind(r.byte()), ID: r.u32()}
 }
 
-func (r *ckptReader) key() PathKeyCheckpoint {
+func (r *ckptReader) key() PathKey {
 	peer := bgp.ASN(r.u32())
 	family, bits := r.byte(), int(r.byte())
 	var addr netip.Addr
@@ -421,30 +388,54 @@ func (r *ckptReader) key() PathKeyCheckpoint {
 	}
 	if !addr.IsValid() || bits > addr.BitLen() {
 		r.fail("malformed prefix")
-		return PathKeyCheckpoint{}
+		return PathKey{}
 	}
-	return PathKeyCheckpoint{Peer: peer, Prefix: netip.PrefixFrom(addr, bits)}
+	return PathKey{Peer: peer, Prefix: netip.PrefixFrom(addr, bits)}
 }
 
-// slab carves many small slices out of few large allocations.
-type slab[T any] struct{ free []T }
+// pathRecord is one decoded path record. path and tags are reused from one
+// read to the next: copy what must outlive it.
+type pathRecord struct {
+	key  PathKey
+	path bgp.Path
+	tags []pathTag
+}
 
-const slabChunk = 4096
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.free = make([]T, max(n, slabChunk))
+func (r *ckptReader) pathRecord(rec *pathRecord) {
+	rec.key = r.key()
+	rec.path, rec.tags = rec.path[:0], rec.tags[:0]
+	for n := r.count(minHopBytes); n > 0 && r.err == nil; n-- {
+		rec.path = append(rec.path, bgp.ASN(r.u32()))
 	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
+	for n := r.count(minTagBytes); n > 0 && r.err == nil; n-- {
+		rec.tags = append(rec.tags, pathTag{pop: r.pop(), ends: popEnd{near: bgp.ASN(r.u32()), far: bgp.ASN(r.u32())}, since: r.time()})
+	}
+}
+
+func (r *ckptReader) stableRecord() (pop colo.PoP, ends popEnd, key PathKey) {
+	return r.pop(), popEnd{near: bgp.ASN(r.u32()), far: bgp.ASN(r.u32())}, r.key()
+}
+
+// readSection reads a count and walks that many records with read,
+// validating them without keeping any: the section stays as the bytes it
+// arrived in.
+func readSection[K ordered[K]](r *ckptReader, minBytes int, read func()) (s section[K]) {
+	n, start := r.count(minBytes), r.b
+	for i := 0; i < n && r.err == nil; i++ {
+		read()
+	}
+	if r.err == nil && n > 0 {
+		enc := start[:len(start)-len(r.b)]
+		s = section[K]{n: n, size: len(enc), pages: []*page[K]{{enc: enc}}}
+	}
+	return s
 }
 
 // DecodeCheckpoint parses an encoded checkpoint. It refuses anything but
 // this build's version — a checkpoint written by a different encoding must
 // never be half-restored — and any input with a count or length the
 // remaining bytes cannot back, with a truncated field, or with bytes left
-// over.
+// over. The checkpoint's two big sections alias b.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) < len(checkpointMagic) || string(b[:len(checkpointMagic)]) != checkpointMagic {
 		return nil, fmt.Errorf("core: decoding checkpoint: no %q magic (written by a build older than checkpoint version 3?)", checkpointMagic)
@@ -459,41 +450,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	c.OpSeq = r.uvarint()
 	c.ProbeSeq = r.uvarint()
 
-	var (
-		hops slab[bgp.ASN]
-		tags slab[TagCheckpoint]
-	)
-	if n := r.count(minPathBytes); n > 0 {
-		c.Paths = make([]PathCheckpoint, n)
-	}
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		p.Key = r.key()
-		if n := r.count(minHopBytes); n > 0 {
-			p.Path = hops.take(n)
-			for j := range p.Path {
-				p.Path[j] = bgp.ASN(r.u32())
-			}
-		}
-		if n := r.count(minTagBytes); n > 0 {
-			p.Tags = tags.take(n)
-			for j := range p.Tags {
-				p.Tags[j] = TagCheckpoint{PoP: r.pop(), Near: bgp.ASN(r.u32()), Far: bgp.ASN(r.u32()), Since: r.time()}
-			}
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-	}
-	if n := r.count(minStableBytes); n > 0 {
-		c.Stable = make([]StableCheckpoint, n)
-	}
-	for i := range c.Stable {
-		c.Stable[i] = StableCheckpoint{PoP: r.pop(), Near: bgp.ASN(r.u32()), Far: bgp.ASN(r.u32()), Key: r.key()}
-		if r.err != nil {
-			return nil, r.err
-		}
-	}
+	var rec pathRecord
+	c.paths = readSection[sortKey](r, minPathBytes, func() { r.pathRecord(&rec) })
+	c.stable = readSection[stableKey](r, minStableBytes, func() { r.stableRecord() })
 	tail := r.take(r.count(1))
 	if r.err != nil {
 		return nil, r.err
@@ -507,10 +466,13 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// captureCheckpoint assembles a checkpoint from quiesced pipeline state.
-// The caller guarantees exclusive access to every shard (bin barrier, or a
-// pipeline with no ops since its last barrier).
-func captureCheckpoint(binStart time.Time, records uint64, fan *bgpstream.Fanout, shards []*pathShard, inv *investigator) *Checkpoint {
+// capture assembles a checkpoint from quiesced pipeline state: the image
+// brought up to date for the two big sections, the small ones copied out of
+// the fan-out and the investigator. The caller guarantees exclusive access
+// to every shard (bin barrier, or a pipeline with no ops since its last
+// barrier).
+func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstream.Fanout, shards []*pathShard, inv *investigator) *Checkpoint {
+	cp.refresh(shards)
 	c := &Checkpoint{
 		Version:  CheckpointVersion,
 		BinStart: binStart,
@@ -518,80 +480,10 @@ func captureCheckpoint(binStart time.Time, records uint64, fan *bgpstream.Fanout
 		OpSeq:    fan.Seq(),
 		ProbeSeq: inv.probeSeq,
 	}
+	c.paths, c.stable = sectionOf(cp.image.paths), sectionOf(cp.image.stable)
 	c.Sessions = fan.Tracker().Checkpoint()
 	if inv.feed != nil {
 		c.Feed = inv.feed.Checkpoint()
-	}
-
-	// Per-path monitoring state, merged across shards and globally sorted:
-	// the encoding is shard-count independent.
-	nPaths, nStable := 0, 0
-	for _, s := range shards {
-		nPaths += len(s.paths)
-		for _, byNear := range s.stable {
-			for _, set := range byNear {
-				nStable += len(set)
-			}
-		}
-	}
-	type pathEnt struct {
-		sortKey
-		st *pathState
-	}
-	ents := make([]pathEnt, 0, nPaths)
-	for _, s := range shards {
-		for key, st := range s.paths {
-			ents = append(ents, pathEnt{makeSortKey(key), st})
-		}
-	}
-	slices.SortFunc(ents, func(a, b pathEnt) int { return a.sortKey.compare(b.sortKey) })
-	c.Paths = make([]PathCheckpoint, nPaths)
-	var tags slab[TagCheckpoint]
-	for i, e := range ents {
-		p := &c.Paths[i]
-		p.Key, p.Path = e.key(), e.st.path
-		if len(e.st.tags) > 0 {
-			p.Tags = tags.take(len(e.st.tags))
-			for j, t := range e.st.tags {
-				p.Tags[j] = TagCheckpoint{PoP: t.pop, Near: t.ends.near, Far: t.ends.far, Since: t.since}
-			}
-			slices.SortFunc(p.Tags, func(a, b TagCheckpoint) int { return cmpPoP(a.PoP, b.PoP) })
-		}
-	}
-
-	// The stable baseline is already grouped by (pop, near) inside each
-	// shard: ordering the groups and then each group's few keys costs a
-	// fraction of one sort over every entry.
-	c.Stable = make([]StableCheckpoint, 0, nStable)
-	var pops []colo.PoP
-	for _, s := range shards {
-		for pop := range s.stable {
-			pops = append(pops, pop)
-		}
-	}
-	slices.SortFunc(pops, cmpPoP)
-	var (
-		nears []bgp.ASN
-		group []StableCheckpoint
-	)
-	for _, pop := range slices.Compact(pops) {
-		nears = nears[:0]
-		for _, s := range shards {
-			for near := range s.stable[pop] {
-				nears = append(nears, near)
-			}
-		}
-		slices.Sort(nears)
-		for _, near := range slices.Compact(nears) {
-			group = group[:0]
-			for _, s := range shards {
-				for key, ends := range s.stable[pop][near] {
-					group = append(group, StableCheckpoint{PoP: pop, Near: near, Far: ends.far, Key: ckptKey(key)})
-				}
-			}
-			slices.SortFunc(group, func(a, b StableCheckpoint) int { return cmpKey(a.Key, b.Key) })
-			c.Stable = append(c.Stable, group...)
-		}
 	}
 
 	// Investigator state: the incident log, undrained completions, the
@@ -679,19 +571,22 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 		return shards[shardOf(key)]
 	}
 
-	for _, p := range c.Paths {
-		key := p.Key.unpack()
+	var rec pathRecord
+	err := c.paths.each(func(r *ckptReader) {
+		if r.pathRecord(&rec); r.err != nil {
+			return
+		}
+		key := rec.key
 		s := at(key)
 		st := &pathState{
-			tags: make([]pathTag, 0, len(p.Tags)),
-			path: append(bgp.Path(nil), p.Path...),
+			tags: append(make([]pathTag, 0, len(rec.tags)), rec.tags...),
+			path: append(bgp.Path(nil), rec.path...),
 		}
-		for _, tag := range p.Tags {
-			st.tags = append(st.tags, pathTag{pop: tag.PoP, ends: popEnd{near: tag.Near, far: tag.Far}, since: tag.Since})
+		for _, tag := range st.tags {
 			// Promotions are derivable: a tag promotes once it has survived
 			// the stability window from Since. Entries already promoted pop
 			// as idempotent re-insertions.
-			s.promos = append(s.promos, promo{due: tag.Since.Add(cfg.StableWindow), key: key, pop: tag.PoP, since: tag.Since})
+			s.promos = append(s.promos, promo{due: tag.since.Add(cfg.StableWindow), key: key, pop: tag.pop, since: tag.since})
 		}
 		s.paths[key] = st
 		if s.pathsOfPeer[key.Peer] == nil {
@@ -699,24 +594,33 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 		}
 		s.pathsOfPeer[key.Peer][key] = true
 		s.countPath(st.path, +1)
+	})
+	if err != nil {
+		return err
 	}
 	for _, s := range shards {
 		heap.Init(&s.promos)
 	}
-	for _, e := range c.Stable {
-		key := e.Key.unpack()
+	err = c.stable.each(func(r *ckptReader) {
+		pop, ends, key := r.stableRecord()
+		if r.err != nil {
+			return
+		}
 		s := at(key)
-		byNear := s.stable[e.PoP]
+		byNear := s.stable[pop]
 		if byNear == nil {
 			byNear = make(map[bgp.ASN]map[PathKey]popEnd)
-			s.stable[e.PoP] = byNear
+			s.stable[pop] = byNear
 		}
-		set := byNear[e.Near]
+		set := byNear[ends.near]
 		if set == nil {
 			set = make(map[PathKey]popEnd)
-			byNear[e.Near] = set
+			byNear[ends.near] = set
 		}
-		set[key] = popEnd{near: e.Near, far: e.Far}
+		set[key] = ends
+	})
+	if err != nil {
+		return err
 	}
 
 	inv.incidents = append([]Incident(nil), c.Incidents...)

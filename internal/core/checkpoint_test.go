@@ -420,9 +420,9 @@ func TestCheckpointGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(c.Paths) == 0 || len(c.Stable) == 0 || len(c.Open) == 0 || len(c.Incidents) == 0 {
+		if c.NumPaths() == 0 || c.NumStable() == 0 || len(c.Open) == 0 || len(c.Incidents) == 0 {
 			t.Fatalf("golden state too thin: %d paths, %d stable, %d open, %d incidents",
-				len(c.Paths), len(c.Stable), len(c.Open), len(c.Incidents))
+				c.NumPaths(), c.NumStable(), len(c.Open), len(c.Incidents))
 		}
 		if enc, err = c.Encode(); err != nil {
 			t.Fatal(err)
@@ -466,24 +466,40 @@ func TestCheckpointGolden(t *testing.T) {
 // tag lists.
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	at := time.Date(2016, 3, 1, 12, 0, 0, 123456789, time.UTC)
-	key := func(peer bgp.ASN, pfx string) PathKeyCheckpoint {
-		return PathKeyCheckpoint{Peer: peer, Prefix: netip.MustParsePrefix(pfx)}
+	key := func(peer bgp.ASN, pfx string) PathKey {
+		return PathKey{Peer: peer, Prefix: netip.MustParsePrefix(pfx)}
 	}
+	paths := []pathRecord{
+		{key: key(1, "0.0.0.0/0")},
+		{key: key(4200000000, "2001:db8::/32"), path: bgp.Path{4200000000, 3356, 1},
+			tags: []pathTag{{pop: colo.IXPPoP(9), ends: popEnd{3356, 1}, since: at}, {pop: colo.CityPoP(1<<32 - 1), since: time.Time{}}}},
+		{key: key(65000, "::ffff:10.0.0.0/104"), path: bgp.Path{65000}},
+	}
+	type stableRec struct {
+		pop  colo.PoP
+		ends popEnd
+		key  PathKey
+	}
+	stable := []stableRec{{colo.FacilityPoP(3), popEnd{3356, 1}, key(4200000000, "2001:db8::/32")}}
+
 	c := &Checkpoint{
 		Version:  CheckpointVersion,
 		BinStart: at,
 		Records:  1 << 40,
 		OpSeq:    1<<64 - 1,
 		ProbeSeq: 7,
-		Paths: []PathCheckpoint{
-			{Key: key(1, "0.0.0.0/0")},
-			{Key: key(4200000000, "2001:db8::/32"), Path: bgp.Path{4200000000, 3356, 1},
-				Tags: []TagCheckpoint{{PoP: colo.IXPPoP(9), Near: 3356, Far: 1, Since: at}, {PoP: colo.CityPoP(1<<32 - 1), Since: time.Time{}}}},
-			{Key: key(65000, "::ffff:10.0.0.0/104"), Path: bgp.Path{65000}},
-		},
-		Stable: []StableCheckpoint{{PoP: colo.FacilityPoP(3), Near: 3356, Far: 1, Key: key(4200000000, "2001:db8::/32")}},
 	}
-	c.Pending = []PendingProbeCheckpoint{{ID: 3, At: at, Deadline: at.Add(time.Hour), Waiting: []PathKeyCheckpoint{key(1, "10.0.0.0/8")}}}
+	for _, p := range paths {
+		k := makeSortKey(p.key)
+		c.paths.pages = append(c.paths.pages, &page[sortKey]{keys: []sortKey{k}, enc: appendPathRecord(nil, k, p.path, p.tags)})
+	}
+	c.paths = sectionOf(c.paths.pages)
+	for _, e := range stable {
+		k := stableKey{e.pop, e.ends.near, makeSortKey(e.key)}
+		c.stable.pages = append(c.stable.pages, &page[stableKey]{keys: []stableKey{k}, enc: appendStableRecord(nil, e.pop, e.ends, k.sortKey)})
+	}
+	c.stable = sectionOf(c.stable.pages)
+	c.Pending = []PendingProbeCheckpoint{{ID: 3, At: at, Deadline: at.Add(time.Hour), Waiting: []PathKeyCheckpoint{ckptKey(key(1, "10.0.0.0/8"))}}}
 	enc, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -492,11 +508,33 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, c) {
-		t.Fatalf("round trip diverges:\n got  %+v\n want %+v", got, c)
+	if got.NumPaths() != len(paths) || got.NumStable() != len(stable) {
+		t.Fatalf("decoded %d paths and %d stable entries, want %d and %d", got.NumPaths(), got.NumStable(), len(paths), len(stable))
 	}
-	if _, err := (&Checkpoint{Version: CheckpointVersion, Paths: []PathCheckpoint{{}}}).Encode(); err == nil {
-		t.Fatal("encoded a path without a valid prefix")
+	var gotPaths []pathRecord
+	var rec pathRecord
+	if err := got.paths.each(func(r *ckptReader) {
+		r.pathRecord(&rec)
+		gotPaths = append(gotPaths, pathRecord{rec.key, append(bgp.Path(nil), rec.path...), append([]pathTag(nil), rec.tags...)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPaths, paths) {
+		t.Fatalf("paths diverge:\n got  %+v\n want %+v", gotPaths, paths)
+	}
+	var gotStable []stableRec
+	if err := got.stable.each(func(r *ckptReader) {
+		pop, ends, key := r.stableRecord()
+		gotStable = append(gotStable, stableRec{pop, ends, key})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotStable, stable) {
+		t.Fatalf("stable entries diverge:\n got  %+v\n want %+v", gotStable, stable)
+	}
+	got.paths, got.stable = c.paths, c.stable
+	if !reflect.DeepEqual(got, c) {
+		t.Fatalf("header or small sections diverge:\n got  %+v\n want %+v", got, c)
 	}
 }
 

@@ -53,6 +53,7 @@ type Detector struct {
 
 	fan   *bgpstream.Fanout
 	clock binClock
+	ckpt  checkpointer
 	// shards is the one-element slice handed to closeBinOver.
 	shards []*pathShard
 
@@ -111,6 +112,10 @@ func (d *Detector) SetHooks(h Hooks) { d.inv.hooks = h }
 // phase, so those stages stay zero.
 func (d *Detector) SetBinStageStats(s *metrics.BinStageStats) { d.inv.binStage = s }
 
+// SetCheckpointStats installs the checkpoint-capture counters (see
+// Engine.SetCheckpointStats).
+func (d *Detector) SetCheckpointStats(s *metrics.CheckpointStats) { d.ckpt.stats = s }
+
 // Process feeds one record (records must arrive in non-decreasing time
 // order, as bgpstream guarantees) and returns any outages that completed.
 func (d *Detector) Process(rec *mrt.Record) []Outage {
@@ -161,19 +166,20 @@ func (d *Detector) Flush(asOf time.Time) []Outage {
 // Checkpoint captures the detector's complete detection state, with
 // identical semantics (and identical bytes, for the same record stream) to
 // Engine.Checkpoint: valid from inside a BinClosed hook or between Process
-// calls while no route ops have applied since the last bin close.
+// calls while no route ops have applied since the last bin close, and
+// incremental over the detector's checkpoint image in the same way.
 func (d *Detector) Checkpoint() (*Checkpoint, error) {
 	records := d.seen
 	if d.inProcess {
 		records--
 	}
 	if d.inBarrier {
-		return captureCheckpoint(d.barrierEnd, records, d.fan, d.shards, d.inv), nil
+		return d.ckpt.capture(d.barrierEnd, records, d.fan, d.shards, d.inv), nil
 	}
 	if d.opsSinceBarrier {
 		return nil, fmt.Errorf("core: Checkpoint outside a bin barrier with ops in flight; checkpoint from a BinClosed hook")
 	}
-	return captureCheckpoint(d.clock.start, records, d.fan, d.shards, d.inv), nil
+	return d.ckpt.capture(d.clock.start, records, d.fan, d.shards, d.inv), nil
 }
 
 // RestoreFrom loads a checkpoint produced by any Engine or Detector; see

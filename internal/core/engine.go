@@ -145,6 +145,7 @@ type Engine struct {
 	shardStates []*pathShard
 	fan         *bgpstream.Fanout
 	clock       binClock
+	ckpt        checkpointer
 
 	// opsSinceBarrier lets idle bins skip the full barrier handshake: with
 	// no ops dispatched and no outage state in flight, a bin close is a
@@ -233,6 +234,12 @@ func (e *Engine) SetHooks(h Hooks) { e.inv.hooks = h }
 // divert merge, probe collection, classification, shard finish, hooks) into
 // s. Purely observational. It must be called before the first Process.
 func (e *Engine) SetBinStageStats(s *metrics.BinStageStats) { e.inv.binStage = s }
+
+// SetCheckpointStats installs the checkpoint-capture counters: how many
+// captures ran, how many of them rebuilt the checkpoint image cold, and how
+// many path records and stable-baseline entries the last one re-encoded. Purely
+// observational. It must be called before the first Checkpoint.
+func (e *Engine) SetCheckpointStats(s *metrics.CheckpointStats) { e.ckpt.stats = s }
 
 // Process feeds one record (records must arrive in non-decreasing time
 // order) and returns any outages that completed at bin boundaries crossed
@@ -419,6 +426,16 @@ func (e *Engine) Stats() metrics.IngestSnapshot {
 // Process calls while no route ops have been dispatched since the last bin
 // close — any other instant has per-bin divert state in flight that a
 // checkpoint does not carry, and is rejected.
+//
+// The engine keeps the encoded form of the path and stable-baseline
+// sections — the checkpoint image — from one capture to the next, so a
+// capture costs what changed since the previous one: the first capture
+// (also the first after RestoreFrom, and one following a burst that
+// outgrew the shards' change lists, such as a RIB dump) encodes the whole
+// state and turns change tracking on; an engine that never checkpoints
+// tracks nothing. The bytes are those of a from-scratch encoding either
+// way. The returned checkpoint shares the image's chunks, which are never
+// rewritten, and stays valid while the engine runs on.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	records := e.seen
 	if e.inProcess {
@@ -427,7 +444,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		records--
 	}
 	if e.inBarrier {
-		return captureCheckpoint(e.barrierEnd, records, e.fan, e.shardStates, e.inv), nil
+		return e.ckpt.capture(e.barrierEnd, records, e.fan, e.shardStates, e.inv), nil
 	}
 	if e.opsSinceBarrier {
 		return nil, fmt.Errorf("core: Checkpoint outside a bin barrier with ops in flight; checkpoint from a BinClosed hook")
@@ -435,7 +452,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	// No ops were added since the last barrier, so every shard queue is
 	// empty and the workers are idle: the state is exactly the barrier
 	// state and safe to read from here.
-	return captureCheckpoint(e.clock.start, records, e.fan, e.shardStates, e.inv), nil
+	return e.ckpt.capture(e.clock.start, records, e.fan, e.shardStates, e.inv), nil
 }
 
 // RestoreFrom loads a checkpoint produced by Checkpoint (on an Engine or

@@ -151,7 +151,27 @@ type pathShard struct {
 	freeSets    []map[PathKey]popEnd
 	freeByNear  []map[bgp.ASN][]divertRec
 	freeRecs    [][]divertRec
+
+	// Checkpoint-image bookkeeping (see checkpointer). tracking is off until
+	// the pipeline's first capture, so a pipeline that never checkpoints
+	// pays one branch per mutation and holds no lists. While it is on, every
+	// change to paths or stable notes the path key or stable entry it
+	// touched; the next capture re-encodes exactly those and clears the
+	// lists. Duplicates are allowed (the capture sorts and compacts).
+	tracking    bool
+	dirtyPaths  []PathKey
+	dirtyStable []stableEntry
 }
+
+// stableEntry names one stable-baseline membership: key under (pop, near).
+type stableEntry struct {
+	pop  colo.PoP
+	near bgp.ASN
+	key  PathKey
+}
+
+// minDirtyBound lets a nearly empty shard track a burst before it overflows.
+const minDirtyBound = 256
 
 func newPathShard(cfg Config, dict *communities.Dictionary, cmap *colo.Map) *pathShard {
 	return &pathShard{
@@ -198,6 +218,32 @@ func (s *pathShard) newKeySet() map[PathKey]popEnd {
 		return set
 	}
 	return make(map[PathKey]popEnd)
+}
+
+// touchPath notes that key's checkpoint record changed or disappeared.
+func (s *pathShard) touchPath(key PathKey) {
+	if s.tracking {
+		s.dirtyPaths = append(s.dirtyPaths, key)
+		s.boundDirty()
+	}
+}
+
+// touchStable notes that key joined, left or changed under stable[pop][near].
+func (s *pathShard) touchStable(pop colo.PoP, near bgp.ASN, key PathKey) {
+	if s.tracking {
+		s.dirtyStable = append(s.dirtyStable, stableEntry{pop: pop, near: near, key: key})
+		s.boundDirty()
+	}
+}
+
+// boundDirty gives up tracking once the dirty lists outgrow the live path
+// count (a RIB dump or a mass withdrawal between two captures): rebuilding
+// the image from the maps is then no dearer than replaying the lists, and
+// the lists never hold more than the state they describe.
+func (s *pathShard) boundDirty() {
+	if len(s.dirtyPaths)+len(s.dirtyStable) > max(len(s.paths), minDirtyBound) {
+		s.tracking, s.dirtyPaths, s.dirtyStable = false, nil, nil
+	}
 }
 
 // apply executes one fanned-out route op. Promotions due at or before the
@@ -294,6 +340,7 @@ func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp
 	s.countPath(st.path, -1)
 	st.path = path.Dedup()
 	s.countPath(st.path, +1)
+	s.touchPath(key)
 
 	// A re-tag may return a diverted path to its baseline PoP.
 	s.noteReturn(at, key, newTags)
@@ -333,6 +380,7 @@ func (s *pathShard) withdraw(key PathKey, seq uint64) {
 		delete(m, key)
 	}
 	s.releaseState(st)
+	s.touchPath(key)
 }
 
 // suspendPeer silently drops a peer's paths from monitoring state after a
@@ -349,6 +397,7 @@ func (s *pathShard) suspendPeer(peer bgp.ASN) {
 		s.countPath(st.path, -1)
 		delete(s.paths, key)
 		s.releaseState(st)
+		s.touchPath(key)
 	}
 	delete(s.pathsOfPeer, peer)
 }
@@ -374,13 +423,19 @@ func (s *pathShard) addStable(pop colo.PoP, key PathKey, ends popEnd) {
 		set = s.newKeySet()
 		byNear[ends.near] = set
 	}
-	set[key] = ends
+	// Every re-announcement of a stable path lands here; only a new or
+	// changed entry changes the checkpoint.
+	if old, ok := set[key]; !ok || old != ends {
+		set[key] = ends
+		s.touchStable(pop, ends.near, key)
+	}
 }
 
 func (s *pathShard) removeStable(pop colo.PoP, key PathKey) {
 	for near, set := range s.stable[pop] {
 		if _, ok := set[key]; ok {
 			delete(set, key)
+			s.touchStable(pop, near, key)
 			if len(set) == 0 {
 				delete(s.stable[pop], near)
 				if len(s.freeSets) < maxFreeSets {

@@ -96,3 +96,35 @@ func (s StoreSnapshot) String() string {
 		s.RecoveredEvents, s.TornTails, s.CheckpointSaves, s.ResumeRecords,
 		s.SegmentsSealed, s.ReadCacheHits, s.ReadCacheMisses)
 }
+
+// CheckpointStats answers "is checkpointing the bottleneck, and was that
+// capture warm?" for a running daemon. The engine maintains the capture
+// counters (core.Engine.SetCheckpointStats); the daemon observes Duration
+// around capture + encode + save, as its ingest goroutine sees them.
+type CheckpointStats struct {
+	Duration     Histogram
+	Captures     atomic.Int64 // checkpoints captured
+	ColdRebuilds atomic.Int64 // captures that re-encoded the whole state
+	DirtyPaths   atomic.Int64 // path records the last capture re-encoded or dropped
+	DirtyStable  atomic.Int64 // stable-baseline entries the last capture re-encoded or dropped
+}
+
+// CheckpointSnapshot is a point-in-time copy of CheckpointStats.
+type CheckpointSnapshot struct {
+	Duration     HistogramSnapshot
+	Captures     int64
+	ColdRebuilds int64
+	DirtyPaths   int64
+	DirtyStable  int64
+}
+
+// Snapshot copies the current values.
+func (s *CheckpointStats) Snapshot() CheckpointSnapshot {
+	return CheckpointSnapshot{
+		Duration:     s.Duration.Snapshot(),
+		Captures:     s.Captures.Load(),
+		ColdRebuilds: s.ColdRebuilds.Load(),
+		DirtyPaths:   s.DirtyPaths.Load(),
+		DirtyStable:  s.DirtyStable.Load(),
+	}
+}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"kepler/internal/bgpstream"
 	"kepler/internal/core"
 	"kepler/internal/live"
+	"kepler/internal/metrics"
 	"kepler/internal/mrt"
 	"kepler/internal/simulate"
 )
@@ -142,5 +144,78 @@ func TestTracingOffRecordsNothing(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Errorf("TraceRecorded fired %d times with tracing disabled; want 0", fired)
+	}
+}
+
+// TestCheckpointStatsEquivalence extends the pure-observer invariant to the
+// checkpoint counters and to the dirty tracking a first capture turns on:
+// an engine that checkpoints at every bin close, with and without
+// CheckpointStats installed, must emit exactly the outages and incidents of
+// one that never checkpoints (and so never tracks), and the two
+// checkpointing runs must write identical bytes at every barrier.
+func TestCheckpointStatsEquivalence(t *testing.T) {
+	s := buildStack(t)
+	target := bestTarget(s)
+	if target == 0 {
+		t.Fatal("no trackable facility")
+	}
+	ev := simulate.Event{
+		ID: 0, Kind: simulate.EvFacility, Facility: target,
+		Start:    tStart.Add(5 * 24 * time.Hour),
+		Duration: 45 * time.Minute,
+	}
+	res, err := simulate.Render(s.World, []simulate.Event{ev}, tStart, tEnd, simulate.RenderConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOuts, wantIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil, 4)
+	if len(wantOuts) == 0 {
+		t.Fatal("reference engine found nothing; equivalence would be vacuous")
+	}
+
+	run := func(stats *metrics.CheckpointStats) [][]byte {
+		eng := s.NewEngine(core.DefaultConfig(), 4)
+		defer eng.Close()
+		if stats != nil {
+			eng.SetCheckpointStats(stats)
+		}
+		var encs [][]byte
+		eng.SetHooks(core.Hooks{BinClosed: func(end time.Time) {
+			c, err := eng.Checkpoint()
+			if err != nil {
+				t.Errorf("checkpoint at %v: %v", end, err)
+				return
+			}
+			enc, err := c.Encode()
+			if err != nil {
+				t.Errorf("encode at %v: %v", end, err)
+			}
+			encs = append(encs, enc)
+		}})
+		var outs []core.Outage
+		for _, rec := range res.Records {
+			outs = append(outs, eng.Process(rec)...)
+		}
+		outs = append(outs, eng.Flush(res.Records[len(res.Records)-1].Time)...)
+		if !reflect.DeepEqual(outs, wantOuts) {
+			t.Errorf("checkpointing (stats=%v) perturbed outages:\n got  %+v\n want %+v", stats != nil, outs, wantOuts)
+		}
+		if incs := eng.Incidents(); !reflect.DeepEqual(incs, wantIncs) {
+			t.Errorf("checkpointing (stats=%v) perturbed incidents (%d vs %d)", stats != nil, len(incs), len(wantIncs))
+		}
+		return encs
+	}
+	stats := &metrics.CheckpointStats{}
+	plain, observed := run(nil), run(stats)
+	if len(plain) == 0 || len(plain) != len(observed) {
+		t.Fatalf("%d checkpoints without stats, %d with", len(plain), len(observed))
+	}
+	for i := range plain {
+		if !bytes.Equal(plain[i], observed[i]) {
+			t.Fatalf("checkpoint %d differs with stats installed", i)
+		}
+	}
+	if snap := stats.Snapshot(); snap.Captures != int64(len(observed)) || snap.ColdRebuilds == 0 || snap.ColdRebuilds == snap.Captures {
+		t.Errorf("stats counted %d captures (%d cold) over %d checkpoints", snap.Captures, snap.ColdRebuilds, len(observed))
 	}
 }

@@ -106,6 +106,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wr("kepler_store_read_cache_hits_total", "counter", "History entries served from the decoded-frame cache.", float64(st.ReadCacheHits))
 		wr("kepler_store_read_cache_misses_total", "counter", "History entries decoded from disk on a cache miss.", float64(st.ReadCacheMisses))
 	}
+	if s.opts.Checkpoint != nil {
+		ck := s.opts.Checkpoint()
+		writeHistogram(&b, "kepler_checkpoint_seconds",
+			"Engine checkpoint wall time on the ingest goroutine (capture, encode, save).",
+			"", ck.Duration)
+		wr("kepler_checkpoint_captures_total", "counter", "Engine checkpoints captured.", float64(ck.Captures))
+		wr("kepler_checkpoint_cold_rebuilds_total", "counter", "Captures that re-encoded the whole state instead of what changed.", float64(ck.ColdRebuilds))
+		wr("kepler_checkpoint_last_dirty_paths", "gauge", "Path records the last capture re-encoded or dropped.", float64(ck.DirtyPaths))
+		wr("kepler_checkpoint_last_dirty_stable", "gauge", "Stable-baseline entries the last capture re-encoded or dropped.", float64(ck.DirtyStable))
+	}
 	if s.opts.Probe != nil {
 		pb := s.opts.Probe()
 		wr("kepler_probe_campaigns_total", "counter", "Probe campaigns submitted.", float64(pb.Campaigns))

@@ -878,3 +878,162 @@ func TestRestartFromOlderCheckpointFormat(t *testing.T) {
 		t.Errorf("durable seq %d, want %d", final.LastSeq, len(refEvents))
 	}
 }
+
+// TestCheckpointingStopsWithPersistence pins what keplerd does once a WAL
+// append has failed and it serves on in memory: it stops checkpointing. The
+// durable horizon is frozen at the failure, so every later checkpoint would
+// carry an EventSeq ahead of it and be refused at boot — and two of them
+// would rotate out both generations a restart can still use, turning the
+// next boot into a re-ingest from record zero. The sink fails mid-archive,
+// more than three checkpoint intervals of bins close after it, and the
+// restart must find the two pre-failure segments, resume from the newer
+// one and end at byte-for-byte the uninterrupted event sequence.
+func TestCheckpointingStopsWithPersistence(t *testing.T) {
+	stack, _, res, cfg, start := restartScenario(t)
+	const ckptInterval = 6 * time.Hour
+	failAt := start.Add(7 * 24 * time.Hour)
+
+	var refEvents []events.Event
+	refBus := events.New(nil, events.WithSink(func(ev events.Event) { refEvents = append(refEvents, ev) }))
+	refEng := stack.NewEngine(cfg, 4)
+	refEng.SetHooks(events.EngineHooks(refBus))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), refEng); err != nil {
+		t.Fatal(err)
+	}
+	refBus.Close()
+	refEng.Close()
+
+	segments := func(dir string) []string {
+		names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	// ---- Phase 1: the sink fails at failAt; the daemon runs on to EOF.
+	dir := t.TempDir()
+	st1, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		armed     atomic.Bool // cmd/keplerd's sinkArmed
+		persisted []events.Event
+		atFailure []string // checkpoint segments on disk when the sink failed
+		dueAfter  int      // checkpoints that came due with persistence off
+	)
+	armed.Store(true)
+	bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
+		if !armed.Load() {
+			return
+		}
+		if !ev.Time.Before(failAt) {
+			armed.Store(false) // st.Append returned an error
+			atFailure = segments(dir)
+			return
+		}
+		if err := st1.Append(ev); err != nil {
+			t.Errorf("phase 1 append: %v", err)
+		}
+		persisted = append(persisted, ev)
+	}))
+	eng1 := stack.NewEngine(cfg, 4)
+	hooks1 := events.EngineHooks(bus1)
+	publishBin := hooks1.BinClosed
+	var lastCkpt time.Time
+	hooks1.BinClosed = func(end time.Time) {
+		publishBin(end)
+		if !lastCkpt.IsZero() && end.Sub(lastCkpt) < ckptInterval {
+			return
+		}
+		lastCkpt = end
+		if !armed.Load() {
+			dueAfter++
+			return // the gate under test: no checkpoint past the frozen horizon
+		}
+		c, err := eng1.Checkpoint()
+		if err != nil {
+			t.Errorf("checkpoint at %v: %v", end, err)
+			return
+		}
+		enc, err := c.Encode()
+		if err != nil {
+			t.Errorf("encode: %v", err)
+			return
+		}
+		if err := st1.SaveCheckpoint(&store.Checkpoint{
+			EventSeq: bus1.Seq(), Records: c.Records, BinEnd: end, Engine: enc,
+		}); err != nil {
+			t.Errorf("save checkpoint: %v", err)
+		}
+	}
+	eng1.SetHooks(hooks1)
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), eng1); err != nil {
+		t.Fatal(err)
+	}
+	bus1.Close()
+	eng1.Close()
+	// SIGKILL model: st1 abandoned, never Closed.
+	if len(atFailure) != 2 || dueAfter < 3 {
+		t.Fatalf("%d checkpoint segments at the failure, %d checkpoints due after it: the scenario needs 2 and at least 3", len(atFailure), dueAfter)
+	}
+	if got := segments(dir); !reflect.DeepEqual(got, atFailure) {
+		t.Fatalf("checkpoint segments after the failure: %v, want the pre-failure pair %v", got, atFailure)
+	}
+
+	// ---- Phase 2: restart on that dir, with cmd/keplerd's accept gate.
+	stats2 := &metrics.StoreStats{}
+	st2, err := store.Open(store.Options{Dir: dir, Metrics: stats2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	hist := st2.History()
+	if hist.LastSeq == 0 || hist.LastSeq > uint64(len(persisted)) {
+		t.Fatalf("durable horizon %d, phase 1 appended %d events", hist.LastSeq, len(persisted))
+	}
+	var engCkpt *core.Checkpoint
+	ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
+		if c.EventSeq > hist.LastSeq {
+			return fmt.Errorf("checkpoint seq %d ahead of durable horizon %d", c.EventSeq, hist.LastSeq)
+		}
+		ec, err := core.DecodeCheckpoint(c.Engine)
+		engCkpt = ec
+		return err
+	})
+	if ck == nil || stats2.CheckpointsDiscarded.Load() != 0 {
+		t.Fatalf("resumed from %+v with %d segments discarded: want the newest pre-failure checkpoint, none discarded",
+			ck, stats2.CheckpointsDiscarded.Load())
+	}
+	var evs2 []events.Event
+	bus2 := events.New(nil,
+		events.WithStartSeq(hist.LastSeq),
+		events.WithSink(func(ev events.Event) {
+			if err := st2.Append(ev); err != nil {
+				t.Errorf("phase 2 append: %v", err)
+			}
+			evs2 = append(evs2, ev)
+		}))
+	eng2 := stack.NewEngine(cfg, 2)
+	defer eng2.Close()
+	if err := eng2.RestoreFrom(engCkpt); err != nil {
+		t.Fatal(err)
+	}
+	eng2.SetHooks(events.GateHooks(events.EngineHooks(bus2), hist.LastSeq-ck.EventSeq))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records[ck.Records:])), eng2); err != nil {
+		t.Fatal(err)
+	}
+	bus2.Close()
+
+	all := append(append([]events.Event{}, persisted[:hist.LastSeq]...), evs2...)
+	if len(all) != len(refEvents) {
+		t.Fatalf("restarted run published %d events, uninterrupted run %d", len(all), len(refEvents))
+	}
+	for i := range all {
+		got, want := marshalEvent(t, all[i]), marshalEvent(t, refEvents[i])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("event %d diverges across the restart:\n got  %s\n want %s", i, got, want)
+		}
+	}
+}

@@ -164,6 +164,11 @@ type Options struct {
 	// Store supplies durable-history counters (WAL appends, compactions,
 	// recovery) for /v1/stats when the daemon runs with a data dir. Optional.
 	Store func() metrics.StoreSnapshot
+	// Checkpoint supplies the engine-checkpoint counters — the duration
+	// histogram the daemon observes around capture + encode + save, and how
+	// much the last capture had to re-encode — for /v1/stats and /metrics.
+	// Optional.
+	Checkpoint func() metrics.CheckpointSnapshot
 	// Probe supplies active-measurement counters (campaigns, budget
 	// denials, promotions) for /v1/stats and /metrics when the daemon runs
 	// an asynchronous prober. Optional.
@@ -681,6 +686,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.opts.Store != nil {
 		resp.Store = storeView(s.opts.Store())
+	}
+	if s.opts.Checkpoint != nil {
+		resp.Checkpoint = checkpointView(s.opts.Checkpoint())
 	}
 	if s.opts.Probe != nil {
 		resp.Probe = probeStatsView(s.opts.Probe())

@@ -102,10 +102,17 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 		spans.Stage[i] = 500 * time.Microsecond
 	}
 	stage.Record(spans)
+	ckpt := &metrics.CheckpointStats{}
+	ckpt.Duration.Observe(2 * time.Millisecond)
+	ckpt.Captures.Add(3)
+	ckpt.ColdRebuilds.Add(1)
+	ckpt.DirtyPaths.Store(224)
+	ckpt.DirtyStable.Store(300)
 
 	srv := New(Options{
-		BinStage:  func() metrics.BinStageSnapshot { return stage.Snapshot() },
-		Heartbeat: time.Hour,
+		BinStage:   func() metrics.BinStageSnapshot { return stage.Snapshot() },
+		Checkpoint: func() metrics.CheckpointSnapshot { return ckpt.Snapshot() },
+		Heartbeat:  time.Hour,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -129,6 +136,10 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 			t.Errorf("stage %q count = %d, want 1", name, st.Count)
 		}
 	}
+	if c := stats.Checkpoint; c == nil || c.Duration.Count != 1 || c.Captures != 3 || c.ColdRebuilds != 1 ||
+		c.LastDirtyPaths != 224 || c.LastDirtyStable != 300 {
+		t.Errorf("stats checkpoint section = %+v", c)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -144,6 +155,10 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 		"# TYPE kepler_bin_close_stage_seconds histogram",
 		`kepler_bin_close_stage_seconds_bucket{stage="classify",le="+Inf"} 1`,
 		`kepler_bin_close_stage_seconds_count{stage="barrier"} 1`,
+		"# TYPE kepler_checkpoint_seconds histogram",
+		"kepler_checkpoint_seconds_count 1",
+		"kepler_checkpoint_cold_rebuilds_total 1",
+		"kepler_checkpoint_last_dirty_paths 224",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

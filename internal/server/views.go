@@ -214,6 +214,28 @@ func storeView(s metrics.StoreSnapshot) *StoreView {
 	}
 }
 
+// CheckpointView is the JSON shape of the engine-checkpoint counters: what
+// a checkpoint costs the ingest goroutine (capture + encode + save) and
+// whether the last capture was warm — a few dirty records merged into the
+// kept image — or a cold rebuild of all of it.
+type CheckpointView struct {
+	Duration        StageLatencyView `json:"duration"`
+	Captures        int64            `json:"captures"`
+	ColdRebuilds    int64            `json:"cold_rebuilds"`
+	LastDirtyPaths  int64            `json:"last_dirty_paths"`
+	LastDirtyStable int64            `json:"last_dirty_stable"`
+}
+
+func checkpointView(s metrics.CheckpointSnapshot) *CheckpointView {
+	return &CheckpointView{
+		Duration:        stageLatencyView(s.Duration),
+		Captures:        s.Captures,
+		ColdRebuilds:    s.ColdRebuilds,
+		LastDirtyPaths:  s.DirtyPaths,
+		LastDirtyStable: s.DirtyStable,
+	}
+}
+
 // PendingProbeView is the JSON shape of one in-flight probe campaign: a
 // signal group parked pending data-plane corroboration.
 type PendingProbeView struct {
@@ -632,6 +654,7 @@ type StatsView struct {
 	Incidents    int                      `json:"incidents"`
 	Ingest       *IngestView              `json:"ingest,omitempty"`
 	Store        *StoreView               `json:"store,omitempty"`
+	Checkpoint   *CheckpointView          `json:"checkpoint,omitempty"`
 	Probe        *ProbeStatsView          `json:"probe,omitempty"`
 	BinClose     *BinCloseView            `json:"bin_close,omitempty"`
 	Bus          *events.Stats            `json:"bus,omitempty"`

@@ -137,6 +137,31 @@
 // logged, and the boot falls through to record zero behind the replay gate
 // — same history, byte for byte.
 //
+// A checkpoint costs what changed since the previous one. The engine keeps
+// the two big sections encoded between captures — the checkpoint image
+// (internal/core/image.go): pages of at most 32 consecutive records in
+// checkpoint order — and its shards note the path keys and stable-baseline
+// entries they touch; a capture at the barrier re-encodes those, rebuilds
+// the pages they fall into in one merge pass and shares every other page
+// with the checkpoints before it, and Encode concatenates header, pages
+// and the JSON tail. The bytes are those of a from-scratch encoding
+// (TestCheckpointIncrementalEqualsRebuild compares the two at every barrier
+// of a storm, for the Detector and 1-, 2- and 4-shard engines): building
+// the image from the shard maps is the same merge with everything changed,
+// and is what the first capture, the first after RestoreFrom and one
+// following a burst that outgrew the change lists (a RIB dump between two
+// barriers) do. Tracking is off until an engine's first capture, so a
+// memory-mode daemon pays one branch per mutation and keeps no lists. On
+// the storm archive a capture re-encodes ≈ 227 of 12 k path records and
+// ≈ 300 of 14.7 k stable entries: under a millisecond instead of nine, and
+// keplerd ingests it 2.8× faster with -data-dir (BENCH_pr16.json). /v1/stats and
+// /metrics carry a checkpoint-duration histogram (capture + encode + save
+// as the ingest goroutine sees them) and the last capture's dirty counts
+// and cold rebuilds. keplerd stops checkpointing once a WAL append has
+// failed and it serves on in memory: a checkpoint past the frozen durable
+// horizon would be refused at boot, and two of them would rotate out the
+// generations a restart can still use.
+//
 // # Active measurement
 //
 // The paper's pipeline falls back to targeted traceroutes when the control
