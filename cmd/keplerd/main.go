@@ -22,8 +22,8 @@
 // With -data-dir the daemon keeps its history durable: every lifecycle
 // event is appended to a checksummed write-ahead log (internal/store),
 // compacted periodically into snapshot segments, and the engine's full
-// detection state is checkpointed beside it every -checkpoint-interval of
-// stream time. On boot the directory is recovered — resolved outages and
+// detection state is checkpointed beside it, at bin closes at least
+// -checkpoint-interval of stream time apart. On boot the directory is recovered — resolved outages and
 // incidents are served immediately, SSE sequence numbers continue where
 // they left off (so Last-Event-ID resume works across restarts), the
 // engine restores the newest valid checkpoint (corrupt or incompatible
@@ -31,13 +31,25 @@
 // and the source is re-ingested from the checkpoint's record cursor with
 // already-persisted events suppressed — a restart mid-archive is
 // equivalent to one uninterrupted run, and the catch-up cost is bounded
-// by one checkpoint interval rather than the stream length
-// (store.resume_records in /v1/stats reports the resume offset).
-// A checkpoint costs what changed since the previous one (the engine keeps
-// its encoded sections warm between bin barriers); /v1/stats and /metrics
-// report how long each took and how much it had to re-encode. If a WAL
-// append fails the daemon serves on in memory and stops checkpointing, so
-// the checkpoints already on disk stay the restart point.
+// by one checkpoint interval plus one checkpoint save rather than the
+// stream length (store.resume_records in /v1/stats reports the resume
+// offset).
+// Ingest never waits for the disk over a checkpoint. A bin close captures
+// one — what changed since the previous capture; the engine keeps its
+// encoded sections warm between bin barriers — and a saver goroutine
+// encodes, writes and fsyncs it while ingest runs on, one save at a time. A
+// checkpoint that comes due while the saver is busy stays due and is taken
+// at the first later bin close that finds it idle, from that bin close's
+// state (replaying an archive at maximum speed therefore writes fewer
+// checkpoints than a live feed, which writes every one); once the source
+// has ended a due checkpoint waits for the saver instead, so the last one
+// is on disk before "source drained" is logged, and shutdown waits for the
+// save in flight. /v1/stats and /metrics report what each checkpoint cost
+// the ingest goroutine, what it cost the saver, how many were deferred and
+// how much the last capture had to re-encode. A failed checkpoint is
+// retried at the next bin close. If a WAL append fails the daemon serves on
+// in memory and stops checkpointing, so the checkpoints already on disk
+// stay the restart point.
 // Checkpoints are binary (core.CheckpointVersion 3: path and
 // stable-baseline records as varints behind a "KPCK" magic, inside the
 // store's fixed "KCE1" envelope and CRC32C frame); a data dir whose only
@@ -176,7 +188,7 @@ func main() {
 		grace     = flag.Duration("shutdown-timeout", 10*time.Second, "graceful HTTP shutdown budget")
 		dataDir   = flag.String("data-dir", "", "durable history directory (WAL + snapshots); empty keeps history in memory only")
 		compactMB = flag.Int64("compact-mb", 8, "WAL size in MiB past which the next bin close compacts into a snapshot segment")
-		ckptIv    = flag.Duration("checkpoint-interval", 15*time.Minute, "stream time between engine state checkpoints (with -data-dir); restart recovery re-ingests at most this much of the stream. Checkpoint segments rotate independently of -compact-mb")
+		ckptIv    = flag.Duration("checkpoint-interval", 15*time.Minute, "least stream time between engine state checkpoints (with -data-dir): one is captured at the first bin close this long after the previous one's that finds the previous save finished, so restart recovery re-ingests at most this much of the stream plus what ingest covered during one save. Checkpoint segments rotate independently of -compact-mb")
 		ringSize  = flag.Int("resume-ring", 4096, "recent events retained for SSE Last-Event-ID resume")
 		probeBkn  = flag.String("probe-backend", "", "active-measurement backend: sim, sim-fault (latency/loss-injected soak), or empty to disable probing; requires -synthetic")
 		probeBdg  = flag.Int("probe-budget", 256, "probes allowed per sliding one-hour window")
@@ -662,27 +674,26 @@ func main() {
 		dlog.Info("feed recovered", "scope", tr.Scope, "collector", tr.Collector,
 			"peer_as", tr.PeerAS, "at", tr.At)
 	}
-	// saveCheckpoint runs inside gated BinClosed hooks: the engine is at a
-	// bin barrier, every event up to here has been appended to the WAL (the
-	// bus sink runs first in the chain), and the tracked source knows the
-	// in-flight record's cursor. Failures only cost recovery freshness, so
-	// they log and move on.
-	var lastCkptBin time.Time
-	if resume != nil {
-		lastCkptBin = resume.BinEnd
+	// Checkpoints. What must be consistent with the bin barrier is captured
+	// inside the gated BinClosed hook: the engine is at the barrier, every
+	// event up to here has been appended to the WAL (the bus sink runs first
+	// in the chain), and the tracked source knows the in-flight record's
+	// cursor. Encoding and the write + fsync belong to the saver's goroutine,
+	// which also decides which due barriers are captured (see
+	// store.CheckpointSaver): ingest never waits for the disk. Failures only
+	// cost recovery freshness, so they log and the checkpoint stays due.
+	var saver *store.CheckpointSaver
+	if st != nil {
+		var lastCkptBin time.Time
+		if resume != nil {
+			lastCkptBin = resume.BinEnd
+		}
+		saver = store.NewCheckpointSaver(st, *ckptIv, lastCkptBin, ckptStats, dlog)
 	}
-	saveCheckpoint := func(end time.Time) {
-		t0 := time.Now()
-		defer func() { ckptStats.Duration.Observe(time.Since(t0)) }()
+	captureCheckpoint := func() (*store.CheckpointCapture, error) {
 		c, err := eng.Checkpoint()
 		if err != nil {
-			dlog.Warn("checkpoint skipped", "error", err)
-			return
-		}
-		enc, err := c.Encode()
-		if err != nil {
-			dlog.Warn("checkpoint encode failed", "error", err)
-			return
+			return nil, err
 		}
 		cur := tracked.Cursor() // position after the in-flight record
 		switch c.Records {
@@ -693,20 +704,17 @@ func main() {
 		case cur.Records:
 			// Flush-time barrier: everything consumed is included.
 		default:
-			dlog.Warn("checkpoint skipped: engine and source cursor diverged",
-				"engine_record", c.Records, "source_record", cur.Records)
-			return
+			return nil, fmt.Errorf("engine at record %d and source cursor at %d diverged", c.Records, cur.Records)
 		}
-		if err := st.SaveCheckpoint(&store.Checkpoint{
-			EventSeq:  bus.Seq(),
-			Records:   c.Records,
-			Window:    cur.Window,
-			WindowPos: cur.WindowPos,
-			BinEnd:    end,
-			Engine:    enc,
-		}); err != nil {
-			dlog.Error("checkpoint save failed", "error", err)
-		}
+		return &store.CheckpointCapture{
+			Checkpoint: store.Checkpoint{
+				EventSeq:  bus.Seq(),
+				Records:   c.Records,
+				Window:    cur.Window,
+				WindowPos: cur.WindowPos,
+			},
+			State: c,
+		}, nil
 	}
 	publishBin := hooks.BinClosed
 	hooks.BinClosed = func(end time.Time) {
@@ -715,10 +723,10 @@ func main() {
 		// sinkArmed, not st != nil: once an append has failed the durable
 		// horizon is frozen, a checkpoint taken past it is refused at boot
 		// (its EventSeq is ahead of the WAL), and saving two of them would
-		// rotate out both generations a restart can still use.
-		if sinkArmed.Load() && (lastCkptBin.IsZero() || end.Sub(lastCkptBin) >= *ckptIv) {
-			saveCheckpoint(end)
-			lastCkptBin = end
+		// rotate out both generations a restart can still use. A save already
+		// in flight was captured below the horizon and may finish.
+		if sinkArmed.Load() {
+			saver.Barrier(end, tracked.Ended(), captureCheckpoint)
 		}
 	}
 	// Recovery replays the source from the checkpoint cursor (or record
@@ -805,6 +813,12 @@ func main() {
 	pumpDone := make(chan outcome, 1)
 	go func() {
 		res, err := live.Pump(ctx, src, eng)
+		if saver != nil {
+			// The last barrier's checkpoint is on disk before anyone is told
+			// the source drained (at end of source the barriers waited for the
+			// saver rather than moving on), and no save outlives the pump.
+			saver.Wait()
+		}
 		if err == nil && st != nil {
 			// What the end-of-source eng.Flush resolved was appended after the
 			// last bin_closed, so it is still in the WAL buffer — and a restart
@@ -839,6 +853,7 @@ func main() {
 	// sync the store, stop the HTTP server, stop the shard workers.
 	bus.Close()
 	if st != nil {
+		saver.Close()
 		if err := st.Close(); err != nil {
 			dlog.Error("store close failed", "error", err)
 		}

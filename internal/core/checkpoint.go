@@ -63,7 +63,9 @@ const checkpointMagic = "KPCK"
 type Checkpoint struct {
 	Version int
 	// BinStart is the bin clock position: the start of the bin the next
-	// record falls into (the closing bin's end when captured at a barrier).
+	// record falls into. Captured at a barrier that is the closing bin's
+	// end, unless the record that closed it lies across an idle gap the
+	// clock fast-forwards over: then it is that record's bin.
 	BinStart time.Time
 	// Records counts the source records whose effects this checkpoint
 	// includes; recovery resumes ingestion at record offset Records.
@@ -263,12 +265,18 @@ func appendStableRecord(b []byte, pop colo.PoP, ends popEnd, k sortKey) []byte {
 // the two big sections as they are held, and the small sections marshaled
 // now. Because every collection is sorted at capture, encoding the same
 // detection state always yields the same bytes.
-func (c *Checkpoint) Encode() ([]byte, error) {
+func (c *Checkpoint) Encode() ([]byte, error) { return c.AppendEncode(nil) }
+
+// AppendEncode appends the encoding Encode returns to b — what a saver
+// that writes one checkpoint at a time calls with the buffer of its
+// previous save, so a 720 KB checkpoint is not 720 KB of garbage. On error
+// b is returned as it was passed.
+func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
 	tail, err := json.Marshal(&c.checkpointTail)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint: %w", err)
+		return b, fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
-	b := make([]byte, 0, 96+c.paths.size+c.stable.size+len(tail))
+	b = slices.Grow(b, 96+c.paths.size+c.stable.size+len(tail))
 	b = append(b, checkpointMagic...)
 	b = binary.AppendUvarint(b, uint64(c.Version))
 	b = appendTime(b, c.BinStart)

@@ -23,7 +23,12 @@ type binClock struct {
 }
 
 // advance calls closeBin for each bin that ends at or before t's arrival,
-// then leaves start at the bin containing t.
+// then leaves start at the bin containing t. start moves before closeBin
+// runs — to the closing bin's end, or across an idle gap straight to t's
+// bin — so a checkpoint captured inside closeBin records where the clock
+// resumes: restored with start still at the closing bin's end, a pipeline
+// would close one more bin before it took the jump the original had
+// already taken.
 func (c *binClock) advance(t time.Time, closeBin func(end time.Time)) {
 	if c.start.IsZero() {
 		c.start = t.Truncate(c.interval)
@@ -31,12 +36,12 @@ func (c *binClock) advance(t time.Time, closeBin func(end time.Time)) {
 	}
 	for !t.Before(c.start.Add(c.interval)) {
 		end := c.start.Add(c.interval)
-		closeBin(end)
 		c.start = end
 		// Fast-forward across idle gaps.
-		if t.Sub(c.start) > 100*c.interval {
+		if t.Sub(end) > 100*c.interval {
 			c.start = t.Truncate(c.interval)
 		}
+		closeBin(end)
 	}
 }
 
@@ -59,11 +64,10 @@ type Detector struct {
 
 	// Checkpoint bookkeeping, mirroring Engine: seen counts processed
 	// records over the pipeline's life, opsSinceBarrier marks mid-bin
-	// per-path state, inBarrier/barrierEnd scope the bin-close window.
+	// per-path state, inBarrier scopes the bin-close window.
 	seen            uint64
 	inProcess       bool
 	inBarrier       bool
-	barrierEnd      time.Time
 	opsSinceBarrier bool
 }
 
@@ -147,7 +151,6 @@ func (d *Detector) Process(rec *mrt.Record) []Outage {
 func (d *Detector) closeBin(end time.Time) {
 	d.sh.runPromotions(end)
 	d.inBarrier = true
-	d.barrierEnd = end
 	d.inv.closeBinOver(end, d.shards, d.sh.diverted, nil)
 	d.inBarrier = false
 	d.opsSinceBarrier = false
@@ -173,10 +176,7 @@ func (d *Detector) Checkpoint() (*Checkpoint, error) {
 	if d.inProcess {
 		records--
 	}
-	if d.inBarrier {
-		return d.ckpt.capture(d.barrierEnd, records, d.fan, d.shards, d.inv), nil
-	}
-	if d.opsSinceBarrier {
+	if !d.inBarrier && d.opsSinceBarrier {
 		return nil, fmt.Errorf("core: Checkpoint outside a bin barrier with ops in flight; checkpoint from a BinClosed hook")
 	}
 	return d.ckpt.capture(d.clock.start, records, d.fan, d.shards, d.inv), nil

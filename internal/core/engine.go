@@ -156,13 +156,11 @@ type Engine struct {
 	// seen counts records fed to Process over the pipeline's whole life
 	// (seeded by RestoreFrom); inProcess marks that a Process call is on
 	// the stack, so a checkpoint taken from inside a BinClosed hook knows
-	// the in-flight record's effects are not yet included. inBarrier and
-	// barrierEnd scope the bin-barrier window in which shard state may be
-	// read directly.
-	seen       uint64
-	inProcess  bool
-	inBarrier  bool
-	barrierEnd time.Time
+	// the in-flight record's effects are not yet included. inBarrier scopes
+	// the bin-barrier window in which shard state may be read directly.
+	seen      uint64
+	inProcess bool
+	inBarrier bool
 
 	// lifecycle serializes Flush against Close so a daemon's shutdown path
 	// can race the two safely; closeOnce makes Close idempotent. Process
@@ -301,7 +299,6 @@ func (e *Engine) closeBin(end time.Time) {
 	// inBarrier additionally licenses a Checkpoint taken from inside the
 	// BinClosed hook to read shard state directly.
 	e.inBarrier = true
-	e.barrierEnd = end
 	var diverted map[colo.PoP]map[bgp.ASN][]divertRec
 	if e.inv.binStage != nil {
 		e.inv.engineBarrier = time.Since(t0) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
@@ -443,15 +440,13 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		// are not part of this checkpoint, so recovery re-reads it.
 		records--
 	}
-	if e.inBarrier {
-		return e.ckpt.capture(e.barrierEnd, records, e.fan, e.shardStates, e.inv), nil
-	}
-	if e.opsSinceBarrier {
+	if !e.inBarrier && e.opsSinceBarrier {
 		return nil, fmt.Errorf("core: Checkpoint outside a bin barrier with ops in flight; checkpoint from a BinClosed hook")
 	}
-	// No ops were added since the last barrier, so every shard queue is
-	// empty and the workers are idle: the state is exactly the barrier
-	// state and safe to read from here.
+	// Inside a barrier the shards are paused; outside one, no ops were added
+	// since the last, so every shard queue is empty and the workers are
+	// idle. Either way the state is the barrier state, safe to read from
+	// here, and the clock already stands where the next record resumes it.
 	return e.ckpt.capture(e.clock.start, records, e.fan, e.shardStates, e.inv), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"kepler/internal/bgp"
+	"kepler/internal/bgpstream"
 	"kepler/internal/colo"
 	"kepler/internal/communities"
 	"kepler/internal/metrics"
@@ -373,5 +374,175 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 	}
 	if snap := stats.Snapshot(); captures != 5 || snap.ColdRebuilds != 2 {
 		t.Errorf("%d captures, %d cold: want the first and the one after the RIB dump cold, the rest warm", captures, snap.ColdRebuilds)
+	}
+}
+
+// TestSaverEncodeRacesIngest is what lets a checkpoint saver encode off the
+// ingest goroutine: a checkpoint captured at a barrier is handed to another
+// goroutine, which encodes it (into one reused buffer, as the saver does)
+// while the pipeline runs on through later barriers and later captures, and
+// the bytes must be those of encoding it synchronously at its barrier — for
+// the Detector and for engines of 1, 2 and 4 shards. Run with -race: a
+// capture that aliased anything the pipeline still writes shows up here.
+func TestSaverEncodeRacesIngest(t *testing.T) {
+	mdict, mcmap, _ := microWorld(t)
+	sdict, scmap, srecs := stormStream(t)
+	for _, s := range []struct {
+		name string
+		dict *communities.Dictionary
+		cmap *colo.Map
+		recs []*mrt.Record
+	}{{"churn", mdict, mcmap, churnStream()}, {"storm", sdict, scmap, srecs}} {
+		for _, shards := range []int{0, 1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
+				p := newPipe(s.dict, s.cmap, shards)
+				defer p.close()
+				type job struct {
+					end  time.Time
+					c    *Checkpoint
+					want []byte
+				}
+				// Deep enough that the encoder usually runs several barriers
+				// behind ingest, never so deep that ingest has to wait long.
+				jobs := make(chan job, 8)
+				encoded := make(chan int)
+				go func() {
+					var buf []byte
+					n := 0
+					for j := range jobs {
+						var err error
+						if buf, err = j.c.AppendEncode(buf[:0]); err != nil {
+							t.Errorf("encoding the checkpoint of %v: %v", j.end, err)
+						} else if !bytes.Equal(buf, j.want) {
+							t.Errorf("checkpoint of %v encoded off the ingest goroutine: %d bytes, differs from the %d encoded at the barrier",
+								j.end, len(buf), len(j.want))
+						}
+						n++
+					}
+					encoded <- n
+				}()
+				captured := 0
+				p.setHooks(Hooks{BinClosed: func(end time.Time) {
+					c, err := p.checkpoint()
+					if err != nil {
+						t.Errorf("checkpoint at %v: %v", end, err)
+						return
+					}
+					want, err := c.Encode()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					captured++
+					jobs <- job{end, c, want}
+				}})
+				p.feed(t, s.recs)
+				close(jobs)
+				if n := <-encoded; n != captured || n < 10 {
+					t.Errorf("%d checkpoints captured, %d encoded: want at least 10, all encoded", captured, n)
+				}
+			})
+		}
+	}
+}
+
+// TestCheckpointRestoresAtEveryBarrier restores a checkpoint of every
+// barrier of the two streams — not one from somewhere in the middle — and
+// requires the lifecycle callbacks of re-ingesting the suffix to be the
+// uninterrupted run's from that barrier on. A daemon that keeps one
+// checkpoint as its newest for longer (the saver defers while it is busy)
+// restarts from barriers a synchronous one rarely died behind; the one
+// that used to break is a barrier closed by a record more than 100 bins
+// on, where the restored clock closed one bin more before fast-forwarding
+// than the original had, one bin_closed too many for the replay gate.
+func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
+	mdict, mcmap, _ := microWorld(t)
+	sdict, scmap, srecs := stormStream(t)
+	logTo := func(log *[]string) Hooks {
+		add := func(format string, args ...any) { *log = append(*log, fmt.Sprintf(format, args...)) }
+		return Hooks{
+			OutageOpened:       func(s OutageStatus) { add("opened %v", s) },
+			OutageUpdated:      func(s OutageStatus) { add("updated %v", s) },
+			OutageResolved:     func(o Outage) { add("resolved %v", o) },
+			IncidentClassified: func(i Incident) { add("incident %v", i) },
+			FeedDegraded:       func(tr bgpstream.FeedTransition) { add("degraded %v", tr) },
+			FeedRecovered:      func(tr bgpstream.FeedTransition) { add("recovered %v", tr) },
+			BinClosed:          func(end time.Time) { add("bin %v", end) },
+		}
+	}
+	for _, s := range []struct {
+		name   string
+		dict   *communities.Dictionary
+		cmap   *colo.Map
+		recs   []*mrt.Record
+		stride int // restore from every stride-th barrier
+	}{{"churn", mdict, mcmap, churnStream(), 1}, {"storm", sdict, scmap, srecs, 7}} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
+				type barrier struct {
+					end    time.Time
+					enc    []byte
+					logged int // callbacks up to and including this barrier's BinClosed
+					jumped bool
+				}
+				var (
+					ref      []string
+					barriers []barrier
+				)
+				p := newPipe(s.dict, s.cmap, shards)
+				defer p.close()
+				hooks := logTo(&ref)
+				logBin := hooks.BinClosed
+				hooks.BinClosed = func(end time.Time) {
+					logBin(end)
+					c, err := p.checkpoint()
+					if err != nil {
+						t.Errorf("checkpoint at %v: %v", end, err)
+						return
+					}
+					enc, err := c.Encode()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					barriers = append(barriers, barrier{end, enc, len(ref), !c.BinStart.Equal(end)})
+				}
+				p.setHooks(hooks)
+				if p.feed(t, s.recs); t.Failed() {
+					return
+				}
+				jumped := 0
+				for i, b := range barriers {
+					if b.jumped {
+						jumped++
+					} else if i%s.stride != 0 {
+						continue
+					}
+					c, err := DecodeCheckpoint(b.enc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []string
+					r := newPipe(s.dict, s.cmap, shards)
+					if err := r.restore(c); err != nil {
+						t.Fatal(err)
+					}
+					r.setHooks(logTo(&got))
+					r.feed(t, s.recs[c.Records:])
+					r.close()
+					if want := ref[b.logged:]; !slices.Equal(got, want) {
+						n := 0
+						for n < len(got) && n < len(want) && got[n] == want[n] {
+							n++
+						}
+						t.Fatalf("restored at barrier %v (clock resumes at %v): %d callbacks, uninterrupted run %d; first difference at %d:\n got  %v\n want %v",
+							b.end, c.BinStart, len(got), len(want), n, got[n:min(n+1, len(got))], want[n:min(n+1, len(want))])
+					}
+				}
+				if jumped == 0 {
+					t.Error("no barrier was closed across an idle gap the clock fast-forwards over")
+				}
+			})
+		}
 	}
 }

@@ -59,7 +59,8 @@ type Resumable interface {
 // exactly LastCursor.
 type Tracked struct {
 	Resumable
-	last Cursor
+	last  Cursor
+	ended bool
 }
 
 // Track wraps src.
@@ -71,9 +72,16 @@ func (t *Tracked) Next(ctx context.Context) (*mrt.Record, error) {
 	rec, err := t.Resumable.Next(ctx)
 	if err == nil {
 		t.last = c
+	} else if errors.Is(err, io.EOF) {
+		t.ended = true
 	}
 	return rec, err
 }
+
+// Ended reports whether Next has hit the end of the stream: the bin closes
+// of the engine flush that follows are the last there will be, so a
+// checkpoint due at one cannot move to a later barrier.
+func (t *Tracked) Ended() bool { return t.ended }
 
 // LastCursor returns the cursor positioned at the most recently returned
 // record (so a Seek there makes Next return it again). Zero until the

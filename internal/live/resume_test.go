@@ -97,6 +97,22 @@ func TestTrackedCursor(t *testing.T) {
 	if err != nil || !rec.Time.Equal(recs[3].Time) {
 		t.Fatalf("resumed record = %v, %v; want the in-flight record %v", rec, err, recs[3].Time)
 	}
+
+	// Ended turns true at end of stream and at nothing else: not mid-stream,
+	// not when the consumer gives up.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tr.Next(cancelled); err == nil || tr.Ended() {
+		t.Fatalf("Next on a cancelled context: err %v, Ended %v", err, tr.Ended())
+	}
+	for i := 4; i < len(recs); i++ {
+		if _, err := tr.Next(context.Background()); err != nil || tr.Ended() {
+			t.Fatalf("record %d: err %v, Ended %v", i, err, tr.Ended())
+		}
+	}
+	if _, err := tr.Next(context.Background()); err != io.EOF || !tr.Ended() {
+		t.Fatalf("past the last record: err %v, Ended %v; want io.EOF and true", err, tr.Ended())
+	}
 }
 
 // TestSyntheticSeek pins the window-seed resume path: seeking to a cursor

@@ -9,6 +9,7 @@ import (
 
 	"kepler/internal/mrt"
 	"kepler/internal/simulate"
+	"kepler/internal/slogx"
 	"kepler/internal/topology"
 )
 
@@ -84,7 +85,7 @@ type Synthetic struct {
 func NewSynthetic(world *topology.World, cfg SyntheticConfig) *Synthetic {
 	cfg.defaults()
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
+		cfg.Logger = slogx.Discard()
 	}
 	return &Synthetic{world: world, cfg: cfg}
 }

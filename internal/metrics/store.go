@@ -99,10 +99,15 @@ func (s StoreSnapshot) String() string {
 
 // CheckpointStats answers "is checkpointing the bottleneck, and was that
 // capture warm?" for a running daemon. The engine maintains the capture
-// counters (core.Engine.SetCheckpointStats); the daemon observes Duration
-// around capture + encode + save, as its ingest goroutine sees them.
+// counters (core.Engine.SetCheckpointStats); the checkpoint saver
+// (store.CheckpointSaver) observes the rest: Ingest is what a checkpoint
+// cost the ingest goroutine — the capture, plus the wait for the save in
+// flight once the source has ended — Save what its own goroutine then spent
+// encoding, writing and fsyncing it.
 type CheckpointStats struct {
-	Duration     Histogram
+	Ingest       Histogram
+	Save         Histogram
+	Deferred     atomic.Int64 // barriers at which a due checkpoint found the saver busy
 	Captures     atomic.Int64 // checkpoints captured
 	ColdRebuilds atomic.Int64 // captures that re-encoded the whole state
 	DirtyPaths   atomic.Int64 // path records the last capture re-encoded or dropped
@@ -111,7 +116,9 @@ type CheckpointStats struct {
 
 // CheckpointSnapshot is a point-in-time copy of CheckpointStats.
 type CheckpointSnapshot struct {
-	Duration     HistogramSnapshot
+	Ingest       HistogramSnapshot
+	Save         HistogramSnapshot
+	Deferred     int64
 	Captures     int64
 	ColdRebuilds int64
 	DirtyPaths   int64
@@ -121,7 +128,9 @@ type CheckpointSnapshot struct {
 // Snapshot copies the current values.
 func (s *CheckpointStats) Snapshot() CheckpointSnapshot {
 	return CheckpointSnapshot{
-		Duration:     s.Duration.Snapshot(),
+		Ingest:       s.Ingest.Snapshot(),
+		Save:         s.Save.Snapshot(),
+		Deferred:     s.Deferred.Load(),
 		Captures:     s.Captures.Load(),
 		ColdRebuilds: s.ColdRebuilds.Load(),
 		DirtyPaths:   s.DirtyPaths.Load(),

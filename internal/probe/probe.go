@@ -36,6 +36,7 @@ import (
 	"kepler/internal/colo"
 	"kepler/internal/core"
 	"kepler/internal/metrics"
+	"kepler/internal/slogx"
 )
 
 // Backend executes one measurement: does the data plane confirm an outage
@@ -151,7 +152,7 @@ func NewScheduler(b Backend, cfg Config) *Scheduler {
 	cfg.defaults()
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(slog.DiscardHandler)
+		log = slogx.Discard()
 	}
 	s := &Scheduler{
 		backend:   b,

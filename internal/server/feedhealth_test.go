@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -261,5 +262,48 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 1s")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestHTTPRouteLabels pins the endpoint label of the per-route histograms:
+// the registered pattern, whatever the path values, and "unmatched" for a
+// request no route takes — an unknown path, or a known one with the wrong
+// method. The label is looked up from the mux before the request is served
+// (http.Request.Pattern would do, but not on the Go 1.22 go.mod pins).
+func TestHTTPRouteLabels(t *testing.T) {
+	hs := metrics.NewHTTPStats()
+	srv := New(Options{HTTP: hs, Heartbeat: time.Hour})
+	ts := newHTTPServer(t, srv)
+	srv.PublishSnapshot(testSnapshot())
+	for _, rq := range []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodGet, "/v1/outages?limit=1", http.StatusOK},
+		{http.MethodGet, "/v1/outages/1/trace", http.StatusNotFound},
+		{http.MethodGet, "/v1/outages/77/trace", http.StatusNotFound},
+		{http.MethodPost, "/v1/outages", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v2/outages", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(rq.method, ts+rq.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != rq.status {
+			t.Errorf("%s %s: status %d, want %d", rq.method, rq.path, resp.StatusCode, rq.status)
+		}
+	}
+	got := map[string]int64{}
+	for _, e := range hs.Snapshot().Endpoints {
+		got[e.Endpoint] = e.Latency.Count
+	}
+	want := map[string]int64{"GET /v1/outages": 1, "GET /v1/outages/{id}/trace": 2, "unmatched": 2}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("requests per endpoint label = %v, want %v", got, want)
 	}
 }

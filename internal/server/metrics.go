@@ -108,9 +108,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.opts.Checkpoint != nil {
 		ck := s.opts.Checkpoint()
-		writeHistogram(&b, "kepler_checkpoint_seconds",
-			"Engine checkpoint wall time on the ingest goroutine (capture, encode, save).",
-			"", ck.Duration)
+		writeHistogram(&b, "kepler_checkpoint_ingest_seconds",
+			"Engine checkpoint wall time on the ingest goroutine (capture; at end of source also the wait for the save in flight).",
+			"", ck.Ingest)
+		writeHistogram(&b, "kepler_checkpoint_save_seconds",
+			"Engine checkpoint wall time on the saver goroutine (encode, write, fsync).",
+			"", ck.Save)
+		wr("kepler_checkpoint_deferred_total", "counter", "Bin barriers at which a due checkpoint found the saver busy and stayed due.", float64(ck.Deferred))
 		wr("kepler_checkpoint_captures_total", "counter", "Engine checkpoints captured.", float64(ck.Captures))
 		wr("kepler_checkpoint_cold_rebuilds_total", "counter", "Captures that re-encoded the whole state instead of what changed.", float64(ck.ColdRebuilds))
 		wr("kepler_checkpoint_last_dirty_paths", "gauge", "Path records the last capture re-encoded or dropped.", float64(ck.DirtyPaths))

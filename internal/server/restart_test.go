@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -445,6 +446,72 @@ func marshalEvent(t *testing.T, ev events.Event) []byte {
 	return b
 }
 
+// uninterruptedEvents is the reference of the byte-for-byte restart tests:
+// every event one uninterrupted engine run over the scenario publishes.
+func uninterruptedEvents(t *testing.T, stack *pipeline.Stack, res *simulate.Result, cfg core.Config) []events.Event {
+	t.Helper()
+	var evs []events.Event
+	bus := events.New(nil, events.WithSink(func(ev events.Event) { evs = append(evs, ev) }))
+	eng := stack.NewEngine(cfg, 4)
+	defer eng.Close()
+	eng.SetHooks(events.EngineHooks(bus))
+	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), eng); err != nil {
+		t.Fatal(err)
+	}
+	bus.Close()
+	return evs
+}
+
+// gatedState parks a checkpoint's encoding — the first thing the saver's
+// goroutine does with a capture — until gate closes: a save in flight for
+// as long as a test needs one.
+type gatedState struct {
+	store.EngineState
+	gate <-chan struct{}
+}
+
+func (g gatedState) AppendEncode(b []byte) ([]byte, error) {
+	<-g.gate
+	return g.EngineState.AppendEncode(b)
+}
+
+// saverHook is cmd/keplerd's checkpoint wiring as a BinClosed hook: what
+// must be consistent with the barrier (engine state, event sequence, record
+// cursor) is captured here, on the ingest goroutine; sv encodes and saves
+// it on its own, and decides which due barriers get captured at all. wrap,
+// when non-nil, stands between a capture and the saver. A capture that
+// fails is a test failure, reported where the saver logs it.
+func saverHook(t *testing.T, sv *store.CheckpointSaver, eng *core.Engine, bus *events.Bus, ended func() bool,
+	wrap func(end time.Time, c *core.Checkpoint) store.EngineState) func(time.Time) {
+	return func(end time.Time) {
+		sv.Barrier(end, ended != nil && ended(), func() (*store.CheckpointCapture, error) {
+			c, err := eng.Checkpoint()
+			if err != nil {
+				t.Errorf("checkpoint at %v: %v", end, err)
+				return nil, err
+			}
+			cc := &store.CheckpointCapture{Checkpoint: store.Checkpoint{EventSeq: bus.Seq(), Records: c.Records}, State: c}
+			if wrap != nil {
+				cc.State = wrap(end, c)
+			}
+			return cc, nil
+		})
+	}
+}
+
+// saverLog is the logger the tests give a saver: a failed save is a test
+// failure (the tests that provoke one read the log instead).
+type saverLog struct{ t *testing.T }
+
+func (l saverLog) Write(b []byte) (int, error) {
+	l.t.Errorf("saver: %s", bytes.TrimSpace(b))
+	return len(b), nil
+}
+
+func failOnSaverLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(saverLog{t}, nil))
+}
+
 // TestRestartEquivalenceCheckpointed extends the durability contract to
 // checkpointed recovery: a daemon SIGKILLed mid-archive whose boot restores
 // the newest engine checkpoint and re-ingests only the record suffix must
@@ -510,28 +577,14 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 			eng1.SetProber(newSched(t, stack, res))
 			hooks1 := events.EngineHooks(bus1)
 			publishBin := hooks1.BinClosed
-			var lastCkpt time.Time
+			// As cmd/keplerd saves them: captured in the hook, written by the
+			// saver while ingest runs on, at whatever pace this machine gives
+			// the two.
+			sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, nil, failOnSaverLog(t))
+			checkpoint := saverHook(t, sv1, eng1, bus1, nil, nil)
 			hooks1.BinClosed = func(end time.Time) {
 				publishBin(end)
-				if !lastCkpt.IsZero() && end.Sub(lastCkpt) < ckptInterval {
-					return
-				}
-				c, err := eng1.Checkpoint()
-				if err != nil {
-					t.Errorf("checkpoint at %v: %v", end, err)
-					return
-				}
-				enc, err := c.Encode()
-				if err != nil {
-					t.Errorf("encode: %v", err)
-					return
-				}
-				if err := st1.SaveCheckpoint(&store.Checkpoint{
-					EventSeq: bus1.Seq(), Records: c.Records, BinEnd: end, Engine: enc,
-				}); err != nil {
-					t.Errorf("save checkpoint: %v", err)
-				}
-				lastCkpt = end
+				checkpoint(end)
 			}
 			var aborting atomic.Bool
 			eng1.SetHooks(events.MuteHooks(hooks1, aborting.Load))
@@ -545,7 +598,10 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 			}
 			bus1.Close()
 			eng1.Close()
-			// SIGKILL model: st1 abandoned, never Closed.
+			// SIGKILL model: st1 abandoned, never Closed — the kill lands just
+			// after the save in flight, if any, finished (one that lands
+			// mid-save is TestRestartSaverKilledMidSave).
+			sv1.Close()
 
 			// ---- Phase 2: recover, restore the checkpoint, re-ingest the suffix.
 			stats2 := &metrics.StoreStats{}
@@ -647,6 +703,15 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 // therefore flushes the store when Pump returns at EOF; this test mirrors
 // that wiring and pins the outcome: the durable history after the kill
 // equals the uninterrupted run's.
+//
+// It is also the end-of-source case of the checkpoint saver, at its worst:
+// a checkpoint is due at every bin close and the disk is so slow that the
+// first save is still in flight when the source ends, so every barrier in
+// between deferred. The barriers of the end-of-source flush must wait for
+// that save rather than defer to a barrier that will never come, and the
+// newest checkpoint on disk once the pump is done is the last barrier's —
+// an ordinary in-hook capture at the end-of-archive cursor, the one a
+// daemon saving synchronously leaves.
 func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
 	stack, _, res, cfg, start := restartScenario(t)
 	// End the archive ten minutes into the last background link outage: the
@@ -675,37 +740,42 @@ func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
 	eng1 := stack.NewEngine(cfg, 4)
 	hooks1 := events.EngineHooks(bus1)
 	publishBin := hooks1.BinClosed
+	// A checkpoint is due at every bin close, so the last one — taken inside
+	// the end-of-source flush — carries the end-of-archive cursor. The disk
+	// comes unstuck 20 ms after the source has ended.
+	src1 := live.Track(live.NewReplayer(bgpstream.NewSliceSource(records), 0))
+	stats1 := &metrics.CheckpointStats{}
+	sv1 := store.NewCheckpointSaver(st1, time.Nanosecond, time.Time{}, stats1, failOnSaverLog(t))
+	stuck := make(chan struct{})
+	var unstick sync.Once
+	checkpoint := saverHook(t, sv1, eng1, bus1, func() bool {
+		if src1.Ended() {
+			unstick.Do(func() { time.AfterFunc(20*time.Millisecond, func() { close(stuck) }) })
+		}
+		return src1.Ended()
+	}, func(_ time.Time, c *core.Checkpoint) store.EngineState { return gatedState{c, stuck} })
 	hooks1.BinClosed = func(end time.Time) {
 		publishBin(end)
-		// Checkpoint at every bin close, so the last one — taken inside the
-		// end-of-source flush — carries the end-of-archive cursor.
-		c, err := eng1.Checkpoint()
-		if err != nil {
-			t.Errorf("checkpoint at %v: %v", end, err)
-			return
-		}
-		enc, err := c.Encode()
-		if err != nil {
-			t.Errorf("encode: %v", err)
-			return
-		}
-		if err := st1.SaveCheckpoint(&store.Checkpoint{
-			EventSeq: bus1.Seq(), Records: c.Records, BinEnd: end, Engine: enc,
-		}); err != nil {
-			t.Errorf("save checkpoint: %v", err)
-		}
+		checkpoint(end)
 	}
 	eng1.SetHooks(hooks1)
-	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records)), eng1); err != nil {
+	if _, err := live.Pump(context.Background(), src1, eng1); err != nil {
 		t.Fatal(err)
 	}
 	// As cmd/keplerd's pump goroutine does at EOF.
+	sv1.Wait()
 	if err := st1.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	bus1.Close()
 	eng1.Close()
 	// SIGKILL model: st1 abandoned, never Closed.
+	sv1.Close()
+	snap1 := stats1.Snapshot()
+	if snap1.Deferred < 10 || snap1.Save.Count < 2 || snap1.Save.Count > snap1.Ingest.Count {
+		t.Fatalf("%d barriers deferred, %d captures, %d saves: want the barriers before the end of source deferred behind the first save, those after it captured",
+			snap1.Deferred, snap1.Ingest.Count, snap1.Save.Count)
+	}
 	n := len(persisted)
 	if n == 0 || persisted[n-1].Kind == events.KindBinClosed {
 		t.Fatal("no outage was open at EOF; the scenario must publish resolutions after the last bin close")
@@ -764,15 +834,7 @@ func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
 func TestRestartFromOlderCheckpointFormat(t *testing.T) {
 	stack, _, res, cfg, start := restartScenario(t)
 
-	var refEvents []events.Event
-	refBus := events.New(nil, events.WithSink(func(ev events.Event) { refEvents = append(refEvents, ev) }))
-	refEng := stack.NewEngine(cfg, 4)
-	refEng.SetHooks(events.EngineHooks(refBus))
-	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), refEng); err != nil {
-		t.Fatal(err)
-	}
-	refBus.Close()
-	refEng.Close()
+	refEvents := uninterruptedEvents(t, stack, res, cfg)
 
 	// ---- Phase 1: the older build, SIGKILLed mid-archive.
 	dir := t.TempDir()
@@ -884,24 +946,18 @@ func TestRestartFromOlderCheckpointFormat(t *testing.T) {
 // durable horizon is frozen at the failure, so every later checkpoint would
 // carry an EventSeq ahead of it and be refused at boot — and two of them
 // would rotate out both generations a restart can still use, turning the
-// next boot into a re-ingest from record zero. The sink fails mid-archive,
-// more than three checkpoint intervals of bins close after it, and the
-// restart must find the two pre-failure segments, resume from the newer
-// one and end at byte-for-byte the uninterrupted event sequence.
+// next boot into a re-ingest from record zero. The sink fails mid-archive
+// with a save in flight — captured at the last due barrier before the
+// failure, so below the horizon, and free to finish — more than three
+// checkpoint intervals of bins close after it, and the restart must find
+// two pre-failure checkpoints, resume from the newer one (the one that was
+// in flight) and end at byte-for-byte the uninterrupted event sequence.
 func TestCheckpointingStopsWithPersistence(t *testing.T) {
 	stack, _, res, cfg, start := restartScenario(t)
 	const ckptInterval = 6 * time.Hour
 	failAt := start.Add(7 * 24 * time.Hour)
 
-	var refEvents []events.Event
-	refBus := events.New(nil, events.WithSink(func(ev events.Event) { refEvents = append(refEvents, ev) }))
-	refEng := stack.NewEngine(cfg, 4)
-	refEng.SetHooks(events.EngineHooks(refBus))
-	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), refEng); err != nil {
-		t.Fatal(err)
-	}
-	refBus.Close()
-	refEng.Close()
+	refEvents := uninterruptedEvents(t, stack, res, cfg)
 
 	segments := func(dir string) []string {
 		names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt"))
@@ -922,6 +978,7 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 		persisted []events.Event
 		atFailure []string // checkpoint segments on disk when the sink failed
 		dueAfter  int      // checkpoints that came due with persistence off
+		inFlight  uint64   // event sequence of the capture whose save the failure overtakes
 	)
 	armed.Store(true)
 	bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
@@ -941,32 +998,42 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 	eng1 := stack.NewEngine(cfg, 4)
 	hooks1 := events.EngineHooks(bus1)
 	publishBin := hooks1.BinClosed
-	var lastCkpt time.Time
+	// The save of the last checkpoint due before the failure stays in flight
+	// until the source has drained; every earlier one finishes before the
+	// next barrier, so the schedule up to the failure is the synchronous one.
+	var lastBefore time.Time // the last barrier of that schedule before the failure
+	for _, ev := range refEvents {
+		if ev.Kind == events.KindBinClosed && ev.Time.Before(failAt) &&
+			(lastBefore.IsZero() || ev.Time.Sub(lastBefore) >= ckptInterval) {
+			lastBefore = ev.Time
+		}
+	}
+	sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, nil, failOnSaverLog(t))
+	release := make(chan struct{})
+	checkpoint := saverHook(t, sv1, eng1, bus1, nil, func(end time.Time, c *core.Checkpoint) store.EngineState {
+		if !end.Equal(lastBefore) {
+			return c
+		}
+		inFlight = bus1.Seq()
+		return gatedState{c, release}
+	})
+	var lastDue time.Time
 	hooks1.BinClosed = func(end time.Time) {
 		publishBin(end)
-		if !lastCkpt.IsZero() && end.Sub(lastCkpt) < ckptInterval {
-			return
-		}
-		lastCkpt = end
 		if !armed.Load() {
-			dueAfter++
-			return // the gate under test: no checkpoint past the frozen horizon
-		}
-		c, err := eng1.Checkpoint()
-		if err != nil {
-			t.Errorf("checkpoint at %v: %v", end, err)
+			// The gate under test, as cmd/keplerd has it: no barrier reaches
+			// the saver past the frozen horizon.
+			if end.Sub(lastDue) >= ckptInterval {
+				dueAfter++
+				lastDue = end
+			}
 			return
 		}
-		enc, err := c.Encode()
-		if err != nil {
-			t.Errorf("encode: %v", err)
-			return
+		checkpoint(end)
+		if inFlight == 0 {
+			sv1.Wait()
 		}
-		if err := st1.SaveCheckpoint(&store.Checkpoint{
-			EventSeq: bus1.Seq(), Records: c.Records, BinEnd: end, Engine: enc,
-		}); err != nil {
-			t.Errorf("save checkpoint: %v", err)
-		}
+		lastDue = end
 	}
 	eng1.SetHooks(hooks1)
 	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), eng1); err != nil {
@@ -974,12 +1041,20 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 	}
 	bus1.Close()
 	eng1.Close()
-	// SIGKILL model: st1 abandoned, never Closed.
-	if len(atFailure) != 2 || dueAfter < 3 {
-		t.Fatalf("%d checkpoint segments at the failure, %d checkpoints due after it: the scenario needs 2 and at least 3", len(atFailure), dueAfter)
+	if len(atFailure) != 2 || dueAfter < 3 || inFlight == 0 {
+		t.Fatalf("%d checkpoint segments at the failure, %d checkpoints due after it, save in flight at seq %d: the scenario needs 2, at least 3 and one",
+			len(atFailure), dueAfter, inFlight)
 	}
 	if got := segments(dir); !reflect.DeepEqual(got, atFailure) {
-		t.Fatalf("checkpoint segments after the failure: %v, want the pre-failure pair %v", got, atFailure)
+		t.Fatalf("checkpoint segments with the overtaken save still in flight: %v, want the pair on disk at the failure %v", got, atFailure)
+	}
+	// The overtaken save lands (as teardown waits for it to); nothing else
+	// was started. SIGKILL model: st1 abandoned, never Closed.
+	close(release)
+	sv1.Close()
+	wantSegs := []string{atFailure[1], filepath.Join(dir, fmt.Sprintf("ckpt-%016x.ckpt", inFlight))}
+	if got := segments(dir); !reflect.DeepEqual(got, wantSegs) {
+		t.Fatalf("checkpoint segments after the run: %v, want the newer pre-failure one and the overtaken save %v", got, wantSegs)
 	}
 
 	// ---- Phase 2: restart on that dir, with cmd/keplerd's accept gate.
@@ -1002,9 +1077,9 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 		engCkpt = ec
 		return err
 	})
-	if ck == nil || stats2.CheckpointsDiscarded.Load() != 0 {
-		t.Fatalf("resumed from %+v with %d segments discarded: want the newest pre-failure checkpoint, none discarded",
-			ck, stats2.CheckpointsDiscarded.Load())
+	if ck == nil || ck.EventSeq != inFlight || stats2.CheckpointsDiscarded.Load() != 0 {
+		t.Fatalf("resumed from %+v with %d segments discarded: want the checkpoint whose save the failure overtook (seq %d), none discarded",
+			ck, stats2.CheckpointsDiscarded.Load(), inFlight)
 	}
 	var evs2 []events.Event
 	bus2 := events.New(nil,

@@ -38,6 +38,7 @@ import (
 	"kepler/internal/core"
 	"kepler/internal/events"
 	"kepler/internal/metrics"
+	"kepler/internal/slogx"
 )
 
 // EngineState is the accessor subset of core.Engine (and core.Detector)
@@ -164,10 +165,10 @@ type Options struct {
 	// Store supplies durable-history counters (WAL appends, compactions,
 	// recovery) for /v1/stats when the daemon runs with a data dir. Optional.
 	Store func() metrics.StoreSnapshot
-	// Checkpoint supplies the engine-checkpoint counters — the duration
-	// histogram the daemon observes around capture + encode + save, and how
-	// much the last capture had to re-encode — for /v1/stats and /metrics.
-	// Optional.
+	// Checkpoint supplies the engine-checkpoint counters — what a
+	// checkpoint cost the ingest goroutine and what it cost the saver, how
+	// many were deferred, and how much the last capture had to re-encode —
+	// for /v1/stats and /metrics. Optional.
 	Checkpoint func() metrics.CheckpointSnapshot
 	// Probe supplies active-measurement counters (campaigns, budget
 	// denials, promotions) for /v1/stats and /metrics when the daemon runs
@@ -225,7 +226,7 @@ func New(opts Options) *Server {
 		opts.Heartbeat = 15 * time.Second
 	}
 	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.DiscardHandler)
+		opts.Logger = slogx.Discard()
 	}
 	if opts.Relay == nil && opts.Bus != nil {
 		// Upstream queue at least as deep as one client's (and no shallower
@@ -283,6 +284,16 @@ func (s *Server) Handler() http.Handler {
 		if svc != nil {
 			svc.HTTPRequests.Add(1)
 		}
+		// The matched route ("GET /v1/outages/{id}/trace") keeps label
+		// cardinality fixed regardless of path values; a wrong method or an
+		// unknown path matches none. Looked up here rather than read back
+		// from http.Request.Pattern, which needs Go 1.23.
+		var pat string
+		if hs != nil {
+			if _, pat = s.mux.Handler(r); pat == "" {
+				pat = "unmatched"
+			}
+		}
 		cw := &countingWriter{ResponseWriter: w}
 		s.mux.ServeHTTP(cw, r)
 		status := cw.status
@@ -293,14 +304,9 @@ func (s *Server) Handler() http.Handler {
 			svc.HTTPErrors.Add(1)
 		}
 		if hs != nil {
-			// r.Pattern is the matched route ("GET /v1/outages"), keeping
-			// label cardinality fixed regardless of path values. SSE streams
-			// record their whole connection lifetime here (the +Inf bucket);
-			// their per-event latency is the delivery-lag histogram.
-			pat := r.Pattern
-			if pat == "" {
-				pat = "unmatched"
-			}
+			// SSE streams record their whole connection lifetime here (the
+			// +Inf bucket); their per-event latency is the delivery-lag
+			// histogram.
 			hs.Observe(pat, status, time.Since(start))
 		}
 	})

@@ -103,7 +103,10 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 	}
 	stage.Record(spans)
 	ckpt := &metrics.CheckpointStats{}
-	ckpt.Duration.Observe(2 * time.Millisecond)
+	ckpt.Ingest.Observe(400 * time.Microsecond)
+	ckpt.Save.Observe(2 * time.Millisecond)
+	ckpt.Save.Observe(3 * time.Millisecond)
+	ckpt.Deferred.Add(5)
 	ckpt.Captures.Add(3)
 	ckpt.ColdRebuilds.Add(1)
 	ckpt.DirtyPaths.Store(224)
@@ -136,7 +139,7 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 			t.Errorf("stage %q count = %d, want 1", name, st.Count)
 		}
 	}
-	if c := stats.Checkpoint; c == nil || c.Duration.Count != 1 || c.Captures != 3 || c.ColdRebuilds != 1 ||
+	if c := stats.Checkpoint; c == nil || c.IngestDuration.Count != 1 || c.SaveDuration.Count != 2 || c.Deferred != 5 || c.Captures != 3 || c.ColdRebuilds != 1 ||
 		c.LastDirtyPaths != 224 || c.LastDirtyStable != 300 {
 		t.Errorf("stats checkpoint section = %+v", c)
 	}
@@ -155,8 +158,11 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 		"# TYPE kepler_bin_close_stage_seconds histogram",
 		`kepler_bin_close_stage_seconds_bucket{stage="classify",le="+Inf"} 1`,
 		`kepler_bin_close_stage_seconds_count{stage="barrier"} 1`,
-		"# TYPE kepler_checkpoint_seconds histogram",
-		"kepler_checkpoint_seconds_count 1",
+		"# TYPE kepler_checkpoint_ingest_seconds histogram",
+		"kepler_checkpoint_ingest_seconds_count 1",
+		"# TYPE kepler_checkpoint_save_seconds histogram",
+		"kepler_checkpoint_save_seconds_count 2",
+		"kepler_checkpoint_deferred_total 5",
 		"kepler_checkpoint_cold_rebuilds_total 1",
 		"kepler_checkpoint_last_dirty_paths 224",
 	} {

@@ -215,11 +215,16 @@ func storeView(s metrics.StoreSnapshot) *StoreView {
 }
 
 // CheckpointView is the JSON shape of the engine-checkpoint counters: what
-// a checkpoint costs the ingest goroutine (capture + encode + save) and
-// whether the last capture was warm — a few dirty records merged into the
-// kept image — or a cold rebuild of all of it.
+// a checkpoint costs the ingest goroutine (the capture, and at end of
+// source the wait for the save in flight), what the saver goroutine spends
+// encoding and writing it, how many due checkpoints found the saver busy
+// and moved to a later barrier, and whether the last capture was warm — a
+// few dirty records merged into the kept image — or a cold rebuild of all
+// of it.
 type CheckpointView struct {
-	Duration        StageLatencyView `json:"duration"`
+	IngestDuration  StageLatencyView `json:"ingest_duration"`
+	SaveDuration    StageLatencyView `json:"save_duration"`
+	Deferred        int64            `json:"deferred"`
 	Captures        int64            `json:"captures"`
 	ColdRebuilds    int64            `json:"cold_rebuilds"`
 	LastDirtyPaths  int64            `json:"last_dirty_paths"`
@@ -228,7 +233,9 @@ type CheckpointView struct {
 
 func checkpointView(s metrics.CheckpointSnapshot) *CheckpointView {
 	return &CheckpointView{
-		Duration:        stageLatencyView(s.Duration),
+		IngestDuration:  stageLatencyView(s.Ingest),
+		SaveDuration:    stageLatencyView(s.Save),
+		Deferred:        s.Deferred,
 		Captures:        s.Captures,
 		ColdRebuilds:    s.ColdRebuilds,
 		LastDirtyPaths:  s.DirtyPaths,

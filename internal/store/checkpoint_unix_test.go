@@ -70,3 +70,42 @@ func TestCheckpointSaveHoldsNoLockOverIO(t *testing.T) {
 		t.Errorf("failed save left its temp file behind: %v", err)
 	}
 }
+
+// TestSaverParkedInIO is the saver's rule with the save stuck where a slow
+// disk sticks it — inside SaveCheckpoint's file I/O, parked on a FIFO as
+// above — rather than in a test encoder: due barriers keep returning at
+// once, and since a save through a FIFO fails at fsync, releasing it leaves
+// the checkpoint due, the next barrier retries, and that one lands.
+func TestSaverParkedInIO(t *testing.T) {
+	r := newSaverRig(t, 15*time.Minute, time.Time{}, allDue(64)...)
+	fifo := filepath.Join(r.st.opts.Dir, segName(ckptPrefix, 1)+ckptTmpExt) // barrier 0 saves at event seq 1
+	if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	r.barrier(0, false)
+	for i := 1; i <= 5; i++ {
+		r.barrier(i, false)
+	}
+	if len(r.captured) != 1 || r.stats.Deferred.Load() != 5 {
+		t.Errorf("with barrier 0's save parked in open(2): captured %v, %d deferred; want [0] and 5", r.captured, r.stats.Deferred.Load())
+	}
+	rd, err := os.OpenFile(fifo, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, rd)
+	r.sv.Wait()
+	rd.Close()
+	if n := r.saves.CheckpointSaves.Load(); n != 0 {
+		t.Fatalf("a save through a FIFO counted as saved (%d)", n)
+	}
+	if _, err := os.Stat(fifo); !os.IsNotExist(err) {
+		t.Errorf("failed save left its temp file behind: %v", err)
+	}
+	r.barrier(6, false)
+	r.sv.Wait()
+	if len(r.captured) != 2 || r.captured[1] != 6 {
+		t.Fatalf("captured %v, want barrier 6 to retry the failed checkpoint", r.captured)
+	}
+	r.newestIs(6)
+}

@@ -67,6 +67,7 @@ import (
 	"kepler/internal/core"
 	"kepler/internal/events"
 	"kepler/internal/metrics"
+	"kepler/internal/slogx"
 )
 
 const (
@@ -220,7 +221,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	log := opts.Logger
 	if log == nil {
-		log = slog.New(slog.DiscardHandler)
+		log = slogx.Discard()
 	}
 	s := &Store{
 		opts:     opts,

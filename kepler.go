@@ -103,9 +103,10 @@
 // versioned, deterministic encoding: every collection is flattened sorted,
 // so the bytes are identical regardless of shard count and a checkpoint
 // restores (Engine.RestoreFrom) into a pipeline of any shard count.
-// keplerd writes a checkpoint every -checkpoint-interval of stream time as
-// a CRC-framed, atomically renamed segment beside the WAL (internal/store
-// keeps the newest two); boot loads the recovered history, restores the
+// keplerd captures a checkpoint at bin closes at least
+// -checkpoint-interval of stream time apart and writes it as a CRC-framed,
+// atomically renamed segment beside the WAL (internal/store keeps the
+// newest two); boot loads the recovered history, restores the
 // newest valid checkpoint — falling back to the older one, then to a full
 // re-ingest, on any corruption or version mismatch, never a partial
 // restore — seeks the source to the checkpoint's record cursor
@@ -116,7 +117,31 @@
 // internal/server's restart equivalence tests at shards 1 and 4);
 // store.resume_records in /v1/stats and /metrics reports the resume
 // offset, so recovery cost is observable and bounded by one checkpoint
-// interval.
+// interval plus one checkpoint save.
+//
+// The disk is not on the ingest path. What must be consistent with the bin
+// barrier — the engine capture, the event sequence, the source cursor — is
+// taken in the BinClosed hook; a captured Checkpoint shares only immutable
+// pages with the pipeline, so store.CheckpointSaver encodes it (into one
+// buffer it reuses), writes and fsyncs it on a goroutine of its own while
+// ingest runs on (TestSaverEncodeRacesIngest: the bytes are those of
+// encoding at the barrier, under -race, for the Detector and 1, 2 and 4
+// shards). One save is in flight at most and nothing queues: a checkpoint
+// that comes due while the saver is busy stays due and is captured at the
+// first later barrier that finds it idle, from that barrier's state, so
+// the interval is a floor on the spacing and a restart re-ingests at most
+// one interval of stream plus what ingest covered during one save. When
+// saves finish between barriers — any live feed — the schedule is exactly
+// that of saving inline (TestSaverIdleMatchesSynchronousSchedule); at
+// maximum-speed replay fewer checkpoints are written than come due, and
+// storm-durable ingest is 1.6× faster for it (BENCH_pr19.json). Once the
+// source has ended a due checkpoint waits for the saver instead of
+// deferring, so the end-of-source checkpoint is an ordinary barrier
+// checkpoint and is on disk before the daemon says the source drained;
+// shutdown waits for the save in flight; a capture or save that fails
+// leaves the checkpoint due for the next barrier. A SIGKILL mid-save
+// leaves a .tmp the next boot sweeps and the previous generation to resume
+// from (TestRestartSaverKilledMidSave).
 //
 // The encoding is binary (core.CheckpointVersion 3): a "KPCK" magic and
 // varint header, then one length-prefixed record per monitored path (key,
@@ -155,8 +180,10 @@
 // the storm archive a capture re-encodes ≈ 227 of 12 k path records and
 // ≈ 300 of 14.7 k stable entries: under a millisecond instead of nine, and
 // keplerd ingests it 2.8× faster with -data-dir (BENCH_pr16.json). /v1/stats and
-// /metrics carry a checkpoint-duration histogram (capture + encode + save
-// as the ingest goroutine sees them) and the last capture's dirty counts
+// /metrics carry two checkpoint histograms — what one cost the ingest
+// goroutine (the capture, plus the wait for the saver at end of source) and
+// what it cost the saver (encode, write, fsync) — a count of due
+// checkpoints deferred behind a save, and the last capture's dirty counts
 // and cold rebuilds. keplerd stops checkpointing once a WAL append has
 // failed and it serves on in memory: a checkpoint past the frozen durable
 // horizon would be refused at boot, and two of them would rotate out the
