@@ -9,7 +9,9 @@ package kepler_test
 // measure the hot paths of the pipeline itself.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/netip"
 	"sync"
 	"testing"
@@ -267,7 +269,8 @@ func BenchmarkSummaryStats(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md design decisions) ---
+// --- ablation benches: the Tfail sweep (Figure 7a) and per-AS signal
+// grouping (Section 4.2) ---
 
 // BenchmarkAblationThresholds sweeps the Tfail knob, the core calibration
 // the paper's Figure 7a justifies.
@@ -486,28 +489,57 @@ type probeBackendFunc func(colo.PoP, time.Time) (bool, bool)
 
 func (f probeBackendFunc) Probe(pop colo.PoP, at time.Time) (bool, bool) { return f(pop, at) }
 
-// BenchmarkMRTArchive measures archive serialization throughput.
+// BenchmarkMRTArchive measures the archive codec on the first 20 000
+// records of the historical world: write encodes them, read decodes the
+// encoded archive record by record (allocs/op counts the whole archive).
 func BenchmarkMRTArchive(b *testing.B) {
 	env := histEnv(b)
 	records := env.Res.Records
 	if len(records) > 20000 {
 		records = records[:20000]
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sink countWriter
-		w := mrt.NewWriter(&sink)
-		for _, r := range records {
-			if err := w.WriteRecord(r); err != nil {
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var sink countWriter
+			w := mrt.NewWriter(&sink)
+			for _, r := range records {
+				if err := w.WriteRecord(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
 				b.Fatal(err)
 			}
+			b.SetBytes(sink.n)
 		}
-		if err := w.Flush(); err != nil {
+	})
+	b.Run("read", func(b *testing.B) {
+		var archive bytes.Buffer
+		if err := mrt.WriteAll(&archive, records); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(sink.n)
-	}
+		b.SetBytes(int64(archive.Len()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rd := mrt.NewReader(bytes.NewReader(archive.Bytes()))
+			n := 0
+			for {
+				_, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+			if n != len(records) {
+				b.Fatalf("read %d of %d records", n, len(records))
+			}
+		}
+	})
 }
 
 type countWriter struct{ n int64 }

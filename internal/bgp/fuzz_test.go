@@ -150,5 +150,15 @@ func FuzzUnmarshalUpdate(f *testing.F) {
 		if !reflect.DeepEqual(u, u2) {
 			t.Fatalf("decode of a copy differs:\n%+v\n%+v", u, u2)
 		}
+		// Decoding into a used update overwrites every field.
+		dirty := Update{
+			Withdrawn: []netip.Prefix{mustPrefix("10.0.0.0/8")},
+			Announced: make([]netip.Prefix, 2, 3),
+			Attrs: Attributes{Origin: OriginIncomplete, ASPath: Path{1}, NextHop: netip.MustParseAddr("192.0.2.1"),
+				MED: 1, HasMED: true, LocalPref: 1, HasLocal: true, Communities: Communities{{1, 1}}},
+		}
+		if n3, err := UnmarshalUpdateInto(&dirty, b); err != nil || n3 != n || !reflect.DeepEqual(&dirty, u) {
+			t.Fatalf("decode into a used update: n=%d err=%v\n%+v\n%+v", n3, err, dirty, u)
+		}
 	})
 }

@@ -1,6 +1,9 @@
 package bgp
 
-import "net/netip"
+import (
+	"encoding/binary"
+	"net/netip"
+)
 
 // Path sanitation, Section 4.1 of the paper: "Kepler sanitizes the collected
 // paths by discarding paths with AS loops, private ASNs, or special-purpose
@@ -36,17 +39,61 @@ var bogons6 = []netip.Prefix{
 	netip.MustParsePrefix("ff00::/8"),
 }
 
+// bogonMask4 is bogons4 as integers, built once: IsBogon runs for every
+// announced prefix.
+var bogonMask4 = func() []prefix4 {
+	out := make([]prefix4, len(bogons4))
+	for i, b := range bogons4 {
+		out[i] = newPrefix4(b.Addr().As4(), b.Bits())
+	}
+	return out
+}()
+
+// prefix4 is an IPv4 prefix as its address and length.
+type prefix4 struct {
+	addr uint32
+	bits int
+}
+
+func newPrefix4(a [4]byte, bits int) prefix4 {
+	return prefix4{addr: binary.BigEndian.Uint32(a[:]), bits: bits}
+}
+
+// overlaps is netip.Prefix.Overlaps for two IPv4 prefixes: both addresses
+// agree on the bits of the shorter prefix. Unmasked addresses are masked
+// here, as Overlaps masks them.
+func (p prefix4) overlaps(o prefix4) bool {
+	mask := ^uint32(0) << (32 - min(p.bits, o.bits)) // zero when either is /0
+	return (p.addr^o.addr)&mask == 0
+}
+
 // IsBogon reports whether the prefix overlaps reserved, private or
 // documentation address space and must be discarded by the input module.
+// An IPv4-mapped IPv6 prefix (::ffff:a.b.c.d/n) is judged as the IPv4
+// prefix it maps, and one shorter than /96 covers the whole mapped space
+// and is a bogon.
 func IsBogon(p netip.Prefix) bool {
 	if !p.IsValid() {
 		return true
 	}
-	set := bogons4
-	if p.Addr().Is6() && !p.Addr().Is4In6() {
-		set = bogons6
+	a := p.Addr()
+	bits := p.Bits()
+	if a.Is4In6() {
+		if bits < 96 {
+			return true
+		}
+		a, bits = a.Unmap(), bits-96
 	}
-	for _, b := range set {
+	if a.Is4() {
+		q := newPrefix4(a.As4(), bits)
+		for _, b := range bogonMask4 {
+			if b.overlaps(q) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, b := range bogons6 {
 		if b.Overlaps(p) {
 			return true
 		}

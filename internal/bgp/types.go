@@ -191,6 +191,21 @@ func (p Path) First() ASN {
 // HasLoop reports whether any ASN appears in two non-adjacent positions.
 // Adjacent duplicates (path prepending) are legitimate and not loops.
 func (p Path) HasLoop() bool {
+	if len(p) <= maxScanLoop {
+		// A hop repeats a non-adjacent one unless it merely prepends the
+		// hop before it; comparing pairs beats building a map this short.
+		for i := 1; i < len(p); i++ {
+			if p[i] == p[i-1] {
+				continue
+			}
+			for _, a := range p[:i-1] {
+				if a == p[i] {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	seen := make(map[ASN]int, len(p))
 	for i, a := range p {
 		if j, ok := seen[a]; ok && i-j > 1 {
@@ -200,6 +215,10 @@ func (p Path) HasLoop() bool {
 	}
 	return false
 }
+
+// maxScanLoop is the longest path HasLoop checks by comparing pairs
+// rather than with a map.
+const maxScanLoop = 32
 
 // Dedup returns the path with adjacent prepending collapsed
 // ("1 2 2 2 3" -> "1 2 3"). The receiver is unmodified; when it contains

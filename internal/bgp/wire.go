@@ -115,63 +115,103 @@ func MarshalUpdate(u *Update) ([]byte, error) {
 // any conforming peer). It returns the decoded update and the number of
 // bytes consumed, allowing streams of back-to-back messages.
 func UnmarshalUpdate(b []byte) (*Update, int, error) {
+	u := new(Update)
+	n, err := UnmarshalUpdateInto(u, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return u, n, nil
+}
+
+// UnmarshalUpdateInto is UnmarshalUpdate decoding into u, which it
+// overwrites field by field. Nothing in u aliases b afterwards, so b may be
+// reused as soon as it returns. Every slice is allocated once at its exact
+// size, and is nil when empty, with one exception: if u.Announced already
+// has the capacity for every announced prefix, the prefixes are stored in
+// it instead. That lets a caller co-allocate the common one-prefix update
+// with storage of its own. On error the contents of u are unspecified.
+func UnmarshalUpdateInto(u *Update, b []byte) (int, error) {
 	if len(b) < headerLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	for i := 0; i < markerLen; i++ {
 		if b[i] != 0xff {
-			return nil, 0, ErrBadMarker
+			return 0, ErrBadMarker
 		}
 	}
 	total := int(binary.BigEndian.Uint16(b[markerLen:]))
 	if total < headerLen || total > maxMessageLen {
-		return nil, 0, ErrBadLength
+		return 0, ErrBadLength
 	}
 	if len(b) < total {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	if b[markerLen+2] != msgTypeUpdate {
-		return nil, 0, ErrNotUpdate
+		return 0, ErrNotUpdate
 	}
 	body := b[headerLen:total]
-	u := &Update{}
+	spare := u.Announced[:0]
+	*u = Update{}
 
+	// Validate and count every field first, in message order (so the first
+	// malformed field names the error), then allocate each slice once.
 	if len(body) < 2 {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	wdrLen := int(binary.BigEndian.Uint16(body))
 	body = body[2:]
 	if len(body) < wdrLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
-	var err error
-	u.Withdrawn, err = decodePrefixes(body[:wdrLen], false)
+	wdr4 := body[:wdrLen]
+	nWdr4, err := countPrefixes(wdr4, false)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	body = body[wdrLen:]
 
 	if len(body) < 2 {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	attrLen := int(binary.BigEndian.Uint16(body))
 	body = body[2:]
 	if len(body) < attrLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
-	v6Ann, v6Wdr, err := unmarshalAttrs(body[:attrLen], &u.Attrs)
+	attrs := body[:attrLen]
+	nAnn6, nWdr6, err := unmarshalAttrs(attrs, &u.Attrs)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	body = body[attrLen:]
+	ann4 := body[attrLen:]
+	nAnn4, err := countPrefixes(ann4, false)
+	if err != nil {
+		return 0, err
+	}
 
-	u.Announced, err = decodePrefixes(body, false)
-	if err != nil {
-		return nil, 0, err
+	// IPv4 prefixes come first in each list, then IPv6 ones in attribute
+	// order.
+	u.Withdrawn = makePrefixes(nil, nWdr4+nWdr6)
+	u.Announced = makePrefixes(spare, nAnn4+nAnn6)
+	decodePrefixes(u.Withdrawn, wdr4, false)
+	decodePrefixes(u.Announced, ann4, false)
+	if nAnn6+nWdr6 > 0 {
+		decodeMP(attrs, u.Announced[nAnn4:], u.Withdrawn[nWdr4:])
 	}
-	u.Announced = append(u.Announced, v6Ann...)
-	u.Withdrawn = append(u.Withdrawn, v6Wdr...)
-	return u, total, nil
+	return total, nil
+}
+
+// makePrefixes returns a slice of n prefixes: nil when n is zero, spare
+// when it has room, a new slice otherwise.
+func makePrefixes(spare []netip.Prefix, n int) []netip.Prefix {
+	switch {
+	case n == 0:
+		return nil
+	case n <= cap(spare):
+		return spare[:n]
+	default:
+		return make([]netip.Prefix, n)
+	}
 }
 
 func splitFamily(prefixes []netip.Prefix) (v4, v6 []netip.Prefix, err error) {
@@ -286,116 +326,169 @@ func marshalAttrs(a *Attributes, v4Ann, v6Ann, v6Wdr []netip.Prefix) ([]byte, er
 	return out, nil
 }
 
-func unmarshalAttrs(b []byte, a *Attributes) (v6Ann, v6Wdr []netip.Prefix, err error) {
+// nextAttr splits the first path attribute off b. ok is false when its
+// header or value is truncated.
+func nextAttr(b []byte) (flags, code byte, val, rest []byte, ok bool) {
+	if len(b) < 3 {
+		return 0, 0, nil, nil, false
+	}
+	flags, code = b[0], b[1]
+	var alen int
+	if flags&flagExtendedLength != 0 {
+		if len(b) < 4 {
+			return 0, 0, nil, nil, false
+		}
+		alen = int(binary.BigEndian.Uint16(b[2:]))
+		b = b[4:]
+	} else {
+		alen = int(b[2])
+		b = b[3:]
+	}
+	if len(b) < alen {
+		return 0, 0, nil, nil, false
+	}
+	return flags, code, b[:alen], b[alen:], true
+}
+
+// unmarshalAttrs decodes the path attributes into a. The IPv6 NLRI of
+// MP_REACH_NLRI / MP_UNREACH_NLRI are only validated and counted here;
+// decodeMP fills them in once the caller has allocated room.
+func unmarshalAttrs(b []byte, a *Attributes) (nAnn6, nWdr6 int, err error) {
 	for len(b) > 0 {
-		if len(b) < 3 {
-			return nil, nil, ErrBadAttr
+		flags, code, val, rest, ok := nextAttr(b)
+		if !ok {
+			return 0, 0, ErrBadAttr
 		}
-		flags, code := b[0], b[1]
-		var alen int
-		if flags&flagExtendedLength != 0 {
-			if len(b) < 4 {
-				return nil, nil, ErrBadAttr
-			}
-			alen = int(binary.BigEndian.Uint16(b[2:]))
-			b = b[4:]
-		} else {
-			alen = int(b[2])
-			b = b[3:]
-		}
-		if len(b) < alen {
-			return nil, nil, ErrBadAttr
-		}
-		val := b[:alen]
-		b = b[alen:]
+		b = rest
+		alen := len(val)
 
 		switch code {
 		case attrOrigin:
 			if alen != 1 {
-				return nil, nil, fmt.Errorf("%w: ORIGIN length %d", ErrBadAttr, alen)
+				return 0, 0, fmt.Errorf("%w: ORIGIN length %d", ErrBadAttr, alen)
 			}
 			a.Origin = Origin(val[0])
 		case attrASPath:
 			p, err := decodeASPath(val)
 			if err != nil {
-				return nil, nil, err
+				return 0, 0, err
 			}
 			a.ASPath = p
 		case attrNextHop:
 			if alen != 4 {
-				return nil, nil, fmt.Errorf("%w: NEXT_HOP length %d", ErrBadAttr, alen)
+				return 0, 0, fmt.Errorf("%w: NEXT_HOP length %d", ErrBadAttr, alen)
 			}
 			a.NextHop = netip.AddrFrom4([4]byte(val))
 		case attrMED:
 			if alen != 4 {
-				return nil, nil, fmt.Errorf("%w: MED length %d", ErrBadAttr, alen)
+				return 0, 0, fmt.Errorf("%w: MED length %d", ErrBadAttr, alen)
 			}
 			a.MED = binary.BigEndian.Uint32(val)
 			a.HasMED = true
 		case attrLocalPref:
 			if alen != 4 {
-				return nil, nil, fmt.Errorf("%w: LOCAL_PREF length %d", ErrBadAttr, alen)
+				return 0, 0, fmt.Errorf("%w: LOCAL_PREF length %d", ErrBadAttr, alen)
 			}
 			a.LocalPref = binary.BigEndian.Uint32(val)
 			a.HasLocal = true
 		case attrCommunities:
 			if alen%4 != 0 {
-				return nil, nil, fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttr, alen)
+				return 0, 0, fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttr, alen)
+			}
+			if alen > 0 && a.Communities == nil {
+				a.Communities = make(Communities, 0, alen/4)
 			}
 			for i := 0; i < alen; i += 4 {
 				a.Communities = append(a.Communities, CommunityFromUint32(binary.BigEndian.Uint32(val[i:])))
 			}
 		case attrMPReachNLRI:
-			ann, nh, err := decodeMPReach(val)
+			nlri, nh, err := mpReachNLRI(val)
 			if err != nil {
-				return nil, nil, err
+				return 0, 0, err
 			}
-			v6Ann = append(v6Ann, ann...)
+			n, err := countPrefixes(nlri, true)
+			if err != nil {
+				return 0, 0, err
+			}
+			nAnn6 += n
 			if !a.NextHop.IsValid() {
 				a.NextHop = nh
 			}
 		case attrMPUnreachNLRI:
-			wdr, err := decodeMPUnreach(val)
+			nlri, err := mpUnreachNLRI(val)
 			if err != nil {
-				return nil, nil, err
+				return 0, 0, err
 			}
-			v6Wdr = append(v6Wdr, wdr...)
+			n, err := countPrefixes(nlri, true)
+			if err != nil {
+				return 0, 0, err
+			}
+			nWdr6 += n
 		default:
 			// Unknown optional attributes (incl. large communities) are
 			// skipped; unknown well-known attributes are a decode error.
 			if flags&flagOptional == 0 {
-				return nil, nil, fmt.Errorf("%w: unknown well-known attribute %d", ErrBadAttr, code)
+				return 0, 0, fmt.Errorf("%w: unknown well-known attribute %d", ErrBadAttr, code)
 			}
 		}
 	}
-	return v6Ann, v6Wdr, nil
+	return nAnn6, nWdr6, nil
 }
 
+// decodeMP decodes the IPv6 NLRI of attributes that unmarshalAttrs
+// accepted into ann and wdr, which it counted the room for.
+func decodeMP(b []byte, ann, wdr []netip.Prefix) {
+	for len(b) > 0 {
+		_, code, val, rest, _ := nextAttr(b)
+		b = rest
+		switch code {
+		case attrMPReachNLRI:
+			nlri, _, _ := mpReachNLRI(val)
+			ann = ann[decodePrefixes(ann, nlri, true):]
+		case attrMPUnreachNLRI:
+			nlri, _ := mpUnreachNLRI(val)
+			wdr = wdr[decodePrefixes(wdr, nlri, true):]
+		}
+	}
+}
+
+// decodeASPath flattens the AS_SEQUENCE and AS_SET segments into one path,
+// nil when they hold no ASN.
 func decodeASPath(val []byte) (Path, error) {
-	var p Path
-	for len(val) > 0 {
-		if len(val) < 2 {
+	n := 0
+	for rest := val; len(rest) > 0; {
+		if len(rest) < 2 {
 			return nil, fmt.Errorf("%w: truncated AS_PATH segment header", ErrBadAttr)
 		}
-		segType, n := val[0], int(val[1])
-		val = val[2:]
-		if len(val) < 4*n {
+		segType, k := rest[0], int(rest[1])
+		rest = rest[2:]
+		if len(rest) < 4*k {
 			return nil, fmt.Errorf("%w: truncated AS_PATH segment", ErrBadAttr)
 		}
-		switch segType {
-		case segTypeASSequence, segTypeASSet:
-			for i := 0; i < n; i++ {
-				p = append(p, ASN(binary.BigEndian.Uint32(val[4*i:])))
-			}
-		default:
+		if segType != segTypeASSequence && segType != segTypeASSet {
 			return nil, fmt.Errorf("%w: AS_PATH segment type %d", ErrBadAttr, segType)
 		}
-		val = val[4*n:]
+		n += k
+		rest = rest[4*k:]
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	p := make(Path, 0, n)
+	for len(val) > 0 {
+		k := int(val[1])
+		val = val[2:]
+		for i := 0; i < k; i++ {
+			p = append(p, ASN(binary.BigEndian.Uint32(val[4*i:])))
+		}
+		val = val[4*k:]
 	}
 	return p, nil
 }
 
-func decodeMPReach(val []byte) ([]netip.Prefix, netip.Addr, error) {
+// mpReachNLRI checks an MP_REACH_NLRI value's header and returns its NLRI
+// field and next hop.
+func mpReachNLRI(val []byte) ([]byte, netip.Addr, error) {
 	if len(val) < 5 {
 		return nil, netip.Addr{}, fmt.Errorf("%w: short MP_REACH_NLRI", ErrBadAttr)
 	}
@@ -427,11 +520,12 @@ func decodeMPReach(val []byte) ([]netip.Prefix, netip.Addr, error) {
 		}
 		val = val[1+l:]
 	}
-	ann, err := decodePrefixes(val, true)
-	return ann, nh, err
+	return val, nh, nil
 }
 
-func decodeMPUnreach(val []byte) ([]netip.Prefix, error) {
+// mpUnreachNLRI checks an MP_UNREACH_NLRI value's header and returns its
+// withdrawn-routes field.
+func mpUnreachNLRI(val []byte) ([]byte, error) {
 	if len(val) < 3 {
 		return nil, fmt.Errorf("%w: short MP_UNREACH_NLRI", ErrBadAttr)
 	}
@@ -440,7 +534,7 @@ func decodeMPUnreach(val []byte) ([]netip.Prefix, error) {
 	if afi != afiIPv6 || safi != safiUnicast {
 		return nil, fmt.Errorf("%w: unsupported AFI/SAFI %d/%d", ErrBadAttr, afi, safi)
 	}
-	return decodePrefixes(val[3:], true)
+	return val[3:], nil
 }
 
 // encodePrefixes appends RFC 4271 NLRI encodings (length byte + minimal
@@ -461,40 +555,50 @@ func encodePrefixes(dst []byte, prefixes []netip.Prefix) []byte {
 	return dst
 }
 
-// decodePrefixes parses a packed NLRI field. v6 selects the address family
-// (classic fields are IPv4; MP attributes carry IPv6 here).
-func decodePrefixes(b []byte, v6 bool) ([]netip.Prefix, error) {
-	var out []netip.Prefix
+// countPrefixes validates a packed NLRI field and counts its prefixes. v6
+// selects the address family (classic fields are IPv4; MP attributes carry
+// IPv6 here).
+func countPrefixes(b []byte, v6 bool) (int, error) {
 	maxBits := 32
 	if v6 {
 		maxBits = 128
 	}
+	n := 0
 	for len(b) > 0 {
 		bits := int(b[0])
 		b = b[1:]
 		if bits > maxBits {
-			return nil, fmt.Errorf("%w: prefix length %d exceeds %d", ErrBadNLRI, bits, maxBits)
+			return 0, fmt.Errorf("%w: prefix length %d exceeds %d", ErrBadNLRI, bits, maxBits)
 		}
 		nbytes := (bits + 7) / 8
 		if len(b) < nbytes {
-			return nil, fmt.Errorf("%w: truncated prefix body", ErrBadNLRI)
+			return 0, fmt.Errorf("%w: truncated prefix body", ErrBadNLRI)
 		}
+		b = b[nbytes:]
+		n++
+	}
+	return n, nil
+}
+
+// decodePrefixes decodes a packed NLRI field that countPrefixes accepted
+// into dst, masked to their lengths, and returns how many it wrote.
+func decodePrefixes(dst []netip.Prefix, b []byte, v6 bool) int {
+	n := 0
+	for ; len(b) > 0; n++ {
+		bits := int(b[0])
+		nbytes := (bits + 7) / 8
 		var addr netip.Addr
 		if v6 {
 			var buf [16]byte
-			copy(buf[:], b[:nbytes])
+			copy(buf[:], b[1:1+nbytes])
 			addr = netip.AddrFrom16(buf)
 		} else {
 			var buf [4]byte
-			copy(buf[:], b[:nbytes])
+			copy(buf[:], b[1:1+nbytes])
 			addr = netip.AddrFrom4(buf)
 		}
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNLRI, err)
-		}
-		out = append(out, p)
-		b = b[nbytes:]
+		dst[n], _ = addr.Prefix(bits) // bits is in range: countPrefixes checked it
+		b = b[1+nbytes:]
 	}
-	return out, nil
+	return n
 }

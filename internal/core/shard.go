@@ -283,7 +283,24 @@ func (s *pathShard) runPromotions(now time.Time) {
 
 // announce updates a path with a new tagged route.
 func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp.Communities, seq uint64) {
-	hops := s.dict.AnnotateAppend(s.scratchHops[:0], path, comms, s.cmap)
+	st := s.paths[key]
+	if st == nil {
+		st = s.newState()
+		s.paths[key] = st
+		if s.pathsOfPeer[key.Peer] == nil {
+			s.pathsOfPeer[key.Peer] = make(map[PathKey]bool)
+		}
+		s.pathsOfPeer[key.Peer][key] = true
+	}
+	// Most announcements re-announce the path the state already holds (a
+	// RIB dump repeats every route): keep it, deduplicating nothing, and
+	// the path counts stay as they are.
+	newPath, samePath := st.path, sameDedup(path, st.path)
+	if !samePath {
+		newPath = path.Dedup()
+	}
+
+	hops := s.dict.AnnotateAppend(s.scratchHops[:0], newPath, comms, s.cmap)
 	s.scratchHops = hops
 	newTags := s.scratchTags[:0]
 	for _, h := range hops {
@@ -299,16 +316,6 @@ func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp
 		if !dup {
 			newTags = append(newTags, pathTag{pop: h.PoP, ends: e})
 		}
-	}
-
-	st := s.paths[key]
-	if st == nil {
-		st = s.newState()
-		s.paths[key] = st
-		if s.pathsOfPeer[key.Peer] == nil {
-			s.pathsOfPeer[key.Peer] = make(map[PathKey]bool)
-		}
-		s.pathsOfPeer[key.Peer][key] = true
 	}
 
 	// PoPs no longer tagged: divert events. A changed community counts as
@@ -337,9 +344,11 @@ func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp
 	// becomes the next announce's scratch buffer.
 	s.scratchTags = st.tags[:0]
 	st.tags = newTags
-	s.countPath(st.path, -1)
-	st.path = path.Dedup()
-	s.countPath(st.path, +1)
+	if !samePath {
+		s.countPath(st.path, -1)
+		st.path = newPath
+		s.countPath(st.path, +1)
+	}
 	s.touchPath(key)
 
 	// A re-tag may return a diverted path to its baseline PoP.
@@ -400,6 +409,21 @@ func (s *pathShard) suspendPeer(peer bgp.ASN) {
 		s.touchPath(key)
 	}
 	delete(s.pathsOfPeer, peer)
+}
+
+// sameDedup reports whether path.Dedup() equals d, without building it.
+func sameDedup(path, d bgp.Path) bool {
+	n := 0
+	for i, a := range path {
+		if i > 0 && a == path[i-1] {
+			continue
+		}
+		if n == len(d) || d[n] != a {
+			return false
+		}
+		n++
+	}
+	return n == len(d)
 }
 
 // countPath adjusts pathsContaining for every AS on the path.

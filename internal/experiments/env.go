@@ -7,7 +7,7 @@
 // Absolute numbers differ from the paper — the substrate is a laptop-scale
 // simulator, not five years of RouteViews/RIS — but the shapes under test
 // (who wins, plateaus, crossovers, skews) are asserted in this package's
-// tests and recorded against the paper in EXPERIMENTS.md.
+// tests, each against the paper's figure it reproduces.
 package experiments
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 // The experiment tests assert the paper's qualitative shapes, not absolute
-// numbers (see EXPERIMENTS.md). They share the cached environments, so the
+// numbers. They share the cached environments, so the
 // expensive scenario renders run once per test binary.
 
 func histEnvT(t *testing.T) *Env {
@@ -55,8 +55,8 @@ func TestFigure1Shape(t *testing.T) {
 		t.Fatal("nothing detected")
 	}
 	// Paper shape 1: detected clearly exceeds reported. The paper measures
-	// 4x; our smaller world with fewer trackable targets yields ~2x (see
-	// EXPERIMENTS.md), and the qualitative claim — public channels miss
+	// 4x; our smaller world with fewer trackable targets yields ~2x, and
+	// the qualitative claim — public channels miss
 	// most infrastructure outages — must hold.
 	ratio := float64(r.TotalDetected()) / float64(maxInt(1, r.TotalReported()))
 	if ratio < 1.5 {
@@ -413,8 +413,8 @@ func TestValidationShape(t *testing.T) {
 		t.Errorf("precision %.2f too low", precision)
 	}
 	// The paper misses no full outages at trackable facilities; our misses
-	// concentrate on weakly observed peripheral infrastructure (see
-	// EXPERIMENTS.md) and must stay a clear minority.
+	// concentrate on weakly observed peripheral infrastructure and must
+	// stay a clear minority.
 	if r.FalseNegatives*2 > r.TruePositives {
 		t.Errorf("false negatives %d too high vs TPs %d", r.FalseNegatives, r.TruePositives)
 	}

@@ -18,6 +18,15 @@
 //
 // Update and RIB bodies are full BGP UPDATE messages; State bodies are two
 // uint8 FSM states. All integers are big-endian.
+//
+// Ownership: every Reader.Next returns a fresh *Record that the caller owns
+// and may keep, share or hand to another goroutine. Nothing in a record
+// aliases the reader's buffers (Next reuses one body buffer, and decoding
+// copies every field out of it), so records stay valid however far the
+// reader goes on. A RIB or UPDATE record is allocated together with its
+// bgp.Update and room for one announced prefix, so keeping any part of the
+// update keeps that one block alive. Collector names are interned per
+// reader: records of one collector share the string.
 package mrt
 
 import (
@@ -237,14 +246,42 @@ func decodeAddr(fam byte, b []byte) (netip.Addr, error) {
 type Reader struct {
 	r      *bufio.Reader
 	header bool
+
+	// Per-record scratch, reused by every Next: the fixed-size header, the
+	// collector name, the body length and the body. Decoding copies what a
+	// record keeps out of them.
+	fixed [8 + 1 + 4 + 17]byte
+	name  [255]byte
+	blen  [4]byte
+	body  []byte
+
+	// names interns collector names (an archive has a handful).
+	names map[string]string
+}
+
+// maxInterned bounds the intern table against archives that name a new
+// collector in every record; names past it are allocated per record.
+const maxInterned = 256
+
+// minBodyCap is the body buffer's first size: any BGP message fits.
+const minBodyCap = 4096
+
+// recordBlock is how Next allocates a RIB or UPDATE record: one object for
+// the record, its update and the one announced prefix nearly every such
+// record carries.
+type recordBlock struct {
+	rec Record
+	upd bgp.Update
+	ann [1]netip.Prefix
 }
 
 // NewReader creates an archive reader on r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
+	return &Reader{r: bufio.NewReaderSize(r, 64<<10), names: make(map[string]string)}
 }
 
-// Next returns the next record, or io.EOF at clean end of stream.
+// Next returns the next record, or io.EOF at clean end of stream. The
+// record is the caller's: see the package documentation.
 func (r *Reader) Next() (*Record, error) {
 	if !r.header {
 		var hdr [6]byte
@@ -263,64 +300,79 @@ func (r *Reader) Next() (*Record, error) {
 		r.header = true
 	}
 
-	var fixed [8 + 1 + 4 + 17]byte
-	if _, err := io.ReadFull(r.r, fixed[:]); err != nil {
+	fixed := r.fixed[:]
+	if _, err := io.ReadFull(r.r, fixed); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: truncated record header", ErrCorrupt)
 	}
-	rec := &Record{
-		Time:   time.UnixMicro(int64(binary.BigEndian.Uint64(fixed[:8]))).UTC(),
-		Kind:   RecordKind(fixed[8]),
-		PeerAS: bgp.ASN(binary.BigEndian.Uint32(fixed[9:13])),
-	}
+	at := time.UnixMicro(int64(binary.BigEndian.Uint64(fixed[:8]))).UTC()
+	kind := RecordKind(fixed[8])
+	peerAS := bgp.ASN(binary.BigEndian.Uint32(fixed[9:13]))
 	addr, err := decodeAddr(fixed[13], fixed[14:30])
 	if err != nil {
 		return nil, err
 	}
-	rec.PeerAddr = addr
 
 	nameLen, err := r.r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated collector name", ErrCorrupt)
 	}
-	name := make([]byte, nameLen)
+	name := r.name[:nameLen]
 	if _, err := io.ReadFull(r.r, name); err != nil {
 		return nil, fmt.Errorf("%w: truncated collector name", ErrCorrupt)
 	}
-	rec.Collector = string(name)
+	collector := r.intern(name)
 
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r.r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r.r, r.blen[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated body length", ErrCorrupt)
 	}
-	bodyLen := binary.BigEndian.Uint32(lenBuf[:])
+	bodyLen := binary.BigEndian.Uint32(r.blen[:])
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("%w: body length %d", ErrCorrupt, bodyLen)
 	}
-	body := make([]byte, bodyLen)
+	if uint32(cap(r.body)) < bodyLen {
+		r.body = make([]byte, max(bodyLen, minBodyCap))
+	}
+	body := r.body[:bodyLen]
 	if _, err := io.ReadFull(r.r, body); err != nil {
 		return nil, fmt.Errorf("%w: truncated body", ErrCorrupt)
 	}
 
-	switch rec.Kind {
+	var rec *Record
+	switch kind {
 	case KindRIB, KindUpdate:
-		u, _, err := bgp.UnmarshalUpdate(body)
-		if err != nil {
+		blk := &recordBlock{}
+		blk.upd.Announced = blk.ann[:0]
+		if _, err := bgp.UnmarshalUpdateInto(&blk.upd, body); err != nil {
 			return nil, fmt.Errorf("%w: embedded update: %v", ErrCorrupt, err)
 		}
-		rec.Update = u
+		rec = &blk.rec
+		rec.Update = &blk.upd
 	case KindState:
 		if len(body) != 2 {
 			return nil, fmt.Errorf("%w: state body length %d", ErrCorrupt, len(body))
 		}
-		rec.OldState = SessionState(body[0])
-		rec.NewState = SessionState(body[1])
+		rec = &Record{OldState: SessionState(body[0]), NewState: SessionState(body[1])}
 	default:
-		return nil, fmt.Errorf("%w: record kind %d", ErrCorrupt, rec.Kind)
+		return nil, fmt.Errorf("%w: record kind %d", ErrCorrupt, kind)
 	}
+	rec.Time, rec.Kind, rec.Collector, rec.PeerAS, rec.PeerAddr = at, kind, collector, peerAS, addr
 	return rec, nil
+}
+
+// intern returns the collector name b as a string, shared with every
+// earlier record that named the same collector.
+func (r *Reader) intern(b []byte) string {
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(r.names) < maxInterned {
+		r.names[s] = s
+	}
+	return s
 }
 
 // ReadAll drains the reader into a slice.

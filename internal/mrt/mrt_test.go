@@ -3,9 +3,12 @@ package mrt
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kepler/internal/bgp"
 )
@@ -211,6 +214,97 @@ func TestLargeArchive(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if !got[i].Time.After(got[i-1].Time) {
 			t.Fatalf("timestamps out of order at %d", i)
+		}
+	}
+}
+
+// ribArchive writes n one-prefix RIB records of the shape a full RIB dump
+// is made of: a three-hop path and one community.
+func ribArchive(t *testing.T, n int) []byte {
+	t.Helper()
+	t0 := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	recs := make([]*Record, n)
+	for i := range recs {
+		recs[i] = &Record{
+			Time: t0.Add(time.Duration(i) * time.Millisecond), Kind: KindRIB,
+			Collector: "rrc00", PeerAS: 3356, PeerAddr: netip.MustParseAddr("192.0.2.1"),
+			Update: &bgp.Update{
+				Announced: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 0}), 24)},
+				Attrs: bgp.Attributes{
+					ASPath:      bgp.Path{3356, 1299, bgp.ASN(20000 + i)},
+					NextHop:     netip.MustParseAddr("192.0.2.1"),
+					Communities: bgp.Communities{bgp.MakeCommunity(3356, 2001)},
+				},
+			},
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestNextAllocs is the decode allocation budget: a one-prefix RIB record
+// costs its record block (record, update and prefix), its AS path and its
+// communities, and nothing else.
+func TestNextAllocs(t *testing.T) {
+	rd := NewReader(bytes.NewReader(ribArchive(t, 200)))
+	allocs := testing.AllocsPerRun(150, func() {
+		if _, err := rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Next allocates %v times per one-prefix RIB record, budget 3", allocs)
+	}
+}
+
+// TestNextDoesNotAliasReader: a record stays intact however the reader's
+// reused buffers are overwritten later, and collector names are shared.
+func TestNextDoesNotAliasReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in := make([]*Record, 300)
+	for i := range in {
+		in[i] = randomRecord(rng)
+	}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	rd := NewReader(&buf)
+	var got, clones []*Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rec)
+		clones = append(clones, rec.Clone())
+	}
+	if len(got) != len(in) {
+		t.Fatalf("read %d of %d records", len(got), len(in))
+	}
+	for _, scratch := range [][]byte{rd.fixed[:], rd.name[:], rd.blen[:], rd.body[:cap(rd.body)]} {
+		for i := range scratch {
+			scratch[i] ^= 0xa5
+		}
+	}
+	byName := map[string]*Record{}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], clones[i]) {
+			t.Fatalf("record %d changed with the reader's buffers:\n%+v\n%+v", i, got[i], clones[i])
+		}
+		first, ok := byName[got[i].Collector]
+		if !ok {
+			byName[got[i].Collector] = got[i]
+			continue
+		}
+		if unsafe.StringData(first.Collector) != unsafe.StringData(got[i].Collector) {
+			t.Errorf("record %d: collector %q not interned", i, got[i].Collector)
 		}
 	}
 }
