@@ -48,7 +48,8 @@ func recount(s *pathShard) map[bgp.ASN]int {
 // state already holds. At every barrier the kept counts must equal a
 // recount of the paths, and a pipeline restored from that barrier's
 // checkpoint, which rebuilds the counts from scratch, must hold the same
-// counts shard by shard.
+// counts shard by shard. At the end every path must be the deduplicated
+// path of its key's last accepted announcement.
 func TestPathsContainingMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := prependedStream(seed, 3000)
@@ -77,8 +78,17 @@ func TestPathsContainingMatchesRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 				}})
+				last := make(map[PathKey]bgp.Path)
 				for _, r := range recs {
 					e.Process(r)
+					if r.Update == nil {
+						continue
+					}
+					for _, p := range r.Update.Announced {
+						if bgp.Sanitize(p, r.Update.Attrs.ASPath) == nil {
+							last[PathKey{Peer: r.PeerAS, Prefix: p}] = r.Update.Attrs.ASPath.Dedup()
+						}
+					}
 				}
 				if barriers < 10 {
 					t.Fatalf("only %d barriers", barriers)
@@ -95,6 +105,14 @@ func TestPathsContainingMatchesRebuild(t *testing.T) {
 				for i, s := range r.shardStates {
 					if !maps.Equal(s.pathsContaining, live[i]) {
 						t.Errorf("shard %d: restored %v, live %v", i, s.pathsContaining, live[i])
+					}
+				}
+				e.Flush(recs[len(recs)-1].Time)
+				for _, s := range e.shardStates {
+					for key, st := range s.paths {
+						if !st.path.Equal(last[key]) {
+							t.Fatalf("%v holds path %v, last announced %v", key, st.path, last[key])
+						}
 					}
 				}
 			})

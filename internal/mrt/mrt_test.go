@@ -295,7 +295,7 @@ func TestNextDoesNotAliasReader(t *testing.T) {
 	}
 	byName := map[string]*Record{}
 	for i := range got {
-		if !reflect.DeepEqual(got[i], clones[i]) {
+		if !reflect.DeepEqual(got[i], clones[i]) || got[i].Collector != in[i].Collector {
 			t.Fatalf("record %d changed with the reader's buffers:\n%+v\n%+v", i, got[i], clones[i])
 		}
 		first, ok := byName[got[i].Collector]
