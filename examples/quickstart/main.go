@@ -75,8 +75,8 @@ func main() {
 	eng.SetDataPlane(stack.NewSimDataPlane(res, 50000))
 
 	// Lifecycle hooks fire at bin boundaries as detection state changes —
-	// the same callbacks cmd/keplerd bridges onto its event bus and SSE
-	// stream. Here they narrate the outage in real time and collect its
+	// the same callbacks internal/daemon bridges onto its event bus and
+	// SSE stream. Here they narrate the outage in real time and collect its
 	// provenance trace: with Config.Tracing on, every resolved outage is
 	// followed by the evidence that produced it (keplerd serves the same
 	// trace at /v1/outages/{id}/trace). Tracing never changes what is
@@ -154,9 +154,9 @@ func main() {
 	fmt.Printf("\nasync probe scheduler located %d outage(s) — same set as the inline data plane (%d)\n",
 		len(asyncOutages), len(outages))
 
-	// 7. The same pipeline runs as a long-lived service: cmd/keplerd wires
-	// a streamed source into this engine and serves results over HTTP while
-	// ingesting. With -data-dir the history is durable — kill and restart
+	// 7. The same pipeline runs as a long-lived service: internal/daemon
+	// (daemon.Run, what cmd/keplerd runs) wires a streamed source into this
+	// engine and serves results over HTTP while ingesting. With -data-dir the history is durable — kill and restart
 	// the daemon and it recovers every outage it had reported, resumes SSE
 	// sequence numbers, keeps pagination cursors valid, and re-parks any
 	// probe campaign that was mid-flight. The engine also checkpoints its
@@ -202,5 +202,5 @@ func main() {
 	//	curl -H 'If-None-Match: "<etag>"' -i localhost:8080/v1/outages/open  # 304, empty body
 	//	go run ./cmd/keplerload -addr http://localhost:8080 -sse-sweep 10,100,1000 \
 	//	    -duration 10s -out sweep.json                    # quantify the fan-out tier
-	fmt.Println("\nnext: run this pipeline as a daemon — see cmd/keplerd (HTTP API + SSE relay fan-out, durable -data-dir with checkpointed restarts, -probe-backend)")
+	fmt.Println("\nnext: run this pipeline as a daemon — see internal/daemon and cmd/keplerd (HTTP API + SSE relay fan-out, durable -data-dir with checkpointed restarts, -probe-backend)")
 }

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,49 +59,49 @@ func TestSchedulerCompletesCampaigns(t *testing.T) {
 	}
 }
 
+// gatedBackend holds its first probe until release is closed, closing
+// started once it is inside it, so a test can queue work behind a worker
+// that is provably busy.
+type gatedBackend struct {
+	recordingBackend
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (b *gatedBackend) Probe(pop colo.PoP, at time.Time) (bool, bool) {
+	b.once.Do(func() {
+		close(b.started)
+		<-b.release
+	})
+	return b.recordingBackend.Probe(pop, at)
+}
+
 // TestSchedulerPriorityOrder pins the dequeue order: facility before IXP
 // before city, newest signal first within a kind.
 func TestSchedulerPriorityOrder(t *testing.T) {
-	// One worker: the execution order is exactly the dequeue order. The
-	// backend delay keeps the worker inside its first probe until every
-	// campaign is queued.
-	b := &recordingBackend{delay: 20 * time.Millisecond}
+	// One worker, held inside a sentinel campaign's probe while the four
+	// campaigns under test are queued behind it: the execution order after
+	// the sentinel is exactly the dequeue order.
+	b := &gatedBackend{started: make(chan struct{}), release: make(chan struct{})}
 	s := NewScheduler(b, Config{Workers: 1})
 	defer s.Close()
 
-	// Submit in scrambled order while the worker contends for the first
-	// task; to make the test deterministic, pre-load everything before the
-	// worker can drain by submitting under a single collect epoch.
-	s.Submit(req(1, t0, colo.CityPoP(10)))
-	s.Submit(req(2, t0.Add(time.Minute), colo.IXPPoP(20)))
-	s.Submit(req(3, t0, colo.FacilityPoP(30)))
-	s.Submit(req(4, t0.Add(time.Minute), colo.FacilityPoP(40)))
+	sentinel := colo.CityPoP(99)
+	s.Submit(req(1, t0, sentinel))
+	<-b.started
+	s.Submit(req(2, t0, colo.CityPoP(10)))
+	s.Submit(req(3, t0.Add(time.Minute), colo.IXPPoP(20)))
+	s.Submit(req(4, t0, colo.FacilityPoP(30)))
+	s.Submit(req(5, t0.Add(time.Minute), colo.FacilityPoP(40)))
+	close(b.release)
 	s.Collect(t0.Add(2 * time.Minute))
 
 	b.mu.Lock()
 	order := append([]colo.PoP(nil), b.order...)
 	b.mu.Unlock()
-	if len(order) != 4 {
-		t.Fatalf("executed %d probes, want 4", len(order))
-	}
-	// The worker may already be executing the first submitted task (city)
-	// before the rest arrive; everything after the in-flight probe must
-	// follow strict priority order.
-	rest := order
-	if rest[0] == colo.CityPoP(10) {
-		rest = rest[1:]
-	}
-	for i := 1; i < len(rest); i++ {
-		ri, rj := rankOf(rest[i-1].Kind), rankOf(rest[i].Kind)
-		if ri > rj {
-			t.Fatalf("priority inversion in execution order %v", order)
-		}
-		if ri == rj && rest[i-1].Kind == colo.PoPFacility {
-			// facility:40 (newer signal) must precede facility:30.
-			if rest[i-1] != colo.FacilityPoP(40) || rest[i] != colo.FacilityPoP(30) {
-				t.Fatalf("recency inversion in execution order %v", order)
-			}
-		}
+	want := []colo.PoP{sentinel, colo.FacilityPoP(40), colo.FacilityPoP(30), colo.IXPPoP(20), colo.CityPoP(10)}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestRestartEquivalence(t *testing.T) {
 		pubBin1(binEnd)
 		srv1.PublishSnapshot(BuildSnapshot(binEnd, eng1, resolved1))
 	}
-	// As cmd/keplerd wires it: the abort mutes the hooks, so the engine's
+	// As internal/daemon wires it: the abort mutes the hooks, so the engine's
 	// shutdown flush publishes nothing and the bus sequence ends exactly at
 	// the persisted horizon.
 	var aborting atomic.Bool
@@ -475,7 +475,7 @@ func (g gatedState) AppendEncode(b []byte) ([]byte, error) {
 	return g.EngineState.AppendEncode(b)
 }
 
-// saverHook is cmd/keplerd's checkpoint wiring as a BinClosed hook: what
+// saverHook is internal/daemon's checkpoint wiring as a BinClosed hook: what
 // must be consistent with the barrier (engine state, event sequence, record
 // cursor) is captured here, on the ingest goroutine; sv encodes and saves
 // it on its own, and decides which due barriers get captured at all. wrap,
@@ -577,7 +577,7 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 			eng1.SetProber(newSched(t, stack, res))
 			hooks1 := events.EngineHooks(bus1)
 			publishBin := hooks1.BinClosed
-			// As cmd/keplerd saves them: captured in the hook, written by the
+			// As internal/daemon saves them: captured in the hook, written by the
 			// saver while ingest runs on, at whatever pace this machine gives
 			// the two.
 			sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, nil, failOnSaverLog(t))
@@ -699,7 +699,7 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 // store's last bin-boundary flush. If that final bin close also
 // checkpointed (record cursor = end of archive), the restarted daemon finds
 // zero records left and live.Pump never flushes again, so whatever the
-// first process left in the WAL buffer is lost for good. cmd/keplerd
+// first process left in the WAL buffer is lost for good. internal/daemon
 // therefore flushes the store when Pump returns at EOF; this test mirrors
 // that wiring and pins the outcome: the durable history after the kill
 // equals the uninterrupted run's.
@@ -762,7 +762,7 @@ func TestDrainKillRestartKeepsFlushResolutions(t *testing.T) {
 	if _, err := live.Pump(context.Background(), src1, eng1); err != nil {
 		t.Fatal(err)
 	}
-	// As cmd/keplerd's pump goroutine does at EOF.
+	// As internal/daemon's pump goroutine does at EOF.
 	sv1.Wait()
 	if err := st1.Flush(); err != nil {
 		t.Fatal(err)
@@ -890,7 +890,7 @@ func TestRestartFromOlderCheckpointFormat(t *testing.T) {
 	if got := uint64(len(persisted)); got != hist.LastSeq || got == 0 {
 		t.Fatalf("durable horizon %d but phase 1 published %d events", hist.LastSeq, got)
 	}
-	// cmd/keplerd's accept gate.
+	// internal/daemon's accept gate.
 	ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
 		if c.EventSeq > hist.LastSeq {
 			return fmt.Errorf("checkpoint ahead of durable horizon")
@@ -974,7 +974,7 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		armed     atomic.Bool // cmd/keplerd's sinkArmed
+		armed     atomic.Bool // internal/daemon's sinkArmed
 		persisted []events.Event
 		atFailure []string // checkpoint segments on disk when the sink failed
 		dueAfter  int      // checkpoints that came due with persistence off
@@ -1021,7 +1021,7 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 	hooks1.BinClosed = func(end time.Time) {
 		publishBin(end)
 		if !armed.Load() {
-			// The gate under test, as cmd/keplerd has it: no barrier reaches
+			// The gate under test, as internal/daemon has it: no barrier reaches
 			// the saver past the frozen horizon.
 			if end.Sub(lastDue) >= ckptInterval {
 				dueAfter++
@@ -1057,7 +1057,7 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 		t.Fatalf("checkpoint segments after the run: %v, want the newer pre-failure one and the overtaken save %v", got, wantSegs)
 	}
 
-	// ---- Phase 2: restart on that dir, with cmd/keplerd's accept gate.
+	// ---- Phase 2: restart on that dir, with internal/daemon's accept gate.
 	stats2 := &metrics.StoreStats{}
 	st2, err := store.Open(store.Options{Dir: dir, Metrics: stats2})
 	if err != nil {

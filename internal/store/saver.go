@@ -2,6 +2,7 @@ package store
 
 import (
 	"log/slog"
+	"sync"
 	"time"
 
 	"kepler/internal/metrics"
@@ -60,6 +61,7 @@ type CheckpointSaver struct {
 	jobs   chan *CheckpointCapture // cap 1: a hand-over never waits for the goroutine to come round
 	done   chan error              // cap 1: the goroutine never waits for a barrier to collect
 	exited chan struct{}
+	closed sync.Once
 }
 
 // NewCheckpointSaver starts the saver's goroutine. last is the barrier of
@@ -146,10 +148,12 @@ func (s *CheckpointSaver) finish(err error) {
 	}
 }
 
-// Close waits for the save in flight and stops the goroutine. The store
-// must stay open until it returns.
+// Close waits for the save in flight and stops the goroutine; calls after
+// the first do nothing. The store must stay open until it returns.
 func (s *CheckpointSaver) Close() {
-	s.Wait()
-	close(s.jobs)
-	<-s.exited
+	s.closed.Do(func() {
+		s.Wait()
+		close(s.jobs)
+		<-s.exited
+	})
 }
