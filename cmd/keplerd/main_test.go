@@ -22,9 +22,8 @@ type flagRow struct {
 func args(s string) []string { return strings.Fields(s) }
 
 // flagTable holds every command-line check, keyed by the test that runs
-// it. TestParseFlags carries the command lines CI used to try against the
-// built binary; the other groups are the cases of the per-flag validators
-// the table replaced, under their old test names.
+// it: TestParseFlags takes whole command lines, including flags keplerd no
+// longer has; each TestValidate* group pins one flag family.
 var flagTable = map[string][]flagRow{
 	"TestParseFlags": {
 		{"archive defaults", args("-seed 2 -archive smoke.mrt"), ""},
@@ -43,7 +42,7 @@ var flagTable = map[string][]flagRow{
 		{"negative sse-buffer", args("-synthetic -sse-buffer -1"), "-sse-buffer must be positive, got -1"},
 		{"zero shutdown-timeout", args("-synthetic -shutdown-timeout 0"), ""},
 		{"negative shutdown-timeout", args("-synthetic -shutdown-timeout -1s"), "-shutdown-timeout must be non-negative, got -1s"},
-		// The keplerd-probe-smoke job's flag checks.
+		// Probing, checkpoints, profiling, logging; removed flags.
 		{"bogus probe backend", args("-seed 2 -synthetic -probe-backend bogus"), "-probe-backend must be one of"},
 		{"zero probe budget", args("-seed 2 -synthetic -probe-backend sim -probe-budget 0"), "-probe-budget must be positive"},
 		{"probe backend without synthetic", args("-seed 2 -archive nope.mrt -probe-backend sim"), "requires -synthetic"},
@@ -56,7 +55,7 @@ var flagTable = map[string][]flagRow{
 		{"bogus log format", args("-seed 2 -synthetic -log-format yaml"), "-log-format must be"},
 		{"bogus log level", args("-seed 2 -synthetic -log-level verbose"), "-log-level must be one of"},
 		{"negative slow-bin threshold", args("-seed 2 -synthetic -slow-bin-ms -1"), "-slow-bin-ms must be non-negative"},
-		// The keplerload-smoke job's flag checks.
+		// The feed watchdog and the read cache.
 		{"negative feed silence", args("-seed 2 -synthetic -feed-silence -1m"), "-feed-silence must be non-negative"},
 		{"feed floor without watchdog", args("-seed 2 -synthetic -feed-silence 0 -feed-floor 0.5"), "-feed-floor requires -feed-silence"},
 		{"zero read cache", args("-seed 2 -synthetic -read-cache 0"), "-read-cache must be positive"},

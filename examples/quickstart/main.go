@@ -154,9 +154,9 @@ func main() {
 	fmt.Printf("\nasync probe scheduler located %d outage(s) — same set as the inline data plane (%d)\n",
 		len(asyncOutages), len(outages))
 
-	// 7. The same pipeline runs as a long-lived service: internal/daemon
-	// (daemon.Run, what cmd/keplerd runs) wires a streamed source into this
-	// engine and serves results over HTTP while ingesting. With -data-dir the history is durable — kill and restart
+	// 7. The same pipeline runs as a long-lived service: internal/daemon wires
+	// a streamed source into this engine and serves results over HTTP while
+	// ingesting. With -data-dir the history is durable — kill and restart
 	// the daemon and it recovers every outage it had reported, resumes SSE
 	// sequence numbers, keeps pagination cursors valid, and re-parks any
 	// probe campaign that was mid-flight. The engine also checkpoints its

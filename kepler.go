@@ -35,9 +35,7 @@
 // # Live service layer
 //
 // On top of the engine sits a serving subsystem that turns batch replay
-// into a long-running daemon: internal/daemon wires it behind one
-// validated Config (daemon.Run), and cmd/keplerd is that library plus its
-// command-line flags. The engine exposes lifecycle
+// into a long-running daemon (internal/daemon). The engine exposes lifecycle
 // Hooks — outage opened/updated/resolved, incident classified, bin closed
 // — fired synchronously at bin boundaries; internal/events bridges them
 // onto an outage event bus with bounded per-subscriber queues (a stalled
