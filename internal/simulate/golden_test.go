@@ -96,3 +96,16 @@ func TestGoldenDumpArchive(t *testing.T) {
 		t.Fatalf("dump archive sha256 = %s (%d records), want %s", got, len(res.Records), want)
 	}
 }
+
+// BenchmarkRender renders the storm workload's outage mix (30 facility, 12
+// IXP, 100 link and 20 AS outages) compressed into 30 days of the bench
+// world, with only the initial RIB dump: the per-transition recomputation
+// dominates, as it does in the year-long storm.
+func BenchmarkRender(b *testing.B) {
+	benchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stormRender(b, 30, 30, 12, 100, 20, 0)
+	}
+}
