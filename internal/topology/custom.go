@@ -19,6 +19,7 @@ func NewEmptyWorld(cmap *colo.Map, gw *geo.World) *World {
 		linksOf:  make(map[bgp.ASN][]*Interconnect),
 		originOf: make(map[netip.Prefix]bgp.ASN),
 		RSASNs:   make(map[bgp.ASN]colo.IXPID),
+		rsOf:     make(map[colo.IXPID]bgp.ASN),
 		Map:      cmap,
 		Truth:    &registry.GroundTruth{},
 		Geo:      gw,
@@ -52,9 +53,13 @@ func (w *World) Connect(a, b bgp.ASN, rel Rel, kind LinkKind, fac colo.FacilityI
 	return l
 }
 
-// RegisterRS declares asn to be the route server of ixp.
+// RegisterRS declares asn to be the route server of ixp. An IXP with two
+// route servers is answered by the lower ASN.
 func (w *World) RegisterRS(asn bgp.ASN, ixp colo.IXPID) {
 	w.RSASNs[asn] = ixp
+	if cur, ok := w.rsOf[ixp]; !ok || asn < cur {
+		w.rsOf[ixp] = asn
+	}
 }
 
 // AddCollector registers a collector with the given vantage peers.

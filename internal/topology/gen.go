@@ -471,6 +471,7 @@ func Generate(cfg Config) (*World, error) {
 		linksOf:  make(map[bgp.ASN][]*Interconnect),
 		originOf: make(map[netip.Prefix]bgp.ASN),
 		RSASNs:   make(map[bgp.ASN]colo.IXPID),
+		rsOf:     make(map[colo.IXPID]bgp.ASN),
 		Map:      cmap,
 		Truth:    truth,
 		Geo:      gw,
@@ -492,7 +493,7 @@ func Generate(cfg Config) (*World, error) {
 		}
 	}
 	for i, ix := range ixps {
-		w.RSASNs[ix.rsASN] = ixpID[i]
+		w.RegisterRS(ix.rsASN, ixpID[i])
 	}
 
 	w.buildLinks(rng)

@@ -322,15 +322,9 @@ func (w *World) IngressCommunity(asn bgp.ASN, l *Interconnect) (bgp.Community, c
 	return CommunityFor(asn, pop), pop, true
 }
 
-// RSASNOf returns the route-server ASN of the IXP, or 0.
-func (w *World) RSASNOf(ixp colo.IXPID) bgp.ASN {
-	for asn, id := range w.RSASNs {
-		if id == ixp {
-			return asn
-		}
-	}
-	return 0
-}
+// RSASNOf returns the route-server ASN of the IXP (the lowest, if several
+// registered), or 0.
+func (w *World) RSASNOf(ixp colo.IXPID) bgp.ASN { return w.rsOf[ixp] }
 
 // IsRS reports whether asn is an IXP route server.
 func (w *World) IsRS(asn bgp.ASN) bool {

@@ -311,6 +311,21 @@ func TestRouteServers(t *testing.T) {
 	}
 }
 
+func TestRSASNOfTwoRouteServers(t *testing.T) {
+	w := NewEmptyWorld(nil, nil)
+	w.RegisterRS(64902, 7)
+	w.RegisterRS(64901, 7)
+	w.RegisterRS(64903, 7)
+	for i := 0; i < 100; i++ {
+		if got := w.RSASNOf(7); got != 64901 {
+			t.Fatalf("call %d: RSASNOf = %v, want the lowest route server 64901", i, got)
+		}
+	}
+	if got := w.RSASNOf(8); got != 0 {
+		t.Errorf("RSASNOf(unregistered IXP) = %v, want 0", got)
+	}
+}
+
 func TestPoPName(t *testing.T) {
 	w := genDefault(t)
 	for _, f := range w.Map.Facilities() {

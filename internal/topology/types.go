@@ -213,6 +213,7 @@ type World struct {
 	linksOf    map[bgp.ASN][]*Interconnect
 	originOf   map[netip.Prefix]bgp.ASN
 	RSASNs     map[bgp.ASN]colo.IXPID // route-server ASN -> IXP
+	rsOf       map[colo.IXPID]bgp.ASN // IXP -> its lowest route-server ASN
 	Collectors []Collector
 
 	// Map is the ground-truth colocation map (perfect knowledge); Kepler
