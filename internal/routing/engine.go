@@ -1,49 +1,73 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"kepler/internal/bgp"
+	"kepler/internal/colo"
 	"kepler/internal/topology"
 )
 
 // entry is one AS's chosen route toward an origin.
 type entry struct {
-	next  bgp.ASN                // next hop toward the origin (0 at the origin)
 	link  *topology.Interconnect // link to next (nil at the origin)
-	class uint8
-	plen  uint16 // AS-level hop count to the origin
+	next  int32                  // AS index of the next hop toward the origin
+	plen  uint16                 // AS-level hop count to the origin
+	class uint8                  // ClassNone: no route
 }
 
 // Table holds every AS's best route toward one origin under one mask.
 type Table struct {
 	Origin  bgp.ASN
-	entries map[bgp.ASN]entry
+	ix      *index
+	entries []entry // by AS index
+}
+
+// lookup returns asn's entry, ok=false if asn has no route.
+func (t *Table) lookup(asn bgp.ASN) (entry, bool) {
+	i, ok := t.ix.of[asn]
+	if !ok || t.entries[i].class == ClassNone {
+		return entry{}, false
+	}
+	return t.entries[i], true
 }
 
 // Has reports whether asn has any route to the origin.
 func (t *Table) Has(asn bgp.ASN) bool {
-	_, ok := t.entries[asn]
+	_, ok := t.lookup(asn)
 	return ok
 }
 
 // Size returns the number of ASes with a route.
-func (t *Table) Size() int { return len(t.entries) }
+func (t *Table) Size() int {
+	n := 0
+	for _, e := range t.entries {
+		if e.class != ClassNone {
+			n++
+		}
+	}
+	return n
+}
 
 // NextHop returns the next hop and link asn uses, ok=false if unreachable.
+// At the origin it returns (0, nil, true).
 func (t *Table) NextHop(asn bgp.ASN) (bgp.ASN, *topology.Interconnect, bool) {
-	e, ok := t.entries[asn]
+	e, ok := t.lookup(asn)
 	if !ok {
 		return 0, nil, false
 	}
-	return e.next, e.link, true
+	if e.link == nil {
+		return 0, nil, true
+	}
+	return t.ix.asns[e.next], e.link, true
 }
 
 // Class returns the route class asn's entry holds (ClassNone if
 // unreachable).
 func (t *Table) Class(asn bgp.ASN) uint8 {
-	e, ok := t.entries[asn]
+	e, ok := t.lookup(asn)
 	if !ok {
 		return ClassNone
 	}
@@ -52,8 +76,13 @@ func (t *Table) Class(asn bgp.ASN) uint8 {
 
 // UsesLink reports whether any AS's chosen route crosses the link.
 func (t *Table) UsesLink(id int) bool {
+	return t.usesAny(func(l int) bool { return l == id })
+}
+
+// usesAny reports whether any AS's chosen route crosses a link in the set.
+func (t *Table) usesAny(in func(id int) bool) bool {
 	for _, e := range t.entries {
-		if e.link != nil && e.link.ID == id {
+		if e.link != nil && in(e.link.ID) {
 			return true
 		}
 	}
@@ -86,44 +115,162 @@ func (r *Route) Equal(other *Route) bool {
 	return r.Communities.Equal(other.Communities)
 }
 
-// Engine computes routes over a world.
-type Engine struct {
-	w *topology.World
+// index is the dense view of a world that an Engine computes over: ASes
+// numbered in ascending ASN order (so comparing indices compares ASNs), the
+// links split by relationship with their endpoints' indices, and which
+// links each facility and IXP carries. It is read-only once built.
+type index struct {
+	asns     []bgp.ASN // AS index -> ASN, ascending
+	of       map[bgp.ASN]int32
+	none     []entry // one ClassNone entry per AS, copied into new tables
+	nLinks   int
+	c2p, p2p []ilink                   // in w.Links order
+	facLinks map[colo.FacilityID][]int // link IDs a facility outage severs
+	ixpLinks map[colo.IXPID][]int      // link IDs an IXP outage severs
 }
 
-// New returns an engine over w.
-func New(w *topology.World) *Engine { return &Engine{w: w} }
+// ilink is a link with its endpoints' AS indices (a is the customer on a
+// customer-provider link).
+type ilink struct {
+	l    *topology.Interconnect
+	a, b int32
+}
+
+func newIndex(w *topology.World) *index {
+	ix := &index{
+		of:       make(map[bgp.ASN]int32, len(w.ASes)),
+		nLinks:   len(w.Links),
+		facLinks: make(map[colo.FacilityID][]int),
+		ixpLinks: make(map[colo.IXPID][]int),
+	}
+	// Link endpoints are indexed even when they are not ASes of the world,
+	// so they relay routes exactly as they would in an ASN-keyed table.
+	add := func(a bgp.ASN) {
+		if _, ok := ix.of[a]; !ok {
+			ix.of[a] = 0
+			ix.asns = append(ix.asns, a)
+		}
+	}
+	for _, a := range w.ASes {
+		add(a.ASN)
+	}
+	for _, l := range w.Links {
+		add(l.A)
+		add(l.B)
+	}
+	sort.Slice(ix.asns, func(i, j int) bool { return ix.asns[i] < ix.asns[j] })
+	ix.none = make([]entry, len(ix.asns))
+	for i, a := range ix.asns {
+		ix.of[a] = int32(i)
+		ix.none[i] = entry{class: ClassNone}
+	}
+	// The facilities and IXPs whose failure severs each link, as LinkUp
+	// decides it.
+	for _, l := range w.Links {
+		k := ilink{l: l, a: ix.of[l.A], b: ix.of[l.B]}
+		switch l.Rel {
+		case topology.RelC2P:
+			ix.c2p = append(ix.c2p, k)
+		case topology.RelP2P:
+			ix.p2p = append(ix.p2p, k)
+		}
+		facs := []colo.FacilityID{l.Facility}
+		if l.IXP != 0 {
+			ix.ixpLinks[l.IXP] = append(ix.ixpLinks[l.IXP], l.ID)
+			facs = append(facs, l.AFac, l.BFac)
+		}
+		for i, f := range facs {
+			if f != 0 && !slices.Contains(facs[:i], f) {
+				ix.facLinks[f] = append(ix.facLinks[f], l.ID)
+			}
+		}
+	}
+	return ix
+}
+
+// severed returns the set of links the mask takes down, by link ID, or nil
+// when it takes none down: the same links for which Mask.LinkUp is false.
+func (e *Engine) severed(m *Mask) []bool {
+	if m.Empty() {
+		return nil
+	}
+	cut := make([]bool, e.ix.nLinks)
+	set := func(id int) {
+		if id >= 0 && id < len(cut) {
+			cut[id] = true
+		}
+	}
+	for id, down := range m.Links {
+		if down {
+			set(id)
+		}
+	}
+	for a, down := range m.ASes {
+		if down {
+			for _, l := range e.w.LinksOf(a) {
+				set(l.ID)
+			}
+		}
+	}
+	for f, down := range m.Facilities {
+		if down {
+			for _, id := range e.ix.facLinks[f] {
+				set(id)
+			}
+		}
+	}
+	for x, down := range m.IXPs {
+		if down {
+			for _, id := range e.ix.ixpLinks[x] {
+				set(id)
+			}
+		}
+	}
+	return cut
+}
+
+// Engine computes routes over a world.
+type Engine struct {
+	w  *topology.World
+	ix *index
+}
+
+// New returns an engine over w. It indexes w's ASes and links once, so the
+// world must be complete (every AddAS and Connect done) by then; later
+// additions are invisible to the engine.
+func New(w *topology.World) *Engine { return &Engine{w: w, ix: newIndex(w)} }
 
 // World returns the underlying topology.
 func (e *Engine) World() *topology.World { return e.w }
 
-// better reports whether candidate (class,plen,via,link) beats incumbent.
-// Preference: class, then path length, then link kind (PNI > bilateral >
-// multilateral > remote), then lower neighbor ASN, then lower link ID.
-func better(cClass uint8, cPlen uint16, cVia bgp.ASN, cLink *topology.Interconnect,
-	iClass uint8, iPlen uint16, iVia bgp.ASN, iLink *topology.Interconnect) bool {
-	if cClass != iClass {
-		return cClass < iClass
+// better reports whether candidate c beats incumbent i. Preference: class,
+// then path length, then link kind (PNI > bilateral > multilateral >
+// remote), then lower neighbor ASN (AS indices are in ASN order), then
+// lower link ID. Any route beats ClassNone.
+func better(c, i *entry) bool {
+	if c.class != i.class {
+		return c.class < i.class
 	}
-	if cPlen != iPlen {
-		return cPlen < iPlen
+	if c.plen != i.plen {
+		return c.plen < i.plen
 	}
-	if cLink != nil && iLink != nil && cLink.Kind != iLink.Kind {
-		return cLink.Kind < iLink.Kind
+	if c.link != nil && i.link != nil && c.link.Kind != i.link.Kind {
+		return c.link.Kind < i.link.Kind
 	}
-	if cVia != iVia {
-		return cVia < iVia
+	if c.next != i.next {
+		return c.next < i.next
 	}
-	if cLink != nil && iLink != nil {
-		return cLink.ID < iLink.ID
+	if c.link != nil && i.link != nil {
+		return c.link.ID < i.link.ID
 	}
 	return false
 }
 
 // ComputeOrigin computes every AS's best valley-free route toward origin
-// under the mask, using the three-phase relaxation.
+// under the mask, using the three-phase relaxation. Links the mask severs
+// are skipped; the rest are visited in w.Links order.
 func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
-	t := &Table{Origin: origin, entries: make(map[bgp.ASN]entry)}
+	t := &Table{Origin: origin, ix: e.ix, entries: slices.Clone(e.ix.none)}
 	if mask == nil {
 		mask = NewMask()
 	}
@@ -133,54 +280,37 @@ func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
 	if _, ok := e.w.AS(origin); !ok {
 		return t
 	}
-	t.entries[origin] = entry{class: ClassSelf}
+	ent := t.entries
+	oi := e.ix.of[origin]
+	ent[oi] = entry{next: oi, class: ClassSelf}
+	cut := e.severed(mask)
+	up := func(k ilink) bool { return cut == nil || !cut[k.l.ID] }
 
 	// Phase 1 — up: propagate along customer→provider edges until fixpoint.
 	// Only self/customer routes travel up.
 	for changed := true; changed; {
 		changed = false
-		for _, l := range e.w.Links {
-			if l.Rel != topology.RelC2P || !mask.LinkUp(l) {
+		for _, k := range e.ix.c2p {
+			if !up(k) || ent[k.a].class > ClassCustomer {
 				continue
 			}
-			cust, prov := l.A, l.B
-			ce, ok := t.entries[cust]
-			if !ok || ce.class > ClassCustomer {
-				continue
-			}
-			cand := entry{next: cust, link: l, class: ClassCustomer, plen: ce.plen + 1}
-			if ie, ok := t.entries[prov]; !ok || better(cand.class, cand.plen, cand.next, cand.link, ie.class, ie.plen, ie.next, ie.link) {
-				t.entries[prov] = cand
+			cand := entry{next: k.a, link: k.l, class: ClassCustomer, plen: ent[k.a].plen + 1}
+			if better(&cand, &ent[k.b]) {
+				ent[k.b] = cand
 				changed = true
 			}
 		}
 	}
 
 	// Phase 2 — across: each peer link crosses once. Only self/customer
-	// routes are exported over peer links. Candidates are computed against
-	// the up-phase snapshot so a peer route never chains across two peer
-	// links.
-	type upd struct {
-		asn bgp.ASN
-		e   entry
-	}
-	var updates []upd
-	for _, l := range e.w.Links {
-		if l.Rel != topology.RelP2P || !mask.LinkUp(l) {
-			continue
-		}
-		for _, dir := range [2][2]bgp.ASN{{l.A, l.B}, {l.B, l.A}} {
-			from, to := dir[0], dir[1]
-			fe, ok := t.entries[from]
-			if !ok || fe.class > ClassCustomer {
-				continue
-			}
-			updates = append(updates, upd{asn: to, e: entry{next: from, link: l, class: ClassPeer, plen: fe.plen + 1}})
-		}
-	}
-	for _, u := range updates {
-		if ie, ok := t.entries[u.asn]; !ok || better(u.e.class, u.e.plen, u.e.next, u.e.link, ie.class, ie.plen, ie.next, ie.link) {
-			t.entries[u.asn] = u.e
+	// routes are exported over peer links, so a peer route never chains
+	// across two peer links. Applying candidates in place equals computing
+	// them all against the up-phase state first: a peer route only replaces
+	// ClassNone or another peer route, and neither is exported here.
+	for _, k := range e.ix.p2p {
+		if up(k) {
+			offerPeer(ent, k.l, k.a, k.b)
+			offerPeer(ent, k.l, k.b, k.a)
 		}
 	}
 
@@ -188,23 +318,29 @@ func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
 	// fixpoint. Providers export everything to customers.
 	for changed := true; changed; {
 		changed = false
-		for _, l := range e.w.Links {
-			if l.Rel != topology.RelC2P || !mask.LinkUp(l) {
+		for _, k := range e.ix.c2p {
+			if !up(k) || ent[k.b].class == ClassNone {
 				continue
 			}
-			cust, prov := l.A, l.B
-			pe, ok := t.entries[prov]
-			if !ok {
-				continue
-			}
-			cand := entry{next: prov, link: l, class: ClassProvider, plen: pe.plen + 1}
-			if ie, ok := t.entries[cust]; !ok || better(cand.class, cand.plen, cand.next, cand.link, ie.class, ie.plen, ie.next, ie.link) {
-				t.entries[cust] = cand
+			cand := entry{next: k.b, link: k.l, class: ClassProvider, plen: ent[k.b].plen + 1}
+			if better(&cand, &ent[k.a]) {
+				ent[k.a] = cand
 				changed = true
 			}
 		}
 	}
 	return t
+}
+
+// offerPeer offers from's route to to over peer link l, if from exports it.
+func offerPeer(ent []entry, l *topology.Interconnect, from, to int32) {
+	if ent[from].class > ClassCustomer {
+		return
+	}
+	cand := entry{next: from, link: l, class: ClassPeer, plen: ent[from].plen + 1}
+	if better(&cand, &ent[to]) {
+		ent[to] = cand
+	}
 }
 
 // Route reconstructs the full route from vantage toward the table's origin,
@@ -215,7 +351,8 @@ func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
 // everything attached closer to the origin, which is why location
 // communities reach collectors on only about half of all paths.
 func (e *Engine) Route(t *Table, vantage bgp.ASN) (*Route, bool) {
-	if _, ok := t.entries[vantage]; !ok {
+	ent, ok := t.lookup(vantage)
+	if !ok {
 		return nil, false
 	}
 	r := &Route{Path: bgp.Path{vantage}}
@@ -223,18 +360,18 @@ func (e *Engine) Route(t *Table, vantage bgp.ASN) (*Route, bool) {
 	// True while no AS between the vantage and the current hop
 	// (exclusive) scrubs foreign communities.
 	visible := true
-	for cur != t.Origin {
-		ent := t.entries[cur]
-		r.Links = append(r.Links, ent.link)
-		// cur received this route from ent.next over ent.link: cur's
-		// ingress tagging applies. The tagging AS's own community is
-		// visible iff no downstream re-announcer scrubbed it.
+	for ent.link != nil {
+		l := ent.link
+		r.Links = append(r.Links, l)
+		// cur received this route from ent.next over l: cur's ingress
+		// tagging applies. The tagging AS's own community is visible iff
+		// no downstream re-announcer scrubbed it.
 		if visible {
-			if comm, _, ok := e.w.IngressCommunity(cur, ent.link); ok {
+			if comm, _, ok := e.w.IngressCommunity(cur, l); ok {
 				r.Communities = append(r.Communities, comm)
 			}
-			if ent.link != nil && ent.link.Kind == topology.Multilateral {
-				if rs := e.w.RSASNOf(ent.link.IXP); rs != 0 {
+			if l.Kind == topology.Multilateral {
+				if rs := e.w.RSASNOf(l.IXP); rs != 0 {
 					r.Communities = append(r.Communities, bgp.MakeCommunity(uint16(rs), topology.RSCommunityLow))
 				}
 			}
@@ -244,14 +381,38 @@ func (e *Engine) Route(t *Table, vantage bgp.ASN) (*Route, bool) {
 			// ingress tag (added above) already passed.
 			visible = false
 		}
-		cur = ent.next
+		cur = e.ix.asns[ent.next]
+		ent = t.entries[ent.next]
 		r.Path = append(r.Path, cur)
-		if len(r.Path) > 64 {
+		if len(r.Path) > maxHops {
 			return nil, false // defensive bound; tables never produce cycles
 		}
 	}
 	r.Communities = r.Communities.Normalize()
 	return r, true
+}
+
+// maxHops bounds a reconstructed path; tables never produce cycles.
+const maxHops = 64
+
+// sameChain reports whether vantage v follows the same (next hop, link)
+// chain to the origin in both tables of one engine, or has no route in
+// either. A Route is a function of that chain, so its routes are equal.
+func sameChain(a, b *Table, v int32) bool {
+	for hop := 0; hop <= maxHops; hop++ {
+		ea, eb := a.entries[v], b.entries[v]
+		if ea.class == ClassNone || eb.class == ClassNone {
+			return ea.class == eb.class
+		}
+		if ea.link != eb.link || ea.next != eb.next {
+			return false
+		}
+		if ea.link == nil {
+			return true
+		}
+		v = ea.next
+	}
+	return false
 }
 
 // RIB is a set of per-origin tables under one mask.
@@ -295,13 +456,21 @@ func (e *Engine) ComputeAll(mask *Mask) *RIB {
 // over any of the given links — the candidates for recomputation after a
 // failure or restoration touching those links.
 func (r *RIB) AffectedOrigins(linkIDs map[int]bool) []bgp.ASN {
+	n := 0
+	for id := range linkIDs {
+		n = max(n, id+1)
+	}
+	touched := make([]bool, n)
+	for id, on := range linkIDs {
+		if id >= 0 {
+			touched[id] = on
+		}
+	}
+	in := func(id int) bool { return id < n && touched[id] }
 	var out []bgp.ASN
 	for origin, t := range r.Tables {
-		for _, e := range t.entries {
-			if e.link != nil && linkIDs[e.link.ID] {
-				out = append(out, origin)
-				break
-			}
+		if t.usesAny(in) {
+			out = append(out, origin)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -316,11 +485,25 @@ type Change struct {
 	New     *Route // nil: withdrawn
 }
 
+// chainIndex returns v's AS index when t and other are both non-nil tables
+// of one engine, so their hop chains can be compared entry by entry.
+func (t *Table) chainIndex(other *Table, v bgp.ASN) (int32, bool) {
+	if t == nil || other == nil || t.ix != other.ix {
+		return 0, false
+	}
+	i, ok := t.ix.of[v]
+	return i, ok
+}
+
 // DiffTables compares two tables for the same origin at the given vantage
-// points and returns the route-level changes.
+// points and returns the route-level changes. A vantage whose hop chain is
+// the same in both tables is skipped without building its routes.
 func (e *Engine) DiffTables(old, new_ *Table, vantages []bgp.ASN) []Change {
 	var out []Change
 	for _, v := range vantages {
+		if vi, ok := old.chainIndex(new_, v); ok && sameChain(old, new_, vi) {
+			continue
+		}
 		var or, nr *Route
 		if old != nil {
 			or, _ = e.Route(old, v)

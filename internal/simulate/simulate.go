@@ -353,6 +353,12 @@ func applyTransition(mask *routing.Mask, tr transition) {
 }
 
 // Render replays the schedule and produces the multi-collector archive.
+//
+// Every RIB dump, the initial one and each periodic one of
+// RIBDumpInterval, is emitted from the baseline (all-healthy) tables: the
+// dumps are rendered before the transitions are replayed, so a dump that
+// lands inside an outage re-announces the healthy paths, not the ones in
+// use at that instant.
 func Render(w *topology.World, events []Event, start, end time.Time, rc RenderConfig) (*Result, error) {
 	if end.Before(start) {
 		return nil, fmt.Errorf("simulate: end before start")
@@ -428,11 +434,23 @@ func Render(w *topology.World, events []Event, start, end time.Time, rc RenderCo
 		current[o] = t
 	}
 
-	// Initial RIB dump (and periodic redumps).
+	// Initial RIB dump (and periodic redumps). Tables are immutable, so a
+	// (table, vantage) route is built once however many dumps emit it.
+	type routeKey struct {
+		t *routing.Table
+		v bgp.ASN
+	}
+	routes := make(map[routeKey]*routing.Route)
 	dumpAt := func(at time.Time) {
 		for _, v := range vantages {
 			for _, o := range w.ASes {
-				res.emitRoute(at, mrt.KindRIB, v, collectorsOf[v], o, current[o.ASN], 0)
+				k := routeKey{current[o.ASN], v}
+				route, ok := routes[k]
+				if !ok {
+					route, _ = eng.Route(k.t, v)
+					routes[k] = route
+				}
+				res.emitRoute(at, mrt.KindRIB, v, collectorsOf[v], o, route)
 			}
 		}
 	}
@@ -502,7 +520,7 @@ func Render(w *topology.World, events []Event, start, end time.Time, rc RenderCo
 				if ch.New == nil {
 					res.emitWithdraw(at, ch.Vantage, collectorsOf[ch.Vantage], asObj)
 				} else {
-					res.emitRoute(at, mrt.KindUpdate, ch.Vantage, collectorsOf[ch.Vantage], asObj, newT, jitter)
+					res.emitRoute(at, mrt.KindUpdate, ch.Vantage, collectorsOf[ch.Vantage], asObj, ch.New)
 				}
 			}
 		}
@@ -529,11 +547,10 @@ func Render(w *topology.World, events []Event, start, end time.Time, rc RenderCo
 	return res, nil
 }
 
-// emitRoute appends RIB/update records for every prefix of origin o as seen
-// from vantage v, one record per collector.
-func (r *Result) emitRoute(at time.Time, kind mrt.RecordKind, v bgp.ASN, collectors []string, o *topology.AS, table *routing.Table, _ time.Duration) {
-	route, ok := r.Engine.Route(table, v)
-	if !ok {
+// emitRoute appends RIB/update records for every prefix of origin o carried
+// on vantage v's route, one record per collector; a nil route emits nothing.
+func (r *Result) emitRoute(at time.Time, kind mrt.RecordKind, v bgp.ASN, collectors []string, o *topology.AS, route *routing.Route) {
+	if route == nil {
 		return
 	}
 	attrs := bgp.Attributes{
