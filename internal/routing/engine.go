@@ -132,8 +132,8 @@ type index struct {
 // ilink is a link with its endpoints' AS indices (a is the customer on a
 // customer-provider link).
 type ilink struct {
-	l    *topology.Interconnect
-	a, b int32
+	l        *topology.Interconnect
+	id, a, b int32
 }
 
 func newIndex(w *topology.World) *index {
@@ -167,7 +167,7 @@ func newIndex(w *topology.World) *index {
 	// The facilities and IXPs whose failure severs each link, as LinkUp
 	// decides it.
 	for _, l := range w.Links {
-		k := ilink{l: l, a: ix.of[l.A], b: ix.of[l.B]}
+		k := ilink{l: l, id: int32(l.ID), a: ix.of[l.A], b: ix.of[l.B]}
 		switch l.Rel {
 		case topology.RelC2P:
 			ix.c2p = append(ix.c2p, k)
@@ -284,14 +284,14 @@ func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
 	oi := e.ix.of[origin]
 	ent[oi] = entry{next: oi, class: ClassSelf}
 	cut := e.severed(mask)
-	up := func(k ilink) bool { return cut == nil || !cut[k.l.ID] }
+	up := func(k ilink) bool { return cut == nil || !cut[k.id] }
 
 	// Phase 1 — up: propagate along customer→provider edges until fixpoint.
 	// Only self/customer routes travel up.
 	for changed := true; changed; {
 		changed = false
 		for _, k := range e.ix.c2p {
-			if !up(k) || ent[k.a].class > ClassCustomer {
+			if ent[k.a].class > ClassCustomer || !up(k) {
 				continue
 			}
 			cand := entry{next: k.a, link: k.l, class: ClassCustomer, plen: ent[k.a].plen + 1}
@@ -308,18 +308,19 @@ func (e *Engine) ComputeOrigin(origin bgp.ASN, mask *Mask) *Table {
 	// them all against the up-phase state first: a peer route only replaces
 	// ClassNone or another peer route, and neither is exported here.
 	for _, k := range e.ix.p2p {
-		if up(k) {
+		if min(ent[k.a].class, ent[k.b].class) <= ClassCustomer && up(k) {
 			offerPeer(ent, k.l, k.a, k.b)
 			offerPeer(ent, k.l, k.b, k.a)
 		}
 	}
 
 	// Phase 3 — down: propagate along provider→customer edges until
-	// fixpoint. Providers export everything to customers.
+	// fixpoint. Providers export everything to customers; a provider route
+	// never beats a self, customer or peer one.
 	for changed := true; changed; {
 		changed = false
 		for _, k := range e.ix.c2p {
-			if !up(k) || ent[k.b].class == ClassNone {
+			if ent[k.b].class == ClassNone || ent[k.a].class < ClassProvider || !up(k) {
 				continue
 			}
 			cand := entry{next: k.b, link: k.l, class: ClassProvider, plen: ent[k.b].plen + 1}
