@@ -179,8 +179,8 @@ func newIndex(w *topology.World) *index {
 			ix.ixpLinks[l.IXP] = append(ix.ixpLinks[l.IXP], l.ID)
 			facs = append(facs, l.AFac, l.BFac)
 		}
-		for i, f := range facs {
-			if f != 0 && !slices.Contains(facs[:i], f) {
+		for _, f := range facs {
+			if f != 0 {
 				ix.facLinks[f] = append(ix.facLinks[f], l.ID)
 			}
 		}
@@ -396,10 +396,17 @@ func (e *Engine) Route(t *Table, vantage bgp.ASN) (*Route, bool) {
 // maxHops bounds a reconstructed path; tables never produce cycles.
 const maxHops = 64
 
-// sameChain reports whether vantage v follows the same (next hop, link)
-// chain to the origin in both tables of one engine, or has no route in
-// either. A Route is a function of that chain, so its routes are equal.
-func sameChain(a, b *Table, v int32) bool {
+// sameChain reports whether vantage follows the same (next hop, link) chain
+// to the origin in two tables of one engine, or has no route in either. A
+// Route is a function of that chain, so its routes are equal.
+func sameChain(a, b *Table, vantage bgp.ASN) bool {
+	if a == nil || b == nil || a.ix != b.ix {
+		return false
+	}
+	v, ok := a.ix.of[vantage]
+	if !ok {
+		return false
+	}
 	for hop := 0; hop <= maxHops; hop++ {
 		ea, eb := a.entries[v], b.entries[v]
 		if ea.class == ClassNone || eb.class == ClassNone {
@@ -486,23 +493,13 @@ type Change struct {
 	New     *Route // nil: withdrawn
 }
 
-// chainIndex returns v's AS index when t and other are both non-nil tables
-// of one engine, so their hop chains can be compared entry by entry.
-func (t *Table) chainIndex(other *Table, v bgp.ASN) (int32, bool) {
-	if t == nil || other == nil || t.ix != other.ix {
-		return 0, false
-	}
-	i, ok := t.ix.of[v]
-	return i, ok
-}
-
 // DiffTables compares two tables for the same origin at the given vantage
 // points and returns the route-level changes. A vantage whose hop chain is
 // the same in both tables is skipped without building its routes.
 func (e *Engine) DiffTables(old, new_ *Table, vantages []bgp.ASN) []Change {
 	var out []Change
 	for _, v := range vantages {
-		if vi, ok := old.chainIndex(new_, v); ok && sameChain(old, new_, vi) {
+		if sameChain(old, new_, v) {
 			continue
 		}
 		var or, nr *Route

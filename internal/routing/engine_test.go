@@ -529,3 +529,44 @@ func TestTableUsesLink(t *testing.T) {
 		t.Error("phantom link used")
 	}
 }
+
+// TestSeveredMatchesLinkUp checks the per-call severed-link set that
+// ComputeOrigin derives from the index against Mask.LinkUp, link by link,
+// for every facility, every IXP, and mixed masks of links and ASes.
+func TestSeveredMatchesLinkUp(t *testing.T) {
+	w, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(w)
+	var masks []*Mask
+	for _, f := range w.Map.Facilities() {
+		m := NewMask()
+		m.FailFacility(f.ID)
+		masks = append(masks, m)
+	}
+	for _, ix := range w.Map.IXPs() {
+		m := NewMask()
+		m.FailIXP(ix.ID)
+		masks = append(masks, m)
+	}
+	for i := 0; i < 20; i++ {
+		m := NewMask()
+		m.FailLink(i * 37 % len(w.Links))
+		m.FailAS(w.ASes[i*11%len(w.ASes)].ASN)
+		m.FailFacility(w.Map.Facilities()[i%len(w.Map.Facilities())].ID)
+		m.FailLink(len(w.Links) + i) // no such link
+		masks = append(masks, m)
+	}
+	for i, m := range masks {
+		cut := e.severed(m)
+		for _, l := range w.Links {
+			if cut[l.ID] == m.LinkUp(l) {
+				t.Fatalf("mask %d: link %d severed=%v, LinkUp=%v", i, l.ID, cut[l.ID], m.LinkUp(l))
+			}
+		}
+	}
+	if e.severed(NewMask()) != nil {
+		t.Error("empty mask severs links")
+	}
+}
