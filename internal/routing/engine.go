@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -138,36 +139,26 @@ type ilink struct {
 
 func newIndex(w *topology.World) *index {
 	ix := &index{
+		asns:     make([]bgp.ASN, len(w.ASes)),
 		of:       make(map[bgp.ASN]int32, len(w.ASes)),
+		none:     make([]entry, len(w.ASes)),
 		nLinks:   len(w.Links),
 		facLinks: make(map[colo.FacilityID][]int),
 		ixpLinks: make(map[colo.IXPID][]int),
 	}
-	// Link endpoints are indexed even when they are not ASes of the world,
-	// so they relay routes exactly as they would in an ASN-keyed table.
-	add := func(a bgp.ASN) {
-		if _, ok := ix.of[a]; !ok {
-			ix.of[a] = 0
-			ix.asns = append(ix.asns, a)
-		}
-	}
-	for _, a := range w.ASes {
-		add(a.ASN)
-	}
-	for _, l := range w.Links {
-		add(l.A)
-		add(l.B)
-	}
-	sort.Slice(ix.asns, func(i, j int) bool { return ix.asns[i] < ix.asns[j] })
-	ix.none = make([]entry, len(ix.asns))
-	for i, a := range ix.asns {
-		ix.of[a] = int32(i)
+	for i, a := range w.ASes { // sorted by ASN
+		ix.asns[i], ix.of[a.ASN] = a.ASN, int32(i)
 		ix.none[i] = entry{class: ClassNone}
 	}
 	// The facilities and IXPs whose failure severs each link, as LinkUp
 	// decides it.
 	for _, l := range w.Links {
-		k := ilink{l: l, id: int32(l.ID), a: ix.of[l.A], b: ix.of[l.B]}
+		a, okA := ix.of[l.A]
+		b, okB := ix.of[l.B]
+		if !okA || !okB {
+			panic(fmt.Sprintf("routing: link %d joins an AS missing from the world", l.ID))
+		}
+		k := ilink{l: l, id: int32(l.ID), a: a, b: b}
 		switch l.Rel {
 		case topology.RelC2P:
 			ix.c2p = append(ix.c2p, k)
@@ -236,8 +227,9 @@ type Engine struct {
 }
 
 // New returns an engine over w. It indexes w's ASes and links once, so the
-// world must be complete (every AddAS and Connect done) by then; later
-// additions are invisible to the engine.
+// world must be complete (every AddAS and Connect done) by then, with every
+// link joining two of its ASes; later additions are invisible to the
+// engine.
 func New(w *topology.World) *Engine { return &Engine{w: w, ix: newIndex(w)} }
 
 // World returns the underlying topology.
