@@ -38,7 +38,6 @@ const numBuckets = len(DurationBounds)
 type Histogram struct {
 	counts [numBuckets + 1]atomic.Int64
 	sum    atomic.Int64 // cumulative nanoseconds
-	count  atomic.Int64
 }
 
 // Observe records one duration. Negative durations clamp to zero.
@@ -52,7 +51,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-	h.count.Add(1)
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Counts holds
@@ -65,18 +63,20 @@ type HistogramSnapshot struct {
 	Count  int64
 }
 
-// Snapshot copies the current state. The loads are not mutually atomic;
-// concurrent observations may skew Sum against Counts by one in-flight
-// observation, which is fine for monitoring output.
+// Snapshot copies the current state. Count is the sum of the loaded
+// bucket counts, so it always equals the +Inf bucket of the cumulative
+// exposition. The loads are not mutually atomic: concurrent observations
+// may skew Sum against Counts by the observations in flight, which is fine
+// for monitoring output.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: DurationBounds[:],
 		Counts: make([]int64, numBuckets+1),
 		Sum:    time.Duration(h.sum.Load()),
-		Count:  h.count.Load(),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

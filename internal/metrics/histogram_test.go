@@ -222,3 +222,37 @@ func TestBinStageNamesComplete(t *testing.T) {
 		t.Errorf("len(BinStageNames) = %d, want %d", len(BinStageNames), NumBinStages)
 	}
 }
+
+// TestHistogramSnapshotCountMatchesBuckets snapshots while another
+// goroutine observes: every snapshot's Count must equal the sum of its
+// bucket counts, which is what Prometheus requires of _count against the
+// +Inf bucket.
+func TestHistogramSnapshotCountMatchesBuckets(t *testing.T) {
+	var h Histogram
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50000; i++ {
+			h.Observe(time.Duration(i%4000) * time.Millisecond)
+		}
+	}()
+	snaps, skewed := 0, 0
+	for finished := false; !finished; snaps++ {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		s := h.Snapshot()
+		var sum int64
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if sum != s.Count {
+			skewed++
+		}
+	}
+	if skewed > 0 {
+		t.Errorf("%d of %d snapshots had Count != sum of bucket counts", skewed, snaps)
+	}
+}
