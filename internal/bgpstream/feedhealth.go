@@ -166,18 +166,20 @@ type FeedStatus struct {
 
 // FeedSnapshot is the full health picture at one bin end: every known
 // feed with its silence, plus coverage totals. Collectors and Sessions
-// are sorted by (collector, peer).
+// are sorted by (collector, peer). The tags of the totals declare their
+// /v1/stats keys (json) and /metrics series (metric: "name,type", help);
+// internal/server renders the untagged fields itself.
 type FeedSnapshot struct {
-	At      time.Time     `json:"at"`
-	Silence time.Duration `json:"silence_ns"`
+	At      time.Time     `json:"-" metric:"-"`
+	Silence time.Duration `json:"-" metric:"-"`
 
-	CollectorsKnown int `json:"collectors_known"`
-	CollectorsLive  int `json:"collectors_live"`
-	SessionsKnown   int `json:"sessions_known"`
-	SessionsLive    int `json:"sessions_live"`
+	CollectorsKnown int `json:"collectors_known" metric:"kepler_feed_collectors_known,gauge" help:"Collectors ever observed by the feed watchdog."`
+	CollectorsLive  int `json:"collectors_live" metric:"kepler_feed_collectors_live,gauge" help:"Collectors within the silence threshold."`
+	SessionsKnown   int `json:"sessions_known" metric:"kepler_feed_sessions_known,gauge" help:"Peer sessions ever observed by the feed watchdog."`
+	SessionsLive    int `json:"sessions_live" metric:"kepler_feed_sessions_live,gauge" help:"Peer sessions within the silence threshold."`
 
-	Collectors []FeedStatus `json:"collectors,omitempty"`
-	Sessions   []FeedStatus `json:"sessions,omitempty"`
+	Collectors []FeedStatus `json:"-" metric:"-"`
+	Sessions   []FeedStatus `json:"-" metric:"-"`
 }
 
 // Coverage returns the live-session fraction, 1 when no session is known

@@ -301,11 +301,13 @@ func (b *Bus) SubscriberDepths() []SubscriberDepth {
 	return out
 }
 
-// Stats is a point-in-time view of the bus.
+// Stats is a point-in-time view of the bus. Its tags declare the /v1/stats
+// keys and the /metrics series, like metrics.StoreSnapshot; the bus totals
+// reach /metrics through metrics.ServiceSnapshot instead.
 type Stats struct {
-	Published   int64 `json:"published"`
-	Dropped     int64 `json:"dropped"`
-	Subscribers int   `json:"subscribers"`
+	Published   int64 `json:"published" metric:"-"`
+	Dropped     int64 `json:"dropped" metric:"-"`
+	Subscribers int   `json:"subscribers" metric:"kepler_bus_subscribers,gauge" help:"Registered event-bus subscribers."`
 }
 
 // Stats snapshots publication and drop counters.

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"kepler/internal/metrics"
 )
 
 // Relay is the SSE fan-out tier: one upstream bus subscription feeding any
@@ -32,9 +30,15 @@ type Relay struct {
 	up   *Subscriber
 	ctl  chan relayCtl
 	done chan struct{}
-	m    *metrics.RelayStats
 
 	maxQueued int
+
+	// Counters, written on the relay goroutine and read by Info.
+	deliveries atomic.Int64 // events enqueued to a downstream client
+	dropped    atomic.Int64 // deliveries lost to one full client queue
+	shed       atomic.Int64 // deliveries withheld by aggregate load-shedding
+	joins      atomic.Int64 // downstream clients admitted
+	leaves     atomic.Int64 // downstream clients departed
 
 	// Goroutine-owned: the join-ordered client list and the sequence of the
 	// last event fanned out.
@@ -59,9 +63,6 @@ type RelayOptions struct {
 	// remaining — newest-joined — clients shed the event. <= 0 applies the
 	// default; use a very large value to effectively disable shedding.
 	MaxQueued int
-	// Metrics receives delivery/drop/shed counters. Optional; a private
-	// instance backs Info when nil.
-	Metrics *metrics.RelayStats
 }
 
 // RelayClient is one downstream registration.
@@ -127,16 +128,11 @@ func NewRelay(bus *Bus, opts RelayOptions) *Relay {
 	if opts.MaxQueued <= 0 {
 		opts.MaxQueued = 16384
 	}
-	m := opts.Metrics
-	if m == nil {
-		m = &metrics.RelayStats{}
-	}
 	r := &Relay{
 		bus:       bus,
 		up:        bus.Subscribe(opts.Buffer),
 		ctl:       make(chan relayCtl),
 		done:      make(chan struct{}),
-		m:         m,
 		maxQueued: opts.MaxQueued,
 		byID:      make(map[uint64]*RelayClient),
 	}
@@ -187,15 +183,15 @@ func (r *Relay) fanout(ev Event) {
 			// Aggregate budget spent: this and every later (newer) client
 			// sheds. queued only grows, so the cut is join-order monotone.
 			c.shed.Add(1)
-			r.m.Shed.Add(1)
+			r.shed.Add(1)
 			continue
 		}
 		select {
 		case c.ch <- ev:
-			r.m.Deliveries.Add(1)
+			r.deliveries.Add(1)
 		default:
 			c.dropped.Add(1)
-			r.m.Dropped.Add(1)
+			r.dropped.Add(1)
 		}
 		queued += len(c.ch)
 	}
@@ -228,8 +224,7 @@ func (r *Relay) handleJoin(req *joinReq) {
 	r.statsMu.Lock()
 	r.byID[c.id] = c
 	r.statsMu.Unlock()
-	r.m.Joins.Add(1)
-	r.m.Clients.Add(1)
+	r.joins.Add(1)
 	req.reply <- joinResp{client: c, backlog: backlog, complete: complete}
 }
 
@@ -241,8 +236,7 @@ func (r *Relay) handleLeave(c *RelayClient) {
 			delete(r.byID, c.id)
 			r.statsMu.Unlock()
 			close(c.ch)
-			r.m.Leaves.Add(1)
-			r.m.Clients.Add(-1)
+			r.leaves.Add(1)
 			return
 		}
 	}
@@ -258,7 +252,6 @@ func (r *Relay) shutdown() {
 	r.statsMu.Lock()
 	r.byID = make(map[uint64]*RelayClient)
 	r.statsMu.Unlock()
-	r.m.Clients.Store(0)
 	close(r.done)
 }
 
@@ -293,19 +286,20 @@ func (r *Relay) join(req *joinReq) (*RelayClient, []Event, bool) {
 	}
 }
 
-// RelayInfo is a point-in-time view of the relay for /v1/stats.
+// RelayInfo is a point-in-time view of the relay. Its tags declare the
+// /v1/stats keys and the /metrics series, like metrics.StoreSnapshot.
 type RelayInfo struct {
-	Clients         int    `json:"clients"`
-	UpstreamID      uint64 `json:"upstream_id"`
-	UpstreamDepth   int    `json:"upstream_depth"`
-	UpstreamCap     int    `json:"upstream_cap"`
-	UpstreamDropped int64  `json:"upstream_dropped"`
-	MaxQueued       int    `json:"max_queued"`
-	Deliveries      int64  `json:"deliveries"`
-	Dropped         int64  `json:"dropped"`
-	Shed            int64  `json:"shed"`
-	Joins           int64  `json:"joins"`
-	Leaves          int64  `json:"leaves"`
+	Clients         int    `json:"clients" metric:"kepler_relay_clients,gauge" help:"Downstream SSE relay clients connected."`
+	UpstreamID      uint64 `json:"upstream_id" metric:"-"`
+	UpstreamDepth   int    `json:"upstream_depth" metric:"kepler_relay_upstream_depth,gauge" help:"Occupancy of the relay's single upstream bus queue."`
+	UpstreamCap     int    `json:"upstream_cap" metric:"-"`
+	UpstreamDropped int64  `json:"upstream_dropped" metric:"kepler_relay_upstream_dropped_total,counter" help:"Events the relay itself lost upstream (relay stalled)."`
+	MaxQueued       int    `json:"max_queued" metric:"-"`
+	Deliveries      int64  `json:"deliveries" metric:"kepler_relay_deliveries_total,counter" help:"Events enqueued to relay clients."`
+	Dropped         int64  `json:"dropped" metric:"kepler_relay_dropped_total,counter" help:"Relay deliveries lost to a full client queue."`
+	Shed            int64  `json:"shed" metric:"kepler_relay_shed_total,counter" help:"Relay deliveries withheld by the aggregate queue budget."`
+	Joins           int64  `json:"joins" metric:"kepler_relay_joins_total,counter" help:"Relay clients admitted."`
+	Leaves          int64  `json:"leaves" metric:"kepler_relay_leaves_total,counter" help:"Relay clients departed."`
 }
 
 // Info snapshots the relay's counters and its single upstream queue — the
@@ -314,7 +308,6 @@ func (r *Relay) Info() RelayInfo {
 	r.statsMu.Lock()
 	clients := len(r.byID)
 	r.statsMu.Unlock()
-	s := r.m.Snapshot()
 	return RelayInfo{
 		Clients:         clients,
 		UpstreamID:      r.up.ID(),
@@ -322,11 +315,11 @@ func (r *Relay) Info() RelayInfo {
 		UpstreamCap:     cap(r.up.ch),
 		UpstreamDropped: r.up.Dropped(),
 		MaxQueued:       r.maxQueued,
-		Deliveries:      s.Deliveries,
-		Dropped:         s.Dropped,
-		Shed:            s.Shed,
-		Joins:           s.Joins,
-		Leaves:          s.Leaves,
+		Deliveries:      r.deliveries.Load(),
+		Dropped:         r.dropped.Load(),
+		Shed:            r.shed.Load(),
+		Joins:           r.joins.Load(),
+		Leaves:          r.leaves.Load(),
 	}
 }
 

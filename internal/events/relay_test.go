@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"kepler/internal/metrics"
 )
 
 // drainAll reads a client's channel until it closes, returning every event
@@ -68,8 +66,7 @@ func TestRelaySlowDownstreamIsolation(t *testing.T) {
 	// capacity, so the publisher is never slowed and never drops.
 	const n = 500
 	b := New(nil)
-	m := &metrics.RelayStats{}
-	r := NewRelay(b, RelayOptions{Buffer: n, Metrics: m})
+	r := NewRelay(b, RelayOptions{Buffer: n})
 	defer r.Close()
 	stalled := r.Subscribe(2, nil) // never read until the end
 	fast1 := r.Subscribe(n, nil)
@@ -121,8 +118,8 @@ func TestRelaySlowDownstreamIsolation(t *testing.T) {
 	if info := r.Info(); info.UpstreamDropped != 0 {
 		t.Errorf("upstream dropped = %d, want 0", info.UpstreamDropped)
 	}
-	if m.Dropped.Load() != n-2 {
-		t.Errorf("relay dropped = %d, want %d", m.Dropped.Load(), n-2)
+	if got := r.Info().Dropped; got != n-2 {
+		t.Errorf("relay dropped = %d, want %d", got, n-2)
 	}
 }
 
@@ -224,8 +221,7 @@ func TestRelayShedNewestJoinFirst(t *testing.T) {
 	// fan-out visits oldest first, so when the budget runs out it is the
 	// newest joiner that sheds — deterministically, with no reader races.
 	b := New(nil)
-	m := &metrics.RelayStats{}
-	r := NewRelay(b, RelayOptions{MaxQueued: 10, Metrics: m})
+	r := NewRelay(b, RelayOptions{MaxQueued: 10})
 	defer r.Close()
 
 	oldC := r.Subscribe(10, nil)
@@ -235,9 +231,9 @@ func TestRelayShedNewestJoinFirst(t *testing.T) {
 	}
 	// Draining frees budget, so let the relay finish the whole fan-out
 	// (every event either delivered or shed, per client) before reading.
-	for deadline := time.Now().Add(5 * time.Second); m.Deliveries.Load()+m.Shed.Load() < 20; {
+	for deadline := time.Now().Add(5 * time.Second); r.Info().Deliveries+r.Info().Shed < 20; {
 		if time.Now().After(deadline) {
-			t.Fatalf("fan-out stalled at %d deliveries, %d shed", m.Deliveries.Load(), m.Shed.Load())
+			t.Fatalf("fan-out stalled at %+v", r.Info())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -264,8 +260,8 @@ func TestRelayShedNewestJoinFirst(t *testing.T) {
 	if newC.Shed() != 5 || newC.Dropped() != 0 {
 		t.Errorf("new client shed=%d dropped=%d, want 5/0", newC.Shed(), newC.Dropped())
 	}
-	if m.Shed.Load() != 5 || m.Deliveries.Load() != 15 {
-		t.Errorf("relay shed=%d deliveries=%d, want 5/15", m.Shed.Load(), m.Deliveries.Load())
+	if info := r.Info(); info.Shed != 5 || info.Deliveries != 15 {
+		t.Errorf("relay shed=%d deliveries=%d, want 5/15", info.Shed, info.Deliveries)
 	}
 }
 
@@ -300,8 +296,7 @@ func TestRelayKindFilter(t *testing.T) {
 
 func TestRelayClientCloseIsolated(t *testing.T) {
 	b := New(nil)
-	m := &metrics.RelayStats{}
-	r := NewRelay(b, RelayOptions{Metrics: m})
+	r := NewRelay(b, RelayOptions{})
 	defer r.Close()
 
 	leaver := r.Subscribe(16, nil)
@@ -320,8 +315,8 @@ func TestRelayClientCloseIsolated(t *testing.T) {
 	if got := drainAll(stayer); len(got) != 1 || got[0].Seq != 2 {
 		t.Errorf("stayer post-leave events = %+v, want just seq 2", got)
 	}
-	if j, l := m.Joins.Load(), m.Leaves.Load(); j != 2 || l != 1 {
-		t.Errorf("joins=%d leaves=%d, want 2/1", j, l)
+	if info := r.Info(); info.Joins != 2 || info.Leaves != 1 {
+		t.Errorf("joins=%d leaves=%d, want 2/1", info.Joins, info.Leaves)
 	}
 }
 

@@ -119,10 +119,11 @@ type FeedStats struct {
 	Recovered atomic.Int64 // feed_recovered events published
 }
 
-// FeedStatsSnapshot is a point-in-time copy of FeedStats.
+// FeedStatsSnapshot is a point-in-time copy of FeedStats, tagged like
+// StoreSnapshot.
 type FeedStatsSnapshot struct {
-	Degraded  int64
-	Recovered int64
+	Degraded  int64 `json:"degraded_events" metric:"kepler_feed_degraded_total,counter" help:"Feed degraded transitions published."`
+	Recovered int64 `json:"recovered_events" metric:"kepler_feed_recovered_total,counter" help:"Feed recovered transitions published."`
 }
 
 // Snapshot copies the current counter values.

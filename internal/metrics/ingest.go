@@ -30,21 +30,24 @@ func (s *IngestStats) Begin() {
 	s.startOnce.Do(func() { s.start.Store(time.Now().UnixNano()) })
 }
 
-// IngestSnapshot is a point-in-time view of the engine's ingestion health.
+// IngestSnapshot is a point-in-time view of the engine's ingestion health,
+// tagged like StoreSnapshot. The durations and queue depths carry no tags:
+// internal/server renders durations in seconds and sums the depths for
+// /metrics.
 type IngestSnapshot struct {
-	Records int64
-	Ops     int64
-	Bins    int64
+	Records int64 `json:"records" metric:"kepler_ingest_records_total,counter" help:"MRT records consumed."`
+	Ops     int64 `json:"ops" metric:"kepler_ingest_ops_total,counter" help:"Route ops dispatched to shards."`
+	Bins    int64 `json:"bins" metric:"kepler_ingest_bins_total,counter" help:"Bin barriers executed."`
 	// RecordsPerSec is the wall-clock ingestion rate since Begin.
-	RecordsPerSec float64
+	RecordsPerSec float64 `json:"records_per_sec" metric:"kepler_ingest_records_per_second,gauge" help:"Wall-clock ingestion rate."`
 	// BarrierTime is the cumulative wall time spent in bin barriers.
-	BarrierTime time.Duration
+	BarrierTime time.Duration `json:"-" metric:"-"`
 	// BinLag is the mean barrier stall per closed bin: how far behind the
 	// sequentialized investigator drags the parallel shard layer.
-	BinLag time.Duration
+	BinLag time.Duration `json:"-" metric:"-"`
 	// QueueDepths is the per-shard count of dispatched-but-unprocessed op
 	// batches at snapshot time.
-	QueueDepths []int
+	QueueDepths []int `json:"-" metric:"-"`
 }
 
 // Snapshot computes current rates. queueDepths is supplied by the caller

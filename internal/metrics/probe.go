@@ -27,20 +27,21 @@ type ProbeStats struct {
 	Pending   atomic.Int64 // currently parked confirmations (gauge)
 }
 
-// ProbeSnapshot is a point-in-time copy of ProbeStats.
+// ProbeSnapshot is a point-in-time copy of ProbeStats, tagged like
+// StoreSnapshot.
 type ProbeSnapshot struct {
-	Campaigns int64
-	Targets   int64
-	Executed  int64
-	CacheHits int64
-	Deduped   int64
-	Denied    int64
-	Collected int64
-	Promoted  int64
-	Refuted   int64
-	Unlocated int64
-	Expired   int64
-	Pending   int64
+	Campaigns int64 `json:"campaigns" metric:"kepler_probe_campaigns_total,counter" help:"Probe campaigns submitted."`
+	Targets   int64 `json:"targets" metric:"kepler_probe_targets_total,counter" help:"Candidate targets across campaigns."`
+	Executed  int64 `json:"executed" metric:"kepler_probe_executed_total,counter" help:"Probes run against the measurement backend."`
+	CacheHits int64 `json:"cache_hits" metric:"kepler_probe_cache_hits_total,counter" help:"Targets answered from the verdict cache."`
+	Deduped   int64 `json:"deduped" metric:"kepler_probe_deduped_total,counter" help:"Targets folded into an in-flight probe."`
+	Denied    int64 `json:"denied" metric:"kepler_probe_denied_total,counter" help:"Probes denied by the measurement budget."`
+	Collected int64 `json:"collected" metric:"kepler_probe_collected_total,counter" help:"Completed verdicts delivered to the engine."`
+	Promoted  int64 `json:"promoted" metric:"kepler_probe_promoted_total,counter" help:"Pending confirmations promoted to located outages."`
+	Refuted   int64 `json:"refuted" metric:"kepler_probe_refuted_total,counter" help:"Confirmations contradicted by the data plane (suppressed false positives)."`
+	Unlocated int64 `json:"unlocated" metric:"kepler_probe_unlocated_total,counter" help:"Disambiguation verdicts that failed to pin an epicenter."`
+	Expired   int64 `json:"expired" metric:"kepler_probe_expired_total,counter" help:"Pending confirmations that outlived their TTL."`
+	Pending   int64 `json:"pending" metric:"kepler_probe_pending,gauge" help:"Currently parked confirmations."`
 }
 
 // Snapshot copies the current counter values.

@@ -19,14 +19,15 @@ type ServiceStats struct {
 	EventsDropped   atomic.Int64 // per-subscriber deliveries lost to full queues
 }
 
-// ServiceSnapshot is a point-in-time copy of ServiceStats.
+// ServiceSnapshot is a point-in-time copy of ServiceStats, tagged like
+// StoreSnapshot.
 type ServiceSnapshot struct {
-	HTTPRequests    int64
-	HTTPErrors      int64
-	SSEConnected    int64
-	SSEActive       int64
-	EventsPublished int64
-	EventsDropped   int64
+	HTTPRequests    int64 `json:"http_requests" metric:"kepler_http_requests_total,counter" help:"API requests served."`
+	HTTPErrors      int64 `json:"http_errors" metric:"kepler_http_errors_total,counter" help:"Requests answered with a 4xx/5xx status."`
+	SSEConnected    int64 `json:"sse_connected" metric:"kepler_sse_connected_total,counter" help:"SSE streams opened over the process lifetime."`
+	SSEActive       int64 `json:"sse_active" metric:"kepler_sse_active,gauge" help:"Currently connected SSE streams."`
+	EventsPublished int64 `json:"events_published" metric:"kepler_events_published_total,counter" help:"Events fanned out by the bus."`
+	EventsDropped   int64 `json:"events_dropped" metric:"kepler_events_dropped_total,counter" help:"Per-subscriber deliveries lost to full queues."`
 }
 
 // Snapshot copies the current counter values.

@@ -43,26 +43,29 @@ type StoreStats struct {
 	ReadCacheMisses atomic.Int64 // entries that had to be decoded from disk
 }
 
-// StoreSnapshot is a point-in-time copy of StoreStats.
+// StoreSnapshot is a point-in-time copy of StoreStats. Its tags declare
+// each counter's /v1/stats key (json) and its /metrics series (metric:
+// "name,type", with help as the HELP text); internal/server serves both
+// from them.
 type StoreSnapshot struct {
-	Appends              int64
-	AppendedBytes        int64
-	Flushes              int64
-	Compactions          int64
-	RecoveredEvents      int64
-	TornTails            int64
-	TruncatedBytes       int64
-	CheckpointSaves      int64
-	CheckpointBytes      int64
-	CheckpointsDiscarded int64
-	ResumeSeq            int64
-	ResumeRecords        int64
-	SegmentsSealed       int64
-	IndexWrites          int64
-	IndexRebuilds        int64
-	SegmentReads         int64
-	ReadCacheHits        int64
-	ReadCacheMisses      int64
+	Appends              int64 `json:"appends" metric:"kepler_store_appends_total,counter" help:"Events appended to the WAL."`
+	AppendedBytes        int64 `json:"appended_bytes" metric:"kepler_store_appended_bytes_total,counter" help:"Framed payload bytes written to the WAL."`
+	Flushes              int64 `json:"flushes" metric:"kepler_store_flushes_total,counter" help:"Buffered-writer flushes."`
+	Compactions          int64 `json:"compactions" metric:"kepler_store_compactions_total,counter" help:"WAL compactions into snapshot segments."`
+	RecoveredEvents      int64 `json:"recovered_events" metric:"kepler_store_recovered_events_total,counter" help:"Events replayed from the WAL on open."`
+	TornTails            int64 `json:"torn_tails" metric:"kepler_store_torn_tails_total,counter" help:"Torn or corrupt WAL tails truncated on open."`
+	TruncatedBytes       int64 `json:"truncated_bytes" metric:"kepler_store_truncated_bytes_total,counter" help:"Bytes discarded by tail truncation."`
+	CheckpointSaves      int64 `json:"checkpoint_saves" metric:"kepler_store_checkpoint_saves_total,counter" help:"Engine checkpoints written beside the WAL."`
+	CheckpointBytes      int64 `json:"checkpoint_bytes" metric:"kepler_store_checkpoint_bytes_total,counter" help:"Framed checkpoint bytes written."`
+	CheckpointsDiscarded int64 `json:"checkpoints_discarded" metric:"kepler_store_checkpoints_discarded_total,counter" help:"Corrupt or rejected checkpoints skipped at recovery."`
+	ResumeSeq            int64 `json:"resume_seq" metric:"kepler_store_resume_seq,gauge" help:"Event sequence this boot's engine resumed from (0 = full re-ingest)."`
+	ResumeRecords        int64 `json:"resume_records" metric:"kepler_store_resume_records,gauge" help:"Record offset this boot's engine resumed from (0 = full re-ingest)."`
+	SegmentsSealed       int64 `json:"segments_sealed" metric:"kepler_store_segments_sealed_total,counter" help:"History segments sealed at compaction."`
+	IndexWrites          int64 `json:"index_writes" metric:"kepler_store_index_writes_total,counter" help:"Segment offset-index sidecars written."`
+	IndexRebuilds        int64 `json:"index_rebuilds" metric:"kepler_store_index_rebuilds_total,counter" help:"Missing or corrupt segment indexes rebuilt by scan."`
+	SegmentReads         int64 `json:"segment_reads" metric:"kepler_store_segment_reads_total,counter" help:"Page reads served from a history segment file."`
+	ReadCacheHits        int64 `json:"read_cache_hits" metric:"kepler_store_read_cache_hits_total,counter" help:"History entries served from the decoded-frame cache."`
+	ReadCacheMisses      int64 `json:"read_cache_misses" metric:"kepler_store_read_cache_misses_total,counter" help:"History entries decoded from disk on a cache miss."`
 }
 
 // Snapshot copies the current counter values.
@@ -114,15 +117,17 @@ type CheckpointStats struct {
 	DirtyStable  atomic.Int64 // stable-baseline entries the last capture re-encoded or dropped
 }
 
-// CheckpointSnapshot is a point-in-time copy of CheckpointStats.
+// CheckpointSnapshot is a point-in-time copy of CheckpointStats, tagged
+// like StoreSnapshot. The two histograms carry no tags of their own:
+// internal/server renders them.
 type CheckpointSnapshot struct {
-	Ingest       HistogramSnapshot
-	Save         HistogramSnapshot
-	Deferred     int64
-	Captures     int64
-	ColdRebuilds int64
-	DirtyPaths   int64
-	DirtyStable  int64
+	Ingest       HistogramSnapshot `json:"-" metric:"-"`
+	Save         HistogramSnapshot `json:"-" metric:"-"`
+	Deferred     int64             `json:"deferred" metric:"kepler_checkpoint_deferred_total,counter" help:"Bin barriers at which a due checkpoint found the saver busy and stayed due."`
+	Captures     int64             `json:"captures" metric:"kepler_checkpoint_captures_total,counter" help:"Engine checkpoints captured."`
+	ColdRebuilds int64             `json:"cold_rebuilds" metric:"kepler_checkpoint_cold_rebuilds_total,counter" help:"Captures that re-encoded the whole state instead of what changed."`
+	DirtyPaths   int64             `json:"last_dirty_paths" metric:"kepler_checkpoint_last_dirty_paths,gauge" help:"Path records the last capture re-encoded or dropped."`
+	DirtyStable  int64             `json:"last_dirty_stable" metric:"kepler_checkpoint_last_dirty_stable,gauge" help:"Stable-baseline entries the last capture re-encoded or dropped."`
 }
 
 // Snapshot copies the current values.

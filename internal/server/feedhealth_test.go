@@ -202,7 +202,7 @@ func TestStatsServingTelemetry(t *testing.T) {
 	if sv.Feeds == nil {
 		t.Fatal("stats missing feeds section")
 	}
-	if sv.Feeds.Coverage != 0.25 || sv.Feeds.DegradedEvents != 2 || sv.Feeds.RecoveredEvents != 1 {
+	if sv.Feeds.Coverage != 0.25 || sv.Feeds.Degraded != 2 || sv.Feeds.Recovered != 1 {
 		t.Errorf("feeds = %+v, want coverage 0.25, degraded 2, recovered 1", sv.Feeds)
 	}
 }

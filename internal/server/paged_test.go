@@ -248,8 +248,7 @@ func TestPremarshalMatchesUncached(t *testing.T) {
 func TestSSERelayTierServing(t *testing.T) {
 	svc := &metrics.ServiceStats{}
 	bus := events.New(svc, events.WithRing(1024))
-	relayStats := &metrics.RelayStats{}
-	relay := events.NewRelay(bus, events.RelayOptions{Metrics: relayStats})
+	relay := events.NewRelay(bus, events.RelayOptions{})
 	defer relay.Close()
 	srv := New(Options{Bus: bus, Relay: relay, Service: svc, HTTP: metrics.NewHTTPStats(), Heartbeat: time.Hour})
 	ts := httptest.NewServer(srv.Handler())

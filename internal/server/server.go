@@ -691,13 +691,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Ingest = ingestView(s.opts.Ingest())
 	}
 	if s.opts.Store != nil {
-		resp.Store = storeView(s.opts.Store())
+		st := s.opts.Store()
+		resp.Store = &st
 	}
 	if s.opts.Checkpoint != nil {
 		resp.Checkpoint = checkpointView(s.opts.Checkpoint())
 	}
 	if s.opts.Probe != nil {
-		resp.Probe = probeStatsView(s.opts.Probe())
+		pb := s.opts.Probe()
+		resp.Probe = &pb
 	}
 	if s.opts.BinStage != nil {
 		resp.BinClose = binCloseView(s.opts.BinStage())
@@ -717,7 +719,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.opts.Service != nil {
-		resp.Service = serviceView(s.opts.Service.Snapshot())
+		svc := s.opts.Service.Snapshot()
+		resp.Service = &svc
 	}
 	if s.opts.HTTP != nil {
 		resp.HTTP = httpView(s.opts.HTTP.Snapshot())

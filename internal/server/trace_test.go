@@ -140,7 +140,7 @@ func TestStatsAndMetricsBinClose(t *testing.T) {
 		}
 	}
 	if c := stats.Checkpoint; c == nil || c.IngestDuration.Count != 1 || c.SaveDuration.Count != 2 || c.Deferred != 5 || c.Captures != 3 || c.ColdRebuilds != 1 ||
-		c.LastDirtyPaths != 224 || c.LastDirtyStable != 300 {
+		c.DirtyPaths != 224 || c.DirtyStable != 300 {
 		t.Errorf("stats checkpoint section = %+v", c)
 	}
 

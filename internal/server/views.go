@@ -122,12 +122,10 @@ func (s *Server) incidentView(id uint64, inc *core.Incident) IncidentView {
 	}
 }
 
-// IngestView is the JSON shape of the engine's ingestion counters.
+// IngestView is the JSON shape of the engine's ingestion counters: the
+// snapshot's tagged counters, then its durations in seconds.
 type IngestView struct {
-	Records        int64   `json:"records"`
-	Ops            int64   `json:"ops"`
-	Bins           int64   `json:"bins"`
-	RecordsPerSec  float64 `json:"records_per_sec"`
+	metrics.IngestSnapshot
 	BarrierSeconds float64 `json:"barrier_seconds"`
 	BinLagSeconds  float64 `json:"bin_lag_seconds"`
 	QueueDepths    []int   `json:"queue_depths,omitempty"`
@@ -135,111 +133,31 @@ type IngestView struct {
 
 func ingestView(s metrics.IngestSnapshot) *IngestView {
 	return &IngestView{
-		Records:        s.Records,
-		Ops:            s.Ops,
-		Bins:           s.Bins,
-		RecordsPerSec:  s.RecordsPerSec,
+		IngestSnapshot: s,
 		BarrierSeconds: s.BarrierTime.Seconds(),
 		BinLagSeconds:  s.BinLag.Seconds(),
 		QueueDepths:    s.QueueDepths,
 	}
 }
 
-// ServiceView is the JSON shape of the HTTP/bus counters.
-type ServiceView struct {
-	HTTPRequests    int64 `json:"http_requests"`
-	HTTPErrors      int64 `json:"http_errors"`
-	SSEConnected    int64 `json:"sse_connected"`
-	SSEActive       int64 `json:"sse_active"`
-	EventsPublished int64 `json:"events_published"`
-	EventsDropped   int64 `json:"events_dropped"`
-}
-
-func serviceView(s metrics.ServiceSnapshot) *ServiceView {
-	return &ServiceView{
-		HTTPRequests:    s.HTTPRequests,
-		HTTPErrors:      s.HTTPErrors,
-		SSEConnected:    s.SSEConnected,
-		SSEActive:       s.SSEActive,
-		EventsPublished: s.EventsPublished,
-		EventsDropped:   s.EventsDropped,
-	}
-}
-
-// StoreView is the JSON shape of the durable-history counters.
-// ResumeSeq/ResumeRecords are the bounded-recovery proof: non-zero means
-// this boot restored an engine checkpoint and re-ingested only the records
-// past offset ResumeRecords, not the whole stream.
-type StoreView struct {
-	Appends              int64 `json:"appends"`
-	AppendedBytes        int64 `json:"appended_bytes"`
-	Flushes              int64 `json:"flushes"`
-	Compactions          int64 `json:"compactions"`
-	RecoveredEvents      int64 `json:"recovered_events"`
-	TornTails            int64 `json:"torn_tails"`
-	TruncatedBytes       int64 `json:"truncated_bytes"`
-	CheckpointSaves      int64 `json:"checkpoint_saves"`
-	CheckpointBytes      int64 `json:"checkpoint_bytes"`
-	CheckpointsDiscarded int64 `json:"checkpoints_discarded"`
-	ResumeSeq            int64 `json:"resume_seq"`
-	ResumeRecords        int64 `json:"resume_records"`
-	SegmentsSealed       int64 `json:"segments_sealed"`
-	IndexWrites          int64 `json:"index_writes"`
-	IndexRebuilds        int64 `json:"index_rebuilds"`
-	SegmentReads         int64 `json:"segment_reads"`
-	ReadCacheHits        int64 `json:"read_cache_hits"`
-	ReadCacheMisses      int64 `json:"read_cache_misses"`
-}
-
-func storeView(s metrics.StoreSnapshot) *StoreView {
-	return &StoreView{
-		Appends:              s.Appends,
-		AppendedBytes:        s.AppendedBytes,
-		Flushes:              s.Flushes,
-		Compactions:          s.Compactions,
-		RecoveredEvents:      s.RecoveredEvents,
-		TornTails:            s.TornTails,
-		TruncatedBytes:       s.TruncatedBytes,
-		CheckpointSaves:      s.CheckpointSaves,
-		CheckpointBytes:      s.CheckpointBytes,
-		CheckpointsDiscarded: s.CheckpointsDiscarded,
-		ResumeSeq:            s.ResumeSeq,
-		ResumeRecords:        s.ResumeRecords,
-		SegmentsSealed:       s.SegmentsSealed,
-		IndexWrites:          s.IndexWrites,
-		IndexRebuilds:        s.IndexRebuilds,
-		SegmentReads:         s.SegmentReads,
-		ReadCacheHits:        s.ReadCacheHits,
-		ReadCacheMisses:      s.ReadCacheMisses,
-	}
-}
-
 // CheckpointView is the JSON shape of the engine-checkpoint counters: what
 // a checkpoint costs the ingest goroutine (the capture, and at end of
 // source the wait for the save in flight), what the saver goroutine spends
-// encoding and writing it, how many due checkpoints found the saver busy
-// and moved to a later barrier, and whether the last capture was warm — a
-// few dirty records merged into the kept image — or a cold rebuild of all
-// of it.
+// encoding and writing it, then the snapshot's tagged counters — how many
+// due checkpoints found the saver busy and moved to a later barrier, and
+// whether the last capture was warm (a few dirty records merged into the
+// kept image) or a cold rebuild of all of it.
 type CheckpointView struct {
-	IngestDuration  StageLatencyView `json:"ingest_duration"`
-	SaveDuration    StageLatencyView `json:"save_duration"`
-	Deferred        int64            `json:"deferred"`
-	Captures        int64            `json:"captures"`
-	ColdRebuilds    int64            `json:"cold_rebuilds"`
-	LastDirtyPaths  int64            `json:"last_dirty_paths"`
-	LastDirtyStable int64            `json:"last_dirty_stable"`
+	IngestDuration StageLatencyView `json:"ingest_duration"`
+	SaveDuration   StageLatencyView `json:"save_duration"`
+	metrics.CheckpointSnapshot
 }
 
 func checkpointView(s metrics.CheckpointSnapshot) *CheckpointView {
 	return &CheckpointView{
-		IngestDuration:  stageLatencyView(s.Ingest),
-		SaveDuration:    stageLatencyView(s.Save),
-		Deferred:        s.Deferred,
-		Captures:        s.Captures,
-		ColdRebuilds:    s.ColdRebuilds,
-		LastDirtyPaths:  s.DirtyPaths,
-		LastDirtyStable: s.DirtyStable,
+		IngestDuration:     stageLatencyView(s.Ingest),
+		SaveDuration:       stageLatencyView(s.Save),
+		CheckpointSnapshot: s,
 	}
 }
 
@@ -300,39 +218,6 @@ func (s *Server) probeOutcomeView(o *core.ProbeOutcome) ProbeOutcomeView {
 		v.Epicenter = &e
 	}
 	return v
-}
-
-// ProbeStatsView is the JSON shape of the active-measurement counters.
-type ProbeStatsView struct {
-	Campaigns int64 `json:"campaigns"`
-	Targets   int64 `json:"targets"`
-	Executed  int64 `json:"executed"`
-	CacheHits int64 `json:"cache_hits"`
-	Deduped   int64 `json:"deduped"`
-	Denied    int64 `json:"denied"`
-	Collected int64 `json:"collected"`
-	Promoted  int64 `json:"promoted"`
-	Refuted   int64 `json:"refuted"`
-	Unlocated int64 `json:"unlocated"`
-	Expired   int64 `json:"expired"`
-	Pending   int64 `json:"pending"`
-}
-
-func probeStatsView(s metrics.ProbeSnapshot) *ProbeStatsView {
-	return &ProbeStatsView{
-		Campaigns: s.Campaigns,
-		Targets:   s.Targets,
-		Executed:  s.Executed,
-		CacheHits: s.CacheHits,
-		Deduped:   s.Deduped,
-		Denied:    s.Denied,
-		Collected: s.Collected,
-		Promoted:  s.Promoted,
-		Refuted:   s.Refuted,
-		Unlocated: s.Unlocated,
-		Expired:   s.Expired,
-		Pending:   s.Pending,
-	}
 }
 
 // TracePathView is the JSON shape of one sampled diverted path in a trace.
@@ -514,9 +399,8 @@ func (s *Server) traceView(id uint64, tr *core.OutageTrace) TraceView {
 
 // StageLatencyView is the JSON shape of one bin-close latency histogram.
 // Buckets, when present, carries the per-bucket (non-cumulative) counts
-// over metrics.DurationBounds plus the +Inf overflow — cumulative counts
-// are differencable across scrapes, which is how keplerload computes
-// per-phase quantiles from two /v1/stats polls.
+// over metrics.DurationBounds plus the +Inf overflow, so a client can
+// difference two /v1/stats polls and compute quantiles over the interval.
 type StageLatencyView struct {
 	Count       int64   `json:"count"`
 	SumSeconds  float64 `json:"sum_seconds"`
@@ -573,20 +457,18 @@ type FeedStatusView struct {
 }
 
 // FeedHealthView is the /v1/health/feeds response (also embedded in
-// /v1/stats). All times are stream time: the watchdog never consults the
-// wall clock, so a replayed archive reports the health its feeds had then.
+// /v1/stats): the watchdog's tagged totals and the published transition
+// counts, between the derived and the per-feed fields. All times are stream
+// time: the watchdog never consults the wall clock, so a replayed archive
+// reports the health its feeds had then.
 type FeedHealthView struct {
-	AsOf            time.Time        `json:"as_of"`
-	SilenceSeconds  float64          `json:"silence_seconds"`
-	Coverage        float64          `json:"coverage"`
-	CollectorsKnown int              `json:"collectors_known"`
-	CollectorsLive  int              `json:"collectors_live"`
-	SessionsKnown   int              `json:"sessions_known"`
-	SessionsLive    int              `json:"sessions_live"`
-	DegradedEvents  int64            `json:"degraded_events"`
-	RecoveredEvents int64            `json:"recovered_events"`
-	Collectors      []FeedStatusView `json:"collectors"`
-	Sessions        []FeedStatusView `json:"sessions"`
+	AsOf           time.Time `json:"as_of"`
+	SilenceSeconds float64   `json:"silence_seconds"`
+	Coverage       float64   `json:"coverage"`
+	bgpstream.FeedSnapshot
+	metrics.FeedStatsSnapshot
+	Collectors []FeedStatusView `json:"collectors"`
+	Sessions   []FeedStatusView `json:"sessions"`
 }
 
 func feedStatusViews(sts []bgpstream.FeedStatus) []FeedStatusView {
@@ -605,20 +487,15 @@ func feedStatusViews(sts []bgpstream.FeedStatus) []FeedStatusView {
 
 func (s *Server) feedHealthView(f *bgpstream.FeedSnapshot) FeedHealthView {
 	v := FeedHealthView{
-		AsOf:            f.At,
-		SilenceSeconds:  f.Silence.Seconds(),
-		Coverage:        f.Coverage(),
-		CollectorsKnown: f.CollectorsKnown,
-		CollectorsLive:  f.CollectorsLive,
-		SessionsKnown:   f.SessionsKnown,
-		SessionsLive:    f.SessionsLive,
-		Collectors:      feedStatusViews(f.Collectors),
-		Sessions:        feedStatusViews(f.Sessions),
+		AsOf:           f.At,
+		SilenceSeconds: f.Silence.Seconds(),
+		Coverage:       f.Coverage(),
+		FeedSnapshot:   *f,
+		Collectors:     feedStatusViews(f.Collectors),
+		Sessions:       feedStatusViews(f.Sessions),
 	}
 	if s.opts.Feed != nil {
-		fs := s.opts.Feed.Snapshot()
-		v.DegradedEvents = fs.Degraded
-		v.RecoveredEvents = fs.Recovered
+		v.FeedStatsSnapshot = s.opts.Feed.Snapshot()
 	}
 	return v
 }
@@ -660,15 +537,15 @@ type StatsView struct {
 	Resolved     int                      `json:"resolved_outages"`
 	Incidents    int                      `json:"incidents"`
 	Ingest       *IngestView              `json:"ingest,omitempty"`
-	Store        *StoreView               `json:"store,omitempty"`
+	Store        *metrics.StoreSnapshot   `json:"store,omitempty"`
 	Checkpoint   *CheckpointView          `json:"checkpoint,omitempty"`
-	Probe        *ProbeStatsView          `json:"probe,omitempty"`
+	Probe        *metrics.ProbeSnapshot   `json:"probe,omitempty"`
 	BinClose     *BinCloseView            `json:"bin_close,omitempty"`
 	Bus          *events.Stats            `json:"bus,omitempty"`
 	Subscribers  []events.SubscriberDepth `json:"subscribers,omitempty"`
 	Relay        *events.RelayInfo        `json:"relay,omitempty"`
 	RelayClients []events.SubscriberDepth `json:"relay_clients,omitempty"`
-	Service      *ServiceView             `json:"service,omitempty"`
+	Service      *metrics.ServiceSnapshot `json:"service,omitempty"`
 	HTTP         *HTTPView                `json:"http,omitempty"`
 	Feeds        *FeedHealthView          `json:"feeds,omitempty"`
 }
