@@ -200,7 +200,6 @@ func main() {
 	//	                                                     # bus subscription (see /v1/stats)
 	//	curl -i localhost:8080/v1/outages/open               # 200 + ETag
 	//	curl -H 'If-None-Match: "<etag>"' -i localhost:8080/v1/outages/open  # 304, empty body
-	//	go run ./cmd/keplerload -addr http://localhost:8080 -sse-sweep 10,100,1000 \
-	//	    -duration 10s -out sweep.json                    # quantify the fan-out tier
+	//	curl localhost:8080/v1/stats                         # relay and bus counters
 	fmt.Println("\nnext: run this pipeline as a daemon — see internal/daemon and cmd/keplerd (HTTP API + SSE relay fan-out, durable -data-dir with checkpointed restarts, -probe-backend)")
 }

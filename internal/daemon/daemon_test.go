@@ -389,17 +389,20 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 	}
 
 	// The daemon over the same archive: memory mode, 4 shards, the batch
-	// detection config. The SSE client subscribes inside Serving, before
-	// the first record; the poller reads throughout ingestion.
+	// detection config (the feed watchdog is on, as in keplerd; feed events
+	// never influence detection). The SSE clients subscribe inside Serving,
+	// before the first record: one filtered to resolved outages, the others
+	// streaming every kind. The poller reads throughout ingestion.
 	c := testConfig(writeArchive(t, res.Records))
 	c.Shards = 4
 	c.Trace = false
-	c.FeedSilence = 0
 	// The SSE queue receives every kind (filtering happens at write time);
 	// size it so a descheduled writer cannot lose a resolved event under
 	// -race slowdowns.
 	c.SSEBuffer = 1 << 14
+	const streamers = 3
 	sseDone := make(chan []server.EventView, 1)
+	streamed := make(chan int, streamers)
 	pollStop, pollDone := make(chan struct{}), make(chan struct{})
 	r := start(t, c, func(addr string) {
 		resp, err := http.Get(addr + "/v1/events?kinds=outage_resolved")
@@ -412,6 +415,18 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 			defer resp.Body.Close()
 			sseDone <- readResolved(resp.Body)
 		}()
+		for i := 0; i < streamers; i++ {
+			resp, err := http.Get(addr + "/v1/events")
+			if err != nil {
+				t.Error(err)
+				streamed <- 0
+				continue
+			}
+			go func() {
+				defer resp.Body.Close()
+				streamed <- countEvents(resp.Body)
+			}()
+		}
 		go func() {
 			defer close(pollDone)
 			for {
@@ -456,6 +471,20 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 	if stats.Ingest == nil || stats.Ingest.Records != int64(len(res.Records)) {
 		t.Errorf("ingest stats = %+v, want %d records", stats.Ingest, len(res.Records))
 	}
+	// The SSE clients cost the bus one subscriber, the relay's: its upstream
+	// queue and the bus lost nothing, and deliveries flowed through it.
+	if stats.Bus == nil || stats.Bus.Subscribers != 1 || stats.Bus.Dropped != 0 {
+		t.Errorf("bus stats = %+v, want 1 subscriber and no drops with %d SSE clients", stats.Bus, 1+streamers)
+	}
+	if stats.Relay == nil || stats.Relay.Clients != 1+streamers || stats.Relay.UpstreamDropped != 0 || stats.Relay.Deliveries == 0 {
+		t.Errorf("relay stats = %+v, want %d clients, deliveries and no upstream drops", stats.Relay, 1+streamers)
+	}
+	// The feed watchdog serves its per-session view.
+	var feeds server.FeedHealthView
+	getJSON(t, r.addr+"/v1/health/feeds", &feeds)
+	if feeds.SessionsKnown == 0 {
+		t.Errorf("/v1/health/feeds knows no peer sessions: %+v", feeds)
+	}
 
 	// 4. The SSE stream, which ends at shutdown, saw the same resolved
 	// outages in the same order. SSE payloads carry no history ordinal
@@ -472,6 +501,29 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 			t.Errorf("SSE event %d diverges:\n sse:   %+v\n batch: %+v", i, ev.Outage, w)
 		}
 	}
+	for i := 0; i < streamers; i++ {
+		if n := <-streamed; n == 0 {
+			t.Error("an unfiltered SSE client received no events")
+		}
+	}
+}
+
+// countEvents counts the SSE event frames of r until the stream's bye or
+// its end.
+func countEvents(r io.Reader) int {
+	n := 0
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "event: bye" {
+			break
+		}
+		if strings.HasPrefix(line, "id: ") {
+			n++
+		}
+	}
+	return n
 }
 
 // readResolved collects the SSE data payloads of r until the stream's bye

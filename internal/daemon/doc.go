@@ -111,9 +111,9 @@
 // delivery lag from publish to the completed client write
 // (kepler_sse_delivery_lag_seconds), and per-subscriber queue depth / drop
 // gauges (kepler_sse_queue_depth, kepler_sse_queue_dropped_total) — all in
-// /v1/stats under http and subscribers, and at /metrics. cmd/keplerload
-// soaks the serving path from the client side and reports both perspectives
-// side by side.
+// /v1/stats under http and subscribers, and at /metrics. The benchmark
+// (bench/, `bash bench/run.sh`) drives the serving path from the client
+// side.
 //
 // Serving tier: read and event throughput scale independently of history
 // size and client count. With -data-dir, /v1/outages and /v1/incidents page

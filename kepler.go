@@ -91,7 +91,9 @@
 // sheds the newest-joined clients first under an aggregate queue budget
 // — a client stampede degrades the edge, never the detection pipeline —
 // and each client flush coalesces queued events into a single buffered
-// write. BENCH_pr10_serving.json holds cmd/keplerload's client sweep.
+// write. The benchmark (`bash bench/run.sh`, bench/README.md) measures the
+// relay's fan-out at 1, 100 and 1000 clients and closed-loop reads against
+// a running keplerd.
 //
 // # Checkpointed recovery
 //
@@ -263,11 +265,11 @@
 // (kepler_sse_delivery_lag_seconds), and per-subscriber queue depth and
 // drop gauges (kepler_sse_queue_depth, kepler_sse_queue_dropped_total) —
 // all under http, subscribers and feeds in /v1/stats and on /metrics.
-// Client-side, cmd/keplerload soaks a running keplerd with concurrent
-// API pollers and SSE consumers (including deliberately slow ones, which
-// exercise the bounded-queue drop path) and emits a JSON report pairing
-// client-observed latency quantiles with the server's own deltas over
-// the same interval.
+// Each plain counter or gauge is declared once, by the tags of its
+// snapshot field (metrics.StoreSnapshot and its siblings): its /v1/stats
+// key and its /metrics series come from the same declaration. Client-side,
+// the benchmark's readers (bench/clients.go) drive a running keplerd with
+// concurrent pollers and SSE consumers.
 //
 // # Determinism invariants
 //
@@ -348,8 +350,7 @@
 //	curl -i localhost:8080/v1/outages/open               # note the ETag header ...
 //	curl -H 'If-None-Match: <etag>' localhost:8080/v1/outages/open   # ... 304 until next bin
 //	curl localhost:8080/v1/health/feeds                  # per-collector/per-peer feed health
-//	keplerload -addr http://localhost:8080 -duration 30s # soak the serving path, JSON report
-//	keplerload -addr http://localhost:8080 -sse-sweep 10,100,1000 -duration 10s  # tier sweep
+//	curl localhost:8080/metrics                          # the same counters, Prometheus text
 //	go run ./cmd/keplervet ./...                         # check the determinism contracts
 //
 // Restarting keplerd against the same -data-dir recovers and keeps serving
