@@ -1,5 +1,10 @@
-// Package metrics provides the statistics and rendering helpers the
-// experiment harness uses to regenerate the paper's tables and figures:
+// Package metrics holds two things. The runtime telemetry of a running
+// daemon: lock-free *Stats collectors (ingest, store, checkpoint, probe,
+// service, feed transitions), fixed-bucket duration histograms and the
+// staged bin-close and HTTP collectors, each read through a point-in-time
+// *Snapshot whose field tags declare its /v1/stats key and /metrics series
+// (internal/server serves both). And the statistics and rendering helpers
+// the experiment harness uses to regenerate the paper's tables and figures:
 // empirical CDFs, time-bucketed series, and fixed-width text tables.
 package metrics
 

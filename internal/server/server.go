@@ -42,7 +42,7 @@ import (
 )
 
 // EngineState is the accessor subset of core.Engine (and core.Detector)
-// the snapshot builder reads. All three methods are only safe on the
+// the snapshot builder reads. Both methods are only safe on the
 // ingestion goroutine between Process calls or inside a BinClosed hook —
 // which is exactly where BuildSnapshot runs.
 type EngineState interface {
