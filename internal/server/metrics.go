@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
 	"kepler/internal/metrics"
 )
@@ -47,21 +48,43 @@ func writeFamily(b *strings.Builder, name, typ, help string, v float64) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
 }
 
+// series is one tagged snapshot field: its index and its family's
+// HELP/TYPE preamble up to the sample value.
+type series struct {
+	field int
+	head  string
+}
+
+// seriesByType caches each snapshot type's tagged fields (reflect.Type →
+// []series): tags are fixed at compile time, so they are parsed once.
+var seriesByType sync.Map
+
+func seriesOf(t reflect.Type) []series {
+	if ss, ok := seriesByType.Load(t); ok {
+		return ss.([]series)
+	}
+	var ss []series
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, typ, ok := strings.Cut(f.Tag.Get("metric"), ",")
+		if !ok {
+			continue
+		}
+		ss = append(ss, series{i, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s ", name, f.Tag.Get("help"), name, typ, name)})
+	}
+	seriesByType.Store(t, ss)
+	return ss
+}
+
 // writeSeries emits one family for every field of the snapshot struct v
 // tagged `metric:"name,type"`, in declaration order, with the field's help
 // tag as its HELP text. Fields tagged `metric:"-"` have no series; they are
 // served elsewhere or not at all.
 func writeSeries(b *strings.Builder, v any) {
 	rv := reflect.ValueOf(v)
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		name, typ, ok := strings.Cut(f.Tag.Get("metric"), ",")
-		if !ok {
-			continue
-		}
+	for _, s := range seriesOf(rv.Type()) {
 		var x float64
-		switch fv := rv.Field(i); {
+		switch fv := rv.Field(s.field); {
 		case fv.CanInt():
 			x = float64(fv.Int())
 		case fv.CanUint():
@@ -69,7 +92,9 @@ func writeSeries(b *strings.Builder, v any) {
 		case fv.CanFloat():
 			x = fv.Float()
 		}
-		writeFamily(b, name, typ, f.Tag.Get("help"), x)
+		b.WriteString(s.head)
+		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		b.WriteByte('\n')
 	}
 }
 
