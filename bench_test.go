@@ -372,34 +372,53 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineIngest measures multi-core ingestion throughput of the
-// sharded engine over the historical archive, sweeping the shard count.
-// records/sec is the headline metric; shards=1 approximates the
-// sequential detector plus fan-out overhead, higher shard counts spread
-// the per-path work (community annotation, baseline maintenance) across
-// cores with the investigator synchronized at bin boundaries.
+// sharded engine, sweeping the shard count over two input shapes.
+// records/sec is the headline metric; shards=1 approximates the sequential
+// detector plus fan-out overhead.
+//
+//   - shards=N: the historical archive, led by a RIB dump. Higher shard
+//     counts spread the per-path work (community annotation, baseline
+//     maintenance) across cores with the investigator synchronized at bin
+//     boundaries.
+//   - storm/shards=N: the storm workload's outage mix compressed into one
+//     month (stormMonth). Bin closes with diverts are frequent, so the
+//     barrier and the investigation, which run while every shard waits,
+//     weigh against the parallel apply.
 func BenchmarkEngineIngest(b *testing.B) {
-	env := histEnv(b)
-	records := env.Res.Records
-	if len(records) > 100000 {
-		records = records[:100000]
-	}
-	last := records[len(records)-1].Time
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng := env.Stack.NewEngine(kepler.DefaultConfig(), shards)
-				for _, rec := range records {
-					eng.Process(rec)
-				}
-				eng.Flush(last)
-				eng.Close()
+			env := histEnv(b)
+			records := env.Res.Records
+			if len(records) > 100000 {
+				records = records[:100000]
 			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(records)*b.N)/secs, "records/sec")
-			}
+			benchIngest(b, env.Stack, records, shards)
 		})
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("storm/shards=%d", shards), func(b *testing.B) {
+			stack, storm := stormMonth(b)
+			benchIngest(b, stack, storm, shards)
+		})
+	}
+}
+
+// benchIngest feeds records through a fresh engine of the given shard
+// count per iteration and reports records/sec.
+func benchIngest(b *testing.B, stack *pipeline.Stack, records []*mrt.Record, shards int) {
+	last := records[len(records)-1].Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := stack.NewEngine(kepler.DefaultConfig(), shards)
+		for _, rec := range records {
+			eng.Process(rec)
+		}
+		eng.Flush(last)
+		eng.Close()
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(len(records)*b.N)/secs, "records/sec")
 	}
 }
 
@@ -549,10 +568,67 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// seedOne is the cmd/topogen world at seed 1, the world keplerd's
+// benchmark workloads run on, with its detection stack.
+var seedOne struct {
+	once  sync.Once
+	err   error
+	w     *topology.World
+	stack *pipeline.Stack
+}
+
+// renderStorm renders the storm-durable workload's outage mix (30
+// facility, 12 IXP, 100 link and 20 AS outages) over the given number of
+// days of the seed-1 world, with only the initial RIB dump.
+func renderStorm(b *testing.B, days int) (*pipeline.Stack, []*mrt.Record) {
+	b.Helper()
+	s := &seedOne
+	s.once.Do(func() {
+		wcfg := topology.DefaultConfig()
+		wcfg.Seed = 1
+		s.w, s.err = topology.Generate(wcfg)
+		if s.err == nil {
+			s.stack = pipeline.Build(s.w, 77)
+		}
+	})
+	if s.err != nil {
+		b.Fatal(s.err)
+	}
+	start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := start.Add(time.Duration(days) * 24 * time.Hour)
+	sched := simulate.GenerateSchedule(s.w, simulate.ScheduleConfig{
+		Seed: 2, Start: start.Add(3 * 24 * time.Hour), End: end.Add(-24 * time.Hour),
+		FacilityOutages: 30, IXPOutages: 12, LinkOutages: 100, ASOutages: 20,
+		PartialFraction: 0.15, MinMembers: 6,
+	})
+	res, err := simulate.Render(s.w, sched, start, end, simulate.RenderConfig{Seed: 3, SessionResets: 2, StickyFraction: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s.stack, res.Records
+}
+
+// stormMonthInput is the storm mix compressed into 30 days, as
+// BenchmarkRender in internal/simulate renders it.
+var stormMonthInput struct {
+	once  sync.Once
+	stack *pipeline.Stack
+	recs  []*mrt.Record
+}
+
+func stormMonth(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
+	b.Helper()
+	s := &stormMonthInput
+	s.once.Do(func() { s.stack, s.recs = renderStorm(b, 30) })
+	if s.recs == nil {
+		b.Fatal("storm month render failed")
+	}
+	return s.stack, s.recs
+}
+
 // stormState is the detection state keplerd checkpoints on the benchmark's
-// storm-durable workload: the cmd/topogen world at seed 1 under a year-long
-// outage storm (30 facility, 12 IXP, 100 link and 20 AS outages), captured
-// at the last bin barrier and restored into a 2-shard engine that
+// storm-durable workload: the seed-1 world under a year-long outage storm,
+// captured at the last bin barrier and restored into a 2-shard engine that
 // Checkpoint can be called on repeatedly.
 var stormState struct {
 	once  sync.Once
@@ -568,26 +644,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 	b.Helper()
 	s := &stormState
 	s.once.Do(func() {
-		wcfg := topology.DefaultConfig()
-		wcfg.Seed = 1
-		w, err := topology.Generate(wcfg)
-		if err != nil {
-			s.err = err
-			return
-		}
-		stack := pipeline.Build(w, 77)
-		start := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
-		end := start.Add(365 * 24 * time.Hour)
-		sched := simulate.GenerateSchedule(w, simulate.ScheduleConfig{
-			Seed: 2, Start: start.Add(3 * 24 * time.Hour), End: end.Add(-24 * time.Hour),
-			FacilityOutages: 30, IXPOutages: 12, LinkOutages: 100, ASOutages: 20,
-			PartialFraction: 0.15, MinMembers: 6,
-		})
-		res, err := simulate.Render(w, sched, start, end, simulate.RenderConfig{Seed: 3, SessionResets: 2, StickyFraction: 0.05})
-		if err != nil {
-			s.err = err
-			return
-		}
+		stack, recs := renderStorm(b, 365)
 		cfg := kepler.DefaultConfig()
 		cfg.FeedSilence = 30 * time.Minute
 		eng := stack.NewEngine(cfg, 2)
@@ -601,7 +658,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 				s.err = err
 			}
 		}})
-		for _, rec := range res.Records {
+		for _, rec := range recs {
 			eng.Process(rec)
 		}
 		if s.err != nil {
@@ -614,10 +671,10 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 		}
 		s.eng = stack.NewEngine(cfg, 2)
 		s.err = s.eng.RestoreFrom(c)
-		s.stack, s.cfg, s.recs = stack, cfg, res.Records
+		s.stack, s.cfg, s.recs = stack, cfg, recs
 	})
-	if s.err != nil {
-		b.Fatal(s.err)
+	if s.err != nil || s.eng == nil {
+		b.Fatalf("storm checkpoint setup failed: %v", s.err)
 	}
 	return s.eng, s.enc
 }

@@ -557,8 +557,8 @@ func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstre
 // stable-baseline entries are re-partitioned across the shards by shardOf
 // (nil assigns everything to shard 0), derived indexes and promotion queues
 // are rebuilt, the tracker and pending campaigns are reinstated, campaigns
-// are re-submitted to the prober, and restoration watch sets are pushed to
-// the shards exactly as the last pre-checkpoint barrier left them.
+// are re-submitted to the prober, and the shards get the restoration
+// watches exactly as the last pre-checkpoint barrier left them.
 func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *investigator, shardOf func(PathKey) int) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
@@ -709,16 +709,7 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 		})
 	}
 
-	// Reinstate the restoration watch sets the last barrier distributed.
-	sets := inv.tracker.watchSets(len(shards), shardOf)
-	if len(inv.pending) > 0 {
-		pendSets := inv.pendingWatchSets(len(shards), shardOf)
-		for i := range sets {
-			sets[i] = append(sets[i], pendSets[i]...)
-		}
-	}
-	for i, s := range shards {
-		s.watches = sets[i]
-	}
+	// Reinstate the restoration watches the last barrier distributed.
+	inv.pushWatches()
 	return nil
 }

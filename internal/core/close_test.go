@@ -228,3 +228,37 @@ func TestDetectorHooksMatchEngine(t *testing.T) {
 		t.Fatal("scenario raised no hook traffic; comparison vacuous")
 	}
 }
+
+// TestEngineFlushBeforeCurrentBin flushes the outage scenario halfway
+// through its restoration, at an instant before the current bin, which
+// therefore stays open with ops queued for the shards; then it replays the
+// rest of the stream. The engine must still match the detector.
+func TestEngineFlushBeforeCurrentBin(t *testing.T) {
+	dict, cmap, _ := microWorld(t)
+	recs := scenarioRecords()
+	mid := len(recs) - 6 // half of the restoring announcements
+	early := recs[mid].Time.Add(-10 * time.Minute)
+	run := func(p interface {
+		Process(*mrt.Record) []Outage
+		Flush(time.Time) []Outage
+	}) []Outage {
+		var outs []Outage
+		for _, r := range recs[:mid] {
+			outs = append(outs, p.Process(r)...)
+		}
+		outs = append(outs, p.Flush(early)...)
+		for _, r := range recs[mid:] {
+			outs = append(outs, p.Process(r)...)
+		}
+		return append(outs, p.Flush(scenarioFlushAt())...)
+	}
+	want := run(New(DefaultConfig(), dict, cmap, nil))
+	if len(want) == 0 {
+		t.Fatal("reference produced no outages; comparison vacuous")
+	}
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	defer eng.Close()
+	if got := run(eng); !reflect.DeepEqual(got, want) {
+		t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", got, want)
+	}
+}

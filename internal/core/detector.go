@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kepler/internal/as2org"
-	"kepler/internal/bgp"
 	"kepler/internal/bgpstream"
 	"kepler/internal/colo"
 	"kepler/internal/communities"
@@ -59,7 +58,8 @@ type Detector struct {
 	fan   *bgpstream.Fanout
 	clock binClock
 	ckpt  checkpointer
-	// shards is the one-element slice handed to closeBinOver.
+	// shards is the one-element slice the investigator and the checkpoint
+	// read.
 	shards []*pathShard
 
 	// Checkpoint bookkeeping, mirroring Engine: seen counts processed
@@ -71,24 +71,18 @@ type Detector struct {
 	opsSinceBarrier bool
 }
 
-// shardView backs the investigator's state view with the single shard's
-// maps directly.
-type shardView struct{ sh *pathShard }
-
-func (v shardView) stableAt(pop colo.PoP) map[bgp.ASN]map[PathKey]popEnd { return v.sh.stable[pop] }
-func (v shardView) pathsContaining(a bgp.ASN) int                        { return v.sh.pathsContaining[a] }
-
 // New builds a detector. orgs may be nil (operator-level classification
 // then degrades to AS-level). The data plane is optional via SetDataPlane.
 func New(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table) *Detector {
 	sh := newPathShard(cfg, dict, cmap)
+	shards := []*pathShard{sh}
 	d := &Detector{
 		cfg:    cfg,
 		sh:     sh,
-		inv:    newInvestigator(cfg, cmap, orgs, shardView{sh}),
+		inv:    newInvestigator(cfg, cmap, orgs, shards),
 		fan:    bgpstream.NewFanout(1),
 		clock:  binClock{interval: cfg.BinInterval},
-		shards: []*pathShard{sh},
+		shards: shards,
 	}
 	if cfg.FeedSilence > 0 {
 		d.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
@@ -151,7 +145,7 @@ func (d *Detector) Process(rec *mrt.Record) []Outage {
 func (d *Detector) closeBin(end time.Time) {
 	d.sh.runPromotions(end)
 	d.inBarrier = true
-	d.inv.closeBinOver(end, d.shards, d.sh.diverted, nil)
+	d.inv.closeBinOver(end, d.sh.diverted)
 	d.inBarrier = false
 	d.opsSinceBarrier = false
 }

@@ -71,77 +71,20 @@ func (s *engineShard) run() {
 	}
 }
 
-// mergedView backs the investigator's state view with an on-demand merge
-// across shards. It is only consulted between a barrier's ready and resume
-// points, while every shard worker is paused, so the raw maps are safe to
-// read. Merged maps are cached per bin close and dropped before resume.
-type mergedView struct {
-	shards []*engineShard
-	cache  map[colo.PoP]map[bgp.ASN]map[PathKey]popEnd
-}
-
-func (v *mergedView) stableAt(pop colo.PoP) map[bgp.ASN]map[PathKey]popEnd {
-	if m, ok := v.cache[pop]; ok {
-		return m
-	}
-	var single map[bgp.ASN]map[PathKey]popEnd
-	contributors := 0
-	for _, s := range v.shards {
-		if m := s.ps.stable[pop]; len(m) > 0 {
-			contributors++
-			single = m
-		}
-	}
-	var out map[bgp.ASN]map[PathKey]popEnd
-	switch contributors {
-	case 0:
-	case 1:
-		out = single
-	default:
-		out = make(map[bgp.ASN]map[PathKey]popEnd)
-		for _, s := range v.shards {
-			for near, set := range s.ps.stable[pop] {
-				dst := out[near]
-				if dst == nil {
-					dst = make(map[PathKey]popEnd, len(set))
-					out[near] = dst
-				}
-				for key, ends := range set {
-					dst[key] = ends
-				}
-			}
-		}
-	}
-	v.cache[pop] = out
-	return out
-}
-
-func (v *mergedView) pathsContaining(a bgp.ASN) int {
-	n := 0
-	for _, s := range v.shards {
-		n += s.ps.pathsContaining[a]
-	}
-	return n
-}
-
-func (v *mergedView) reset() {
-	v.cache = make(map[colo.PoP]map[bgp.ASN]map[PathKey]popEnd)
-}
-
 // Engine is the sharded concurrent Kepler pipeline: a fan-out stage routes
 // each record's path-level ops to N shard workers that own disjoint hash
 // partitions of the per-path monitoring state, and a bin-synchronized
-// investigator merges the shards' divert records and stable-baseline views
-// at every 60 s bin close to run the Section 4.3 signal investigation
-// unchanged. For any record stream the engine emits exactly the same
-// Outages and Incidents as the sequential Detector; Detector remains the
-// zero-goroutine N=1 compatibility path.
+// investigator merges the shards' divert records and reads their stable
+// baselines in place at every 60 s bin close to run the Section 4.3 signal
+// investigation unchanged. For any record stream the engine emits exactly
+// the same Outages and Incidents as the sequential Detector; Detector
+// remains the zero-goroutine N=1 compatibility path.
 type Engine struct {
 	cfg    Config
 	inv    *investigator
-	view   *mergedView
 	shards []*engineShard
-	// shardStates mirrors shards for the shared closeBinOver sequence.
+	// shardStates mirrors shards: the investigator's view and the
+	// checkpoint's shard list.
 	shardStates []*pathShard
 	fan         *bgpstream.Fanout
 	clock       binClock
@@ -193,9 +136,7 @@ func NewEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *a
 		}
 		e.shardStates[i] = e.shards[i].ps
 	}
-	e.view = &mergedView{shards: e.shards}
-	e.view.reset()
-	e.inv = newInvestigator(cfg, cmap, orgs, e.view)
+	e.inv = newInvestigator(cfg, cmap, orgs, e.shardStates)
 	if cfg.FeedSilence > 0 {
 		e.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
 	}
@@ -280,20 +221,16 @@ func (e *Engine) reclaim(i int) {
 
 // closeBin executes the barrier protocol for one bin boundary: flush
 // pending ops, pause every shard after its due promotions, reconcile path
-// returns, run the investigation over the merged divert and stable views,
-// tick outage tracking, redistribute restoration watches, and release the
-// shards (which then drop their diverted paths from the stable baseline).
+// returns, run the investigation over the merged diverts and the shards'
+// stable baselines in place, tick outage tracking, point the shards at the
+// restoration watches, and release them (which then drop their diverted
+// paths from the stable baseline).
 func (e *Engine) closeBin(end time.Time) {
 	if !e.opsSinceBarrier && e.inv.tracker.idle() && !e.inv.hasPending() && !e.inv.feedDue(end) {
 		return // nothing processed, tracked, parked or feed-due: the close is a no-op
 	}
 	t0 := time.Now() //keplervet:ignore walltime metrics span: barrier wall-time for IngestStats, never read by detection
-	b := &binBarrier{end: end, resume: make(chan struct{})}
-	b.ready.Add(len(e.shards))
-	for i, s := range e.shards {
-		s.in <- shardMsg{ops: e.fan.Take(i), barrier: b}
-	}
-	b.ready.Wait()
+	b := e.pause(end)
 
 	// Shards are paused: the investigator owns their state until resume.
 	// inBarrier additionally licenses a Checkpoint taken from inside the
@@ -308,11 +245,8 @@ func (e *Engine) closeBin(end time.Time) {
 	} else {
 		diverted = e.mergeDiverted()
 	}
-	e.inv.closeBinOver(end, e.shardStates, diverted, func(k PathKey) int {
-		return e.fan.ShardOf(k.Peer, k.Prefix)
-	})
+	e.inv.closeBinOver(end, diverted)
 	e.inBarrier = false
-	e.view.reset()
 	close(b.resume)
 	for i := range e.shards {
 		e.reclaim(i)
@@ -321,6 +255,19 @@ func (e *Engine) closeBin(end time.Time) {
 	e.opsSinceBarrier = false
 	e.stats.Bins.Add(1)
 	e.stats.BarrierNanos.Add(time.Since(t0).Nanoseconds()) //keplervet:ignore walltime metrics span: barrier wall-time counter, never read by detection
+}
+
+// pause ships every shard its pending ops followed by a barrier at end, and
+// waits until each has applied them, run its promotions due at end and
+// stopped. The caller owns all shard state until it closes b.resume.
+func (e *Engine) pause(end time.Time) *binBarrier {
+	b := &binBarrier{end: end, resume: make(chan struct{})}
+	b.ready.Add(len(e.shards))
+	for i, s := range e.shards {
+		s.in <- shardMsg{ops: e.fan.Take(i), barrier: b}
+	}
+	b.ready.Wait()
+	return b
 }
 
 // mergeDiverted combines the shards' current-bin divert indexes. Slices
@@ -377,6 +324,13 @@ func (e *Engine) Flush(asOf time.Time) []Outage {
 		return e.inv.drainCompleted()
 	}
 	e.clock.advance(asOf.Add(e.cfg.BinInterval), e.closeBin)
+	if e.opsSinceBarrier {
+		// asOf precedes the current bin, which stays open. Let the shards
+		// apply what is queued first: settling the probes below edits the
+		// waiting maps their restoration watches read. A zero-time barrier
+		// runs no promotions.
+		close(e.pause(time.Time{}).resume)
+	}
 	e.inv.finishProbes(asOf)
 	e.inv.tracker.closeAll(asOf)
 	e.inv.tracker.drainCooling(e.inv)

@@ -319,7 +319,7 @@ type groupResult struct {
 func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) groupResult {
 	g := buildGroup(pop, sigs)
 	if inv.cfg.Tracing {
-		g.trace = newChapter(at, pop, sigs, inv.totalStableAt(pop))
+		g.trace = newChapter(at, pop, sigs, inv.view.stableTotal(pop))
 	}
 	affected := g.affectedASes()
 	inc := Incident{
@@ -781,13 +781,11 @@ func (inv *investigator) probeCandidates(at time.Time, cands []colo.PoP, ch *Tra
 // past the stable baseline it is compared against.
 func (inv *investigator) affectedFractionWithFarAt(g *popGroup, f colo.FacilityID) (float64, int) {
 	stableTotal, divertedTotal := 0, 0
-	for _, set := range inv.view.stableAt(g.pop) {
-		for _, ends := range set {
-			if ends.far != 0 && inv.cmap.AtFacility(ends.far, f) {
-				stableTotal++
-			}
+	inv.view.eachStable(g.pop, func(ends popEnd) {
+		if ends.far != 0 && inv.cmap.AtFacility(ends.far, f) {
+			stableTotal++
 		}
-	}
+	})
 	type pathLink struct {
 		key  PathKey
 		ends popEnd
@@ -956,19 +954,10 @@ func membershipFraction(affected []bgp.ASN, member func(bgp.ASN) bool) float64 {
 	return float64(n) / float64(len(affected))
 }
 
-// totalStableAt counts every stable path currently tagged with the PoP.
-func (inv *investigator) totalStableAt(pop colo.PoP) int {
-	n := 0
-	for _, set := range inv.view.stableAt(pop) {
-		n += len(set)
-	}
-	return n
-}
-
 // aggregateFraction is the share of the PoP's stable paths the group
 // diverted — the bin-level fraction of Section 4.2 before per-AS grouping.
 func (inv *investigator) aggregateFraction(g *popGroup) float64 {
-	total := inv.totalStableAt(g.pop)
+	total := inv.view.stableTotal(g.pop)
 	if total == 0 {
 		return 0
 	}
@@ -980,14 +969,12 @@ func (inv *investigator) aggregateFraction(g *popGroup) float64 {
 // compares candidate facilities against.
 func (inv *investigator) unaffectedASesAt(g *popGroup) []bgp.ASN {
 	set := map[bgp.ASN]bool{}
-	for near, paths := range inv.view.stableAt(g.pop) {
-		set[near] = true
-		for _, ends := range paths {
-			if ends.far != 0 {
-				set[ends.far] = true
-			}
+	inv.view.eachStable(g.pop, func(ends popEnd) {
+		set[ends.near] = true
+		if ends.far != 0 {
+			set[ends.far] = true
 		}
-	}
+	})
 	for a := range g.nears {
 		delete(set, a)
 	}

@@ -12,18 +12,54 @@ import (
 )
 
 // stateView gives the investigator read access to the per-path layer's
-// cross-path aggregates. The sequential detector backs it with its single
-// shard's maps directly; the concurrent engine backs it with an on-demand
-// merge across shards, valid only while the shards are paused at a bin
-// barrier.
-type stateView interface {
-	// stableAt returns the stable baseline at a PoP, grouped by near-end
-	// AS. The returned map must be treated as read-only and not retained
-	// past the current bin close.
-	stableAt(pop colo.PoP) map[bgp.ASN]map[PathKey]popEnd
-	// pathsContaining returns the number of monitored paths whose AS path
-	// traverses a.
-	pathsContaining(a bgp.ASN) int
+// cross-path aggregates: the pipeline's shards (the Detector's one, the
+// Engine's N), read in place. It is only consulted during a bin close, while
+// every shard is paused, and nothing is merged or copied: a PathKey lives in
+// exactly one shard, so a per-shard sum is the count over the whole
+// baseline, and every caller folds the visited entries without depending on
+// their order.
+type stateView []*pathShard
+
+// stableCount returns the number of stable paths at pop whose near end is
+// near.
+func (v stateView) stableCount(pop colo.PoP, near bgp.ASN) int {
+	n := 0
+	for _, s := range v {
+		n += len(s.stable[pop][near])
+	}
+	return n
+}
+
+// stableTotal returns the number of stable paths at pop.
+func (v stateView) stableTotal(pop colo.PoP) int {
+	n := 0
+	for _, s := range v {
+		for _, set := range s.stable[pop] {
+			n += len(set)
+		}
+	}
+	return n
+}
+
+// eachStable calls fn for every stable path at pop, in no defined order.
+func (v stateView) eachStable(pop colo.PoP, fn func(ends popEnd)) {
+	for _, s := range v {
+		for _, set := range s.stable[pop] {
+			for _, ends := range set {
+				fn(ends)
+			}
+		}
+	}
+}
+
+// pathsContaining returns the number of monitored paths whose AS path
+// traverses a.
+func (v stateView) pathsContaining(a bgp.ASN) int {
+	n := 0
+	for _, s := range v {
+		n += s.pathsContaining[a]
+	}
+	return n
 }
 
 // investigator owns the cross-path layer of the pipeline: bin-boundary
@@ -119,8 +155,6 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 		}
 		sort.Slice(nears, func(i, j int) bool { return nears[i] < nears[j] })
 
-		stableByNear := inv.view.stableAt(pop)
-
 		if inv.cfg.DisablePerASGrouping {
 			// Ablation mode: one aggregate fraction per PoP. A partial
 			// outage hitting regional ASes drowns under a big AS's
@@ -129,20 +163,20 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 			for _, near := range nears {
 				divertedTotal += len(diverted[pop][near])
 			}
-			total := inv.totalStableAt(pop)
+			total := inv.view.stableTotal(pop)
 			if total == 0 || float64(divertedTotal)/float64(total) <= inv.cfg.Tfail {
 				continue
 			}
 			for _, near := range nears {
 				recs := diverted[pop][near]
-				signals = append(signals, signal{pop: pop, near: near, diverted: recs, stable: len(stableByNear[near])})
+				signals = append(signals, signal{pop: pop, near: near, diverted: recs, stable: inv.view.stableCount(pop, near)})
 			}
 			continue
 		}
 
 		for _, near := range nears {
 			recs := diverted[pop][near]
-			stableCount := len(stableByNear[near]) // still includes diverted ones
+			stableCount := inv.view.stableCount(pop, near) // still includes diverted ones
 			if stableCount == 0 {
 				continue
 			}
@@ -160,17 +194,18 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 
 // closeBinOver is the canonical bin-close sequence shared by Detector and
 // Engine: reconcile path returns, investigate the merged diverts, tick
-// outage tracking, redistribute restoration watches, then apply the
-// shards' end-of-bin baseline cleanup. The caller guarantees exclusive
-// access to every shard (the Detector is single-threaded; the Engine holds
-// its workers at the bin barrier) and has already run promotions due at
-// end. tick and watchSets must not read shard state: finishBin runs after
-// them, and the investigator's view of the shards is only defined up to
-// this function's return.
-func (inv *investigator) closeBinOver(end time.Time, shards []*pathShard, diverted map[colo.PoP]map[bgp.ASN][]divertRec, shardOf func(PathKey) int) {
+// outage tracking, point the shards at the restoration watches, then apply
+// the shards' end-of-bin baseline cleanup. The caller guarantees exclusive
+// access to every shard of inv.view (the Detector is single-threaded; the
+// Engine holds its workers at the bin barrier) and has already run
+// promotions due at end. The investigation reads the shards' maps in
+// place, so it must finish before finishBin edits them; the watches point
+// at the tracker's and the parked campaigns' own maps, which may change
+// only while the shards are paused.
+func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[bgp.ASN][]divertRec) {
 	// Staged timing (SetBinStageStats): each region below is bracketed with
 	// a monotonic-clock span. Total also covers the un-bracketed glue
-	// (tracker tick, watch-set distribution), so Total >= the stage sum.
+	// (tracker tick, watch distribution), so Total >= the stage sum.
 	stage := inv.binStage
 	var spans metrics.BinSpans
 	var start, t0 time.Time
@@ -195,7 +230,7 @@ func (inv *investigator) closeBinOver(end time.Time, shards []*pathShard, divert
 	// collection that follows promotes with the parked interval's returns
 	// already counted), the rest onto the tracker as before.
 	var evs []returnEvent
-	for _, s := range shards {
+	for _, s := range inv.view {
 		evs = append(evs, s.takeReturns()...)
 	}
 	if len(inv.pending) > 0 {
@@ -213,29 +248,19 @@ func (inv *investigator) closeBinOver(end time.Time, shards []*pathShard, divert
 	}
 	// Probe verdicts: campaigns parked at earlier bin closes promote into
 	// (or drop out of) the tracker before this bin's own signals are
-	// investigated, so their restoration watches ship with this barrier's
-	// watch sets.
+	// investigated, so their restoration watches ship with this barrier's.
 	inv.collectProbes(end)
 	inv.tracker.applyReturns(evs)
 	mark(metrics.StageCollect)
 	inv.runBin(end, diverted)
 	mark(metrics.StageClassify)
 	inv.tracker.tick(end, inv)
-	sets := inv.tracker.watchSets(len(shards), shardOf)
-	if len(inv.pending) > 0 {
-		pendSets := inv.pendingWatchSets(len(shards), shardOf)
-		for i := range sets {
-			sets[i] = append(sets[i], pendSets[i]...)
-		}
-	}
-	for i, s := range shards {
-		s.watches = sets[i]
-	}
+	inv.pushWatches()
 	if stage != nil {
-		// The tick/watch-set glue above stays un-bracketed.
+		// The tick/watch glue above stays un-bracketed.
 		t0 = time.Now() //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 	}
-	for _, s := range shards {
+	for _, s := range inv.view {
 		s.finishBin()
 	}
 	mark(metrics.StageFinish)
@@ -247,6 +272,16 @@ func (inv *investigator) closeBinOver(end time.Time, shards []*pathShard, divert
 	if stage != nil {
 		spans.Total = spans.Stage[metrics.StageBarrier] + spans.Stage[metrics.StageMerge] + time.Since(start) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 		stage.Record(spans)
+	}
+}
+
+// pushWatches hands every shard the same restoration watches: the open
+// outages', then the parked campaigns'. A shard reads only the keys it owns;
+// the others never re-tag there.
+func (inv *investigator) pushWatches() {
+	ws := inv.pendingWatches(inv.tracker.watches(nil))
+	for _, s := range inv.view {
+		s.watches = ws
 	}
 }
 

@@ -129,33 +129,14 @@ func (t *outageTracker) applyReturns(evs []returnEvent) {
 	}
 }
 
-// watchSets partitions each open outage's waiting set across n shards so
-// the per-path layer can detect returns without touching the tracker.
-// Waiting maps are copied (shards consume their copies); signalPops is
-// shared read-only — the tracker only mutates it at bin barriers, when the
-// shards are paused, and pushes fresh watch sets afterwards. A nil shardOf
-// assigns everything to shard 0.
-func (t *outageTracker) watchSets(n int, shardOf func(PathKey) int) [][]shardWatch {
-	out := make([][]shardWatch, n)
-	if len(t.opened) == 0 {
-		return out
-	}
-	for _, o := range t.opened {
-		per := make([]map[PathKey]bool, n)
-		for key := range o.waiting {
-			i := 0
-			if shardOf != nil {
-				i = shardOf(key)
-			}
-			if per[i] == nil {
-				per[i] = make(map[PathKey]bool)
-			}
-			per[i][key] = true
-		}
-		for i := range per {
-			if per[i] != nil {
-				out[i] = append(out[i], shardWatch{epicenter: o.epicenter, signalPops: o.signalPops, waiting: per[i]})
-			}
+// watches appends one restoration watch per open outage with paths still
+// waiting, in epicenter order. A watch points at the outage's own waiting
+// and signalPops maps: the shards only read them, and the tracker mutates
+// them only at bin barriers, while the shards are paused.
+func (t *outageTracker) watches(out []shardWatch) []shardWatch {
+	for _, pop := range t.open() {
+		if o := t.opened[pop]; len(o.waiting) > 0 {
+			out = append(out, shardWatch{epicenter: pop, signalPops: o.signalPops, waiting: o.waiting})
 		}
 	}
 	return out

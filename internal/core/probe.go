@@ -263,33 +263,16 @@ func (inv *investigator) applyPendingReturns(evs []returnEvent) {
 	}
 }
 
-// pendingWatchSets partitions every parked campaign's waiting set across n
-// shards, mirroring outageTracker.watchSets: the per-path layer detects
-// returns for parked groups exactly as it does for open outages, it just
-// routes them through the campaign's sentinel PoP.
-func (inv *investigator) pendingWatchSets(n int, shardOf func(PathKey) int) [][]shardWatch {
-	out := make([][]shardWatch, n)
-	if len(inv.pending) == 0 {
-		return out
-	}
+// pendingWatches appends one restoration watch per parked campaign with
+// paths still waiting, in campaign order, mirroring outageTracker.watches:
+// the per-path layer detects returns for parked groups exactly as it does
+// for open outages, it just routes them through the campaign's sentinel
+// PoP.
+func (inv *investigator) pendingWatches(out []shardWatch) []shardWatch {
 	for _, id := range inv.pendingIDs() {
-		p := inv.pending[id]
-		sigs := map[colo.PoP]bool{p.signalPop: true}
-		per := make([]map[PathKey]bool, n)
-		for key := range p.waiting {
-			i := 0
-			if shardOf != nil {
-				i = shardOf(key)
-			}
-			if per[i] == nil {
-				per[i] = make(map[PathKey]bool)
-			}
-			per[i][key] = true
-		}
-		for i := range per {
-			if per[i] != nil {
-				out[i] = append(out[i], shardWatch{epicenter: pendingWatchPoP(id), signalPops: sigs, waiting: per[i]})
-			}
+		if p := inv.pending[id]; len(p.waiting) > 0 {
+			sigs := map[colo.PoP]bool{p.signalPop: true}
+			out = append(out, shardWatch{epicenter: pendingWatchPoP(id), signalPops: sigs, waiting: p.waiting})
 		}
 	}
 	return out

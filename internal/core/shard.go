@@ -85,14 +85,15 @@ func (q promoQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *promoQueue) Push(x any)        { *q = append(*q, x.(promo)) }
 func (q *promoQueue) Pop() any          { old := *q; n := len(old); p := old[n-1]; *q = old[:n-1]; return p }
 
-// shardWatch mirrors one open outage's restoration bookkeeping for the keys
-// a shard owns: the concurrent replacement for the sequential detector's
-// inline noteReturn walk over the outage tracker. waiting is the shard's
-// private copy; the tracker keeps the authoritative sets and reconciles
-// reported returns at each bin barrier.
+// shardWatch is one open outage's (or parked campaign's) restoration
+// bookkeeping as the shards see it between barriers. waiting and signalPops
+// are the tracker's (or the campaign's) own maps, which every shard reads
+// and none writes; they change only at bin barriers, while the shards are
+// paused. A shard reports each return it sees, and the barrier's
+// reconciliation drops a key reported twice in one bin.
 type shardWatch struct {
 	epicenter  colo.PoP
-	signalPops map[colo.PoP]bool // shared read-only with the tracker between barriers
+	signalPops map[colo.PoP]bool
 	waiting    map[PathKey]bool
 }
 
@@ -118,7 +119,7 @@ const (
 // partition of the PathKey space. All of its state transitions depend only
 // on the ops of its own keys (plus broadcast peer-down ops), which is what
 // makes the layer embarrassingly parallel; only the bin-boundary signal
-// investigation needs a merged cross-shard view.
+// investigation reads across shards, while every shard is paused.
 type pathShard struct {
 	cfg  Config
 	dict *communities.Dictionary
@@ -357,6 +358,8 @@ func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp
 
 // noteReturn checks the shard's outage watches: a waiting path re-tagging a
 // signal PoP counts toward restoration and is reported at the next barrier.
+// The watches are read-only here, so a path that returns twice in one bin
+// is reported twice; the barrier keeps the first report.
 func (s *pathShard) noteReturn(at time.Time, key PathKey, newTags []pathTag) {
 	for i := range s.watches {
 		w := &s.watches[i]
@@ -365,7 +368,6 @@ func (s *pathShard) noteReturn(at time.Time, key PathKey, newTags []pathTag) {
 		}
 		for j := range newTags {
 			if w.signalPops[newTags[j].pop] {
-				delete(w.waiting, key)
 				s.returns = append(s.returns, returnEvent{epicenter: w.epicenter, key: key, at: at})
 				break
 			}

@@ -33,7 +33,10 @@ const sseBatchMax = 64
 // thousand streams cost ingestion exactly one subscriber. Each client's
 // queue is bounded (Options.SSEBuffer): a client that stops reading blocks
 // only its own writer goroutine, its queue fills, and further events are
-// dropped for it alone — drop totals appear in /v1/stats under relay.
+// dropped for it alone — drop totals appear in /v1/stats under relay. A
+// client that was only lagging, and reads again, re-joins the relay after
+// the last event it was sent and gets the gap from the replay ring, so it
+// loses nothing while the ring still holds the whole gap.
 // ?kinds=outage_resolved,incident filters server-side, before the client's
 // queue.
 //
@@ -91,7 +94,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	} else {
 		stream = s.opts.Relay.Subscribe(s.opts.SSEBuffer, allow)
 	}
-	defer stream.Close()
+	defer func() { stream.Close() }() // the stream may be replaced below
 	s.opts.Logger.Debug("sse stream open", "remote", r.RemoteAddr, "resuming", resuming,
 		"backlog", len(backlog), "complete", complete)
 	defer func() {
@@ -119,6 +122,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var (
 		buf    bytes.Buffer // reused frame buffer across batches
 		stamps []time.Time  // publication stamps of live events in the batch
+		// last is the sequence the client is complete up to: it was sent
+		// every event it subscribed to up to last. A live-only stream
+		// learns its starting point from its first event. lost is the
+		// stream's drop count already dealt with.
+		last = lastID
+		lost int64
 	)
 	// writeBatch coalesces a batch of events into one write and one flush,
 	// preserving event order. Delivery lag (bus publication to completed
@@ -140,6 +149,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if live && !ev.PublishedAt.IsZero() {
 				stamps = append(stamps, ev.PublishedAt)
 			}
+		}
+		if len(evs) > 0 {
+			last = evs[len(evs)-1].Seq
 		}
 		if buf.Len() == 0 {
 			return true
@@ -191,7 +203,28 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 					break drain
 				}
 			}
-			if !writeBatch(batch, true) {
+			if last == 0 {
+				last = batch[0].Seq - 1
+			}
+			live := true
+			if d := stream.Dropped(); d > lost {
+				// The client's queue overflowed while it lagged. Events taken
+				// before the overflow precede the first lost one, but this
+				// batch may reach past it. Re-join after last: if the replay
+				// ring still holds everything since, its backlog replaces the
+				// batch and the new queue carries on, exactly once, as for a
+				// reconnecting client. If not, the gap is lost, as it is
+				// without a ring, and the stream carries on as it was.
+				lost = d
+				next, backlog, complete := s.opts.Relay.SubscribeFrom(last, s.opts.SSEBuffer, allow)
+				if complete {
+					stream.Close()
+					stream, batch, live, lost = next, backlog, false, 0
+				} else {
+					next.Close()
+				}
+			}
+			if !writeBatch(batch, live) {
 				return
 			}
 		case <-heartbeat.C:

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -169,6 +171,60 @@ func TestSSEFreshClientGetsLiveOnly(t *testing.T) {
 	}
 	if f.id != "6" {
 		t.Fatalf("fresh client's first event id = %q, want 6 (ring must not replay)", f.id)
+	}
+}
+
+// TestSSELaggingClientCatchesUp pins that a live client whose one-event
+// queue overflows while it lags loses nothing the replay ring still holds:
+// the stream re-joins after the last event it wrote, and the client reads
+// every id exactly once, in order.
+func TestSSELaggingClientCatchesUp(t *testing.T) {
+	const ring = 20000
+	bus := events.New(nil, events.WithRing(ring))
+	defer bus.Close()
+	srv := New(Options{Bus: bus, SSEBuffer: 1, Heartbeat: time.Hour})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := sseGet(t, ts.URL+"/v1/events", 0)
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if f, err := readFrame(br); err != nil || !f.comment {
+		t.Fatalf("opening frame = %+v, %v", f, err) // subscription registered
+	}
+
+	// Publish until the client's queue has overflowed, then some more. The
+	// publisher is paced to the relay goroutine so that only the client's
+	// queue, not the relay's upstream one, overflows.
+	relay := srv.opts.Relay
+	published := 0
+	publish := func() {
+		for relay.Info().UpstreamDepth > 64 {
+			runtime.Gosched()
+		}
+		bus.Publish(events.Event{Kind: events.KindBinClosed, Time: t0})
+		published++
+	}
+	for relay.Info().Dropped == 0 {
+		if published >= ring-100 {
+			t.Fatalf("no drops after %d events with a one-event queue", published)
+		}
+		publish()
+	}
+	for i := 0; i < 100; i++ {
+		publish()
+	}
+
+	// A stream that lost events never delivers all of them: give up then.
+	defer time.AfterFunc(10*time.Second, func() { resp.Body.Close() }).Stop()
+	ids := collectIDs(t, br, published)
+	for i, id := range ids {
+		if id != uint64(i)+1 {
+			t.Fatalf("frame %d carries id %d, want %d: the lagging client lost or repeated events", i, id, i+1)
+		}
+	}
+	if info := relay.Info(); info.UpstreamDropped != 0 {
+		t.Fatalf("relay lost %d events upstream; the test must overflow only the client queue", info.UpstreamDropped)
 	}
 }
 
