@@ -372,45 +372,59 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineIngest measures multi-core ingestion throughput of the
-// sharded engine, sweeping the shard count over two input shapes.
-// records/sec is the headline metric; shards=1 approximates the sequential
-// detector plus fan-out overhead.
+// engine, sweeping the shard count over two input shapes. records/sec is
+// the headline metric; inline is the engine without shard workers
+// (NewDetector), shards=1 the same work behind one worker and the fan-out
+// handshake.
 //
-//   - shards=N: the historical archive, led by a RIB dump. Higher shard
-//     counts spread the per-path work (community annotation, baseline
-//     maintenance) across cores with the investigator synchronized at bin
-//     boundaries.
-//   - storm/shards=N: the storm workload's outage mix compressed into one
-//     month (stormMonth). Bin closes with diverts are frequent, so the
-//     barrier and the investigation, which run while every shard waits,
-//     weigh against the parallel apply.
+//   - inline, shards=N: the historical archive, led by a RIB dump. Higher
+//     shard counts spread the per-path work (community annotation,
+//     baseline maintenance) across cores with the investigator
+//     synchronized at bin boundaries.
+//   - storm/inline, storm/shards=N: the storm workload's outage mix
+//     compressed into one month (stormMonth). Bin closes with diverts are
+//     frequent, so the barrier and the investigation, which run while
+//     every shard waits, weigh against the parallel apply.
 func BenchmarkEngineIngest(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			env := histEnv(b)
-			records := env.Res.Records
-			if len(records) > 100000 {
-				records = records[:100000]
-			}
-			benchIngest(b, env.Stack, records, shards)
-		})
+	hist := func(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
+		env := histEnv(b)
+		records := env.Res.Records
+		if len(records) > 100000 {
+			records = records[:100000]
+		}
+		return env.Stack, records
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("storm/shards=%d", shards), func(b *testing.B) {
-			stack, storm := stormMonth(b)
-			benchIngest(b, stack, storm, shards)
-		})
+	for _, in := range []struct {
+		prefix string
+		load   func(*testing.B) (*pipeline.Stack, []*mrt.Record)
+	}{{"", hist}, {"storm/", stormMonth}} {
+		for _, shards := range []int{0, 1, 2, 4, 8} {
+			name := fmt.Sprintf("%sshards=%d", in.prefix, shards)
+			if shards == 0 {
+				name = in.prefix + "inline"
+			}
+			b.Run(name, func(b *testing.B) {
+				stack, records := in.load(b)
+				benchIngest(b, stack, records, shards)
+			})
+		}
 	}
 }
 
-// benchIngest feeds records through a fresh engine of the given shard
-// count per iteration and reports records/sec.
+// benchIngest feeds records through a fresh engine per iteration — inline
+// for shards == 0, else with that many shard workers — and reports
+// records/sec.
 func benchIngest(b *testing.B, stack *pipeline.Stack, records []*mrt.Record, shards int) {
 	last := records[len(records)-1].Time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := stack.NewEngine(kepler.DefaultConfig(), shards)
+		var eng *kepler.Engine
+		if shards == 0 {
+			eng = stack.NewDetector(kepler.DefaultConfig())
+		} else {
+			eng = stack.NewEngine(kepler.DefaultConfig(), shards)
+		}
 		for _, rec := range records {
 			eng.Process(rec)
 		}
@@ -419,42 +433,6 @@ func benchIngest(b *testing.B, stack *pipeline.Stack, records []*mrt.Record, sha
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(len(records)*b.N)/secs, "records/sec")
-	}
-}
-
-// BenchmarkRIBBootstrap measures the cold-start bulk load: the historical
-// archive's leading table dump fed through Engine.BootstrapRIB, whose
-// large per-shard batches let every shard worker build its partition of
-// the path tables concurrently instead of trickling the dump through the
-// per-record streaming path. records/sec is the headline metric; the
-// spread across shard counts is the bootstrap parallelism.
-func BenchmarkRIBBootstrap(b *testing.B) {
-	env := histEnv(b)
-	records := env.Res.Records
-	n := 0
-	for n < len(records) && records[n].Kind == mrt.KindRIB {
-		n++
-	}
-	rib := records[:n]
-	if len(rib) == 0 {
-		b.Fatal("historical archive has no leading table dump")
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng := env.Stack.NewEngine(kepler.DefaultConfig(), shards)
-				if _, err := eng.BootstrapRIB(rib); err != nil {
-					b.Fatal(err)
-				}
-				eng.Flush(rib[len(rib)-1].Time)
-				eng.Close()
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(len(rib)*b.N)/secs, "records/sec")
-			}
-		})
 	}
 }
 

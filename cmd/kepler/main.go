@@ -5,10 +5,11 @@
 // generated with — the moral equivalent of Kepler refreshing its dictionary
 // and PeeringDB snapshot for the archive's time period.
 //
-// Replay runs on the sharded concurrent engine by default (one path-state
-// shard per core, investigation synchronized at bin boundaries); -shards 1
-// selects the sequential single-shard detector, which produces identical
-// output.
+// Replay runs on an engine with one path-state shard worker per core by
+// default, investigation synchronized at bin boundaries; -shards 1 runs one
+// worker, and every shard count produces identical output. Table dumps and
+// updates are fed through the engine one record at a time, and each outage
+// is printed as it completes.
 //
 // Outage and incident reports go to stdout in a fixed format; diagnostics
 // go to stderr through log/slog (-log-format text|json, -log-level).
@@ -21,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,35 +39,60 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "kepler:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set rejected (it has already
+// printed why).
+var errUsage = errors.New("usage")
+
+// run replays one archive: outage reports (and, with -v, incidents) go to
+// stdout, diagnostics to stderr. It stops at the first read error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("kepler", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed     = flag.Int64("seed", 1, "world seed the archive was generated with")
-		archive  = flag.String("archive", "archive.mrt", "MRT-lite archive to replay")
-		tfail    = flag.Float64("tfail", 0.10, "outage signal threshold")
-		verbose  = flag.Bool("v", false, "also print link/AS-level incidents")
-		unres    = flag.Bool("report-unresolved", true, "report outages whose epicenter could not be pinned (no data plane in replay mode)")
-		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "path-state shard workers; 1 runs the sequential detector, <= 0 one worker per core")
-		logFmt   = flag.String("log-format", "text", "stderr diagnostics format: text or json")
-		logLvl   = flag.String("log-level", "info", "minimum diagnostic severity: debug, info, warn or error")
-		binStats = flag.Bool("bin-stats", false, "print a staged bin-close latency summary at exit")
+		seed     = fs.Int64("seed", 1, "world seed the archive was generated with")
+		archive  = fs.String("archive", "archive.mrt", "MRT-lite archive to replay")
+		tfail    = fs.Float64("tfail", 0.10, "outage signal threshold")
+		verbose  = fs.Bool("v", false, "also print link/AS-level incidents")
+		unres    = fs.Bool("report-unresolved", true, "report outages whose epicenter could not be pinned (no data plane in replay mode)")
+		shards   = fs.Int("shards", runtime.GOMAXPROCS(0), "path-state shard workers; <= 0 one worker per core")
+		logFmt   = fs.String("log-format", "text", "stderr diagnostics format: text or json")
+		logLvl   = fs.String("log-level", "info", "minimum diagnostic severity: debug, info, warn or error")
+		binStats = fs.Bool("bin-stats", false, "print a staged bin-close latency summary at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	if *seed < 0 {
-		fatal(fmt.Errorf("-seed must be non-negative, got %d (a world cannot be generated from a negative seed)", *seed))
+		return fmt.Errorf("-seed must be non-negative, got %d (a world cannot be generated from a negative seed)", *seed)
 	}
 	if *tfail <= 0 || *tfail > 1 {
-		fatal(fmt.Errorf("-tfail must be in (0,1], got %v (it is the fraction of an AS's stable paths that must divert)", *tfail))
+		return fmt.Errorf("-tfail must be in (0,1], got %v (it is the fraction of an AS's stable paths that must divert)", *tfail)
 	}
-	logger, err := newLogger(os.Stderr, *logFmt, *logLvl)
+	logger, err := newLogger(stderr, *logFmt, *logLvl)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	cfg := topology.DefaultConfig()
 	cfg.Seed = *seed
 	w, err := topology.Generate(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	stack := pipeline.Build(w, 77)
 	logger.Info("dictionary built",
@@ -74,7 +101,7 @@ func main() {
 
 	f, err := os.Open(*archive)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 
@@ -82,88 +109,36 @@ func main() {
 	kcfg.Tfail = *tfail
 	kcfg.ReportUnresolved = *unres
 
-	// Both paths share one processing interface; the engine additionally
-	// reports ingestion stats at exit.
-	type detection interface {
-		Process(*mrt.Record) []core.Outage
-		Flush(time.Time) []core.Outage
-		Incidents() []core.Incident
-	}
-	var det detection
-	var eng *core.Engine
+	// The engine resolves <= 0 to one worker per core.
+	eng := stack.NewEngine(kcfg, *shards)
+	defer eng.Close()
 	var stage *metrics.BinStageStats
 	if *binStats {
 		stage = &metrics.BinStageStats{}
-	}
-	if *shards == 1 {
-		d := stack.NewDetector(kcfg)
-		if stage != nil {
-			d.SetBinStageStats(stage)
-		}
-		det = d
-	} else {
-		// Engine resolves <= 0 to one worker per core.
-		eng = stack.NewEngine(kcfg, *shards)
-		defer eng.Close()
-		if stage != nil {
-			eng.SetBinStageStats(stage)
-		}
-		det = eng
+		eng.SetBinStageStats(stage)
 	}
 
 	rd := mrt.NewReader(f)
 	var last time.Time
 	records := 0
-	// Archives lead with a table dump; with the engine, buffer that prefix
-	// and bulk-load it across the shards before streaming the updates.
-	var ribPrefix []*mrt.Record
-	bootstrapping := eng != nil
 	for {
 		rec, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			fatal(err)
-		}
-		if bootstrapping {
-			if rec.Kind == mrt.KindRIB {
-				ribPrefix = append(ribPrefix, rec)
-				records++
-				last = rec.Time
-				continue
-			}
-			bootstrapping = false
-			outs, err := eng.BootstrapRIB(ribPrefix)
-			if err != nil {
-				fatal(err)
-			}
-			ribPrefix = nil
-			for _, o := range outs {
-				printOutage(stack, o)
-			}
+			return err
 		}
 		records++
 		last = rec.Time
-		for _, o := range det.Process(rec) {
-			printOutage(stack, o)
+		for _, o := range eng.Process(rec) {
+			printOutage(stdout, stack, o)
 		}
 	}
-	if bootstrapping {
-		outs, err := eng.BootstrapRIB(ribPrefix)
-		if err != nil {
-			fatal(err)
-		}
-		for _, o := range outs {
-			printOutage(stack, o)
-		}
+	for _, o := range eng.Flush(last) {
+		printOutage(stdout, stack, o)
 	}
-	for _, o := range det.Flush(last) {
-		printOutage(stack, o)
-	}
-	if eng != nil {
-		logger.Info("ingest finished", "stats", eng.Stats())
-	}
+	logger.Info("ingest finished", "stats", eng.Stats())
 	if stage != nil {
 		snap := stage.Snapshot()
 		attrs := []any{"bins", snap.Total.Count,
@@ -176,10 +151,10 @@ func main() {
 	}
 
 	counts := map[core.IncidentKind]int{}
-	for _, inc := range det.Incidents() {
+	for _, inc := range eng.Incidents() {
 		counts[inc.Kind]++
 		if *verbose && inc.Kind != core.IncidentPoP {
-			fmt.Printf("incident %s %-9s signal=%v affected=%d links=%d\n",
+			fmt.Fprintf(stdout, "incident %s %-9s signal=%v affected=%d links=%d\n",
 				inc.Time.Format("2006-01-02 15:04"), inc.Kind, inc.SignalPoP,
 				len(inc.AffectedASes), inc.Links)
 		}
@@ -187,6 +162,7 @@ func main() {
 	logger.Info("replay finished", "records", records,
 		"link", counts[core.IncidentLink], "as", counts[core.IncidentAS],
 		"operator", counts[core.IncidentOperator], "pop", counts[core.IncidentPoP])
+	return nil
 }
 
 // newLogger builds the stderr diagnostics logger; report output (stdout)
@@ -216,12 +192,12 @@ func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 }
 
-func printOutage(stack *pipeline.Stack, o core.Outage) {
+func printOutage(w io.Writer, stack *pipeline.Stack, o core.Outage) {
 	name := stack.World.PoPName(o.PoP)
 	if name == "" {
 		name = o.PoP.String()
 	}
-	fmt.Printf("OUTAGE %-30q %s  %s -> %s (%s)  affected-ASes=%d paths=%d\n",
+	fmt.Fprintf(w, "OUTAGE %-30q %s  %s -> %s (%s)  affected-ASes=%d paths=%d\n",
 		name, o.PoP, o.Start.Format("2006-01-02 15:04"), o.End.Format("15:04"),
 		o.Duration().Round(time.Minute), len(o.AffectedASes), o.DivertedPaths)
 }
@@ -234,9 +210,4 @@ func trackable(stack *pipeline.Stack) int {
 		}
 	}
 	return n
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kepler:", err)
-	os.Exit(1)
 }

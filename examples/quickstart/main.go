@@ -66,7 +66,7 @@ func main() {
 	// state is hash-partitioned across shard workers (one per core here),
 	// and the Section 4.3 signal investigation runs at each 60 s bin
 	// boundary over their merged state. The output is byte-for-byte what
-	// the sequential kepler.NewDetector would emit. The data plane
+	// the inline kepler.NewDetector would emit. The data plane
 	// validates suspected epicenters with targeted traceroutes.
 	cfg := kepler.DefaultConfig()
 	cfg.Tracing = true // record the evidence chain behind each detection

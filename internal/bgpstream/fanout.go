@@ -103,9 +103,6 @@ func (f *Fanout) Seq() uint64 { return f.seq }
 // that keeps post-restore op numbering identical to an uninterrupted run.
 func (f *Fanout) RestoreSeq(seq uint64) { f.seq = seq }
 
-// Shards returns the shard count.
-func (f *Fanout) Shards() int { return f.n }
-
 // Tracker exposes the session tracker fed by state records.
 func (f *Fanout) Tracker() *SessionTracker { return f.tracker }
 

@@ -42,10 +42,10 @@ const CheckpointVersion = 3
 
 const checkpointMagic = "KPCK"
 
-// Checkpoint is the complete serializable detection state of an Engine (or
-// Detector) at a bin barrier: the per-path monitoring tables, the stable
-// baseline, collector session state, the investigator's incident log and
-// outage tracker, and any probe campaigns parked as pending confirmations.
+// Checkpoint is the complete serializable detection state of an Engine at
+// a bin barrier: the per-path monitoring tables, the stable baseline,
+// collector session state, the investigator's incident log and outage
+// tracker, and any probe campaigns parked as pending confirmations.
 //
 // The encoding is deterministic — every map is flattened in sorted order —
 // so for one record stream the checkpoint bytes are identical regardless of
@@ -554,12 +554,12 @@ func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstre
 }
 
 // restoreCheckpoint loads a checkpoint into a fresh pipeline: paths and
-// stable-baseline entries are re-partitioned across the shards by shardOf
-// (nil assigns everything to shard 0), derived indexes and promotion queues
-// are rebuilt, the tracker and pending campaigns are reinstated, campaigns
-// are re-submitted to the prober, and the shards get the restoration
-// watches exactly as the last pre-checkpoint barrier left them.
-func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *investigator, shardOf func(PathKey) int) error {
+// stable-baseline entries are re-partitioned across the shards by fan's
+// hash, derived indexes and promotion queues are rebuilt, the tracker and
+// pending campaigns are reinstated, campaigns are re-submitted to the
+// prober, and the shards get the restoration watches exactly as the last
+// pre-checkpoint barrier left them.
+func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *investigator, fan *bgpstream.Fanout) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
 	}
@@ -572,12 +572,7 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 		// runs, the same config binding every other knob has.
 		inv.feed.Restore(c.Feed)
 	}
-	at := func(key PathKey) *pathShard {
-		if shardOf == nil {
-			return shards[0]
-		}
-		return shards[shardOf(key)]
-	}
+	at := func(key PathKey) *pathShard { return shards[fan.ShardOf(key.Peer, key.Prefix)] }
 
 	var rec pathRecord
 	err := c.paths.each(func(r *ckptReader) {

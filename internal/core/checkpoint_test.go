@@ -72,7 +72,7 @@ func checkpointEveryBin(t *testing.T, recs []*mrt.Record, cut, shards int, mkPro
 }
 
 // restoreAndFinish restores the checkpoint into a pipeline with the given
-// shard count (0 selects the sequential Detector), replays the record
+// shard count (0 selects the inline engine), replays the record
 // suffix and returns the drained outages plus the full incident log.
 func restoreAndFinish(t *testing.T, recs []*mrt.Record, enc []byte, shards int, mkProber func() Prober) ([]Outage, []Incident, *Checkpoint) {
 	t.Helper()
@@ -597,4 +597,77 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal("encoding is not a fixed point of decode-then-encode")
 		}
 	})
+}
+
+// TestCheckpointRoundTripPooledState drives the pooled path-state
+// representation through checkpoint, restore and further churn: after a
+// restore (which builds states fresh, bypassing the free lists) and
+// continued ingestion (which fills and drains them), every checkpoint taken
+// at a common bin barrier must be byte-identical to the uninterrupted
+// run's. Recycled slabs leaking stale tags or paths into the encoding
+// would diverge here.
+func TestCheckpointRoundTripPooledState(t *testing.T) {
+	recs := genStream(5, 4000)
+	cut := len(recs) / 2
+	enc := checkpointEveryBin(t, recs, cut, 4, nil, nil)
+	c, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, cmap, _ := microWorld(t)
+
+	// Uninterrupted run: the reference encoding at every bin barrier.
+	full := map[time.Time][]byte{}
+	e1 := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	e1.SetHooks(Hooks{BinClosed: func(end time.Time) {
+		cc, err := e1.Checkpoint()
+		if err != nil {
+			t.Errorf("reference checkpoint at %v: %v", end, err)
+			return
+		}
+		b, err := cc.Encode()
+		if err != nil {
+			t.Errorf("reference encode at %v: %v", end, err)
+			return
+		}
+		full[end] = b
+	}})
+	for _, r := range recs {
+		e1.Process(r)
+	}
+	e1.Close()
+
+	// Restored run over the suffix, checkpointing at every barrier.
+	e2 := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	defer e2.Close()
+	if err := e2.RestoreFrom(c); err != nil {
+		t.Fatal(err)
+	}
+	matched := 0
+	e2.SetHooks(Hooks{BinClosed: func(end time.Time) {
+		cc, err := e2.Checkpoint()
+		if err != nil {
+			t.Errorf("restored checkpoint at %v: %v", end, err)
+			return
+		}
+		b, err := cc.Encode()
+		if err != nil {
+			t.Errorf("restored encode at %v: %v", end, err)
+			return
+		}
+		want, ok := full[end]
+		if !ok {
+			return
+		}
+		matched++
+		if !bytes.Equal(b, want) {
+			t.Errorf("checkpoint at %v diverges after restore: %d bytes vs reference %d", end, len(b), len(want))
+		}
+	}})
+	for _, r := range recs[c.Records:] {
+		e2.Process(r)
+	}
+	if matched == 0 {
+		t.Fatal("no common bin barriers compared")
+	}
 }

@@ -75,7 +75,7 @@ func mkWithdraw(at time.Time, peer bgp.ASN, prefix string) *mrt.Record {
 
 // seedStable announces, for each near AS 11..14, nPer paths tagged with F1
 // toward distinct far ASes 21..24, then advances past the stability window.
-func seedStable(t *testing.T, d *Detector, nPer int) time.Time {
+func seedStable(t *testing.T, d *Engine, nPer int) time.Time {
 	t.Helper()
 	at := tBase
 	pfx := 0

@@ -23,6 +23,36 @@ const engineBatchSize = 256
 // engineQueueLen is the per-shard channel depth, in batches.
 const engineQueueLen = 64
 
+// binClock reproduces the pipeline's bin advancement: it yields every bin
+// end strictly before t's bin, in order, fast-forwarding across idle gaps.
+type binClock struct {
+	start    time.Time
+	interval time.Duration
+}
+
+// advance calls closeBin for each bin that ends at or before t's arrival,
+// then leaves start at the bin containing t. start moves before closeBin
+// runs — to the closing bin's end, or across an idle gap straight to t's
+// bin — so a checkpoint captured inside closeBin records where the clock
+// resumes: restored with start still at the closing bin's end, a pipeline
+// would close one more bin before it took the jump the original had
+// already taken.
+func (c *binClock) advance(t time.Time, closeBin func(end time.Time)) {
+	if c.start.IsZero() {
+		c.start = t.Truncate(c.interval)
+		return
+	}
+	for !t.Before(c.start.Add(c.interval)) {
+		end := c.start.Add(c.interval)
+		c.start = end
+		// Fast-forward across idle gaps.
+		if t.Sub(end) > 100*c.interval {
+			c.start = t.Truncate(c.interval)
+		}
+		closeBin(end)
+	}
+}
+
 // shardMsg is one unit on a shard worker's queue: an op batch, optionally
 // followed by a bin barrier.
 type shardMsg struct {
@@ -71,28 +101,33 @@ func (s *engineShard) run() {
 	}
 }
 
-// Engine is the sharded concurrent Kepler pipeline: a fan-out stage routes
-// each record's path-level ops to N shard workers that own disjoint hash
-// partitions of the per-path monitoring state, and a bin-synchronized
-// investigator merges the shards' divert records and reads their stable
-// baselines in place at every 60 s bin close to run the Section 4.3 signal
-// investigation unchanged. For any record stream the engine emits exactly
-// the same Outages and Incidents as the sequential Detector; Detector
-// remains the zero-goroutine N=1 compatibility path.
+// Engine is the Kepler pipeline: a fan-out stage routes each record's
+// path-level ops to the path-state shards, which own disjoint hash
+// partitions of the per-path monitoring state (Section 4.2), and at every
+// 60 s bin close the investigator merges the shards' divert records and
+// reads their stable baselines in place to run the Section 4.3 signal
+// investigation. New builds it with one inline shard that applies ops on
+// the caller's goroutine and closes every bin; NewEngine builds it with N
+// shard workers synchronized at a bin barrier, which skips provably idle
+// bins. For any record stream both emit exactly the same Outages, Incidents
+// and checkpoints.
 type Engine struct {
-	cfg    Config
-	inv    *investigator
+	cfg Config
+	inv *investigator
+	// shards holds the shard workers; it is empty on an inline engine.
 	shards []*engineShard
-	// shardStates mirrors shards: the investigator's view and the
-	// checkpoint's shard list.
+	// shardStates holds every path-state shard (the workers', or the one
+	// inline shard): the investigator's view and the checkpoint's shard
+	// list.
 	shardStates []*pathShard
 	fan         *bgpstream.Fanout
 	clock       binClock
 	ckpt        checkpointer
 
-	// opsSinceBarrier lets idle bins skip the full barrier handshake: with
-	// no ops dispatched and no outage state in flight, a bin close is a
-	// provable no-op.
+	// opsSinceBarrier marks mid-bin per-path state: it lets a worker
+	// engine's idle bins skip the barrier handshake (with no ops dispatched
+	// and no outage state in flight, a bin close is a provable no-op) and
+	// gates Checkpoint outside a barrier.
 	opsSinceBarrier bool
 	stats           metrics.IngestStats
 
@@ -113,41 +148,56 @@ type Engine struct {
 	closed    bool
 }
 
-// NewEngine builds a sharded engine with the given number of shard
-// workers; shards <= 0 selects GOMAXPROCS. orgs may be nil. Call Close
-// when done to stop the workers.
+// New builds an engine with one inline path-state shard: it starts no
+// goroutine, applies each record's ops on the caller's goroutine and closes
+// every bin, idle ones included, which keeps it the reference the worker
+// engine is checked against. orgs may be nil (operator-level classification
+// then degrades to AS-level). The data plane is optional via SetDataPlane.
+func New(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table) *Engine {
+	return newEngine(cfg, dict, cmap, orgs, 0)
+}
+
+// NewEngine builds an engine with the given number of shard workers;
+// shards <= 0 selects GOMAXPROCS. orgs may be nil. Call Close when done to
+// stop the workers.
 func NewEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table, shards int) *Engine {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
-		cfg:   cfg,
-		fan:   bgpstream.NewFanout(shards),
-		clock: binClock{interval: cfg.BinInterval},
-	}
-	e.shards = make([]*engineShard, shards)
-	e.shardStates = make([]*pathShard, shards)
-	for i := range e.shards {
-		e.shards[i] = &engineShard{
-			ps:   newPathShard(cfg, dict, cmap),
-			in:   make(chan shardMsg, engineQueueLen),
-			free: make(chan []bgpstream.RouteOp, engineQueueLen+1),
-			done: make(chan struct{}),
-		}
-		e.shardStates[i] = e.shards[i].ps
-	}
-	e.inv = newInvestigator(cfg, cmap, orgs, e.shardStates)
-	if cfg.FeedSilence > 0 {
-		e.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
-	}
+	e := newEngine(cfg, dict, cmap, orgs, shards)
 	for _, s := range e.shards {
 		go s.run()
 	}
 	return e
 }
 
-// Shards returns the number of shard workers.
-func (e *Engine) Shards() int { return len(e.shards) }
+// newEngine builds an engine over the given number of shard workers, not
+// yet started; zero workers leaves one inline shard.
+func newEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table, workers int) *Engine {
+	e := &Engine{
+		cfg:         cfg,
+		shards:      make([]*engineShard, workers),
+		shardStates: make([]*pathShard, max(workers, 1)),
+		fan:         bgpstream.NewFanout(max(workers, 1)),
+		clock:       binClock{interval: cfg.BinInterval},
+	}
+	for i := range e.shardStates {
+		e.shardStates[i] = newPathShard(cfg, dict, cmap)
+	}
+	for i := range e.shards {
+		e.shards[i] = &engineShard{
+			ps:   e.shardStates[i],
+			in:   make(chan shardMsg, engineQueueLen),
+			free: make(chan []bgpstream.RouteOp, engineQueueLen+1),
+			done: make(chan struct{}),
+		}
+	}
+	e.inv = newInvestigator(cfg, cmap, orgs, e.shardStates)
+	if cfg.FeedSilence > 0 {
+		e.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
+	}
+	return e
+}
 
 // SetDataPlane wires the synchronous targeted-measurement backend. It must
 // be called before the first Process.
@@ -191,12 +241,19 @@ func (e *Engine) Process(rec *mrt.Record) []Outage {
 	e.clock.advance(rec.Time, e.closeBin)
 	if e.inv.feed != nil {
 		// After the bin closes preceding this record: its liveness proof
-		// belongs to the bin it falls into, matching the Detector exactly.
+		// belongs to the bin it falls into.
 		e.inv.feed.Observe(rec)
 	}
 	if n := e.fan.Add(rec); n > 0 {
 		e.opsSinceBarrier = true
 		e.stats.Ops.Add(int64(n))
+		if len(e.shards) == 0 {
+			ops := e.fan.Take(0)
+			for i := range ops {
+				e.shardStates[0].apply(&ops[i])
+			}
+			e.fan.Recycle(0, ops)
+		}
 	}
 	for i := range e.shards {
 		if e.fan.Pending(i) >= engineBatchSize {
@@ -226,7 +283,7 @@ func (e *Engine) reclaim(i int) {
 // restoration watches, and release them (which then drop their diverted
 // paths from the stable baseline).
 func (e *Engine) closeBin(end time.Time) {
-	if !e.opsSinceBarrier && e.inv.tracker.idle() && !e.inv.hasPending() && !e.inv.feedDue(end) {
+	if len(e.shards) > 0 && !e.opsSinceBarrier && e.inv.tracker.idle() && !e.inv.hasPending() && !e.inv.feedDue(end) {
 		return // nothing processed, tracked, parked or feed-due: the close is a no-op
 	}
 	t0 := time.Now() //keplervet:ignore walltime metrics span: barrier wall-time for IngestStats, never read by detection
@@ -247,20 +304,23 @@ func (e *Engine) closeBin(end time.Time) {
 	}
 	e.inv.closeBinOver(end, diverted)
 	e.inBarrier = false
-	close(b.resume)
-	for i := range e.shards {
-		e.reclaim(i)
-	}
+	e.resume(b)
 
 	e.opsSinceBarrier = false
 	e.stats.Bins.Add(1)
 	e.stats.BarrierNanos.Add(time.Since(t0).Nanoseconds()) //keplervet:ignore walltime metrics span: barrier wall-time counter, never read by detection
 }
 
-// pause ships every shard its pending ops followed by a barrier at end, and
-// waits until each has applied them, run its promotions due at end and
-// stopped. The caller owns all shard state until it closes b.resume.
+// pause ships every shard worker its pending ops followed by a barrier at
+// end, and waits until each has applied them, run its promotions due at end
+// and stopped. The caller owns all shard state until it calls resume(b).
+// An inline engine has applied its ops already and runs its promotions
+// here; its barrier is nil.
 func (e *Engine) pause(end time.Time) *binBarrier {
+	if len(e.shards) == 0 {
+		e.shardStates[0].runPromotions(end)
+		return nil
+	}
 	b := &binBarrier{end: end, resume: make(chan struct{})}
 	b.ready.Add(len(e.shards))
 	for i, s := range e.shards {
@@ -270,16 +330,28 @@ func (e *Engine) pause(end time.Time) *binBarrier {
 	return b
 }
 
+// resume releases the shard workers paused at b and recycles the op slabs
+// they returned.
+func (e *Engine) resume(b *binBarrier) {
+	if b == nil {
+		return
+	}
+	close(b.resume)
+	for i := range e.shards {
+		e.reclaim(i)
+	}
+}
+
 // mergeDiverted combines the shards' current-bin divert indexes. Slices
 // are ordered by global op sequence so the merged index is exactly the one
-// the sequential detector would have built.
+// one inline shard would have built.
 func (e *Engine) mergeDiverted() map[colo.PoP]map[bgp.ASN][]divertRec {
 	var single *pathShard
 	contributors := 0
-	for _, s := range e.shards {
-		if len(s.ps.diverted) > 0 {
+	for _, s := range e.shardStates {
+		if len(s.diverted) > 0 {
 			contributors++
-			single = s.ps
+			single = s
 		}
 	}
 	switch contributors {
@@ -291,8 +363,8 @@ func (e *Engine) mergeDiverted() map[colo.PoP]map[bgp.ASN][]divertRec {
 		return single.diverted
 	}
 	merged := make(map[colo.PoP]map[bgp.ASN][]divertRec)
-	for _, s := range e.shards {
-		for pop, byNear := range s.ps.diverted {
+	for _, s := range e.shardStates {
+		for pop, byNear := range s.diverted {
 			dst := merged[pop]
 			if dst == nil {
 				dst = make(map[bgp.ASN][]divertRec)
@@ -329,7 +401,7 @@ func (e *Engine) Flush(asOf time.Time) []Outage {
 		// apply what is queued first: settling the probes below edits the
 		// waiting maps their restoration watches read. A zero-time barrier
 		// runs no promotions.
-		close(e.pause(time.Time{}).resume)
+		e.resume(e.pause(time.Time{}))
 	}
 	e.inv.finishProbes(asOf)
 	e.inv.tracker.closeAll(asOf)
@@ -347,9 +419,6 @@ func (e *Engine) OpenOutages() []colo.PoP { return e.inv.tracker.open() }
 // OpenOutageStatuses snapshots every ongoing outage, sorted by epicenter.
 // Only valid between Process calls or inside a BinClosed hook.
 func (e *Engine) OpenOutageStatuses() []OutageStatus { return e.inv.tracker.openStatuses() }
-
-// SessionTracker exposes the fan-out's session tracker.
-func (e *Engine) SessionTracker() *bgpstream.SessionTracker { return e.fan.Tracker() }
 
 // FeedHealth snapshots the feed watchdog as of asOf (normally the last
 // closed bin). ok is false when Config.FeedSilence is zero. Only valid
@@ -404,8 +473,8 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	return e.ckpt.capture(e.clock.start, records, e.fan, e.shardStates, e.inv), nil
 }
 
-// RestoreFrom loads a checkpoint produced by Checkpoint (on an Engine or
-// Detector of any shard count): the next Process call continues exactly
+// RestoreFrom loads a checkpoint produced by Checkpoint (on an engine of
+// any shard count, inline or not): the next Process call continues exactly
 // where the checkpointed pipeline stopped, so re-ingesting the record
 // suffix after Checkpoint.Records reproduces the uninterrupted run's output
 // and hook sequence byte for byte. It must be called before the first
@@ -415,9 +484,7 @@ func (e *Engine) RestoreFrom(c *Checkpoint) error {
 	if e.seen != 0 || !e.clock.start.IsZero() {
 		return fmt.Errorf("core: RestoreFrom must precede the first Process")
 	}
-	if err := restoreCheckpoint(c, e.cfg, e.shardStates, e.inv, func(k PathKey) int {
-		return e.fan.ShardOf(k.Peer, k.Prefix)
-	}); err != nil {
+	if err := restoreCheckpoint(c, e.cfg, e.shardStates, e.inv, e.fan); err != nil {
 		return err
 	}
 	e.clock.start = c.BinStart

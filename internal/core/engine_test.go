@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -211,5 +212,57 @@ func TestEngineScenario(t *testing.T) {
 	stats := e.Stats()
 	if stats.Records == 0 || stats.Ops == 0 || stats.Bins == 0 {
 		t.Errorf("ingest stats not collected: %+v", stats)
+	}
+}
+
+// TestInlineEngineIsReference pins what keeps New's engine the reference
+// the worker engine is checked against: it starts no goroutine, and it
+// closes every bin the stream crosses, idle ones included, where a
+// 4-shard engine skips the idle ones.
+func TestInlineEngineIsReference(t *testing.T) {
+	dict, cmap, _ := microWorld(t)
+	var recs []*mrt.Record
+	for _, m := range []int{0, 1, 2, 10, 40, 41, 90} {
+		comm := bgp.Communities{bgp.MakeCommunity(11, 51001)}
+		recs = append(recs, mkUpdate(tBase.Add(time.Duration(m)*time.Minute), 11, "20.11.0.0/24", bgp.Path{11, 21}, comm))
+	}
+	last := recs[len(recs)-1].Time
+	// Every bin end from the first record's bin to the last one's, plus
+	// the one Flush closes.
+	wantBins := int(last.Sub(recs[0].Time)/time.Minute) + 1
+
+	before := runtime.NumGoroutine()
+	check := func(stage string) {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("after %s: %d goroutines, %d before New", stage, n, before)
+		}
+	}
+	inline := New(DefaultConfig(), dict, cmap, nil)
+	check("New")
+	bins := 0
+	inline.SetHooks(Hooks{BinClosed: func(time.Time) { bins++ }})
+	for _, r := range recs {
+		inline.Process(r)
+	}
+	check("Process")
+	inline.Flush(last)
+	check("Flush")
+	if bins != wantBins {
+		t.Errorf("inline engine closed %d bins, want %d (one per bin end crossed)", bins, wantBins)
+	}
+
+	workers := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	defer workers.Close()
+	if n := runtime.NumGoroutine(); n < before+4 {
+		t.Errorf("4-shard engine: %d goroutines, want at least %d", n, before+4)
+	}
+	sharded := 0
+	workers.SetHooks(Hooks{BinClosed: func(time.Time) { sharded++ }})
+	for _, r := range recs {
+		workers.Process(r)
+	}
+	workers.Flush(last)
+	if sharded >= bins {
+		t.Errorf("4-shard engine closed %d bins, the inline one %d: want the idle ones skipped", sharded, bins)
 	}
 }

@@ -10,18 +10,9 @@ import (
 	"kepler/internal/mrt"
 )
 
-// feedRunner is the Detector/Engine subset the feed tests drive.
-type feedRunner interface {
-	SetHooks(Hooks)
-	Process(*mrt.Record) []Outage
-	Flush(time.Time) []Outage
-	Incidents() []Incident
-	FeedHealth(time.Time) (bgpstream.FeedSnapshot, bool)
-}
-
 // runFeed replays the stream and returns the fired feed transitions in
 // order, plus the detection output and the final watchdog snapshot.
-func runFeed(t *testing.T, r feedRunner, recs []*mrt.Record) (trs []bgpstream.FeedTransition, outs []Outage, incs []Incident, snap bgpstream.FeedSnapshot) {
+func runFeed(t *testing.T, r *Engine, recs []*mrt.Record) (trs []bgpstream.FeedTransition, outs []Outage, incs []Incident, snap bgpstream.FeedSnapshot) {
 	t.Helper()
 	r.SetHooks(Hooks{
 		FeedDegraded:  func(tr bgpstream.FeedTransition) { trs = append(trs, tr) },
@@ -40,7 +31,7 @@ func runFeed(t *testing.T, r feedRunner, recs []*mrt.Record) (trs []bgpstream.Fe
 }
 
 // TestFeedEventsEngineDetectorEquivalence pins the watchdog's determinism
-// contract: the sequential detector and engines at several shard counts fire
+// contract: the inline engine and engines at several shard counts fire
 // identical feed transition sequences for the same record stream, and
 // enabling the watchdog changes nothing about the detection output.
 func TestFeedEventsEngineDetectorEquivalence(t *testing.T) {
@@ -149,20 +140,13 @@ func TestFeedCheckpointRestoreEquivalence(t *testing.T) {
 
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("restore-shards=%d", shards), func(t *testing.T) {
-			var r feedRunner
-			if shards == 0 {
-				d := New(cfg, dict, cmap, nil)
-				if err := d.RestoreFrom(c); err != nil {
-					t.Fatal(err)
-				}
-				r = d
-			} else {
-				re := NewEngine(cfg, dict, cmap, nil, shards)
-				defer re.Close()
-				if err := re.RestoreFrom(c); err != nil {
-					t.Fatal(err)
-				}
-				r = re
+			r := New(cfg, dict, cmap, nil)
+			if shards > 0 {
+				r = NewEngine(cfg, dict, cmap, nil, shards)
+			}
+			defer r.Close()
+			if err := r.RestoreFrom(c); err != nil {
+				t.Fatal(err)
 			}
 			trs, _, _, _ := runFeed(t, r, recs[c.Records:])
 			if !reflect.DeepEqual(trs, wantSuffix) {

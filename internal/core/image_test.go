@@ -148,34 +148,15 @@ func churnStream() []*mrt.Record {
 	return recs
 }
 
-// pipe is a Detector or an Engine as the differential test drives it.
-type pipe struct {
-	process    func(*mrt.Record)
-	checkpoint func() (*Checkpoint, error)
-	restore    func(*Checkpoint) error
-	setHooks   func(Hooks)
-	setStats   func(*metrics.CheckpointStats)
-	shards     func() []*pathShard
-	close      func()
-}
-
-func newPipe(dict *communities.Dictionary, cmap *colo.Map, shards int) pipe {
+// newPipeline builds the pipeline the differential tests drive: the inline
+// engine for shards == 0, else an engine with that many shard workers.
+func newPipeline(dict *communities.Dictionary, cmap *colo.Map, shards int) *Engine {
 	cfg := DefaultConfig()
 	cfg.FeedSilence = 30 * time.Minute
 	if shards == 0 {
-		d := New(cfg, dict, cmap, nil)
-		return pipe{
-			process: func(r *mrt.Record) { d.Process(r) }, checkpoint: d.Checkpoint, restore: d.RestoreFrom,
-			setHooks: d.SetHooks, setStats: d.SetCheckpointStats,
-			shards: func() []*pathShard { return d.shards }, close: func() {},
-		}
+		return New(cfg, dict, cmap, nil)
 	}
-	e := NewEngine(cfg, dict, cmap, nil, shards)
-	return pipe{
-		process: func(r *mrt.Record) { e.Process(r) }, checkpoint: e.Checkpoint, restore: e.RestoreFrom,
-		setHooks: e.SetHooks, setStats: e.SetCheckpointStats,
-		shards: func() []*pathShard { return e.shardStates }, close: e.Close,
-	}
+	return NewEngine(cfg, dict, cmap, nil, shards)
 }
 
 // checkAgainstRebuild captures a checkpoint (on the pipeline's image, warm
@@ -184,9 +165,9 @@ func newPipe(dict *communities.Dictionary, cmap *colo.Map, shards int) pipe {
 // inside BinClosed hooks, where a t.Fatal would leave an engine's workers
 // parked at the barrier: it reports with t.Error and the caller stops
 // feeding records once the test has failed.
-func checkAgainstRebuild(t *testing.T, p pipe, end time.Time) []byte {
+func checkAgainstRebuild(t *testing.T, p *Engine, end time.Time) []byte {
 	t.Helper()
-	c, err := p.checkpoint()
+	c, err := p.Checkpoint()
 	if err != nil {
 		t.Errorf("checkpoint at %v: %v", end, err)
 		return nil
@@ -197,7 +178,7 @@ func checkAgainstRebuild(t *testing.T, p pipe, end time.Time) []byte {
 		return nil
 	}
 	scratch := *c
-	im, _, _ := buildImage(p.shards())
+	im, _, _ := buildImage(p.shardStates)
 	scratch.paths, scratch.stable = sectionOf(im.paths), sectionOf(im.stable)
 	want, err := scratch.Encode()
 	if err != nil {
@@ -212,9 +193,9 @@ func checkAgainstRebuild(t *testing.T, p pipe, end time.Time) []byte {
 }
 
 // feed processes recs until the test has failed.
-func (p pipe) feed(t *testing.T, recs []*mrt.Record) {
+func feed(t *testing.T, p *Engine, recs []*mrt.Record) {
 	for _, r := range recs {
-		if p.process(r); t.Failed() {
+		if p.Process(r); t.Failed() {
 			return
 		}
 	}
@@ -224,7 +205,7 @@ func (p pipe) feed(t *testing.T, recs []*mrt.Record) {
 // checkpoint image: at every bin barrier of a storm and of a stream built to
 // hit each kind of change, a checkpoint captured on the warm image must be
 // byte-for-byte the checkpoint a from-scratch build of the same state
-// gives — for the Detector, for engines of 1, 2 and 4 shards (whose bytes
+// gives — for the inline engine, for engines of 1, 2 and 4 shards (whose bytes
 // must also agree with each other), and for an engine restored mid-stream.
 func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 	type stream struct {
@@ -240,19 +221,19 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 		var mid []byte               // a checkpoint from the middle of the stream
 		for _, shards := range []int{0, 1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
-				p := newPipe(s.dict, s.cmap, shards)
-				defer p.close()
+				p := newPipeline(s.dict, s.cmap, shards)
+				defer p.Close()
 				stats := &metrics.CheckpointStats{}
-				p.setStats(stats)
+				p.SetCheckpointStats(stats)
 				encs := map[time.Time][]byte{}
 				quiet := 0
-				p.setHooks(Hooks{BinClosed: func(end time.Time) {
+				p.SetHooks(Hooks{BinClosed: func(end time.Time) {
 					encs[end] = checkAgainstRebuild(t, p, end)
 					if stats.DirtyPaths.Load() == 0 && stats.DirtyStable.Load() == 0 {
 						quiet++
 					}
 				}})
-				if p.feed(t, s.recs); t.Failed() {
+				if feed(t, p, s.recs); t.Failed() {
 					return
 				}
 				snap := stats.Snapshot()
@@ -287,15 +268,15 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := newPipe(s.dict, s.cmap, 2)
-			defer p.close()
-			if err := p.restore(c); err != nil {
+			p := newPipeline(s.dict, s.cmap, 2)
+			defer p.Close()
+			if err := p.RestoreFrom(c); err != nil {
 				t.Fatal(err)
 			}
 			stats := &metrics.CheckpointStats{}
-			p.setStats(stats)
+			p.SetCheckpointStats(stats)
 			compared := 0
-			p.setHooks(Hooks{BinClosed: func(end time.Time) {
+			p.SetHooks(Hooks{BinClosed: func(end time.Time) {
 				if enc := checkAgainstRebuild(t, p, end); ref[end] != nil {
 					compared++
 					if !bytes.Equal(enc, ref[end]) {
@@ -303,7 +284,7 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 					}
 				}
 			}})
-			p.feed(t, s.recs[c.Records:])
+			feed(t, p, s.recs[c.Records:])
 			if compared == 0 || stats.ColdRebuilds.Load() == 0 || stats.ColdRebuilds.Load() == stats.Captures.Load() {
 				t.Errorf("%d barriers compared, %d of %d captures cold: want the first capture after restore cold and warm ones after",
 					compared, stats.ColdRebuilds.Load(), stats.Captures.Load())
@@ -344,14 +325,14 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 	if dumpAt.IsZero() {
 		t.Fatal("the storm has no mid-run RIB dump")
 	}
-	p := newPipe(dict, cmap, 2)
-	defer p.close()
+	p := newPipeline(dict, cmap, 2)
+	defer p.Close()
 	stats := &metrics.CheckpointStats{}
-	p.setStats(stats)
+	p.SetCheckpointStats(stats)
 	captures := 0
-	p.setHooks(Hooks{BinClosed: func(end time.Time) {
+	p.SetHooks(Hooks{BinClosed: func(end time.Time) {
 		gaveUp := false
-		for i, s := range p.shards() {
+		for i, s := range p.shardStates {
 			if n := len(s.dirtyPaths) + len(s.dirtyStable); n > max(len(s.paths), minDirtyBound) {
 				t.Errorf("shard %d holds %d dirty entries over %d live paths at %v", i, n, len(s.paths), end)
 			}
@@ -368,7 +349,7 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 		captures++
 	}})
 	for _, r := range recs {
-		if p.process(r); captures == 5 || t.Failed() {
+		if p.Process(r); captures == 5 || t.Failed() {
 			break
 		}
 	}
@@ -382,7 +363,7 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 // goroutine, which encodes it (into one reused buffer, as the saver does)
 // while the pipeline runs on through later barriers and later captures, and
 // the bytes must be those of encoding it synchronously at its barrier — for
-// the Detector and for engines of 1, 2 and 4 shards. Run with -race: a
+// the inline engine and for engines of 1, 2 and 4 shards. Run with -race: a
 // capture that aliased anything the pipeline still writes shows up here.
 func TestSaverEncodeRacesIngest(t *testing.T) {
 	mdict, mcmap, _ := microWorld(t)
@@ -395,8 +376,8 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 	}{{"churn", mdict, mcmap, churnStream()}, {"storm", sdict, scmap, srecs}} {
 		for _, shards := range []int{0, 1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
-				p := newPipe(s.dict, s.cmap, shards)
-				defer p.close()
+				p := newPipeline(s.dict, s.cmap, shards)
+				defer p.Close()
 				type job struct {
 					end  time.Time
 					c    *Checkpoint
@@ -422,8 +403,8 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 					encoded <- n
 				}()
 				captured := 0
-				p.setHooks(Hooks{BinClosed: func(end time.Time) {
-					c, err := p.checkpoint()
+				p.SetHooks(Hooks{BinClosed: func(end time.Time) {
+					c, err := p.Checkpoint()
 					if err != nil {
 						t.Errorf("checkpoint at %v: %v", end, err)
 						return
@@ -436,7 +417,7 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 					captured++
 					jobs <- job{end, c, want}
 				}})
-				p.feed(t, s.recs)
+				feed(t, p, s.recs)
 				close(jobs)
 				if n := <-encoded; n != captured || n < 10 {
 					t.Errorf("%d checkpoints captured, %d encoded: want at least 10, all encoded", captured, n)
@@ -489,13 +470,13 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 					ref      []string
 					barriers []barrier
 				)
-				p := newPipe(s.dict, s.cmap, shards)
-				defer p.close()
+				p := newPipeline(s.dict, s.cmap, shards)
+				defer p.Close()
 				hooks := logTo(&ref)
 				logBin := hooks.BinClosed
 				hooks.BinClosed = func(end time.Time) {
 					logBin(end)
-					c, err := p.checkpoint()
+					c, err := p.Checkpoint()
 					if err != nil {
 						t.Errorf("checkpoint at %v: %v", end, err)
 						return
@@ -507,8 +488,8 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 					}
 					barriers = append(barriers, barrier{end, enc, len(ref), !c.BinStart.Equal(end)})
 				}
-				p.setHooks(hooks)
-				if p.feed(t, s.recs); t.Failed() {
+				p.SetHooks(hooks)
+				if feed(t, p, s.recs); t.Failed() {
 					return
 				}
 				jumped := 0
@@ -523,13 +504,13 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 						t.Fatal(err)
 					}
 					var got []string
-					r := newPipe(s.dict, s.cmap, shards)
-					if err := r.restore(c); err != nil {
+					r := newPipeline(s.dict, s.cmap, shards)
+					if err := r.RestoreFrom(c); err != nil {
 						t.Fatal(err)
 					}
-					r.setHooks(logTo(&got))
-					r.feed(t, s.recs[c.Records:])
-					r.close()
+					r.SetHooks(logTo(&got))
+					feed(t, r, s.recs[c.Records:])
+					r.Close()
 					if want := ref[b.logged:]; !slices.Equal(got, want) {
 						n := 0
 						for n < len(got) && n < len(want) && got[n] == want[n] {

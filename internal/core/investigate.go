@@ -939,21 +939,6 @@ func (inv *investigator) disambiguateFacility(g *popGroup, at time.Time) colo.Po
 	return inv.resolveByProbe(at, g, probes)
 }
 
-// membershipFraction is the share of the affected ASes for which member
-// reports true. The colocation margin absorbs member-list gaps in the map.
-func membershipFraction(affected []bgp.ASN, member func(bgp.ASN) bool) float64 {
-	if len(affected) == 0 {
-		return 0
-	}
-	n := 0
-	for _, a := range affected {
-		if member(a) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(affected))
-}
-
 // aggregateFraction is the share of the PoP's stable paths the group
 // diverted — the bin-level fraction of Section 4.2 before per-AS grouping.
 func (inv *investigator) aggregateFraction(g *popGroup) float64 {
@@ -962,31 +947,6 @@ func (inv *investigator) aggregateFraction(g *popGroup) float64 {
 		return 0
 	}
 	return float64(g.paths) / float64(total)
-}
-
-// unaffectedASesAt returns the ASes that appear on stable paths at the
-// signal PoP but were not part of the diverted set — the complement Kepler
-// compares candidate facilities against.
-func (inv *investigator) unaffectedASesAt(g *popGroup) []bgp.ASN {
-	set := map[bgp.ASN]bool{}
-	inv.view.eachStable(g.pop, func(ends popEnd) {
-		set[ends.near] = true
-		if ends.far != 0 {
-			set[ends.far] = true
-		}
-	})
-	for a := range g.nears {
-		delete(set, a)
-	}
-	for a := range g.fars {
-		delete(set, a)
-	}
-	out := make([]bgp.ASN, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Exclusive-membership scoring: overlapping tenancy (one AS in several

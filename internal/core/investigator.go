@@ -12,9 +12,9 @@ import (
 )
 
 // stateView gives the investigator read access to the per-path layer's
-// cross-path aggregates: the pipeline's shards (the Detector's one, the
-// Engine's N), read in place. It is only consulted during a bin close, while
-// every shard is paused, and nothing is merged or copied: a PathKey lives in
+// cross-path aggregates: the engine's shards (one inline, or N workers'),
+// read in place. It is only consulted during a bin close, while every
+// shard is paused, and nothing is merged or copied: a PathKey lives in
 // exactly one shard, so a per-shard sum is the count over the whole
 // baseline, and every caller folds the visited entries without depending on
 // their order.
@@ -96,8 +96,9 @@ type investigator struct {
 	// never influences detection.
 	binStage *metrics.BinStageStats
 	// engineBarrier/engineMerge carry the spans the Engine measured before
-	// entering closeBinOver (barrier wait, divert merge); the Detector
-	// leaves them zero. Consumed and reset by the next closeBinOver.
+	// entering closeBinOver (barrier wait, divert merge); on the inline
+	// engine the barrier is its own promotions. Consumed and reset by the
+	// next closeBinOver.
 	engineBarrier time.Duration
 	engineMerge   time.Duration
 }
@@ -129,7 +130,7 @@ type signal struct {
 
 // runBin evaluates the per-AS divergence thresholds for the bin ending at
 // binEnd and classifies any resulting signals (the signal-raising half of
-// the sequential detector's closeBin). diverted is the bin's merged divert
+// closeBinOver). diverted is the bin's merged divert
 // index; callers tick the outage tracker and clean the stable baseline
 // afterwards.
 func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.ASN][]divertRec) {
@@ -192,16 +193,16 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 	}
 }
 
-// closeBinOver is the canonical bin-close sequence shared by Detector and
-// Engine: reconcile path returns, investigate the merged diverts, tick
-// outage tracking, point the shards at the restoration watches, then apply
-// the shards' end-of-bin baseline cleanup. The caller guarantees exclusive
-// access to every shard of inv.view (the Detector is single-threaded; the
-// Engine holds its workers at the bin barrier) and has already run
-// promotions due at end. The investigation reads the shards' maps in
-// place, so it must finish before finishBin edits them; the watches point
-// at the tracker's and the parked campaigns' own maps, which may change
-// only while the shards are paused.
+// closeBinOver is the canonical bin-close sequence of every engine:
+// reconcile path returns, investigate the merged diverts, tick outage
+// tracking, point the shards at the restoration watches, then apply the
+// shards' end-of-bin baseline cleanup. The caller guarantees exclusive
+// access to every shard of inv.view (the inline engine runs on the
+// caller's goroutine; a worker engine holds its workers at the bin
+// barrier) and has already run promotions due at end. The investigation
+// reads the shards' maps in place, so it must finish before finishBin
+// edits them; the watches point at the tracker's and the parked campaigns'
+// own maps, which may change only while the shards are paused.
 func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[bgp.ASN][]divertRec) {
 	// Staged timing (SetBinStageStats): each region below is bracketed with
 	// a monotonic-clock span. Total also covers the un-bracketed glue

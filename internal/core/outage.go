@@ -112,7 +112,7 @@ func (t *outageTracker) observe(at time.Time, epicenter colo.PoP, g *popGroup, c
 // applyReturns reconciles the shards' reported path returns into the
 // authoritative waiting/returned sets. It runs at every bin barrier before
 // signal investigation, so the tracker observes exactly the returns the
-// sequential detector's inline walk would have recorded mid-bin; lastReturn
+// inline engine's walk would have recorded mid-bin; lastReturn
 // takes the max because the reports of concurrent shards arrive unordered
 // while the record stream itself is time-ordered.
 func (t *outageTracker) applyReturns(evs []returnEvent) {

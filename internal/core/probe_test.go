@@ -44,7 +44,7 @@ func (p *scriptedProber) Collect(time.Time) []ProbeVerdict {
 
 // divertAll re-announces every seeded path around the facility, raising the
 // full-divergence signal of TestStablePromotionAndSignal.
-func divertAll(t *testing.T, d *Detector, at time.Time, nPer int) {
+func divertAll(t *testing.T, d *Engine, at time.Time, nPer int) {
 	t.Helper()
 	pfx := 0
 	for _, near := range []bgp.ASN{11, 12, 13, 14} {
@@ -57,7 +57,7 @@ func divertAll(t *testing.T, d *Detector, at time.Time, nPer int) {
 	}
 }
 
-func keepalive(d *Detector, at time.Time) {
+func keepalive(d *Engine, at time.Time) {
 	d.Process(mkUpdate(at, 99, "198.41.0.0/16", bgp.Path{99, 98}, nil))
 }
 

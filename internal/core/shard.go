@@ -59,7 +59,7 @@ func tagsHave(tags []pathTag, pop colo.PoP) bool {
 // divertRec is one path leaving a PoP within the current bin. seq is the
 // global op sequence number of the route op that caused the divert: the
 // investigator sorts merged per-shard slices on it to reproduce the exact
-// record-order slices of the sequential detector.
+// record-order slices of the inline engine.
 type divertRec struct {
 	key     PathKey
 	ends    popEnd
@@ -248,8 +248,8 @@ func (s *pathShard) boundDirty() {
 }
 
 // apply executes one fanned-out route op. Promotions due at or before the
-// op's time run first, exactly as the sequential detector promotes before
-// processing each record.
+// op's time run first, so a shard promotes as it would processing each
+// record inline.
 func (s *pathShard) apply(op *bgpstream.RouteOp) {
 	s.runPromotions(op.Time)
 	switch op.Kind {

@@ -338,7 +338,7 @@ func hasEventID(r io.Reader) bool {
 // TestLiveServiceMatchesBatch is the serving layer's correctness contract:
 // the daemon (replayed archive → sharded engine with hooks → event bus →
 // HTTP server) must report over the API exactly the outages and incidents
-// the batch Detector produces for the same archive, and the SSE stream
+// the batch NewDetector produces for the same archive, and the SSE stream
 // must deliver the same resolved-outage sequence. Run with -race:
 // ingestion, snapshot publication and API reads overlap throughout.
 func TestLiveServiceMatchesBatch(t *testing.T) {

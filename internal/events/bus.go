@@ -37,6 +37,15 @@ const (
 	KindFeedRecovered  Kind = "feed_recovered"
 )
 
+// Kinds returns every event kind, in declaration order.
+func Kinds() []Kind {
+	return []Kind{
+		KindOutageOpened, KindOutageUpdated, KindOutageResolved, KindIncident,
+		KindBinClosed, KindProbeRequested, KindProbeConfirmed, KindProbeExpired,
+		KindTrace, KindFeedDegraded, KindFeedRecovered,
+	}
+}
+
 // Event is one bus message. Exactly one of the payload pointers is non-nil,
 // matched to Kind; BinClosed events carry only Time. Seq is a bus-global,
 // gapless publication sequence number (SSE ids derive from it).

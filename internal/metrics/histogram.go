@@ -121,8 +121,8 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 // classification, the per-shard baseline cleanup, and the lifecycle hooks
 // (which a store-backed daemon uses for its synchronous WAL flush).
 const (
-	StageBarrier  = iota // shard barrier wait (Engine only; zero on Detector)
-	StageMerge           // per-shard diverted-index merge (Engine only)
+	StageBarrier  = iota // shard barrier wait (the inline engine's promotions)
+	StageMerge           // per-shard diverted-index merge
 	StageCollect         // async probe verdict collection + return application
 	StageClassify        // signal grouping, classification, disambiguation
 	StageFinish          // per-shard stable-baseline cleanup

@@ -13,12 +13,12 @@ import (
 
 // TestEngineEquivalenceOnSimulation drives the same seeded simulation
 // stream — a facility outage rendered over the full synthetic Internet —
-// through the sequential Detector and the sharded Engine at several shard
-// counts, asserting byte-for-byte identical Outage and Incident output.
-// This is the system-level counterpart of the randomized core test: real
-// dictionary, real colocation map, real noise. The rendered archive leads
-// with a table dump, so every subtest also drives Engine.BootstrapRIB
-// through RunEngine.
+// through the inline engine and engines with shard workers at several
+// shard counts, asserting byte-for-byte identical Outage and Incident
+// output. This is the system-level counterpart of the randomized core test:
+// real dictionary, real colocation map, real noise. The rendered archive
+// leads with a table dump, so every subtest also streams a full RIB through
+// Process across its shards.
 func TestEngineEquivalenceOnSimulation(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
@@ -35,7 +35,7 @@ func TestEngineEquivalenceOnSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Records[0].Kind != mrt.KindRIB {
-		t.Fatal("rendered archive does not lead with a table dump; RIB bootstrap would be vacuous")
+		t.Fatal("rendered archive does not lead with a table dump; the RIB ingest check would be vacuous")
 	}
 
 	wantOuts, wantIncs := s.Run(res.Records, core.DefaultConfig(), nil)

@@ -69,65 +69,42 @@ func Build(w *topology.World, seed int64) *Stack {
 	return &Stack{World: w, Geo: w.Geo, Map: cmap, Dict: dict, Orgs: orgs}
 }
 
-// NewDetector builds a sequential detector over the stack.
-func (s *Stack) NewDetector(cfg core.Config) *core.Detector {
+// NewDetector builds an engine with one inline shard over the stack: no
+// goroutines, every bin closed (see core.New).
+func (s *Stack) NewDetector(cfg core.Config) *core.Engine {
 	return core.New(cfg, s.Dict, s.Map, s.Orgs)
 }
 
-// NewEngine builds a sharded concurrent engine over the stack; shards <= 0
+// NewEngine builds an engine with shard workers over the stack; shards <= 0
 // selects GOMAXPROCS. The engine emits exactly the same outages and
-// incidents as the sequential detector. Callers own Close.
+// incidents as NewDetector's. Callers own Close.
 func (s *Stack) NewEngine(cfg core.Config, shards int) *core.Engine {
 	return core.NewEngine(cfg, s.Dict, s.Map, s.Orgs, shards)
 }
 
-// Run feeds a time-sorted record stream through a fresh detector and
+// Run feeds a time-sorted record stream through a fresh inline engine and
 // returns all completed outages and classified incidents. A non-nil dp
 // enables data-plane validation.
 func (s *Stack) Run(records []*mrt.Record, cfg core.Config, dp core.DataPlane) ([]core.Outage, []core.Incident) {
-	det := s.NewDetector(cfg)
-	if dp != nil {
-		det.SetDataPlane(dp)
-	}
-	var outages []core.Outage
-	src := bgpstream.NewSliceSource(records)
-	for {
-		rec, err := src.Next()
-		if err != nil {
-			break
-		}
-		outages = append(outages, det.Process(rec)...)
-	}
-	if len(records) > 0 {
-		outages = append(outages, det.Flush(records[len(records)-1].Time)...)
-	}
-	return outages, det.Incidents()
+	return run(s.NewDetector(cfg), records, dp)
 }
 
-// RunEngine feeds a time-sorted record stream through a fresh sharded
-// engine and returns all completed outages and classified incidents — the
-// concurrent counterpart of Run, with identical output for any stream. A
-// leading table dump bulk-loads across the shards via Engine.BootstrapRIB;
-// the remaining stream drives the engine through the same live.Pump loop
-// the keplerd daemon uses, so the batch and serving paths cannot drift.
+// RunEngine is Run on an engine with the given number of shard workers,
+// with identical output for any stream.
 func (s *Stack) RunEngine(records []*mrt.Record, cfg core.Config, dp core.DataPlane, shards int) ([]core.Outage, []core.Incident) {
 	eng := s.NewEngine(cfg, shards)
 	defer eng.Close()
+	return run(eng, records, dp)
+}
+
+// run drives eng over records through the same live.Pump loop the keplerd
+// daemon uses, so the batch and serving paths cannot drift.
+func run(eng *core.Engine, records []*mrt.Record, dp core.DataPlane) ([]core.Outage, []core.Incident) {
 	if dp != nil {
 		eng.SetDataPlane(dp)
 	}
-	n := 0
-	for n < len(records) && records[n].Kind == mrt.KindRIB {
-		n++
-	}
-	outages, _ := eng.BootstrapRIB(records[:n]) // all KindRIB by construction
-	res, _ := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records[n:])), eng)
-	outages = append(outages, res.Outages...)
-	if res.Last.IsZero() && n > 0 {
-		// The stream was all table dump: Pump saw nothing, so flush here.
-		outages = append(outages, eng.Flush(records[n-1].Time)...)
-	}
-	return outages, eng.Incidents()
+	res, _ := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records)), eng)
+	return res.Outages, eng.Incidents()
 }
 
 // SimDataPlane validates suspected outages with targeted synthetic

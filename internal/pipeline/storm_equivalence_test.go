@@ -47,7 +47,7 @@ func overlapping(outs []core.Outage) bool {
 }
 
 // TestEngineEquivalenceOnStorm drives a month-long multi-outage storm
-// through the sequential Detector and the sharded Engine, with the paper's
+// through the inline engine and a sharded one, with the paper's
 // per-AS grouping and with its aggregate-only ablation, asserting identical
 // Outage and Incident output. Outages overlap, so several restoration
 // watches are live in one bin, and the ablation's whole-PoP baseline count

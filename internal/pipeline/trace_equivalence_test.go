@@ -2,57 +2,33 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
-	"kepler/internal/bgpstream"
 	"kepler/internal/core"
-	"kepler/internal/live"
 	"kepler/internal/metrics"
 	"kepler/internal/mrt"
 	"kepler/internal/simulate"
 )
 
 // runTraced replays a record stream with Config.Tracing enabled and a
-// TraceRecorded hook installed, through either the sequential detector
-// (shards == 1) or the sharded engine, returning the detection output plus
-// the recorded evidence chains. It mirrors Run/RunEngine exactly so the
-// results are comparable to an untraced reference run.
+// TraceRecorded hook installed, through either the inline engine
+// (shards == 1) or one with shard workers, returning the detection output
+// plus the recorded evidence chains. It runs the loop Run/RunEngine run, so
+// the results are comparable to an untraced reference run.
 func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]core.Outage, []core.Incident, []core.OutageTrace) {
 	cfg.Tracing = true
 	var traces []core.OutageTrace
-	hooks := core.Hooks{TraceRecorded: func(tr core.OutageTrace) { traces = append(traces, tr) }}
-
-	if shards == 1 {
-		det := s.NewDetector(cfg)
-		det.SetHooks(hooks)
-		var outages []core.Outage
-		for _, rec := range records {
-			outages = append(outages, det.Process(rec)...)
-		}
-		if len(records) > 0 {
-			outages = append(outages, det.Flush(records[len(records)-1].Time)...)
-		}
-		return outages, det.Incidents(), traces
+	eng := s.NewDetector(cfg)
+	if shards != 1 {
+		eng = s.NewEngine(cfg, shards)
 	}
-
-	eng := s.NewEngine(cfg, shards)
 	defer eng.Close()
-	eng.SetHooks(hooks)
-	n := 0
-	for n < len(records) && records[n].Kind == mrt.KindRIB {
-		n++
-	}
-	outages, _ := eng.BootstrapRIB(records[:n])
-	res, _ := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records[n:])), eng)
-	outages = append(outages, res.Outages...)
-	if res.Last.IsZero() && n > 0 {
-		outages = append(outages, eng.Flush(records[n-1].Time)...)
-	}
-	return outages, eng.Incidents(), traces
+	eng.SetHooks(core.Hooks{TraceRecorded: func(tr core.OutageTrace) { traces = append(traces, tr) }})
+	outages, incidents := run(eng, records, nil)
+	return outages, incidents, traces
 }
 
 // TestTracingEquivalence asserts the tentpole observability invariant:

@@ -160,7 +160,7 @@ func restartScenario(t *testing.T) (*pipeline.Stack, *topology.World, *simulate.
 // TestRestartEquivalence is the durability contract of the live service: a
 // daemon killed mid-archive and restarted against the same data dir must
 // end up reporting exactly the resolved-outage set of one uninterrupted
-// batch Detector run, and an SSE client that disconnected before the kill
+// batch NewDetector run, and an SSE client that disconnected before the kill
 // and reconnects after it with Last-Event-ID must observe every event
 // exactly once. Run with -race: both phases overlap SSE consumption with
 // ingestion, and the second phase persists while serving.

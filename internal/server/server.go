@@ -41,15 +41,6 @@ import (
 	"kepler/internal/slogx"
 )
 
-// EngineState is the accessor subset of core.Engine (and core.Detector)
-// the snapshot builder reads. Both methods are only safe on the
-// ingestion goroutine between Process calls or inside a BinClosed hook —
-// which is exactly where BuildSnapshot runs.
-type EngineState interface {
-	OpenOutageStatuses() []core.OutageStatus
-	Incidents() []core.Incident
-}
-
 // HistoryReader pages resolved outages and incidents from durable storage
 // by ordinal: entry i of either sequence, independent of how much history
 // exists. store.Store implements it over sealed segment files with an
@@ -105,11 +96,13 @@ type Snapshot struct {
 	Feeds *bgpstream.FeedSnapshot
 }
 
-// BuildSnapshot captures the engine's queryable state. resolved is the
-// caller-accumulated completed-outage list (the engine does not retain
-// outages after they are drained); the snapshot aliases it, which is safe
-// because outage accumulation is append-only.
-func BuildSnapshot(at time.Time, eng EngineState, resolved []core.Outage) *Snapshot {
+// BuildSnapshot captures the engine's queryable state. It reads the engine,
+// so it runs on the ingestion goroutine between Process calls or inside a
+// BinClosed hook. resolved is the caller-accumulated completed-outage list
+// (the engine does not retain outages after they are drained); the
+// snapshot aliases it, which is safe because outage accumulation is
+// append-only.
+func BuildSnapshot(at time.Time, eng *core.Engine, resolved []core.Outage) *Snapshot {
 	return BuildSnapshotFrom(at, eng.OpenOutageStatuses(), resolved, eng.Incidents())
 }
 

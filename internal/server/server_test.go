@@ -355,6 +355,53 @@ func TestSSEKindFilter(t *testing.T) {
 	}
 }
 
+// TestSSEKindFilterRejectsUnknown pins ?kinds= validation: a misspelt kind
+// is a 400 naming the valid kinds, not a stream that never delivers, and a
+// list of known kinds still streams.
+func TestSSEKindFilterRejectsUnknown(t *testing.T) {
+	bus := events.New(nil)
+	defer bus.Close()
+	_, ts := newTestServer(t, nil, bus)
+
+	resp, err := http.Get(ts.URL + "/v1/events?kinds=outage_resolvd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("misspelt kind: status %d, want 400", resp.StatusCode)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, k := range events.Kinds() {
+		if !strings.Contains(string(body), string(k)) {
+			t.Errorf("400 body does not list kind %q: %s", k, body)
+		}
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/events?kinds=outage_resolved,incident")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("known kinds: status %d, want 200", resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	if _, err := readFrame(br); err != nil { // opening comment
+		t.Fatal(err)
+	}
+	bus.Publish(events.Event{Kind: events.KindBinClosed, Time: t0})
+	bus.Publish(events.Event{Kind: events.KindIncident, Time: t0, Incident: &core.Incident{Kind: core.IncidentLink}})
+	f, err := readFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.event != "incident" || f.id != "2" {
+		t.Fatalf("frame %+v, want the incident (id 2)", f)
+	}
+}
+
 // TestSSEManySubscribersSlowConsumer is the acceptance scenario: 8
 // concurrent SSE streams, one of which never reads. The stalled client's
 // bounded relay queue overflows and its events are dropped (counted in

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -38,7 +39,7 @@ const sseBatchMax = 64
 // the last event it was sent and gets the gap from the replay ring, so it
 // loses nothing while the ring still holds the whole gap.
 // ?kinds=outage_resolved,incident filters server-side, before the client's
-// queue.
+// queue; a name that is not an event kind is a 400.
 //
 // A reconnecting client sends the standard Last-Event-ID header (every
 // frame's id is the bus sequence number) and first receives the events it
@@ -79,8 +80,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var allow map[events.Kind]bool
 	if raw := r.URL.Query().Get("kinds"); raw != "" {
 		allow = make(map[events.Kind]bool)
+		known := events.Kinds()
 		for _, k := range strings.Split(raw, ",") {
-			allow[events.Kind(strings.TrimSpace(k))] = true
+			kind := events.Kind(strings.TrimSpace(k))
+			if !slices.Contains(known, kind) {
+				writeJSON(w, http.StatusBadRequest, map[string]any{
+					"error": fmt.Sprintf("kinds: unknown event kind %q; must be among %v", kind, known),
+				})
+				return
+			}
+			allow[kind] = true
 		}
 	}
 

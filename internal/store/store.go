@@ -45,7 +45,7 @@
 // beginning while events.GateHooks suppresses re-publication of the
 // prefix already persisted here — so a restart mid-archive followed by
 // replay of the remainder yields exactly the resolved-outage set of one
-// uninterrupted batch Detector run.
+// uninterrupted batch NewDetector run.
 package store
 
 import (

@@ -11,26 +11,25 @@
 // The detection pipeline is split into two layers. The per-path layer —
 // community annotation, stable-baseline maintenance, divergence tracking
 // (Section 4.2) — depends only on the records of each (vantage, prefix)
-// path, so it is partitioned across N shard workers by a hash of the path
+// path, so it is partitioned into path-state shards by a hash of the path
 // key. The cross-path layer — per-AS thresholding, Section 4.3 signal
 // investigation, and outage duration tracking — runs in a single
 // investigator that synchronizes the shards at every 60 s bin boundary
-// and reads their merged state. Two entry points expose the same
-// semantics:
+// and reads their state in place. One type, Engine, implements it, with
+// two constructors:
 //
-//   - Engine — the sharded concurrent pipeline (NewEngine). Scales record
-//     ingestion across cores; for any stream it emits byte-for-byte the
-//     same Outages and Incidents as the sequential path.
-//   - Detector — the sequential pipeline (NewDetector), kept as the N=1
-//     compatibility path with zero goroutines.
+//   - NewDetector — one inline shard: no goroutines, each record's ops
+//     applied on the caller's goroutine, every bin closed. It is the
+//     reference the sharded engine is checked against.
+//   - NewEngine — N shard workers behind a bin barrier, which skips the
+//     handshake for provably idle bins. It scales record ingestion across
+//     cores; for any stream it emits byte-for-byte the same Outages,
+//     Incidents and checkpoints as NewDetector's engine.
 //
-// Two ingest-speed mechanisms ride inside that contract. The shards keep
-// their per-path records in pooled, recycled state structs with small
-// slice-backed tag sets (no per-update map churn; withdrawn paths return
-// their storage to per-shard free lists). And a cold-start table dump
-// bulk-loads through Engine.BootstrapRIB, which batches the dump across
-// all shard workers concurrently instead of trickling it through the
-// per-record streaming path.
+// The shards keep their per-path records in pooled, recycled state structs
+// with small slice-backed tag sets (no per-update map churn; withdrawn
+// paths return their storage to per-shard free lists). Table dumps and
+// updates take the same ingest path, Engine.Process.
 //
 // # Live service layer
 //
@@ -47,7 +46,7 @@
 // /v1/stats, /healthz and an SSE stream at /v1/events — from an immutable
 // state snapshot republished at each bin barrier, so API reads never
 // contend with ingestion. The set of outages reported over the API equals
-// the batch Detector output for the same record stream.
+// the batch NewDetector output for the same record stream.
 //
 // # Durable history
 //
@@ -98,7 +97,7 @@
 // # Checkpointed recovery
 //
 // Catch-up re-ingestion is bounded by engine checkpoints rather than the
-// stream length. Engine.Checkpoint (same semantics on Detector) exports
+// stream length. Engine.Checkpoint (either constructor) exports
 // the complete detection state at a bin barrier — path tables,
 // stable-baseline indexes, per-peer session state, the investigator's
 // incident log and outage tracker, pending probe confirmations — in a
@@ -127,8 +126,8 @@
 // pages with the pipeline, so store.CheckpointSaver encodes it (into one
 // buffer it reuses), writes and fsyncs it on a goroutine of its own while
 // ingest runs on (TestSaverEncodeRacesIngest: the bytes are those of
-// encoding at the barrier, under -race, for the Detector and 1, 2 and 4
-// shards). One save is in flight at most and nothing queues: a checkpoint
+// encoding at the barrier, under -race, for the inline engine and 1, 2 and
+// 4 shards). One save is in flight at most and nothing queues: a checkpoint
 // that comes due while the saver is busy stays due and is captured at the
 // first later barrier that finds it idle, from that barrier's state, so
 // the interval is a floor on the spacing and a restart re-ingests at most
@@ -173,7 +172,7 @@
 // with the checkpoints before it, and Encode concatenates header, pages
 // and the JSON tail. The bytes are those of a from-scratch encoding
 // (TestCheckpointIncrementalEqualsRebuild compares the two at every barrier
-// of a storm, for the Detector and 1-, 2- and 4-shard engines): building
+// of a storm, for the inline, 1-, 2- and 4-shard engines): building
 // the image from the shard maps is the same merge with everything changed,
 // and is what the first capture, the first after RestoreFrom and one
 // following a burst that outgrew the change lists (a RIB dump between two
@@ -369,11 +368,10 @@ import (
 type (
 	// Config carries Kepler's tuning parameters (thresholds, windows).
 	Config = core.Config
-	// Detector is the sequential streaming detection pipeline.
-	Detector = core.Detector
-	// Engine is the sharded concurrent detection pipeline: N path-state
-	// shard workers plus a bin-synchronized investigator, with output
-	// identical to Detector for any record stream.
+	// Engine is the streaming detection pipeline: path-state shards plus
+	// a bin-synchronized investigator, built inline (NewDetector) or with
+	// shard workers (NewEngine), with identical output for any record
+	// stream.
 	Engine = core.Engine
 	// Outage is a completed PoP-level outage with duration and impact.
 	Outage = core.Outage
@@ -434,14 +432,14 @@ const (
 // oscillation gap.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewDetector builds a sequential streaming detector over a mined
-// dictionary, a merged colocation map and an optional AS-to-organization
-// table.
-func NewDetector(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable) *Detector {
+// NewDetector builds an engine with one inline shard and no goroutines over
+// a mined dictionary, a merged colocation map and an optional
+// AS-to-organization table.
+func NewDetector(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable) *Engine {
 	return core.New(cfg, dict, cmap, orgs)
 }
 
-// NewEngine builds the sharded concurrent engine over the same inputs;
+// NewEngine builds an engine with shard workers over the same inputs;
 // shards <= 0 selects one shard worker per core. Call Close when done.
 func NewEngine(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable, shards int) *Engine {
 	return core.NewEngine(cfg, dict, cmap, orgs, shards)
