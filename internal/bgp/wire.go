@@ -48,22 +48,22 @@ const (
 
 // Codec errors.
 var (
-	ErrTruncated   = errors.New("bgp: truncated message")
-	ErrBadMarker   = errors.New("bgp: bad message marker")
-	ErrBadLength   = errors.New("bgp: bad message length")
-	ErrNotUpdate   = errors.New("bgp: not an UPDATE message")
-	ErrBadAttr     = errors.New("bgp: malformed path attribute")
-	ErrBadNLRI     = errors.New("bgp: malformed NLRI")
-	ErrTooLarge    = errors.New("bgp: message exceeds 4096 bytes")
-	ErrMixedFamily = errors.New("bgp: IPv4 and IPv6 prefixes mixed in one family field")
+	ErrTruncated = errors.New("bgp: truncated message")
+	ErrBadMarker = errors.New("bgp: bad message marker")
+	ErrBadLength = errors.New("bgp: bad message length")
+	ErrNotUpdate = errors.New("bgp: not an UPDATE message")
+	ErrBadAttr   = errors.New("bgp: malformed path attribute")
+	ErrBadNLRI   = errors.New("bgp: malformed NLRI")
+	ErrTooLarge  = errors.New("bgp: message exceeds 4096 bytes")
 )
 
 // MarshalUpdate encodes an Update into a full BGP message (header
 // included). IPv4 announcements ride the classic NLRI field; IPv6
 // announcements and withdrawals are encoded as MP_REACH_NLRI /
-// MP_UNREACH_NLRI attributes. An update may carry either family but the
-// encoder rejects mixing families within the same announcement set, which
-// mirrors how collectors emit records.
+// MP_UNREACH_NLRI attributes. Withdrawals of both families may mix in one
+// update. Announcements of both may not: they share the one next hop, and
+// IPv4 NLRI needs an IPv4 next hop while MP_REACH_NLRI needs an IPv6 one, so
+// a mixed announcement set fails the next-hop check with ErrBadAttr.
 func MarshalUpdate(u *Update) ([]byte, error) {
 	v4Ann, v6Ann, err := splitFamily(u.Announced)
 	if err != nil {

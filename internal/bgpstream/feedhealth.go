@@ -51,9 +51,6 @@ func NewFeedWatchdog(silence time.Duration) *FeedWatchdog {
 	}
 }
 
-// Silence returns the configured silence threshold.
-func (w *FeedWatchdog) Silence() time.Duration { return w.silence }
-
 // Observe refreshes the record's session and collector last-seen stamps.
 // Every record kind counts as liveness — a withdrawal-only trickle still
 // proves the feed is alive. Records must arrive in non-decreasing time

@@ -164,15 +164,12 @@ type page struct {
 	Total int `json:"total"`
 }
 
-// TestRunRestartRecoversHistory is the daemon's durable life cycle: ingest
-// an archive into a data dir, shut down, start again on the same dir. The
-// second run serves the first one's history from boot, restores the newest
-// checkpoint, re-ingests only the archive suffix past it, and ends at the
-// same totals.
-func TestRunRestartRecoversHistory(t *testing.T) {
-	// What `topogen -seed 2 -days 10 -facility-outages 2 -ixp-outages 1
-	// -link-outages 5 -as-outages 1` writes: a 10-day archive known to
-	// resolve outages.
+// smokeConfig is testConfig over what `topogen -seed 2 -days 10
+// -facility-outages 2 -ixp-outages 1 -link-outages 5 -as-outages 1` writes:
+// a 10-day archive known to resolve outages. It returns the archive's
+// record count too.
+func smokeConfig(t *testing.T) (Config, int) {
+	t.Helper()
 	tcfg := topology.DefaultConfig()
 	tcfg.Seed = 2
 	w, err := topology.Generate(tcfg)
@@ -192,8 +189,17 @@ func TestRunRestartRecoversHistory(t *testing.T) {
 	}
 	c := testConfig(writeArchive(t, res.Records))
 	c.Seed = 2
+	return c, len(res.Records)
+}
+
+// TestRunRestartRecoversHistory is the daemon's durable life cycle: ingest
+// an archive into a data dir, shut down, start again on the same dir. The
+// second run serves the first one's history from boot, restores the newest
+// checkpoint, re-ingests only the archive suffix past it, and ends at the
+// same totals.
+func TestRunRestartRecoversHistory(t *testing.T) {
+	c, archive := smokeConfig(t)
 	c.DataDir = t.TempDir()
-	archive := len(res.Records)
 
 	// ---- Run 1: ingest into an empty data dir.
 	r1 := start(t, c, nil)
@@ -322,6 +328,33 @@ func checkTrace(t *testing.T, addr, when string) {
 	if len(tr.Chapters) == 0 {
 		t.Errorf("outage 1 served an empty trace %s", when)
 	}
+}
+
+// TestMemoryModeServesTraces runs the daemon without -data-dir and asks for
+// every resolved outage's provenance trace: each one is served and
+// describes its outage (PoP, start, end).
+func TestMemoryModeServesTraces(t *testing.T) {
+	c, archive := smokeConfig(t)
+	r := start(t, c, nil)
+	if n := r.awaitDrained(t); n != archive {
+		t.Fatalf("drained after %d records, archive has %d", n, archive)
+	}
+	var got struct {
+		Outages []server.OutageView `json:"outages"`
+	}
+	getJSON(t, r.addr+"/v1/outages?limit=100000", &got)
+	if len(got.Outages) == 0 {
+		t.Fatal("no outages resolved; the trace check would be vacuous")
+	}
+	for _, o := range got.Outages {
+		var tr server.TraceView
+		getJSON(t, fmt.Sprintf("%s/v1/outages/%d/trace", r.addr, o.ID), &tr)
+		if tr.OutageID != o.ID || tr.PoP != o.PoP || !tr.Start.Equal(o.Start) || !tr.End.Equal(o.End) {
+			t.Errorf("trace of outage %d = id %d %+v %v..%v, want %+v %v..%v",
+				o.ID, tr.OutageID, tr.PoP, tr.Start, tr.End, o.PoP, o.Start, o.End)
+		}
+	}
+	r.stop(t)
 }
 
 // hasEventID reports whether r carries an SSE event frame.

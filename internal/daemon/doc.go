@@ -21,6 +21,11 @@
 // same world seed the archive was generated with, exactly as cmd/kepler
 // does.
 //
+// The history the API serves — resolved outages, incidents, provenance
+// traces — lives in one internal/store in every mode: the bus sink appends
+// every lifecycle event to it, and each published snapshot pages it. Without
+// -data-dir that store keeps the history in memory and writes nothing.
+//
 // With -data-dir the daemon keeps its history durable: every lifecycle event
 // is appended to a checksummed write-ahead log (internal/store), compacted
 // periodically into snapshot segments, and the engine's full detection state
@@ -48,8 +53,10 @@
 // and /metrics report what each checkpoint cost the ingest goroutine, what
 // it cost the saver, how many were deferred and how much the last capture
 // had to re-encode. A failed checkpoint is retried at the next bin close. If
-// a WAL append fails the daemon serves on in memory and stops checkpointing,
-// so the checkpoints already on disk stay the restart point. Checkpoints are
+// a WAL append fails the store stops writing and serves on from memory —
+// the persisted prefix from disk, everything after it from its in-memory
+// tail — and the daemon stops checkpointing, so the checkpoints already on
+// disk stay the restart point. Checkpoints are
 // binary (core.CheckpointVersion 3: path and stable-baseline records as
 // varints behind a "KPCK" magic, inside the store's fixed "KCE1" envelope
 // and CRC32C frame); a data dir whose only checkpoints were written by an
@@ -116,10 +123,10 @@
 // side.
 //
 // Serving tier: read and event throughput scale independently of history
-// size and client count. With -data-dir, /v1/outages and /v1/incidents page
-// off the store's indexed snapshot segments through a -read-cache bounded
-// LRU — resident memory and boot cost no longer grow with how long the data
-// dir has been accumulating. Every read endpoint carries a strong ETag per
+// size and client count. /v1/outages and /v1/incidents page the store; with
+// -data-dir its sealed history is read off indexed snapshot segments through
+// a -read-cache bounded LRU — resident memory and boot cost do not grow with
+// how long the data dir has been accumulating. Every read endpoint carries a strong ETag per
 // published snapshot and answers If-None-Match with 304; the hottest bodies
 // are pre-marshaled once per snapshot. /v1/events clients fan out from a
 // relay that holds exactly one bus subscription, so a thousand SSE streams

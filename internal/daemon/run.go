@@ -129,58 +129,56 @@ func Run(ctx context.Context, c Config) error {
 		}
 	}
 
-	// Durable history. The store's sink runs synchronously on the ingest
-	// goroutine. On a shutdown-abort the whole hook chain is muted (see
+	// History. The store holds what the API serves in every mode: without
+	// -data-dir it keeps it in memory only, with one it also writes it to
+	// the WAL. Its sink runs synchronously on the ingest goroutine. On a
+	// shutdown-abort of a durable run the whole hook chain is muted (see
 	// events.MuteHooks) before the engine's final flush, so the resolution
 	// artifacts of stopping are neither published nor persisted — a
 	// deterministic re-ingestion would not regenerate them, and burning
 	// sequence numbers on them would break SSE resume across the restart.
 	svc := &metrics.ServiceStats{}
 	var (
-		st         *store.Store
 		storeStats *metrics.StoreStats
-		sum        store.Summary
-		sinkArmed  atomic.Bool // cleared if an append fails: serve on, in memory
+		persisting atomic.Bool // appends reach the data dir; cleared by the first failure
 		aborting   atomic.Bool // set by OnAbort: mute hooks through shutdown
 		resume     *store.Checkpoint
 		engCkpt    *core.Checkpoint
 	)
-	busOpts := []events.Option{events.WithRing(c.ResumeRing)}
 	if c.DataDir != "" {
 		storeStats = &metrics.StoreStats{}
-		st, err = store.Open(store.Options{
-			Dir:          c.DataDir,
-			CompactBytes: c.CompactMB << 20,
-			TailEvents:   c.ResumeRing,
-			ReadCache:    c.ReadCache,
-			Metrics:      storeStats,
-			Logger:       logger.With("component", "store"),
-		})
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		// Summary, not History: recovery needs the bounded state (totals,
-		// traces, pendings, event tail) — the entry histories stay on disk
-		// and are paged in per request, so boot cost and resident memory no
-		// longer scale with how long the data dir has been accumulating.
-		sum = st.Summary()
-		sinkArmed.Store(true)
-		busOpts = append(busOpts,
-			events.WithStartSeq(sum.LastSeq),
-			events.WithSink(func(ev events.Event) {
-				if !sinkArmed.Load() {
-					return
-				}
-				if err := st.Append(ev); err != nil {
-					// Losing durability must not take down detection;
-					// serve on, in-memory, and say so loudly. Checkpointing
-					// stops with it (see hooks.BinClosed below).
-					dlog.Error("store append failed, persistence and checkpointing disabled", "error", err)
-					sinkArmed.Store(false)
-				}
-			}),
-		)
+	}
+	st, err := store.Open(store.Options{
+		Dir:          c.DataDir,
+		CompactBytes: c.CompactMB << 20,
+		TailEvents:   c.ResumeRing,
+		ReadCache:    c.ReadCache,
+		Metrics:      storeStats,
+		Logger:       logger.With("component", "store"),
+	})
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	// Summary, not History: recovery needs the bounded state (totals,
+	// traces, pendings, event tail) — the entry histories stay on disk and
+	// are paged in per request, so boot cost and resident memory do not
+	// scale with how long the data dir has been accumulating.
+	sum := st.Summary()
+	persisting.Store(c.DataDir != "")
+	busOpts := []events.Option{
+		events.WithRing(c.ResumeRing),
+		events.WithStartSeq(sum.LastSeq),
+		events.WithSink(func(ev events.Event) {
+			// Losing durability must not take down detection: the store
+			// serves on from memory after a failed append. Say so loudly,
+			// once; checkpointing stops with it (see hooks.BinClosed below).
+			if err := st.Append(ev); err != nil && persisting.Swap(false) {
+				dlog.Error("store append failed, persistence and checkpointing disabled", "error", err)
+			}
+		}),
+	}
+	if c.DataDir != "" {
 		dlog.Info("history recovered", "dir", c.DataDir,
 			"outages", sum.ResolvedTotal, "incidents", sum.IncidentTotal,
 			"traces", len(sum.Traces), "seq", sum.LastSeq, "last_bin", sum.LastBin)
@@ -254,7 +252,7 @@ func Run(ctx context.Context, c Config) error {
 		storeStats.ResumeRecords.Store(int64(resume.Records))
 		dlog.Info("resuming from checkpoint", "record", resume.Records,
 			"bin", resume.BinEnd, "seq", resume.EventSeq, "catchup_events", gateSkip)
-	} else if st != nil {
+	} else if c.DataDir != "" {
 		dlog.Info("no usable checkpoint; re-ingesting from record zero")
 	}
 	// Serving-path telemetry: per-endpoint latency/status histograms plus
@@ -282,55 +280,8 @@ func Run(ctx context.Context, c Config) error {
 	}
 	srv := server.New(srvOpts)
 
-	// History accounting, all mutated on the ingest goroutine only (the
-	// hooks run inside Process/Flush, so snapshot builds observe consistent
-	// state). Without a store, resolved/eng.Incidents() accumulate in memory
-	// as before. With one, serving pages history off the store's segment
-	// files instead: only the totals live here, seeded from the recovered
-	// summary, and the replay gate keeps catch-up from counting persisted
-	// events twice. Should persistence fail mid-run, the post-failure
-	// entries accumulate in the overlay slices and snapshots splice them
-	// onto the frozen persisted prefix (overlayReader) — serve on, the
-	// degraded tail in memory.
-	var resolved []core.Outage
-	resolvedTotal, incidentTotal := sum.ResolvedTotal, sum.IncidentTotal
-	var outOverlay []core.Outage
-	var incOverlay []core.Incident
-	resolvedCount := func() int {
-		if st != nil {
-			return resolvedTotal
-		}
-		return len(resolved)
-	}
-	// traces mirrors the store's provenance retention on the serving side:
-	// trace j describes resolved outage traceBase+j. Like resolved it only
-	// mutates on the ingest goroutine; the gate keeps catch-up from
-	// re-appending recovered traces.
-	traces := sum.Traces
-	traceBase := sum.TraceBase
-	const traceCap = 1024
-	noteTrace := func(tr core.OutageTrace) {
-		idx := resolvedCount() - 1
-		if idx < 0 {
-			return
-		}
-		switch {
-		case len(traces) == 0:
-			traceBase = idx
-		case traceBase+len(traces) != idx:
-			// Alignment break (e.g. a data dir recorded without tracing):
-			// restart the window at the current outage.
-			traces = traces[:0]
-			traceBase = idx
-		}
-		traces = append(traces, tr)
-		if drop := len(traces) - traceCap; drop > 0 {
-			traces = append(traces[:0], traces[drop:]...)
-			traceBase += drop
-		}
-	}
 	// recentOutcomes is the bounded probe-resolution log /v1/probes serves;
-	// like resolved it only mutates on the ingest goroutine. It is seeded
+	// it only mutates on the ingest goroutine. It is seeded
 	// from the recovered event tail so a restarted daemon shows the
 	// resolutions that preceded the restart, not an empty log (the gate
 	// suppresses their re-emission during catch-up).
@@ -346,28 +297,13 @@ func Run(ctx context.Context, c Config) error {
 			recentOutcomes = recentOutcomes[len(recentOutcomes)-recentOutcomeCap:]
 		}
 	}
+	// Snapshots page history off the store. Called on the ingest goroutine
+	// (the hooks run inside Process/Flush), so the totals and the open set
+	// describe the same bin.
 	buildSnap := func(end time.Time) *server.Snapshot {
-		var snap *server.Snapshot
-		switch {
-		case st == nil:
-			snap = server.BuildSnapshot(end, eng, resolved)
-		case sinkArmed.Load():
-			snap = server.BuildSnapshotPaged(end, eng.OpenOutageStatuses(), st, resolvedTotal, incidentTotal)
-		default:
-			// Persistence failed: splice the in-memory tail onto the frozen
-			// persisted prefix. Full slice expressions freeze the overlay
-			// views so later ingest-goroutine appends never touch what a
-			// concurrent HTTP read is paging through.
-			snap = server.BuildSnapshotPaged(end, eng.OpenOutageStatuses(), overlayReader{
-				st:      st,
-				outs:    outOverlay[:len(outOverlay):len(outOverlay)],
-				incs:    incOverlay[:len(incOverlay):len(incOverlay)],
-				outBase: resolvedTotal - len(outOverlay),
-				incBase: incidentTotal - len(incOverlay),
-			}, resolvedTotal, incidentTotal)
-		}
-		snap.Traces = append([]core.OutageTrace(nil), traces...)
-		snap.TraceBase = traceBase
+		resolved, incidents, traces, traceBase := st.Served()
+		snap := server.BuildSnapshotPaged(end, eng.OpenOutageStatuses(), st, resolved, incidents)
+		snap.Traces, snap.TraceBase = traces, traceBase
 		if fh, ok := eng.FeedHealth(end); ok {
 			snap.Feeds = &fh
 		}
@@ -381,34 +317,10 @@ func Run(ctx context.Context, c Config) error {
 	hooks := events.EngineHooks(bus)
 	publishResolved := hooks.OutageResolved
 	hooks.OutageResolved = func(o core.Outage) {
-		publishResolved(o) // the bus sink persists first; sinkArmed is settled after
-		switch {
-		case st == nil:
-			resolved = append(resolved, o)
-		case sinkArmed.Load():
-			resolvedTotal++
-		default:
-			resolvedTotal++
-			outOverlay = append(outOverlay, o)
-		}
+		publishResolved(o)
 		dlog.Info("outage resolved", "pop", o.PoP.String(), "name", w.PoPName(o.PoP),
 			"start", o.Start, "end", o.End, "duration", o.Duration().Round(time.Minute),
 			"ases", len(o.AffectedASes), "paths", o.DivertedPaths)
-	}
-	if st != nil {
-		publishIncident := hooks.IncidentClassified
-		hooks.IncidentClassified = func(inc core.Incident) {
-			publishIncident(inc)
-			incidentTotal++
-			if !sinkArmed.Load() {
-				incOverlay = append(incOverlay, inc)
-			}
-		}
-	}
-	publishTrace := hooks.TraceRecorded
-	hooks.TraceRecorded = func(tr core.OutageTrace) {
-		publishTrace(tr)
-		noteTrace(tr)
 	}
 	publishOpened := hooks.OutageOpened
 	hooks.OutageOpened = func(s core.OutageStatus) {
@@ -475,7 +387,7 @@ func Run(ctx context.Context, c Config) error {
 	// store.CheckpointSaver): ingest never waits for the disk. Failures only
 	// cost recovery freshness, so they log and the checkpoint stays due.
 	var saver *store.CheckpointSaver
-	if st != nil {
+	if c.DataDir != "" {
 		var lastCkptBin time.Time
 		if resume != nil {
 			lastCkptBin = resume.BinEnd
@@ -513,12 +425,12 @@ func Run(ctx context.Context, c Config) error {
 	hooks.BinClosed = func(end time.Time) {
 		publishBin(end)
 		srv.PublishSnapshot(buildSnap(end))
-		// sinkArmed, not st != nil: once an append has failed the durable
+		// persisting, not -data-dir: once an append has failed the durable
 		// horizon is frozen, a checkpoint taken past it is refused at boot
 		// (its EventSeq is ahead of the WAL), and saving two of them would
 		// rotate out both generations a restart can still use. A save already
 		// in flight was captured below the horizon and may finish.
-		if sinkArmed.Load() {
+		if persisting.Load() {
 			saver.Barrier(end, tracked.Ended(), captureCheckpoint)
 		}
 	}
@@ -528,7 +440,7 @@ func Run(ctx context.Context, c Config) error {
 	// publication, persistence and the SSE sequence resume exactly where
 	// the previous process stopped.
 	finalHooks := events.GateHooks(hooks, gateSkip)
-	if st != nil {
+	if c.DataDir != "" {
 		finalHooks = events.MuteHooks(finalHooks, aborting.Load)
 		// Serve the recovered history immediately — catch-up publishes its
 		// first live snapshot only after re-ingestion crosses the durable
@@ -612,12 +524,13 @@ func Run(ctx context.Context, c Config) error {
 			// saver rather than moving on), and no save outlives the pump.
 			saver.Wait()
 		}
-		if err == nil && st != nil {
+		if err == nil {
 			// What the end-of-source eng.Flush resolved was appended after the
 			// last bin_closed, so it is still in the WAL buffer — and a restart
 			// from a checkpoint at the end-of-archive cursor reads no record,
 			// so never flushes again. Hand it to the OS before a SIGKILL can
-			// lose it. (An abort appends nothing here: the hooks are muted.)
+			// lose it. (An abort appends nothing here: the hooks are muted.
+			// A store that is not writing has nothing to flush.)
 			if ferr := st.Flush(); ferr != nil {
 				dlog.Error("store flush at end of source failed", "error", ferr)
 			}
@@ -647,11 +560,11 @@ func Run(ctx context.Context, c Config) error {
 	// (closing the bus drains the relay, which then closes its clients),
 	// sync the store, stop the HTTP server, stop the shard workers.
 	bus.Close()
-	if st != nil {
+	if saver != nil {
 		saver.Close()
-		if err := st.Close(); err != nil {
-			dlog.Error("store close failed", "error", err)
-		}
+	}
+	if err := st.Close(); err != nil {
+		dlog.Error("store close failed", "error", err)
 	}
 	shCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.ShutdownTimeout)
 	defer cancel()
@@ -671,7 +584,8 @@ func Run(ctx context.Context, c Config) error {
 	bcSnap := binStage.Snapshot()
 	dlog.Info("bin-close latency", "bins", bcSnap.Total.Count,
 		"mean", bcSnap.Total.Mean(), "p99", bcSnap.Total.Quantile(0.99))
-	dlog.Info("bye", "outages_resolved", resolvedCount(), "incidents", len(eng.Incidents()))
+	resolved, incidents, _, _ := st.Served()
+	dlog.Info("bye", "outages_resolved", resolved, "incidents", incidents)
 	return nil
 }
 

@@ -216,18 +216,6 @@ func (c *CaseStudy) FacilityB() colo.FacilityID {
 	return 0
 }
 
-// DecoyAS returns the AS of the decoy event, or 0.
-func (c *CaseStudy) DecoyAS() (asn topology.AS, ok bool) {
-	for _, e := range c.Events {
-		if e.Kind == simulate.EvAS {
-			if a, found := c.Stack.World.AS(e.AS); found {
-				return *a, true
-			}
-		}
-	}
-	return topology.AS{}, false
-}
-
 // PathChangeSeries tracks, per time bucket, the fraction of monitored paths
 // tagged with a PoP that changed away from it — the quantity Figures 8c and
 // 9a plot at different aggregation granularities.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"kepler/internal/colo"
-	"kepler/internal/core"
 	"kepler/internal/reports"
 )
 
@@ -111,6 +110,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// popKindOfOutage exposes the facility/IXP split used by several figures.
-func popKindOfOutage(o core.Outage) colo.PoPKind { return o.PoP.Kind }

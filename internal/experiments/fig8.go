@@ -199,17 +199,6 @@ func Figure8c(cs *CaseStudy) *Figure8cResult {
 	return r
 }
 
-// PeakIXP returns the maximum IXP-level change fraction.
-func (r *Figure8cResult) PeakIXP() float64 {
-	best := 0.0
-	for _, v := range r.IXP {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // Render prints the three series.
 func (r *Figure8cResult) Render() string {
 	var b strings.Builder

@@ -11,7 +11,6 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -276,9 +275,4 @@ func PropagationDelay(a, b Coord) float64 {
 	const kmPerMs = 200.0
 	const stretch = 1.5
 	return DistanceKm(a, b) * stretch / kmPerMs
-}
-
-// FormatCity renders "Name, CC" for logs and reports.
-func FormatCity(c City) string {
-	return fmt.Sprintf("%s, %s", c.Name, c.Country)
 }

@@ -113,8 +113,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeFamily(&b, "kepler_ready", "gauge", "Whether ingestion has started.", ready)
 	writeFamily(&b, "kepler_open_outages", "gauge", "Ongoing outages as of the last closed bin.", float64(len(snap.Open)))
-	writeFamily(&b, "kepler_resolved_outages_total", "counter", "Completed outages recorded.", float64(snap.resolvedTotal()))
-	writeFamily(&b, "kepler_incidents_total", "counter", "Classified outage signals recorded.", float64(snap.incidentsTotal()))
+	writeFamily(&b, "kepler_resolved_outages_total", "counter", "Completed outages recorded.", float64(snap.ResolvedTotal))
+	writeFamily(&b, "kepler_incidents_total", "counter", "Classified outage signals recorded.", float64(snap.IncidentsTotal))
 
 	if s.opts.Ingest != nil {
 		ing := s.opts.Ingest()

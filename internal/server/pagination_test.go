@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"testing"
@@ -16,19 +17,20 @@ import (
 // bigSnapshot builds a snapshot with n resolved outages and 2n incidents of
 // alternating kinds, so cursor windows and kind filtering compose.
 func bigSnapshot(n int) *Snapshot {
-	s := &Snapshot{At: t0}
+	var outs []core.Outage
+	var incs []core.Incident
 	for i := 0; i < n; i++ {
-		s.Resolved = append(s.Resolved, core.Outage{
+		outs = append(outs, core.Outage{
 			PoP: colo.FacilityPoP(colo.FacilityID(i + 1)), SignalPoP: colo.FacilityPoP(colo.FacilityID(i + 1)),
 			Start: t0.Add(time.Duration(i) * time.Hour), End: t0.Add(time.Duration(i)*time.Hour + 30*time.Minute),
 			AffectedASes: []bgp.ASN{bgp.ASN(100 + i)}, DivertedPaths: i + 1,
 		})
-		s.Incidents = append(s.Incidents,
+		incs = append(incs,
 			core.Incident{Time: t0, Kind: core.IncidentPoP, PoP: colo.FacilityPoP(colo.FacilityID(i + 1))},
 			core.Incident{Time: t0, Kind: core.IncidentLink, PoP: colo.CityPoP(geo.CityID(i + 1))},
 		)
 	}
-	return s
+	return BuildSnapshotFrom(t0, nil, outs, incs)
 }
 
 type pageResp struct {
@@ -154,5 +156,59 @@ func TestIncidentsPaginationWithKindFilter(t *testing.T) {
 	getJSON(t, fmt.Sprintf("%s/v1/incidents?kind=link&limit=2&after=%d", ts.URL, cursor), http.StatusOK, &resp)
 	if resp.Count != 2 || resp.Incidents[0].ID != 6 || resp.Incidents[1].ID != 8 {
 		t.Fatalf("filtered page 2 = %+v", resp)
+	}
+}
+
+// countingHistory counts the incident entries its reader hands out.
+type countingHistory struct {
+	HistoryReader
+	incidents atomic.Int64
+}
+
+func (c *countingHistory) ReadIncidents(start, count int) ([]core.Incident, error) {
+	rows, err := c.HistoryReader.ReadIncidents(start, count)
+	c.incidents.Add(int64(len(rows)))
+	return rows, err
+}
+
+// TestUnfilteredIncidentsPageReadsItsWindow pins that an unfiltered
+// /v1/incidents page reads its cursor window and no more: a deep page of
+// 25 decodes 25 entries, not a 512-entry scan chunk.
+func TestUnfilteredIncidentsPageReadsItsWindow(t *testing.T) {
+	srv, ts := newTestServer(t, nil, nil)
+	snap := bigSnapshot(500) // 1000 incidents
+	hist := &countingHistory{HistoryReader: snap.History}
+	snap.History = hist
+	srv.PublishSnapshot(snap)
+
+	var resp struct {
+		Count     int            `json:"count"`
+		Total     int            `json:"total"`
+		NextAfter uint64         `json:"next_after"`
+		Incidents []IncidentView `json:"incidents"`
+	}
+	getJSON(t, ts.URL+"/v1/incidents?after=100&limit=25", http.StatusOK, &resp)
+	if resp.Count != 25 || resp.Total != 1000 || resp.NextAfter != 125 || resp.Incidents[0].ID != 101 {
+		t.Fatalf("page = count %d total %d next_after %d first id %d, want 25, 1000, 125, 101",
+			resp.Count, resp.Total, resp.NextAfter, resp.Incidents[0].ID)
+	}
+	if n := hist.incidents.Load(); n > 25 {
+		t.Errorf("a 25-entry page read %d incidents", n)
+	}
+}
+
+// TestPagesBeforeFirstSnapshot pins what a server serves before its first
+// published snapshot: empty history pages, not a failed request.
+func TestPagesBeforeFirstSnapshot(t *testing.T) {
+	_, ts := newTestServer(t, nil, nil)
+	for _, path := range []string{"/v1/outages", "/v1/outages?after=3&limit=2", "/v1/incidents?limit=5", "/v1/incidents?kind=pop"} {
+		var resp struct {
+			Count int `json:"count"`
+			Total int `json:"total"`
+		}
+		getJSON(t, ts.URL+path, http.StatusOK, &resp)
+		if resp.Count != 0 || resp.Total != 0 {
+			t.Errorf("%s = count %d total %d, want empty", path, resp.Count, resp.Total)
+		}
 	}
 }

@@ -974,7 +974,7 @@ func TestCheckpointingStopsWithPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		armed     atomic.Bool // internal/daemon's sinkArmed
+		armed     atomic.Bool // internal/daemon's persisting flag
 		persisted []events.Event
 		atFailure []string // checkpoint segments on disk when the sink failed
 		dueAfter  int      // checkpoints that came due with persistence off

@@ -41,10 +41,10 @@ import (
 	"kepler/internal/slogx"
 )
 
-// HistoryReader pages resolved outages and incidents from durable storage
-// by ordinal: entry i of either sequence, independent of how much history
-// exists. store.Store implements it over sealed segment files with an
-// offset index, so serving deep cursors touches one positioned read, not
+// HistoryReader pages resolved outages and incidents by ordinal: entry i of
+// either sequence, independent of how much history exists. store.Store
+// implements it over sealed segment files with an offset index plus its
+// in-memory tail, so serving deep cursors touches one positioned read, not
 // resident memory. Implementations must be safe for concurrent use and
 // must serve ordinals below the published totals immutably (history is
 // append-only; a snapshot's totals only ever grow stale, never wrong).
@@ -59,21 +59,13 @@ type HistoryReader interface {
 type Snapshot struct {
 	// At is the bin close (or flush instant) the snapshot reflects.
 	At time.Time
-	// Resolved holds every completed outage so far, oldest first — the
-	// in-memory serving mode. Leave nil and set History/ResolvedTotal to
-	// page history off disk instead.
-	Resolved []core.Outage
 	// Open holds the ongoing outages as of At.
 	Open []core.OutageStatus
-	// Incidents holds every classified signal so far (in-memory mode, like
-	// Resolved).
-	Incidents []core.Incident
-	// History, when non-nil, serves /v1/outages and /v1/incidents pages by
-	// ordinal instead of the Resolved/Incidents slices, bounding resident
-	// memory by the reader's cache rather than history size.
+	// History serves /v1/outages and /v1/incidents pages by ordinal.
+	// Required; the BuildSnapshot functions set it.
 	History HistoryReader
-	// ResolvedTotal/IncidentsTotal are the history sizes when History is
-	// set (ids 1..total remain the pagination cursors).
+	// ResolvedTotal/IncidentsTotal are the history sizes as of At (ids
+	// 1..total are the pagination cursors).
 	ResolvedTotal  int
 	IncidentsTotal int
 
@@ -87,8 +79,9 @@ type Snapshot struct {
 	// bounded by the caller.
 	ProbeOutcomes []core.ProbeOutcome
 	// Traces holds the retained provenance traces (core.Config.Tracing):
-	// trace j describes Resolved[TraceBase+j]. TraceBase counts older traces
-	// dropped by the store's retention cap. Empty when tracing is disabled.
+	// trace j describes resolved outage TraceBase+j (id TraceBase+j+1).
+	// TraceBase counts older traces dropped by the store's retention cap.
+	// Empty when tracing is disabled.
 	Traces    []core.OutageTrace
 	TraceBase int
 	// Feeds is the feed-health watchdog snapshot as of At (stream time).
@@ -106,37 +99,49 @@ func BuildSnapshot(at time.Time, eng *core.Engine, resolved []core.Outage) *Snap
 	return BuildSnapshotFrom(at, eng.OpenOutageStatuses(), resolved, eng.Incidents())
 }
 
-// BuildSnapshotFrom assembles a snapshot from explicit state — the variant
-// a store-backed daemon uses, where the resolved and incident histories are
-// accumulated from persisted events (complete from boot) rather than read
-// off an engine that is still catching up on re-ingested records.
+// BuildSnapshotFrom assembles a snapshot over caller-held history slices,
+// which it aliases: the caller only ever appends to them.
 func BuildSnapshotFrom(at time.Time, open []core.OutageStatus, resolved []core.Outage, incidents []core.Incident) *Snapshot {
-	return &Snapshot{At: at, Resolved: resolved, Open: open, Incidents: incidents}
+	return BuildSnapshotPaged(at, open, sliceHistory{resolved, incidents}, len(resolved), len(incidents))
 }
 
-// BuildSnapshotPaged assembles a disk-paged snapshot: history stays in the
-// reader (the store's segment files), only the totals and the bounded open
-// set live in memory. The store-backed daemon publishes these so resident
-// memory no longer grows with history.
+// BuildSnapshotPaged assembles a snapshot over a history reader (the
+// daemon's store): only the totals and the bounded open set live in the
+// snapshot, so resident memory does not grow with history.
 func BuildSnapshotPaged(at time.Time, open []core.OutageStatus, hist HistoryReader, resolvedTotal, incidentsTotal int) *Snapshot {
 	return &Snapshot{At: at, Open: open, History: hist,
 		ResolvedTotal: resolvedTotal, IncidentsTotal: incidentsTotal}
 }
 
-// resolvedTotal is the resolved-history size regardless of serving mode.
-func (sn *Snapshot) resolvedTotal() int {
-	if sn.History != nil {
-		return sn.ResolvedTotal
-	}
-	return len(sn.Resolved)
+// sliceHistory is the HistoryReader of BuildSnapshotFrom. The server reads
+// it only inside the snapshot's totals, the slices' lengths.
+type sliceHistory struct {
+	outs []core.Outage
+	incs []core.Incident
 }
 
-// incidentsTotal is the incident-history size regardless of serving mode.
-func (sn *Snapshot) incidentsTotal() int {
-	if sn.History != nil {
-		return sn.IncidentsTotal
+func (h sliceHistory) ReadOutages(start, count int) ([]core.Outage, error) {
+	return h.outs[start : start+count], nil
+}
+
+func (h sliceHistory) ReadIncidents(start, count int) ([]core.Incident, error) {
+	return h.incs[start : start+count], nil
+}
+
+// readPage reads exactly count history entries from start; a short read
+// means the reader broke the HistoryReader contract.
+func readPage[T any](read func(start, count int) ([]T, error), start, count int, what string) ([]T, error) {
+	if count == 0 {
+		return nil, nil
 	}
-	return len(sn.Incidents)
+	rows, err := read(start, count)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) != count {
+		return nil, fmt.Errorf("history returned %d of %d %s", len(rows), count, what)
+	}
+	return rows, nil
 }
 
 // Options configures a Server.
@@ -228,7 +233,7 @@ func New(opts Options) *Server {
 		opts.Relay = events.NewRelay(opts.Bus, events.RelayOptions{Buffer: max(opts.SSEBuffer, 1024)})
 	}
 	s := &Server{opts: opts, bootID: time.Now().UnixNano()}
-	s.snap.Store(&Snapshot{cache: &snapCache{etag: `"0-0"`}})
+	s.snap.Store(&Snapshot{History: sliceHistory{}, cache: &snapCache{etag: `"0-0"`}})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/health/feeds", s.handleFeeds)
@@ -391,7 +396,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.snap.Load()
-	if id > uint64(snap.resolvedTotal()) {
+	if id > uint64(snap.ResolvedTotal) {
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown outage id"})
 		return
 	}
@@ -468,27 +473,17 @@ type outagesResponse struct {
 	Outages   []OutageView `json:"outages"`
 }
 
-// buildOutagesPage resolves one cursor page against the snapshot, from the
-// in-memory slice or the disk-backed history reader.
+// buildOutagesPage resolves one cursor page against the snapshot's history.
 func (s *Server) buildOutagesPage(snap *Snapshot, p pageParams) (outagesResponse, error) {
-	total := snap.resolvedTotal()
+	total := snap.ResolvedTotal
 	start, count, nextAfter := p.window(total)
+	rows, err := readPage(snap.History.ReadOutages, start, count, "outages")
+	if err != nil {
+		return outagesResponse{}, err
+	}
 	outs := make([]OutageView, count)
-	if snap.History != nil && count > 0 {
-		rows, err := snap.History.ReadOutages(start, count)
-		if err != nil {
-			return outagesResponse{}, err
-		}
-		if len(rows) != count {
-			return outagesResponse{}, fmt.Errorf("history returned %d of %d outages", len(rows), count)
-		}
-		for i := range rows {
-			outs[i] = s.outageView(uint64(start+i)+1, &rows[i])
-		}
-	} else {
-		for i := 0; i < count; i++ {
-			outs[i] = s.outageView(uint64(start+i)+1, &snap.Resolved[start+i])
-		}
+	for i := range rows {
+		outs[i] = s.outageView(uint64(start+i)+1, &rows[i])
 	}
 	return outagesResponse{snap.At, count, total, nextAfter, outs}, nil
 }
@@ -562,37 +557,40 @@ type incidentsResponse struct {
 	Incidents []IncidentView `json:"incidents"`
 }
 
-// incidentScanChunk bounds how many incidents a disk-backed filter scan
-// materializes at a time, so a kind-filtered deep cursor never loads the
-// whole history.
+// incidentScanChunk bounds how many incidents a kind-filtered scan
+// materializes at a time, so a filtered deep cursor never loads the whole
+// history.
 const incidentScanChunk = 512
 
 // buildIncidentsPage resolves one incident cursor page. Ids index the
 // unfiltered incident sequence, so cursors stay stable whether or not a
-// kind filter is applied; the filter selects within the cursor window. In
-// disk-backed mode the scan reads fixed-size chunks until the page fills.
+// kind filter is applied. Without a filter the page is the cursor window,
+// read in one call; with one, the scan reads fixed-size chunks from the
+// cursor until the page fills.
 func (s *Server) buildIncidentsPage(snap *Snapshot, p pageParams, kind string) (incidentsResponse, error) {
-	total := snap.incidentsTotal()
+	total := snap.IncidentsTotal
+	if kind == "" {
+		start, count, nextAfter := p.window(total)
+		rows, err := readPage(snap.History.ReadIncidents, start, count, "incidents")
+		if err != nil {
+			return incidentsResponse{}, err
+		}
+		incs := make([]IncidentView, count)
+		for i := range rows {
+			incs[i] = s.incidentView(uint64(start+i)+1, &rows[i])
+		}
+		return incidentsResponse{snap.At, count, total, nextAfter, incs}, nil
+	}
 	incs := make([]IncidentView, 0, 16)
 	var nextAfter uint64
 	start := int(min(p.after, uint64(total)))
 	for base := start; base < total && nextAfter == 0; base += incidentScanChunk {
-		n := min(incidentScanChunk, total-base)
-		var rows []core.Incident
-		if snap.History != nil {
-			var err error
-			rows, err = snap.History.ReadIncidents(base, n)
-			if err != nil {
-				return incidentsResponse{}, err
-			}
-			if len(rows) != n {
-				return incidentsResponse{}, fmt.Errorf("history returned %d of %d incidents", len(rows), n)
-			}
-		} else {
-			rows = snap.Incidents[base : base+n]
+		rows, err := readPage(snap.History.ReadIncidents, base, min(incidentScanChunk, total-base), "incidents")
+		if err != nil {
+			return incidentsResponse{}, err
 		}
 		for i := range rows {
-			if kind != "" && rows[i].Kind.String() != kind {
+			if rows[i].Kind.String() != kind {
 				continue
 			}
 			if p.limit > 0 && len(incs) == p.limit {
@@ -677,8 +675,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Ready:      s.ready.Load(),
 		SnapshotAt: snap.At,
 		OpenCount:  len(snap.Open),
-		Resolved:   snap.resolvedTotal(),
-		Incidents:  snap.incidentsTotal(),
+		Resolved:   snap.ResolvedTotal,
+		Incidents:  snap.IncidentsTotal,
 	}
 	if s.opts.Ingest != nil {
 		resp.Ingest = ingestView(s.opts.Ingest())

@@ -22,24 +22,26 @@ import (
 var t0 = time.Date(2016, 5, 1, 12, 0, 0, 0, time.UTC)
 
 func testSnapshot() *Snapshot {
-	return &Snapshot{
-		At: t0,
-		Resolved: []core.Outage{{
-			PoP: colo.FacilityPoP(3), SignalPoP: colo.CityPoP(2),
-			Start: t0.Add(-2 * time.Hour), End: t0.Add(-time.Hour),
-			Confirmed: true, DataPlaneChecked: true,
-			AffectedASes: []bgp.ASN{11, 12}, DivertedPaths: 5, Merged: 1,
-		}},
-		Open: []core.OutageStatus{{
+	return BuildSnapshotFrom(t0,
+		[]core.OutageStatus{{
 			PoP: colo.IXPPoP(9), SignalPoPs: []colo.PoP{colo.IXPPoP(9)},
 			Start: t0.Add(-10 * time.Minute), LastSignal: t0,
 			AffectedASes: []bgp.ASN{21, 22, 23}, WaitingPaths: 7, ReturnedPaths: 1,
 		}},
-		Incidents: []core.Incident{
+		[]core.Outage{testOutage},
+		[]core.Incident{
 			{Time: t0, Kind: core.IncidentPoP, PoP: colo.FacilityPoP(3), SignalPoP: colo.FacilityPoP(3), AffectedASes: []bgp.ASN{11, 12}, Links: 4, Paths: 5},
 			{Time: t0, Kind: core.IncidentLink, PoP: colo.CityPoP(2), SignalPoP: colo.CityPoP(2), AffectedASes: []bgp.ASN{31}, Links: 1, Paths: 1},
 		},
-	}
+	)
+}
+
+// testOutage is testSnapshot's one resolved outage.
+var testOutage = core.Outage{
+	PoP: colo.FacilityPoP(3), SignalPoP: colo.CityPoP(2),
+	Start: t0.Add(-2 * time.Hour), End: t0.Add(-time.Hour),
+	Confirmed: true, DataPlaneChecked: true,
+	AffectedASes: []bgp.ASN{11, 12}, DivertedPaths: 5, Merged: 1,
 }
 
 func newTestServer(t *testing.T, svc *metrics.ServiceStats, bus *events.Bus) (*Server, *httptest.Server) {

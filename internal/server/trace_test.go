@@ -18,7 +18,7 @@ import (
 // resolved outage.
 func tracedSnapshot() *Snapshot {
 	snap := testSnapshot()
-	o := snap.Resolved[0]
+	o := testOutage
 	snap.Traces = []core.OutageTrace{{
 		Version: core.TraceVersion, PoP: o.PoP, Start: o.Start, End: o.End, Merged: o.Merged,
 		Chapters: []core.TraceChapter{{
@@ -76,10 +76,11 @@ func TestTraceEndpointDisabledAndEvicted(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/outages/1/trace", http.StatusNotFound, nil)
 
 	// Evicted: two resolved outages but only the newer one's trace retained.
-	snap := tracedSnapshot()
-	o2 := snap.Resolved[0]
+	o2 := testOutage
 	o2.PoP = colo.IXPPoP(4)
-	snap.Resolved = append(snap.Resolved, o2)
+	traced := tracedSnapshot()
+	snap := BuildSnapshotFrom(t0, traced.Open, []core.Outage{testOutage, o2}, nil)
+	snap.Traces = traced.Traces
 	snap.Traces[0].PoP = o2.PoP
 	snap.TraceBase = 1
 	srv.PublishSnapshot(snap)

@@ -297,9 +297,6 @@ type Result struct {
 	transitions []transition
 }
 
-// Span returns the rendered time range.
-func (r *Result) Span() (time.Time, time.Time) { return r.start, r.end }
-
 // MaskAt reconstructs the failure state at an instant.
 func (r *Result) MaskAt(at time.Time) *routing.Mask {
 	mask := routing.NewMask()

@@ -120,8 +120,12 @@ func decodeCheckpointSeg(b []byte) (*Checkpoint, error) {
 // barriers, after the corresponding events have been appended. The segment
 // depends on no WAL state (a checkpoint ahead of the durable horizon is
 // rejected at load), so the store lock is held only to read closed and
-// readers are never stalled behind the fsync.
+// readers are never stalled behind the fsync. A store without a Dir has
+// nowhere to save one and returns an error.
 func (s *Store) SaveCheckpoint(c *Checkpoint) error {
+	if s.opts.Dir == "" {
+		return fmt.Errorf("store: no data directory to checkpoint into")
+	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -203,8 +207,11 @@ func (s *Store) checkpointSeqs() []uint64 {
 // version, event horizon, prober availability). A segment failing either
 // check is counted as discarded and the next older one is tried; exhausting
 // them returns nil, which recovery treats as "re-ingest from record zero".
-// The accept callback may be nil.
+// The accept callback may be nil. A store without a Dir has none.
 func (s *Store) LoadCheckpoint(accept func(*Checkpoint) error) *Checkpoint {
+	if s.opts.Dir == "" {
+		return nil
+	}
 	for _, seq := range s.checkpointSeqs() {
 		name := segName(ckptPrefix, seq)
 		c, err := s.loadCheckpointSeg(name)

@@ -429,7 +429,10 @@ func (c *lru[T]) unlink(n *lruNode[T]) {
 // unsealed entries from the in-memory tail, sealed entries through the
 // decoded-entry LRU with page reads off the segment offsets for misses.
 // Disk I/O happens outside the store lock — segments are immutable and the
-// captured slice headers stay valid across concurrent compactions.
+// captured slice headers stay valid across concurrent compactions. A range
+// inside the tail is returned as a capped subslice of it, not a copy: the
+// tail only ever grows past the captured length, so its entries never
+// change under a reader.
 func readEntries[T any](s *Store, segs []*segment, base int, tail []T, cache *lru[T], start, count int, useCache bool) ([]T, error) {
 	if start < 0 || count < 0 {
 		return nil, fmt.Errorf("store: negative read range [%d,+%d)", start, count)
@@ -440,6 +443,9 @@ func readEntries[T any](s *Store, segs []*segment, base int, tail []T, cache *lr
 	}
 	if start+count > total {
 		count = total - start
+	}
+	if start >= base {
+		return tail[start-base : start-base+count : start-base+count], nil
 	}
 	out := make([]T, 0, count)
 	if sealedN := base - start; sealedN > 0 {

@@ -1,17 +1,27 @@
-// Package store is the durable history layer of the live service: an
-// append-only write-ahead log of detection lifecycle events (outage
-// opened/updated/resolved, incident classified, bin closed) with periodic
-// compaction into snapshot segments and a crash-tolerant recovery path.
+// Package store is the history layer of the live service: it holds the
+// resolved outages, incidents and provenance traces the API serves, and,
+// given a data directory, keeps them durable in an append-only write-ahead
+// log of detection lifecycle events (outage opened/updated/resolved,
+// incident classified, bin closed) with periodic compaction into snapshot
+// segments and a crash-tolerant recovery path.
 //
-// The daemon's problem is that its resolved-outage list and incident log
-// otherwise live only in memory: a deploy, crash or OOM erases the
-// detection record of a system whose whole point is reporting multi-hour
-// infrastructure outages observed over months. The store closes that gap
-// without touching the hot path's concurrency story: it is written
-// synchronously from the event bus's sink — the ingestion goroutine, at bin
-// boundaries, the only points where outage state changes — so it needs no
-// locking against the detection engine, and API reads continue to come from
-// the server's immutable snapshot, never from disk.
+// The store is written synchronously from the event bus's sink — the
+// ingestion goroutine, at bin boundaries, the only points where outage
+// state changes — so it needs no locking against the detection engine; API
+// reads page its history through the server's immutable snapshots.
+//
+// # Writing and not writing
+//
+// A store opened with a data directory writes every event to its WAL. One
+// opened without one (Options.Dir empty) applies each event in memory only:
+// it serves the same reads, never compacts, saves no checkpoints and keeps
+// no event tail, there being no restart to resume across. A
+// writing store whose append fails returns that error once and from then on
+// behaves like the memory store: the failed event and every later one are
+// still applied to the in-memory tail and served after the persisted
+// prefix, but no frame is written and no compaction runs. The data
+// directory keeps the history up to the failure, which is what a restart
+// recovers.
 //
 // # On-disk layout
 //
@@ -41,11 +51,12 @@
 // tail, which the daemon uses to seed the server's boot snapshot, the event
 // bus's starting sequence (SSE ids stay gapless across restarts) and its
 // Last-Event-ID replay ring. Because detection is deterministic for a given
-// record stream, a restarted daemon re-ingests its source from the
-// beginning while events.GateHooks suppresses re-publication of the
-// prefix already persisted here — so a restart mid-archive followed by
-// replay of the remainder yields exactly the resolved-outage set of one
-// uninterrupted batch NewDetector run.
+// record stream, a restarted daemon restores the newest engine checkpoint
+// saved beside the WAL and resumes its source from that checkpoint's record
+// cursor (from the beginning when there is none), while events.GateHooks
+// suppresses re-publication of the events already persisted here — so a
+// restart mid-archive followed by replay of the remainder yields exactly
+// the resolved-outage set of one uninterrupted batch run.
 package store
 
 import (
@@ -81,13 +92,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Store.
 type Options struct {
-	// Dir is the data directory; created if missing. Required.
+	// Dir is the data directory; created if missing. Empty opens a store
+	// that keeps its history in memory and writes nothing.
 	Dir string
 	// CompactBytes is the WAL size past which the next bin boundary
 	// triggers compaction into a snapshot segment (default 8 MiB).
 	CompactBytes int64
 	// TailEvents is how many recent events the store retains in memory and
-	// in snapshot segments for SSE resume across restarts (default 4096).
+	// in snapshot segments for SSE resume across restarts (default 4096;
+	// none without a Dir).
 	TailEvents int
 	// TraceCap bounds the provenance traces retained alongside the resolved
 	// outages (Config.Tracing): when exceeded, the oldest outages' traces are
@@ -183,6 +196,9 @@ type Store struct {
 	walBase  uint64
 	walBytes int64
 	closed   bool
+	// writing is set while appends reach the WAL: never without a Dir,
+	// and cleared for good by the first failed write.
+	writing bool
 
 	log *slog.Logger
 }
@@ -210,31 +226,35 @@ const snapVersionIncremental = 2
 // Open opens (or initializes) the store in dir, recovering any persisted
 // history: the newest valid snapshot segment is loaded, the WAL replayed on
 // top with per-frame checksum and sequence verification, and a torn tail
-// truncated. The store is ready for appends on return.
+// truncated. Without a Dir it returns an empty store that writes nothing.
+// The store is ready for appends on return.
 func Open(opts Options) (*Store, error) {
 	opts.defaults()
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("store: Options.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slogx.Discard()
 	}
 	s := &Store{
-		opts:     opts,
-		m:        opts.Metrics,
-		log:      log,
-		pending:  make(map[uint64]core.PendingConfirmation),
-		tail:     events.NewRing(opts.TailEvents),
-		outCache: newLRU[core.Outage](opts.ReadCache),
-		incCache: newLRU[core.Incident](opts.ReadCache),
+		opts:    opts,
+		m:       opts.Metrics,
+		log:     log,
+		pending: make(map[uint64]core.PendingConfirmation),
+	}
+	if opts.Dir == "" {
+		// No restart to resume across and no segment to page: a memory
+		// store keeps no event tail and no read cache.
+		return s, nil
+	}
+	s.tail = events.NewRing(opts.TailEvents)
+	s.outCache = newLRU[core.Outage](opts.ReadCache)
+	s.incCache = newLRU[core.Incident](opts.ReadCache)
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	s.writing = true
 	s.log.Debug("history recovered",
 		"seq", s.seq, "resolved", s.outBase+len(s.outTail), "incidents", s.incBase+len(s.incTail),
 		"sealed_outages", s.outBase, "sealed_incidents", s.incBase, "segments", len(s.outSegs)+len(s.incSegs),
@@ -536,13 +556,14 @@ func (s *Store) applyTrace(tr core.OutageTrace) {
 	}
 }
 
-// Append durably records one lifecycle event. Events must arrive in
-// sequence order with no gaps (the bus sink guarantees this); a gap is a
-// wiring bug and is rejected. Writes are buffered; the buffer is flushed to
-// the OS at every bin close — the natural consistency point, since hooks
-// only fire at bin boundaries — and fsynced at compaction and Close. A bin
-// close that leaves the WAL over the compaction threshold triggers
-// compaction before returning.
+// Append records one lifecycle event. Events must arrive in sequence order
+// with no gaps (the bus sink guarantees this); a gap is a wiring bug and is
+// rejected. Writes are buffered; the buffer is flushed to the OS at every
+// bin close — the natural consistency point, since hooks only fire at bin
+// boundaries — and fsynced at compaction and Close. A bin close that leaves
+// the WAL over the compaction threshold triggers compaction before
+// returning. The first write, flush or compaction error is returned once
+// and stops writing (see the package doc); the event is applied either way.
 func (s *Store) Append(ev events.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,6 +573,26 @@ func (s *Store) Append(ev events.Event) error {
 	if ev.Seq != s.seq+1 {
 		return fmt.Errorf("store: sequence gap: append seq %d after %d", ev.Seq, s.seq)
 	}
+	if !s.writing {
+		s.apply(ev)
+		return nil
+	}
+	err := s.writeEvent(ev)
+	s.apply(ev)
+	if err == nil && ev.Kind == events.KindBinClosed {
+		if err = s.flush(); err == nil && s.walBytes >= s.opts.CompactBytes {
+			err = s.compact()
+		}
+	}
+	if err != nil {
+		s.writing = false
+	}
+	return err
+}
+
+// writeEvent appends ev's frame to the WAL buffer. Called with the lock
+// held.
+func (s *Store) writeEvent(ev events.Event) error {
 	payload, err := json.Marshal(ev)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -565,17 +606,17 @@ func (s *Store) Append(ev events.Event) error {
 		s.m.Appends.Add(1)
 		s.m.AppendedBytes.Add(int64(n))
 	}
-	s.apply(ev)
-	if ev.Kind == events.KindBinClosed {
-		if err := s.bw.Flush(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if s.m != nil {
-			s.m.Flushes.Add(1)
-		}
-		if s.walBytes >= s.opts.CompactBytes {
-			return s.compact()
-		}
+	return nil
+}
+
+// flush hands the WAL buffer to the OS. Called with the lock held on a
+// writing store.
+func (s *Store) flush() error {
+	if err := s.bw.Flush(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if s.m != nil {
+		s.m.Flushes.Add(1)
 	}
 	return nil
 }
@@ -709,11 +750,13 @@ func (s *Store) pendingSorted() []core.PendingConfirmation {
 }
 
 // History returns the fully materialized state: the complete persisted
-// history after Open, and the live history once appends flow. Slices are
-// copies. Sealed entries are decoded from their segments (bypassing the
-// read cache), so this walks the whole history on disk — it exists for
-// equivalence checks and offline tooling; a serving daemon uses Summary
-// plus the paged ReadOutages/ReadIncidents instead.
+// history after Open, and the live history once appends flow. Resolved and
+// Incidents may share memory with the store (see ReadOutages) and must not
+// be modified; the other slices are copies. Sealed entries are decoded from
+// their segments (bypassing the read cache), so this walks the whole
+// history on disk — it exists for equivalence checks and offline tooling; a
+// serving daemon uses Summary at boot, Served at each bin close and the
+// paged ReadOutages/ReadIncidents instead.
 func (s *Store) History() History {
 	s.mu.Lock()
 	outSegs, incSegs := s.outSegs, s.incSegs
@@ -769,10 +812,22 @@ func (s *Store) Summary() Summary {
 	}
 }
 
+// Served is what a published snapshot needs from the store: the two history
+// totals and a copy of the retained traces, trace j describing resolved
+// outage traceBase+j. Unlike Summary it copies no event tail, so it is
+// cheap enough for every bin close.
+func (s *Store) Served() (resolved, incidents int, traces []core.OutageTrace, traceBase int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.outBase + len(s.outTail), s.incBase + len(s.incTail),
+		append([]core.OutageTrace(nil), s.traces...), s.traceBase
+}
+
 // ReadOutages returns resolved outages with ordinals [start, start+count),
 // clamped to the current total: unsealed entries straight from memory,
 // sealed entries through the decoded-entry LRU with at most one positioned
-// segment read per miss span. Safe from any goroutine.
+// segment read per miss span. Safe from any goroutine. The result may
+// share memory with the store's unsealed tail: callers must not modify it.
 func (s *Store) ReadOutages(start, count int) ([]core.Outage, error) {
 	s.mu.Lock()
 	segs, base, tail := s.outSegs, s.outBase, s.outTail
@@ -788,24 +843,24 @@ func (s *Store) ReadIncidents(start, count int) ([]core.Incident, error) {
 	return readEntries(s, segs, base, tail, s.incCache, start, count, true)
 }
 
-// Flush forces buffered frames to the OS without fsync.
+// Flush forces buffered frames to the OS without fsync. A store that is not
+// writing has none; a failure stops writing like a failed append.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || !s.writing {
 		return nil
 	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	err := s.flush()
+	if err != nil {
+		s.writing = false
 	}
-	if s.m != nil {
-		s.m.Flushes.Add(1)
-	}
-	return nil
+	return err
 }
 
 // Close flushes, fsyncs and closes the WAL. Idempotent; the graceful
-// shutdown path of the daemon.
+// shutdown path of the daemon. A store that stopped writing only closes
+// the file: the WAL already ends where the failure left it.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -813,6 +868,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.f == nil {
+		return nil
+	}
+	if !s.writing {
+		s.f.Close()
+		return nil
+	}
 	if err := s.bw.Flush(); err != nil {
 		s.f.Close()
 		return fmt.Errorf("store: %w", err)

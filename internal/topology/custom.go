@@ -62,11 +62,6 @@ func (w *World) RegisterRS(asn bgp.ASN, ixp colo.IXPID) {
 	}
 }
 
-// AddCollector registers a collector with the given vantage peers.
-func (w *World) AddCollector(name string, peers ...bgp.ASN) {
-	w.Collectors = append(w.Collectors, Collector{Name: name, Peers: peers})
-}
-
 // FinishSchemes recomputes ground-truth community schemes after hand-built
 // ASes and links are in place.
 func (w *World) FinishSchemes() {

@@ -184,24 +184,6 @@ func (f *Forwarder) ReverseImpacted(d Demand, base *Forwarder) bool {
 // drop at a remote exchange (Section 6.4).
 const ReverseCouplingFactor = 0.45
 
-// VolumeAtCoupled sums the demand volume crossing the IXP under this
-// (failure-state) forwarder, discounting flows whose reverse path was
-// disturbed relative to the baseline forwarder.
-func (f *Forwarder) VolumeAtCoupled(m *Matrix, ix colo.IXPID, base *Forwarder) float64 {
-	var sum float64
-	for _, d := range m.Demands {
-		if !f.CrossesIXP(d, ix) {
-			continue
-		}
-		v := d.Gbps
-		if f.ReverseImpacted(d, base) {
-			v *= ReverseCouplingFactor
-		}
-		sum += v
-	}
-	return sum
-}
-
 // PortHeadroom is the capacity factor of a member's IXP port relative to
 // its steady-state load. Best practice keeps ports under 50% utilization,
 // but the paper observes that price pressure forces operators past such
