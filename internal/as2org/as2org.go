@@ -149,13 +149,6 @@ func (t *Table) Org(id OrgID) (Org, bool) {
 // OrgOf returns the organization operating the ASN, or 0 if unknown.
 func (t *Table) OrgOf(asn bgp.ASN) OrgID { return t.byASN[asn] }
 
-// SameOrg reports whether two ASes are siblings (same known organization).
-// Unknown ASes are never siblings of anything.
-func (t *Table) SameOrg(a, b bgp.ASN) bool {
-	oa := t.byASN[a]
-	return oa != 0 && oa == t.byASN[b]
-}
-
 // Siblings returns the other ASNs operated by asn's organization.
 func (t *Table) Siblings(asn bgp.ASN) []bgp.ASN {
 	id := t.byASN[asn]

@@ -7,7 +7,6 @@
 package bgp
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"strconv"
@@ -74,24 +73,6 @@ func (c Community) String() string {
 	return strconv.Itoa(int(c.High)) + ":" + strconv.Itoa(int(c.Low))
 }
 
-// ParseCommunity parses "High:Low" notation. It rejects halves outside
-// [0, 65535] and malformed strings.
-func ParseCommunity(s string) (Community, error) {
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return Community{}, fmt.Errorf("bgp: community %q: missing ':'", s)
-	}
-	hi, err := strconv.ParseUint(s[:i], 10, 16)
-	if err != nil {
-		return Community{}, fmt.Errorf("bgp: community %q: bad high half: %v", s, err)
-	}
-	lo, err := strconv.ParseUint(s[i+1:], 10, 16)
-	if err != nil {
-		return Community{}, fmt.Errorf("bgp: community %q: bad low half: %v", s, err)
-	}
-	return Community{High: uint16(hi), Low: uint16(lo)}, nil
-}
-
 // Communities is a set of communities attached to a route. Wire order is
 // not semantic; Normalize sorts and deduplicates.
 type Communities []Community
@@ -120,18 +101,6 @@ func (cs Communities) Contains(c Community) bool {
 		}
 	}
 	return false
-}
-
-// ByASN returns the subset of communities whose high half equals asn,
-// preserving order.
-func (cs Communities) ByASN(asn ASN) Communities {
-	var out Communities
-	for _, c := range cs {
-		if c.ASN() == asn {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Clone returns an independent copy.

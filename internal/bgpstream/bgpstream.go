@@ -1,20 +1,16 @@
-// Package bgpstream provides a unified, time-sorted feed of BGP records from
-// many collectors, mirroring the role BGPStream (Orsini et al., IMC 2016)
-// plays for Kepler: it decouples the detection pipeline from the feed
-// sources (Section 4.1 of the paper). It merges per-collector archives with
-// a k-way heap merge, applies record filters, and tracks per-session BGP
-// state messages so the monitoring module can detect collector feed gaps
-// and disregard updates lost to them.
+// Package bgpstream is Kepler's record-level ingest front end (Section 4.1
+// of the paper, the role BGPStream plays there). Fanout turns a
+// time-ordered MRT record stream into per-path route ops: announcements and
+// withdrawals land on the shard ShardOf assigns their (peer, prefix) key,
+// and a collector session leaving Established state is broadcast to every
+// shard as a peer-down op, so each drops that peer's routes (Section 4.2).
+// FeedWatchdog declares feeds degraded when they fall silent on stream
+// time. SliceSource replays an in-memory record slice.
 package bgpstream
 
 import (
-	"container/heap"
-	"fmt"
 	"io"
-	"sort"
-	"time"
 
-	"kepler/internal/bgp"
 	"kepler/internal/mrt"
 )
 
@@ -44,378 +40,4 @@ func (s *SliceSource) Next() (*mrt.Record, error) {
 	r := s.records[s.pos]
 	s.pos++
 	return r, nil
-}
-
-// mergeItem is one heap entry: the head record of a source.
-type mergeItem struct {
-	rec *mrt.Record
-	src int
-}
-
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if !h[i].rec.Time.Equal(h[j].rec.Time) {
-		return h[i].rec.Time.Before(h[j].rec.Time)
-	}
-	// Stable tie-break on source index keeps merges deterministic.
-	return h[i].src < h[j].src
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// Merger is a k-way merge of sources into one time-ordered stream.
-type Merger struct {
-	sources []Source
-	heap    mergeHeap
-	primed  bool
-}
-
-// NewMerger merges the given sources. Each source must itself be
-// time-ordered; the merged stream is then globally time-ordered.
-func NewMerger(sources ...Source) *Merger {
-	return &Merger{sources: sources}
-}
-
-func (m *Merger) prime() error {
-	m.heap = make(mergeHeap, 0, len(m.sources))
-	for i, s := range m.sources {
-		rec, err := s.Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("bgpstream: source %d: %w", i, err)
-		}
-		m.heap = append(m.heap, mergeItem{rec: rec, src: i})
-	}
-	heap.Init(&m.heap)
-	m.primed = true
-	return nil
-}
-
-// Next implements Source over the merged stream.
-func (m *Merger) Next() (*mrt.Record, error) {
-	if !m.primed {
-		if err := m.prime(); err != nil {
-			return nil, err
-		}
-	}
-	if len(m.heap) == 0 {
-		return nil, io.EOF
-	}
-	it := m.heap[0]
-	next, err := m.sources[it.src].Next()
-	switch err {
-	case nil:
-		m.heap[0] = mergeItem{rec: next, src: it.src}
-		heap.Fix(&m.heap, 0)
-	case io.EOF:
-		heap.Pop(&m.heap)
-	default:
-		return nil, fmt.Errorf("bgpstream: source %d: %w", it.src, err)
-	}
-	return it.rec, nil
-}
-
-// Filter selects records. All zero-valued criteria match everything.
-type Filter struct {
-	Kinds      []mrt.RecordKind // empty: all kinds
-	Collectors []string         // empty: all collectors
-	PeerASNs   []bgp.ASN        // empty: all peers
-	Start      time.Time        // zero: no lower bound
-	End        time.Time        // zero: no upper bound (exclusive otherwise)
-	IPv4Only   bool             // drop records whose update carries only IPv6 prefixes
-	IPv6Only   bool             // drop records whose update carries only IPv4 prefixes
-}
-
-// Match reports whether the record passes the filter.
-func (f *Filter) Match(r *mrt.Record) bool {
-	if len(f.Kinds) > 0 && !containsKind(f.Kinds, r.Kind) {
-		return false
-	}
-	if len(f.Collectors) > 0 && !containsString(f.Collectors, r.Collector) {
-		return false
-	}
-	if len(f.PeerASNs) > 0 && !containsASN(f.PeerASNs, r.PeerAS) {
-		return false
-	}
-	if !f.Start.IsZero() && r.Time.Before(f.Start) {
-		return false
-	}
-	if !f.End.IsZero() && !r.Time.Before(f.End) {
-		return false
-	}
-	if (f.IPv4Only || f.IPv6Only) && r.Update != nil {
-		has4, has6 := updateFamilies(r.Update)
-		if f.IPv4Only && !has4 {
-			return false
-		}
-		if f.IPv6Only && !has6 {
-			return false
-		}
-	}
-	return true
-}
-
-func updateFamilies(u *bgp.Update) (has4, has6 bool) {
-	for _, p := range u.Announced {
-		if p.Addr().Is4() {
-			has4 = true
-		} else {
-			has6 = true
-		}
-	}
-	for _, p := range u.Withdrawn {
-		if p.Addr().Is4() {
-			has4 = true
-		} else {
-			has6 = true
-		}
-	}
-	return has4, has6
-}
-
-func containsKind(ks []mrt.RecordKind, k mrt.RecordKind) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
-		}
-	}
-	return false
-}
-
-func containsString(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func containsASN(as []bgp.ASN, a bgp.ASN) bool {
-	for _, x := range as {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
-// FilterSource wraps a source, yielding only matching records.
-type FilterSource struct {
-	src    Source
-	filter *Filter
-}
-
-// NewFilterSource applies filter to src.
-func NewFilterSource(src Source, filter *Filter) *FilterSource {
-	return &FilterSource{src: src, filter: filter}
-}
-
-// Next implements Source.
-func (f *FilterSource) Next() (*mrt.Record, error) {
-	for {
-		r, err := f.src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if f.filter.Match(r) {
-			return r, nil
-		}
-	}
-}
-
-// SessionKey identifies one collector BGP session.
-type SessionKey struct {
-	Collector string
-	PeerAS    bgp.ASN
-}
-
-// Gap is an interval during which a collector session was not established;
-// updates "missing" during a gap reflect feed loss, not routing dynamics.
-type Gap struct {
-	Session SessionKey
-	Start   time.Time
-	End     time.Time // zero if the session never recovered
-}
-
-// SessionTracker consumes state records and maintains per-session health,
-// implementing Section 4.2's "we check for BGP State messages to detect
-// potential disruptions in the BGP feed ... and disregard updates due to it".
-type SessionTracker struct {
-	state map[SessionKey]mrt.SessionState
-	down  map[SessionKey]time.Time // session -> time it went down
-	gaps  []Gap
-}
-
-// NewSessionTracker returns an empty tracker. Sessions are presumed
-// established until a state message says otherwise.
-func NewSessionTracker() *SessionTracker {
-	return &SessionTracker{
-		state: make(map[SessionKey]mrt.SessionState),
-		down:  make(map[SessionKey]time.Time),
-	}
-}
-
-// Observe feeds one record to the tracker. Non-state records are ignored.
-func (t *SessionTracker) Observe(r *mrt.Record) {
-	if r.Kind != mrt.KindState {
-		return
-	}
-	key := SessionKey{Collector: r.Collector, PeerAS: r.PeerAS}
-	prev, tracked := t.state[key]
-	t.state[key] = r.NewState
-
-	wasUp := !tracked || prev == mrt.StateEstablished
-	isUp := r.NewState == mrt.StateEstablished
-	switch {
-	case wasUp && !isUp:
-		if _, already := t.down[key]; !already {
-			t.down[key] = r.Time
-		}
-	case !isUp:
-		// still down; keep original gap start
-	case isUp:
-		if start, wasDown := t.down[key]; wasDown {
-			t.gaps = append(t.gaps, Gap{Session: key, Start: start, End: r.Time})
-			delete(t.down, key)
-		}
-	}
-}
-
-// SessionEntry is the serialized state of one tracked collector session.
-type SessionEntry struct {
-	Collector string           `json:"collector"`
-	PeerAS    bgp.ASN          `json:"peer_as"`
-	State     mrt.SessionState `json:"state"`
-	// DownSince is the start of the session's open gap; zero when up.
-	DownSince time.Time `json:"down_since,omitempty"`
-}
-
-// SessionCheckpoint is the tracker's full serializable state: per-session
-// status plus the closed feed gaps observed so far.
-type SessionCheckpoint struct {
-	Sessions []SessionEntry `json:"sessions,omitempty"`
-	Gaps     []Gap          `json:"gaps,omitempty"`
-}
-
-// Checkpoint snapshots the tracker deterministically: sessions sorted by
-// (collector, peer), gaps in observation order.
-func (t *SessionTracker) Checkpoint() SessionCheckpoint {
-	c := SessionCheckpoint{}
-	for key, st := range t.state {
-		e := SessionEntry{Collector: key.Collector, PeerAS: key.PeerAS, State: st}
-		if start, down := t.down[key]; down {
-			e.DownSince = start
-		}
-		c.Sessions = append(c.Sessions, e)
-	}
-	sort.Slice(c.Sessions, func(i, j int) bool {
-		if c.Sessions[i].Collector != c.Sessions[j].Collector {
-			return c.Sessions[i].Collector < c.Sessions[j].Collector
-		}
-		return c.Sessions[i].PeerAS < c.Sessions[j].PeerAS
-	})
-	c.Gaps = append(c.Gaps, t.gaps...)
-	return c
-}
-
-// Restore replaces the tracker's state with a checkpoint. Must be called
-// before any Observe.
-func (t *SessionTracker) Restore(c SessionCheckpoint) {
-	t.state = make(map[SessionKey]mrt.SessionState, len(c.Sessions))
-	t.down = make(map[SessionKey]time.Time)
-	for _, e := range c.Sessions {
-		key := SessionKey{Collector: e.Collector, PeerAS: e.PeerAS}
-		t.state[key] = e.State
-		if !e.DownSince.IsZero() {
-			t.down[key] = e.DownSince
-		}
-	}
-	t.gaps = append([]Gap(nil), c.Gaps...)
-}
-
-// IsDown reports whether the session was down at the given instant.
-func (t *SessionTracker) IsDown(key SessionKey, at time.Time) bool {
-	if start, down := t.down[key]; down && !at.Before(start) {
-		return true
-	}
-	for _, g := range t.gaps {
-		if g.Session == key && !at.Before(g.Start) && at.Before(g.End) {
-			return true
-		}
-	}
-	return false
-}
-
-// Gaps returns all closed gaps observed so far plus open gaps (End zero).
-// Open gaps are appended in sorted session order so the result is a pure
-// function of the observed stream, not of map iteration order.
-func (t *SessionTracker) Gaps() []Gap {
-	keys := make([]SessionKey, 0, len(t.down))
-	for key := range t.down {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Collector != keys[j].Collector {
-			return keys[i].Collector < keys[j].Collector
-		}
-		return keys[i].PeerAS < keys[j].PeerAS
-	})
-	out := make([]Gap, len(t.gaps), len(t.gaps)+len(keys))
-	copy(out, t.gaps)
-	for _, key := range keys {
-		out = append(out, Gap{Session: key, Start: t.down[key]})
-	}
-	return out
-}
-
-// Stream couples a merged+filtered source with session tracking: the
-// canonical input to Kepler's monitoring module.
-type Stream struct {
-	src     Source
-	tracker *SessionTracker
-}
-
-// NewStream builds a stream over the sources with an optional filter
-// (nil means no filtering).
-func NewStream(filter *Filter, sources ...Source) *Stream {
-	var src Source = NewMerger(sources...)
-	if filter != nil {
-		src = NewFilterSource(src, filter)
-	}
-	return &Stream{src: src, tracker: NewSessionTracker()}
-}
-
-// Next returns the next record, feeding state messages to the tracker
-// as a side effect.
-func (s *Stream) Next() (*mrt.Record, error) {
-	r, err := s.src.Next()
-	if err != nil {
-		return nil, err
-	}
-	s.tracker.Observe(r)
-	return r, nil
-}
-
-// Tracker exposes the session tracker for gap-aware consumers.
-func (s *Stream) Tracker() *SessionTracker { return s.tracker }
-
-// Drain reads the stream to EOF, returning all records.
-func (s *Stream) Drain() ([]*mrt.Record, error) {
-	var out []*mrt.Record
-	for {
-		r, err := s.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
 }

@@ -73,19 +73,18 @@ func mix64(x uint64) uint64 {
 
 // Fanout splits a time-ordered record stream into n per-shard route-op
 // queues, keeping all ops of one (peer, prefix) path key on one shard so
-// per-path state needs no locking. State messages feed the embedded
-// session tracker and broadcast peer-down ops to every shard. Fanout is
-// the ingestion half of the sharded engine: it does only cheap routing
-// (hash + append) on the hot path, leaving community annotation and state
-// maintenance to the shard workers.
+// per-path state needs no locking. State messages leaving Established
+// broadcast a peer-down op to every shard. Fanout is the ingestion half of
+// the sharded engine: it does only cheap routing (hash + append) on the
+// hot path, leaving community annotation and state maintenance to the
+// shard workers.
 type Fanout struct {
 	n       int
 	seq     uint64
 	pending [][]RouteOp
 	// spare holds one recycled op slab per shard, adopted by the next Take
 	// so batch dispatch reuses capacity instead of allocating per batch.
-	spare   [][]RouteOp
-	tracker *SessionTracker
+	spare [][]RouteOp
 }
 
 // NewFanout builds a fan-out over n shards (n >= 1).
@@ -93,7 +92,7 @@ func NewFanout(n int) *Fanout {
 	if n < 1 {
 		n = 1
 	}
-	return &Fanout{n: n, pending: make([][]RouteOp, n), spare: make([][]RouteOp, n), tracker: NewSessionTracker()}
+	return &Fanout{n: n, pending: make([][]RouteOp, n), spare: make([][]RouteOp, n)}
 }
 
 // Seq returns the sequence number of the most recently emitted op.
@@ -102,9 +101,6 @@ func (f *Fanout) Seq() uint64 { return f.seq }
 // RestoreSeq seeds the op sequence counter — the checkpoint-recovery hook
 // that keeps post-restore op numbering identical to an uninterrupted run.
 func (f *Fanout) RestoreSeq(seq uint64) { f.seq = seq }
-
-// Tracker exposes the session tracker fed by state records.
-func (f *Fanout) Tracker() *SessionTracker { return f.tracker }
 
 // ShardOf returns the shard owning a path key under this fan-out.
 func (f *Fanout) ShardOf(peer bgp.ASN, prefix netip.Prefix) int {
@@ -116,7 +112,6 @@ func (f *Fanout) ShardOf(peer bgp.ASN, prefix netip.Prefix) int {
 func (f *Fanout) Add(rec *mrt.Record) int {
 	switch rec.Kind {
 	case mrt.KindState:
-		f.tracker.Observe(rec)
 		if rec.NewState == mrt.StateEstablished {
 			return 0
 		}

@@ -8,14 +8,20 @@ import (
 	"kepler/internal/mrt"
 )
 
+// SessionKey identifies one collector BGP session.
+type SessionKey struct {
+	Collector string
+	PeerAS    bgp.ASN
+}
+
 // FeedWatchdog tracks per-session and per-collector feed liveness on
 // stream time: every record refreshes its session's last-seen stamp, and a
 // feed whose silence (bin end minus last-seen) reaches the configured
 // threshold is declared degraded until a record arrives again. It is the
-// coverage-side complement of SessionTracker: the tracker believes state
-// messages (a session that *says* it is down), the watchdog catches feeds
-// that silently stop without one — the collector blind spot that erodes
-// the stable baseline with no visible symptom.
+// coverage-side complement of Fanout's peer-down broadcast: the fan-out
+// believes state messages (a session that *says* it is down), the watchdog
+// catches feeds that silently stop without one — the collector blind spot
+// that erodes the stable baseline with no visible symptom.
 //
 // The watchdog never reads a clock. All decisions are pure functions of
 // record timestamps and the bin ends the detection pipeline hands it, so

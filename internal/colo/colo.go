@@ -127,7 +127,6 @@ type Map struct {
 	ixpByASN  map[bgp.ASN][]IXPID
 	facByCity map[geo.CityID][]FacilityID
 	ixpByCity map[geo.CityID][]IXPID
-	ixpAtFac  map[FacilityID][]IXPID
 	facKey    map[string]FacilityID // address key -> facility
 	ixpByASN2 map[bgp.ASN]IXPID     // IXP-operated ASN -> IXP
 }
@@ -164,17 +163,11 @@ func (m *Map) IXPs() []IXP { return m.ixps }
 // FacilitiesOf returns the facilities where the AS has presence.
 func (m *Map) FacilitiesOf(asn bgp.ASN) []FacilityID { return m.facByASN[asn] }
 
-// IXPsOf returns the IXPs the AS is a member of.
-func (m *Map) IXPsOf(asn bgp.ASN) []IXPID { return m.ixpByASN[asn] }
-
 // FacilitiesInCity returns the facilities located in the city.
 func (m *Map) FacilitiesInCity(city geo.CityID) []FacilityID { return m.facByCity[city] }
 
 // IXPsInCity returns the IXPs located in the city.
 func (m *Map) IXPsInCity(city geo.CityID) []IXPID { return m.ixpByCity[city] }
-
-// IXPsAtFacility returns the IXPs with fabric presence in the facility.
-func (m *Map) IXPsAtFacility(f FacilityID) []IXPID { return m.ixpAtFac[f] }
 
 // IXPByOperatedASN resolves an IXP-operated ASN (e.g. a route server ASN)
 // to its IXP.
@@ -199,45 +192,9 @@ func (m *Map) AtIXP(asn bgp.ASN, ix IXPID) bool {
 	return containsIXP(m.ixpByASN[asn], ix)
 }
 
-// CommonFacilities returns the facilities where both ASes are present,
-// sorted ascending.
-func (m *Map) CommonFacilities(a, b bgp.ASN) []FacilityID {
-	return intersectFac(m.facByASN[a], m.facByASN[b])
-}
-
 // CommonIXPs returns the IXPs both ASes are members of, sorted ascending.
 func (m *Map) CommonIXPs(a, b bgp.ASN) []IXPID {
 	return intersectIXP(m.ixpByASN[a], m.ixpByASN[b])
-}
-
-// MembersAt returns the members of a PoP: facility tenants, IXP members, or
-// the union of facility tenants for a city.
-func (m *Map) MembersAt(p PoP) []bgp.ASN {
-	switch p.Kind {
-	case PoPFacility:
-		if f, ok := m.Facility(FacilityID(p.ID)); ok {
-			return f.Members
-		}
-	case PoPIXP:
-		if ix, ok := m.IXP(IXPID(p.ID)); ok {
-			return ix.Members
-		}
-	case PoPCity:
-		set := make(map[bgp.ASN]bool)
-		for _, fid := range m.facByCity[geo.CityID(p.ID)] {
-			f := m.facilities[fid-1]
-			for _, a := range f.Members {
-				set[a] = true
-			}
-		}
-		out := make([]bgp.ASN, 0, len(set))
-		for a := range set {
-			out = append(out, a)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	return nil
 }
 
 // CityOf returns the city of a facility- or IXP-PoP, or the city itself.
@@ -295,17 +252,6 @@ func containsIXP(list []IXPID, ix IXPID) bool {
 		}
 	}
 	return false
-}
-
-func intersectFac(a, b []FacilityID) []FacilityID {
-	var out []FacilityID
-	for _, x := range a {
-		if containsFac(b, x) {
-			out = append(out, x)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func intersectIXP(a, b []IXPID) []IXPID {

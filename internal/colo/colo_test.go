@@ -130,9 +130,6 @@ func TestIndices(t *testing.T) {
 	if got := m.FacilitiesOf(2); len(got) != 2 {
 		t.Errorf("FacilitiesOf(2) = %v", got)
 	}
-	if got := m.IXPsOf(2); len(got) != 2 {
-		t.Errorf("IXPsOf(2) = %v", got)
-	}
 	if got := m.FacilitiesOf(99); got != nil {
 		t.Errorf("FacilitiesOf(99) = %v", got)
 	}
@@ -144,58 +141,16 @@ func TestIndices(t *testing.T) {
 	if got := m.IXPsInCity(lon.ID); len(got) != 1 {
 		t.Errorf("IXPsInCity(London) = %v", got)
 	}
-
-	theID, _ := m.FacilityByAddress(Address{Postcode: "E14 2AA", Country: "GB"})
-	if got := m.IXPsAtFacility(theID); len(got) != 1 {
-		t.Errorf("IXPsAtFacility = %v", got)
-	}
 }
 
 func TestCommonQueries(t *testing.T) {
 	m := buildTestMap(t)
 	theID, _ := m.FacilityByAddress(Address{Postcode: "E14 2AA", Country: "GB"})
-	am7ID, _ := m.FacilityByAddress(Address{Postcode: "1101 AE", Country: "NL"})
-
-	common := m.CommonFacilities(1, 2)
-	if len(common) != 1 || common[0] != theID {
-		t.Errorf("CommonFacilities(1,2) = %v, want [%d]", common, theID)
-	}
-	if got := m.CommonFacilities(1, 5); len(got) != 0 {
-		t.Errorf("CommonFacilities(1,5) = %v", got)
-	}
-	if got := m.CommonFacilities(2, 5); len(got) != 1 || got[0] != am7ID {
-		t.Errorf("CommonFacilities(2,5) = %v", got)
-	}
 	if got := m.CommonIXPs(2, 5); len(got) != 1 {
 		t.Errorf("CommonIXPs(2,5) = %v", got)
 	}
 	if !m.AtFacility(1, theID) || m.AtFacility(5, theID) {
 		t.Error("AtFacility wrong")
-	}
-}
-
-func TestMembersAt(t *testing.T) {
-	m := buildTestMap(t)
-	theID, _ := m.FacilityByAddress(Address{Postcode: "E14 2AA", Country: "GB"})
-	lon, _ := geo.DefaultWorld().Resolve("London")
-
-	if got := m.MembersAt(FacilityPoP(theID)); len(got) != 4 {
-		t.Errorf("MembersAt(facility) = %v", got)
-	}
-	if got := m.MembersAt(CityPoP(lon.ID)); len(got) != 4 {
-		t.Errorf("MembersAt(city London) = %v", got)
-	}
-	var amsix IXPID
-	for _, ix := range m.IXPs() {
-		if ix.Name == "AMS-IX" {
-			amsix = ix.ID
-		}
-	}
-	if got := m.MembersAt(IXPPoP(amsix)); len(got) != 3 {
-		t.Errorf("MembersAt(AMS-IX) = %v", got)
-	}
-	if got := m.MembersAt(PoP{}); got != nil {
-		t.Errorf("MembersAt(invalid) = %v", got)
 	}
 }
 

@@ -62,7 +62,6 @@ func (b *Builder) Build() *Map {
 		ixpByASN:  make(map[bgp.ASN][]IXPID),
 		facByCity: make(map[geo.CityID][]FacilityID),
 		ixpByCity: make(map[geo.CityID][]IXPID),
-		ixpAtFac:  make(map[FacilityID][]IXPID),
 		facKey:    make(map[string]FacilityID),
 		ixpByASN2: make(map[bgp.ASN]IXPID),
 	}
@@ -222,9 +221,6 @@ func (b *Builder) Build() *Map {
 		}
 		if ix.City != geo.NoCity {
 			m.ixpByCity[ix.City] = append(m.ixpByCity[ix.City], ix.ID)
-		}
-		for _, f := range ix.Facilities {
-			m.ixpAtFac[f] = append(m.ixpAtFac[f], ix.ID)
 		}
 	}
 	return m

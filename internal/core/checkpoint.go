@@ -21,12 +21,14 @@ import (
 // must bump it: restoring a checkpoint written by different detection code
 // would silently desynchronize the replay gate, so a version mismatch is a
 // hard decode error and recovery falls back to an older checkpoint or a
-// full re-ingest. testdata/checkpoint_v3.golden pins the bytes.
+// full re-ingest. testdata/checkpoint_v4.golden pins the bytes.
 //
 // Version history: 2 added the feed-health watchdog state (Feed); 3
-// replaced the JSON document with the binary layout below. Versions 1 and 2
-// start with '{' rather than the magic, so an older build's checkpoint is
-// refused by its first bytes and costs one full re-ingest.
+// replaced the JSON document with the binary layout below; 4 dropped the
+// collector session tracker's state (sessions) from the tail, which no
+// detection path read. Versions 1 and 2 start with '{' rather than the
+// magic, so an older build's checkpoint is refused by its first bytes, and
+// a version 3 one by its version; either costs one full re-ingest.
 //
 // Layout (every integer is a varint; times are zig-zag unix seconds then
 // nanoseconds, normalized to UTC):
@@ -38,13 +40,13 @@ import (
 //
 //	key = peer, family byte (4|6), prefix-length byte, 4|16 address bytes
 //	pop = kind byte, id
-const CheckpointVersion = 3
+const CheckpointVersion = 4
 
 const checkpointMagic = "KPCK"
 
 // Checkpoint is the complete serializable detection state of an Engine at
 // a bin barrier: the per-path monitoring tables, the stable baseline,
-// collector session state, the investigator's incident log and outage
+// the feed-health watchdog, the investigator's incident log and outage
 // tracker, and any probe campaigns parked as pending confirmations.
 //
 // The encoding is deterministic — every map is flattened in sorted order —
@@ -92,10 +94,9 @@ func (c *Checkpoint) NumStable() int { return c.stable.n }
 // as one JSON object: hand-coding seven more record types would buy well
 // under a millisecond per checkpoint.
 type checkpointTail struct {
-	Sessions bgpstream.SessionCheckpoint `json:"sessions"`
 	// Feed is the feed-health watchdog state (Config.FeedSilence); empty
-	// when the watchdog is disabled. Like Sessions it is global, not
-	// per-shard, so the encoding stays shard-count independent.
+	// when the watchdog is disabled. It is global, not per-shard, so the
+	// encoding stays shard-count independent.
 	Feed bgpstream.FeedCheckpoint `json:"feed"`
 
 	Incidents []Incident `json:"incidents,omitempty"`
@@ -489,7 +490,6 @@ func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstre
 		ProbeSeq: inv.probeSeq,
 	}
 	c.paths, c.stable = sectionOf(cp.image.paths), sectionOf(cp.image.stable)
-	c.Sessions = fan.Tracker().Checkpoint()
 	if inv.feed != nil {
 		c.Feed = inv.feed.Checkpoint()
 	}

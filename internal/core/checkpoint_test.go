@@ -393,14 +393,14 @@ func TestRestoreAfterProcessRejected(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/checkpoint_v3.golden from the current encoder")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/checkpoint_v4.golden from the current encoder")
 
-const goldenCheckpoint = "testdata/checkpoint_v3.golden"
+const goldenCheckpoint = "testdata/checkpoint_v4.golden"
 
-// TestCheckpointGolden pins the version-3 byte layout: the scenario
+// TestCheckpointGolden pins the version-4 byte layout: the scenario
 // stream's checkpoint at the signal bin, with one IPv6 path that stays in
 // the stable baseline through the outage (so paths, stable entries, an open
-// outage with waiting keys, incidents and sessions are all present), must
+// outage with waiting keys and incidents are all present), must
 // encode to exactly the checked-in bytes, and those bytes must decode and
 // re-encode to themselves. A layout change that does not bump CheckpointVersion fails
 // here; after a bump, regenerate with `go test ./internal/core -run

@@ -489,7 +489,6 @@ func (e *Engine) RestoreFrom(c *Checkpoint) error {
 	}
 	e.clock.start = c.BinStart
 	e.fan.RestoreSeq(c.OpSeq)
-	e.fan.Tracker().Restore(c.Sessions)
 	e.seen = c.Records
 	return nil
 }

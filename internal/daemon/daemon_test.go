@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -380,19 +381,9 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	stack := pipeline.Build(w, 77)
-	var target colo.FacilityID
-	bestN := 0
-	for _, f := range stack.Map.Facilities() {
-		if _, n := stack.Map.Trackable(f.ID, stack.Dict.Covers); n > bestN {
-			target, bestN = f.ID, n
-		}
-	}
-	if target == 0 {
-		t.Fatal("no trackable facility")
-	}
 	t0 := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
 	ev := simulate.Event{
-		Kind: simulate.EvFacility, Facility: target,
+		Kind: simulate.EvFacility, Facility: mostTrackable(t, stack),
 		Start:    t0.Add(5 * 24 * time.Hour),
 		Duration: 45 * time.Minute,
 	}
@@ -538,6 +529,130 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 		if n := <-streamed; n == 0 {
 			t.Error("an unfiltered SSE client received no events")
 		}
+	}
+}
+
+// mostTrackable is the facility of stack's colocation map with the most
+// trackable paths: the one an injected outage is surest to be detected at.
+func mostTrackable(t *testing.T, stack *pipeline.Stack) colo.FacilityID {
+	t.Helper()
+	var target colo.FacilityID
+	bestN := 0
+	for _, f := range stack.Map.Facilities() {
+		if _, n := stack.Map.Trackable(f.ID, stack.Dict.Covers); n > bestN {
+			target, bestN = f.ID, n
+		}
+	}
+	if target == 0 {
+		t.Fatal("no trackable facility")
+	}
+	return target
+}
+
+// onMessage is a slog handler that closes hit the first time a record
+// with message msg is logged, and discards everything.
+type onMessage struct {
+	msg  string
+	hit  chan struct{}
+	once sync.Once
+}
+
+func (h *onMessage) Enabled(context.Context, slog.Level) bool { return true }
+func (h *onMessage) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *onMessage) WithGroup(string) slog.Handler            { return h }
+func (h *onMessage) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.once.Do(func() { close(h.hit) })
+	}
+	return nil
+}
+
+// TestSourceFailureKeepsOutageOpen cuts an archive mid-record while a
+// facility outage is open. A failed source is not an end of stream, so
+// after "source failed" the daemon serves the outage as open, not as
+// resolved at the last record (memory mode) nor nowhere at all (with
+// -data-dir, where the shutdown flush used to be muted).
+func TestSourceFailureKeepsOutageOpen(t *testing.T) {
+	w, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := pipeline.Build(w, 77)
+	t0 := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	ev := simulate.Event{
+		Kind: simulate.EvFacility, Facility: mostTrackable(t, stack),
+		Start:    t0.Add(5 * 24 * time.Hour),
+		Duration: 6 * time.Hour,
+	}
+	res, err := simulate.Render(w, []simulate.Event{ev}, t0, t0.Add(7*24*time.Hour), simulate.RenderConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut right after the record whose bin close opened the outage.
+	cfg := core.DefaultConfig()
+	cfg.ReportUnresolved = true
+	ref := stack.NewDetector(cfg)
+	k, resolved := 0, 0
+	for k < len(res.Records) && len(ref.OpenOutageStatuses()) == 0 {
+		resolved += len(ref.Process(res.Records[k]))
+		k++
+	}
+	if k >= len(res.Records) {
+		t.Fatal("no outage opened before the archive's last record")
+	}
+	var wantOpen []string
+	for _, o := range ref.OpenOutageStatuses() {
+		wantOpen = append(wantOpen, o.PoP.String())
+	}
+
+	// The archive up to the cut, plus the first bytes of the next record.
+	var whole, head bytes.Buffer
+	if err := mrt.WriteAll(&head, res.Records[:k]); err != nil {
+		t.Fatal(err)
+	}
+	if err := mrt.WriteAll(&whole, res.Records[:k+1]); err != nil {
+		t.Fatal(err)
+	}
+	archive := filepath.Join(t.TempDir(), "truncated.mrt")
+	if err := os.WriteFile(archive, whole.Bytes()[:head.Len()+3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			c := testConfig(archive)
+			c.Trace = false
+			if durable {
+				c.DataDir = t.TempDir()
+			}
+			failed := &onMessage{msg: "source failed", hit: make(chan struct{})}
+			c.Logger = slog.New(failed)
+			r := start(t, c, nil)
+			select {
+			case <-failed.hit:
+			case err := <-r.done:
+				t.Fatalf("Run returned before the source failed: %v", err)
+			case <-time.After(5 * time.Minute):
+				t.Fatal("source never failed")
+			}
+			var open struct {
+				Outages []server.OpenOutageView `json:"outages"`
+			}
+			getJSON(t, r.addr+"/v1/outages/open", &open)
+			var gotOpen []string
+			for _, o := range open.Outages {
+				gotOpen = append(gotOpen, o.PoP.Ref)
+			}
+			if !reflect.DeepEqual(gotOpen, wantOpen) {
+				t.Errorf("open after the source failed = %v, want %v", gotOpen, wantOpen)
+			}
+			var hist page
+			getJSON(t, r.addr+"/v1/outages", &hist)
+			if hist.Total != resolved {
+				t.Errorf("resolved outages served = %d, want the %d resolved before the cut", hist.Total, resolved)
+			}
+			r.stop(t)
+		})
 	}
 }
 

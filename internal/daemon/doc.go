@@ -56,20 +56,21 @@
 // a WAL append fails the store stops writing and serves on from memory —
 // the persisted prefix from disk, everything after it from its in-memory
 // tail — and the daemon stops checkpointing, so the checkpoints already on
-// disk stay the restart point. Checkpoints are
-// binary (core.CheckpointVersion 3: path and stable-baseline records as
-// varints behind a "KPCK" magic, inside the store's fixed "KCE1" envelope
-// and CRC32C frame); a data dir whose only checkpoints were written by an
-// older build — versions 1 and 2 were JSON — costs one full re-ingest after
-// the upgrade: each is refused by its first bytes, logged as "checkpoint
-// segment discarded" and counted in store.checkpoints_discarded, and the
-// history comes out identical. A data dir is bound to one (source, seed,
-// detection config, probe config) tuple; pointing it at a different archive
-// or changing -tfail, -probe-backend or -probe-budget desynchronizes the
-// replay gate — in particular, restarting without the probe backend strands
-// any recovered mid-campaign confirmations forever (the daemon warns and
-// drops them from serving in that case, and refuses checkpoints that carry
-// parked campaigns).
+// disk stay the restart point. Checkpoints are binary
+// (core.CheckpointVersion 4: path and stable-baseline records as varints
+// behind a "KPCK" magic, inside the store's fixed "KCE1" envelope and
+// CRC32C frame); a data dir whose only checkpoints were written by an older
+// build — versions 1 and 2 were JSON, version 3 still carried the collector
+// session tracker — costs one full re-ingest after the upgrade: each is
+// refused (1 and 2 by their first bytes, 3 by its version), logged as
+// "checkpoint segment discarded" and counted in
+// store.checkpoints_discarded, and the history comes out identical. A data
+// dir is bound to one (source, seed, detection config, probe config) tuple;
+// pointing it at a different archive or changing -tfail, -probe-backend or
+// -probe-budget desynchronizes the replay gate — in particular, restarting
+// without the probe backend strands any recovered mid-campaign
+// confirmations forever (the daemon warns and drops them from serving in
+// that case, and refuses checkpoints that carry parked campaigns).
 //
 // With -probe-backend the daemon grows a data plane: signal groups whose
 // epicenters need corroboration are parked as probe campaigns executed
@@ -140,7 +141,11 @@
 // /v1/incidents paginate with ?after=<id>&limit=<n>. -pprof-addr
 // additionally serves the standard net/http/pprof debug endpoints on a
 // listener of their own — opt-in, and never on the API port. Shutdown, when
-// Run's context is cancelled (keplerd: SIGINT/SIGTERM), is graceful: the
-// source is drained, the engine flushed (emitting final outage events),
-// subscribers closed, the store synced, and the HTTP server stopped.
+// Run's context is cancelled (keplerd: SIGINT/SIGTERM), is graceful: ingest
+// stops at the next record, subscribers are closed, the store synced, and
+// the HTTP server stopped. Stopping is not an end of stream, so the engine
+// is not flushed: outages still in progress stay open in the last snapshot
+// rather than resolving at the last record, and nothing is published or
+// persisted that a re-ingestion would not regenerate. The same holds when
+// the source fails. Only the end of an archive flushes the engine.
 package daemon

@@ -131,17 +131,11 @@ func Run(ctx context.Context, c Config) error {
 
 	// History. The store holds what the API serves in every mode: without
 	// -data-dir it keeps it in memory only, with one it also writes it to
-	// the WAL. Its sink runs synchronously on the ingest goroutine. On a
-	// shutdown-abort of a durable run the whole hook chain is muted (see
-	// events.MuteHooks) before the engine's final flush, so the resolution
-	// artifacts of stopping are neither published nor persisted — a
-	// deterministic re-ingestion would not regenerate them, and burning
-	// sequence numbers on them would break SSE resume across the restart.
+	// the WAL. Its sink runs synchronously on the ingest goroutine.
 	svc := &metrics.ServiceStats{}
 	var (
 		storeStats *metrics.StoreStats
 		persisting atomic.Bool // appends reach the data dir; cleared by the first failure
-		aborting   atomic.Bool // set by OnAbort: mute hooks through shutdown
 		resume     *store.Checkpoint
 		engCkpt    *core.Checkpoint
 	)
@@ -441,7 +435,6 @@ func Run(ctx context.Context, c Config) error {
 	// the previous process stopped.
 	finalHooks := events.GateHooks(hooks, gateSkip)
 	if c.DataDir != "" {
-		finalHooks = events.MuteHooks(finalHooks, aborting.Load)
 		// Serve the recovered history immediately — catch-up publishes its
 		// first live snapshot only after re-ingestion crosses the durable
 		// horizon. Probe campaigns that were mid-flight at the previous
@@ -464,7 +457,6 @@ func Run(ctx context.Context, c Config) error {
 			dlog.Info("recovered mid-campaign probe confirmations", "pending", len(sum.PendingProbes))
 		}
 		srv.PublishSnapshot(bootSnap)
-		src = live.OnAbort(src, func() { aborting.Store(true) })
 	}
 	eng.SetHooks(finalHooks)
 
@@ -529,8 +521,7 @@ func Run(ctx context.Context, c Config) error {
 			// last bin_closed, so it is still in the WAL buffer — and a restart
 			// from a checkpoint at the end-of-archive cursor reads no record,
 			// so never flushes again. Hand it to the OS before a SIGKILL can
-			// lose it. (An abort appends nothing here: the hooks are muted.
-			// A store that is not writing has nothing to flush.)
+			// lose it. (A store that is not writing has nothing to flush.)
 			if ferr := st.Flush(); ferr != nil {
 				dlog.Error("store flush at end of source failed", "error", ferr)
 			}
@@ -556,7 +547,8 @@ func Run(ctx context.Context, c Config) error {
 		out = <-pumpDone // Pump aborts promptly: the source sees ctx.Done
 	}
 
-	// Graceful teardown: flush already ran inside Pump; close subscribers
+	// Graceful teardown: Pump flushed the engine if the source ended, and
+	// only then (stopping is not an end of stream); close subscribers
 	// (closing the bus drains the relay, which then closes its clients),
 	// sync the store, stop the HTTP server, stop the shard workers.
 	bus.Close()

@@ -32,14 +32,9 @@ func guardHooks(h core.Hooks, pass func() bool) core.Hooks {
 }
 
 // MuteHooks wraps a hook set so every callback is dropped while muted
-// reports true. A store-backed daemon arms this at the moment its source
-// aborts (live.OnAbort): the engine flush that follows a shutdown emits
-// resolution events that are artifacts of stopping, not real detections —
-// publishing them would burn bus sequence numbers that the restarted
-// process reassigns to different (real) events, breaking Last-Event-ID
-// exactly-once across the restart for any client still connected at the
-// kill. Muting keeps the published stream identical to the persisted one,
-// so the sequence numbering is continuous across process lifetimes.
+// reports true. Nothing in this module calls it: live.Pump emits nothing
+// when ingest stops short of the end of its source, so there is nothing to
+// mute. bench/replica.go, which mirrors keplerd's wiring, still does.
 func MuteHooks(h core.Hooks, muted func() bool) core.Hooks {
 	return guardHooks(h, func() bool { return !muted() })
 }

@@ -175,9 +175,6 @@ func initials(name string) string {
 	return b.String()
 }
 
-// NumCities returns the number of cities in the gazetteer.
-func (w *World) NumCities() int { return len(w.cities) }
-
 // City returns the city with the given ID, or false if the ID is out of
 // range.
 func (w *World) City(id CityID) (City, bool) {
@@ -200,22 +197,6 @@ func (w *World) Resolve(identifier string) (City, bool) {
 		return City{}, false
 	}
 	return w.cities[id-1], true
-}
-
-// Nearest returns the gazetteer city closest to the coordinate and its
-// distance in km. ok is false for an empty gazetteer or invalid coordinate.
-func (w *World) Nearest(c Coord) (City, float64, bool) {
-	if len(w.cities) == 0 || !c.Valid() {
-		return City{}, 0, false
-	}
-	best := 0
-	bestD := math.Inf(1)
-	for i := range w.cities {
-		if d := DistanceKm(c, w.cities[i].Coord); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return w.cities[best], bestD, true
 }
 
 // ClusterRadiusKm is the identifier-grouping radius from Section 3.2: two

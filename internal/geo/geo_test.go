@@ -102,7 +102,7 @@ func TestCityLookupByID(t *testing.T) {
 	if _, ok := w.City(NoCity); ok {
 		t.Error("City(NoCity) should fail")
 	}
-	if _, ok := w.City(CityID(w.NumCities() + 1)); ok {
+	if _, ok := w.City(CityID(len(w.Cities()) + 1)); ok {
 		t.Error("City(out of range) should fail")
 	}
 	first, ok := w.City(1)
@@ -153,24 +153,6 @@ func TestGazetteerIntegrity(t *testing.T) {
 	}
 	if counts[Europe] <= counts[NorthAmerica] {
 		t.Error("gazetteer should be Europe-heavy to match the paper's skew")
-	}
-}
-
-func TestNearest(t *testing.T) {
-	w := DefaultWorld()
-	ams, _ := w.Resolve("AMS")
-	got, d, ok := w.Nearest(Coord{52.3, 4.8}) // just outside Amsterdam
-	if !ok {
-		t.Fatal("Nearest failed")
-	}
-	if got.Name != ams.Name {
-		t.Errorf("Nearest = %s, want Amsterdam", got.Name)
-	}
-	if d > 20 {
-		t.Errorf("Nearest distance %.1f km, want < 20", d)
-	}
-	if _, _, ok := w.Nearest(Coord{}); ok {
-		t.Error("Nearest should reject the zero coordinate")
 	}
 }
 

@@ -6,7 +6,8 @@
 // renders rolling scenario windows for soak testing. Both feed the engine
 // through its existing record fan-out; the serving layer observes results
 // via the engine's lifecycle hooks (internal/events) rather than through
-// the pump's return value.
+// the pump's return value. Pump flushes the engine only at the end of the
+// stream: a shutdown or a failed source leaves outages in progress open.
 package live
 
 import (
@@ -90,7 +91,7 @@ func (t *Tracked) LastCursor() Cursor { return t.last }
 
 // batchSource is the subset of bgpstream.Source the adapters accept: any
 // blocking-free, already-ordered record iterator (mrt.Reader,
-// bgpstream.SliceSource, Merger, Stream, ...).
+// bgpstream.SliceSource, ...).
 type batchSource interface {
 	Next() (*mrt.Record, error)
 }
@@ -112,39 +113,6 @@ func (a adapted) Next(ctx context.Context) (*mrt.Record, error) {
 		return nil, err
 	}
 	return a.src.Next()
-}
-
-// abortHook wraps a source so fn runs — once, on the consuming goroutine —
-// the moment the source fails with anything other than clean end-of-stream.
-type abortHook struct {
-	src   Source
-	fn    func()
-	fired bool
-}
-
-// OnAbort returns a source that invokes fn when src's Next first returns a
-// non-EOF error (cancellation, source failure), before the error reaches
-// the caller. Pump flushes the engine after any exit, and flush emits
-// resolution events for outages that are still in progress; on clean EOF
-// those are real results (the stream is over), but on a daemon shutdown
-// they are artifacts of stopping. A store-backed daemon therefore hooks
-// OnAbort to mute its lifecycle hooks (events.MuteHooks): since fn runs on
-// the pump goroutine before the flush hooks do, the artifacts are neither
-// persisted nor published, so the durable history and the bus sequence
-// keep only events a deterministic re-ingestion will regenerate — which is
-// what makes restart recovery byte-for-byte equivalent to an uninterrupted
-// run, and Last-Event-ID resume exactly-once across it.
-func OnAbort(src Source, fn func()) Source {
-	return &abortHook{src: src, fn: fn}
-}
-
-func (a *abortHook) Next(ctx context.Context) (*mrt.Record, error) {
-	rec, err := a.src.Next(ctx)
-	if err != nil && !errors.Is(err, io.EOF) && !a.fired {
-		a.fired = true
-		a.fn()
-	}
-	return rec, err
 }
 
 // Replayer paces an archive against the wall clock: record timestamps are
@@ -252,28 +220,32 @@ type PumpResult struct {
 	Records int
 	// Last is the timestamp of the final record (zero if none arrived).
 	Last time.Time
-	// Outages completed during the run, including the shutdown flush —
-	// exactly what the batch pipeline would have returned for the same
-	// records.
+	// Outages completed during the run. At EOF that includes the final
+	// flush — exactly what the batch pipeline would have returned for the
+	// same records; after a cancellation or a source error it holds only
+	// what Process completed, and outages still in progress stay open.
 	Outages []core.Outage
 }
 
-// Pump drives the engine from the source until EOF or context
-// cancellation, then flushes open state as of the last record. The engine's
-// hooks fire on this goroutine, so a daemon installs its event publication
-// and snapshot refresh there and treats Pump as the whole ingest loop. The
-// returned error is nil at EOF, the context error if cancelled, and the
-// source error otherwise; the flush runs in every case.
+// Pump drives the engine from the source until EOF, context cancellation
+// or a source error. Only EOF ends the stream: there Pump flushes open
+// state as of the last record. Stopping or a failing source is not an end
+// of stream, so the engine is left unflushed — its open outages stay open,
+// and nothing is emitted that a re-ingestion of the same records would not
+// regenerate, which keeps a durable history and the event sequence
+// identical across a restart. The engine's hooks fire on this goroutine, so
+// a daemon installs its event publication and snapshot refresh there and
+// treats Pump as the whole ingest loop. The returned error is nil at EOF,
+// the context error if cancelled, and the source error otherwise.
 func Pump(ctx context.Context, src Source, eng *core.Engine) (PumpResult, error) {
 	var res PumpResult
-	var runErr error
 	for {
 		rec, err := src.Next(ctx)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				runErr = err
-			}
+		if errors.Is(err, io.EOF) {
 			break
+		}
+		if err != nil {
+			return res, err
 		}
 		res.Records++
 		res.Last = rec.Time
@@ -282,5 +254,5 @@ func Pump(ctx context.Context, src Source, eng *core.Engine) (PumpResult, error)
 	if !res.Last.IsZero() {
 		res.Outages = append(res.Outages, eng.Flush(res.Last)...)
 	}
-	return res, runErr
+	return res, nil
 }

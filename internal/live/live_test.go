@@ -229,8 +229,9 @@ func TestSyntheticFeedsEngine(t *testing.T) {
 	}
 }
 
-// TestPumpCancel stops a pump mid-stream and checks it flushed at the last
-// consumed record.
+// TestPumpCancel stops a pump mid-stream and checks it did not flush:
+// stopping is not an end of stream, so the bin holding the consumed
+// records is still open when Pump returns.
 func TestPumpCancel(t *testing.T) {
 	recs := mkRecs(100, time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -247,8 +248,10 @@ func TestPumpCancel(t *testing.T) {
 		n++
 		return r, nil
 	})
-	eng := core.NewEngine(core.DefaultConfig(), communities.New(), nil, nil, 2)
+	eng := core.New(core.DefaultConfig(), communities.New(), nil, nil) // closes every bin, idle or not
 	defer eng.Close()
+	bins := 0
+	eng.SetHooks(core.Hooks{BinClosed: func(time.Time) { bins++ }})
 	res, err := Pump(ctx, src, eng)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
@@ -256,8 +259,37 @@ func TestPumpCancel(t *testing.T) {
 	if res.Records != 50 || !res.Last.Equal(recs[49].Time) {
 		t.Fatalf("result = %+v", res)
 	}
+	if bins != 0 {
+		t.Fatalf("a cancelled pump closed %d bins: it flushed the engine", bins)
+	}
+	eng.Flush(res.Last)
+	if bins != 1 {
+		t.Fatalf("flush after the pump closed %d bins, want the one the records fell in", bins)
+	}
 }
 
 type sourceFunc func(context.Context) (*mrt.Record, error)
 
 func (f sourceFunc) Next(ctx context.Context) (*mrt.Record, error) { return f(ctx) }
+
+// TestSyntheticCancelMidRender pins the prompt-shutdown fix: cancellation
+// must abort the CPU-heavy window render itself, not just be noticed at the
+// next window boundary.
+func TestSyntheticCancelMidRender(t *testing.T) {
+	w := soakWorld(t)
+	syn := NewSynthetic(w, SyntheticConfig{
+		Seed: 9, Window: 7 * 24 * time.Hour, // the default soak window: a heavy render
+		FacilityOutages: 2, LinkOutages: 3,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // SIGTERM arrived before (or during) the first render
+	if _, err := syn.Next(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next under cancelled ctx = %v, want context.Canceled", err)
+	}
+
+	// The generator survives the abort: a live context picks up rendering.
+	rec, err := syn.Next(context.Background())
+	if err != nil || rec == nil {
+		t.Fatalf("render after aborted render: %v", err)
+	}
+}

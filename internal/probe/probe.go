@@ -10,13 +10,11 @@
 // localization specificity (facility > IXP > city) and signal recency,
 // charges every probe against a sliding-window budget (denied probes
 // complete as no-data, mirroring an exhausted platform), and hands
-// completed verdicts back at the next bin barrier. In the default
-// deterministic mode Collect waits for every outstanding campaign, which
-// makes the engine's output a pure function of the record stream — the
-// property the store's replay gate and the async-vs-sync equivalence test
-// rely on; Async mode returns only what has finished, trading determinism
-// for bin closes that never wait on a slow backend (the core TTL then
-// bounds how long a verdict may straggle).
+// completed verdicts back at the next bin barrier. Collect waits for every
+// outstanding campaign, which makes the engine's output a pure function of
+// the record stream — the property the store's replay gate and the
+// async-vs-sync equivalence test rely on. A bin close therefore waits on a
+// slow backend.
 //
 // Worker scheduling must never influence results for that property to
 // hold, so every outcome-bearing decision happens on the submitting or
@@ -63,9 +61,6 @@ type Config struct {
 	// CacheSize bounds the LRU verdict cache (default 256 when Cooldown is
 	// set, 0 otherwise).
 	CacheSize int
-	// Async makes Collect return only completed campaigns instead of
-	// waiting for all outstanding ones. Default false: deterministic mode.
-	Async bool
 	// Metrics receives scheduler counters. Optional.
 	Metrics *metrics.ProbeStats
 	// Logger receives campaign lifecycle reports at debug level and budget
@@ -254,16 +249,14 @@ func (s *Scheduler) Submit(req core.ProbeRequest) {
 }
 
 // Collect implements core.Prober: completed campaigns are returned sorted
-// by id and forgotten. In deterministic mode (Config.Async false) it first
-// waits for every outstanding campaign, so a bin barrier observes exactly
-// the verdicts of everything submitted before it.
+// by id and forgotten. It first waits for every outstanding campaign, so a
+// bin barrier observes exactly the verdicts of everything submitted before
+// it.
 func (s *Scheduler) Collect(binEnd time.Time) []core.ProbeVerdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.cfg.Async {
-		for !s.closed && s.outstandingLocked() {
-			s.cond.Wait()
-		}
+	for !s.closed && s.outstandingLocked() {
+		s.cond.Wait()
 	}
 	var out []core.ProbeVerdict
 	for id, c := range s.campaigns {

@@ -227,31 +227,6 @@ func TestVerdictCacheLRU(t *testing.T) {
 	}
 }
 
-// TestSchedulerAsyncCollect pins the non-blocking mode: Collect does not
-// wait for a slow probe, which a later Collect then delivers.
-func TestSchedulerAsyncCollect(t *testing.T) {
-	block := make(chan struct{})
-	b := &gateBackend{gate: block}
-	s := NewScheduler(b, Config{Workers: 1, Async: true})
-	defer s.Close()
-
-	s.Submit(req(1, t0, colo.FacilityPoP(1)))
-	if vs := s.Collect(t0.Add(time.Minute)); len(vs) != 0 {
-		t.Fatalf("async Collect returned an incomplete campaign: %+v", vs)
-	}
-	close(block)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if vs := s.Collect(t0.Add(2 * time.Minute)); len(vs) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("verdict never arrived after unblocking")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 type gateBackend struct{ gate chan struct{} }
 
 func (b *gateBackend) Probe(colo.PoP, time.Time) (bool, bool) {

@@ -75,11 +75,6 @@ func (t *Table) Class(asn bgp.ASN) uint8 {
 	return e.class
 }
 
-// UsesLink reports whether any AS's chosen route crosses the link.
-func (t *Table) UsesLink(id int) bool {
-	return t.usesAny(func(l int) bool { return l == id })
-}
-
 // usesAny reports whether any AS's chosen route crosses a link in the set.
 func (t *Table) usesAny(in func(id int) bool) bool {
 	for _, e := range t.entries {

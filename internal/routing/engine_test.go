@@ -409,26 +409,6 @@ func TestMaskBasics(t *testing.T) {
 	}
 }
 
-func TestMaskFailCity(t *testing.T) {
-	s := buildFig2(t)
-	gw := geo.DefaultWorld()
-	lon, _ := gw.Resolve("London")
-	m := NewMask()
-	m.FailCity(lon.ID, s.w.Map)
-	if !m.Facilities[s.f1] || !m.Facilities[s.f2] {
-		t.Error("London facilities not failed")
-	}
-	if m.Facilities[s.f3] || m.Facilities[s.f4] {
-		t.Error("Amsterdam facilities failed")
-	}
-	if !m.IXPs[s.ix1] {
-		t.Error("IX1 (London) not failed")
-	}
-	if m.IXPs[s.ix2] {
-		t.Error("IX2 (Amsterdam) failed")
-	}
-}
-
 func TestAffectedOriginsAndDiff(t *testing.T) {
 	s := buildFig2(t)
 	e := New(s.w)
@@ -509,24 +489,6 @@ func TestRouteOnUnknownVantage(t *testing.T) {
 	unknown := e.ComputeOrigin(999, nil)
 	if unknown.Size() != 0 {
 		t.Error("unknown origin produced routes")
-	}
-}
-
-func TestTableUsesLink(t *testing.T) {
-	s := buildFig2(t)
-	e := New(s.w)
-	tbl := e.ComputeOrigin(s.as2, nil)
-	used := false
-	for _, l := range s.w.LinksOf(2) {
-		if tbl.UsesLink(l.ID) {
-			used = true
-		}
-	}
-	if !used {
-		t.Error("no link of the origin is used")
-	}
-	if tbl.UsesLink(99999) {
-		t.Error("phantom link used")
 	}
 }
 

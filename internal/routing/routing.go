@@ -22,7 +22,6 @@ package routing
 import (
 	"kepler/internal/bgp"
 	"kepler/internal/colo"
-	"kepler/internal/geo"
 	"kepler/internal/topology"
 )
 
@@ -125,14 +124,4 @@ func (m *Mask) LinkUp(l *topology.Interconnect) bool {
 		}
 	}
 	return true
-}
-
-// FailCity fails every facility and IXP located in the city.
-func (m *Mask) FailCity(city geo.CityID, cmap *colo.Map) {
-	for _, f := range cmap.FacilitiesInCity(city) {
-		m.FailFacility(f)
-	}
-	for _, ix := range cmap.IXPsInCity(city) {
-		m.FailIXP(ix)
-	}
 }

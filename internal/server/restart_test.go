@@ -183,12 +183,7 @@ func TestRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var armed atomic.Bool
-	armed.Store(true)
 	bus1 := events.New(nil, events.WithRing(ringSize), events.WithSink(func(ev events.Event) {
-		if !armed.Load() {
-			return
-		}
 		if err := st1.Append(ev); err != nil {
 			t.Errorf("phase 1 append: %v", err)
 		}
@@ -209,11 +204,9 @@ func TestRestartEquivalence(t *testing.T) {
 		pubBin1(binEnd)
 		srv1.PublishSnapshot(BuildSnapshot(binEnd, eng1, resolved1))
 	}
-	// As internal/daemon wires it: the abort mutes the hooks, so the engine's
-	// shutdown flush publishes nothing and the bus sequence ends exactly at
-	// the persisted horizon.
-	var aborting atomic.Bool
-	eng1.SetHooks(events.MuteHooks(hooks1, aborting.Load))
+	// A cancelled Pump does not flush the engine, so stopping publishes
+	// nothing and the bus sequence ends exactly at the persisted horizon.
+	eng1.SetHooks(hooks1)
 	ts1 := httptest.NewServer(srv1.Handler())
 	srv1.SetReady(true)
 
@@ -227,8 +220,7 @@ func TestRestartEquivalence(t *testing.T) {
 	// Kill between the two injected outages: the first is resolved and
 	// durable, the second still ahead.
 	cut := &cutSource{src: live.Adapt(bgpstream.NewSliceSource(res.Records)), cutoff: start.Add(8 * 24 * time.Hour)}
-	src1 := live.OnAbort(cut, func() { armed.Store(false); aborting.Store(true) })
-	if _, err := live.Pump(context.Background(), src1, eng1); err != context.Canceled {
+	if _, err := live.Pump(context.Background(), cut, eng1); err != context.Canceled {
 		t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
 	}
 	bus1.Close()
@@ -237,8 +229,8 @@ func TestRestartEquivalence(t *testing.T) {
 	ts1.Close()
 	eng1.Close()
 	// SIGKILL model: st1 is abandoned, never Closed. The last bin-close
-	// flush is the durable horizon; the muted abort-flush kept the bus
-	// sequence and the store in lockstep at that horizon.
+	// flush is the durable horizon; with no flush on cancellation the bus
+	// sequence and the store stay in lockstep at that horizon.
 
 	if len(phase1.ids) != seenBeforeDisconnect || phase1.ids[0] != 1 {
 		t.Fatalf("phase 1 client ids = %v", phase1.ids)
@@ -269,8 +261,8 @@ func TestRestartEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(hist.Resolved, wantOuts[:len(hist.Resolved)]) {
 		t.Fatal("recovered outages are not a prefix of the batch output")
 	}
-	// The stay-connected client saw exactly the persisted prefix: the muted
-	// shutdown flush published nothing past the durable horizon.
+	// The stay-connected client saw exactly the persisted prefix: stopping
+	// published nothing past the durable horizon.
 	if n := len(phase1b.ids); n == 0 || phase1b.ids[n-1] != hist.LastSeq {
 		t.Fatalf("stay-connected client last id = %v, want durable horizon %d", phase1b.ids, hist.LastSeq)
 	}
@@ -561,13 +553,8 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var armed atomic.Bool
-			armed.Store(true)
 			var persisted []events.Event
 			bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
-				if !armed.Load() {
-					return
-				}
 				if err := st1.Append(ev); err != nil {
 					t.Errorf("phase 1 append: %v", err)
 				}
@@ -586,14 +573,12 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 				publishBin(end)
 				checkpoint(end)
 			}
-			var aborting atomic.Bool
-			eng1.SetHooks(events.MuteHooks(hooks1, aborting.Load))
+			eng1.SetHooks(hooks1)
 			cut := &countingCut{cutSource: cutSource{
 				src:    live.Adapt(bgpstream.NewSliceSource(res.Records)),
 				cutoff: start.Add(8 * 24 * time.Hour),
 			}}
-			src1 := live.OnAbort(cut, func() { armed.Store(false); aborting.Store(true) })
-			if _, err := live.Pump(context.Background(), src1, eng1); err != context.Canceled {
+			if _, err := live.Pump(context.Background(), cut, eng1); err != context.Canceled {
 				t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
 			}
 			bus1.Close()
@@ -842,27 +827,20 @@ func TestRestartFromOlderCheckpointFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var armed atomic.Bool
-	armed.Store(true)
 	var persisted []events.Event
 	bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
-		if !armed.Load() {
-			return
-		}
 		if err := st1.Append(ev); err != nil {
 			t.Errorf("phase 1 append: %v", err)
 		}
 		persisted = append(persisted, ev)
 	}))
 	eng1 := stack.NewEngine(cfg, 4)
-	var aborting atomic.Bool
-	eng1.SetHooks(events.MuteHooks(events.EngineHooks(bus1), aborting.Load))
+	eng1.SetHooks(events.EngineHooks(bus1))
 	cut := &countingCut{cutSource: cutSource{
 		src:    live.Adapt(bgpstream.NewSliceSource(res.Records)),
 		cutoff: start.Add(8 * 24 * time.Hour),
 	}}
-	src1 := live.OnAbort(cut, func() { armed.Store(false); aborting.Store(true) })
-	if _, err := live.Pump(context.Background(), src1, eng1); err != context.Canceled {
+	if _, err := live.Pump(context.Background(), cut, eng1); err != context.Canceled {
 		t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
 	}
 	bus1.Close()

@@ -346,7 +346,7 @@ func TestCheckpointSaveBesideReads(t *testing.T) {
 // alone almost never gets past the CRC to the envelope parser. The layout
 // is fixed-width, so whatever parses must render back to the same bytes.
 func FuzzCheckpointSegment(f *testing.F) {
-	engine, err := os.ReadFile("../core/testdata/checkpoint_v3.golden")
+	engine, err := os.ReadFile("../core/testdata/checkpoint_v4.golden")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -325,9 +325,3 @@ func (w *World) IngressCommunity(asn bgp.ASN, l *Interconnect) (bgp.Community, c
 // RSASNOf returns the route-server ASN of the IXP (the lowest, if several
 // registered), or 0.
 func (w *World) RSASNOf(ixp colo.IXPID) bgp.ASN { return w.rsOf[ixp] }
-
-// IsRS reports whether asn is an IXP route server.
-func (w *World) IsRS(asn bgp.ASN) bool {
-	_, ok := w.RSASNs[asn]
-	return ok
-}

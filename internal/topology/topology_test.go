@@ -299,14 +299,11 @@ func TestRouteServers(t *testing.T) {
 		t.Errorf("route servers = %d, want %d", len(w.RSASNs), w.Cfg.IXPs)
 	}
 	for asn, ixp := range w.RSASNs {
-		if !w.IsRS(asn) {
-			t.Errorf("IsRS(%v) = false", asn)
-		}
 		if got := w.RSASNOf(ixp); got != asn {
 			t.Errorf("RSASNOf(%d) = %v, want %v", ixp, got, asn)
 		}
 	}
-	if w.IsRS(3356) {
+	if _, ok := w.RSASNs[3356]; ok {
 		t.Error("tier1 classified as route server")
 	}
 }

@@ -144,24 +144,25 @@
 // leaves a .tmp the next boot sweeps and the previous generation to resume
 // from (TestRestartSaverKilledMidSave).
 //
-// The encoding is binary (core.CheckpointVersion 3): a "KPCK" magic and
+// The encoding is binary (core.CheckpointVersion 4): a "KPCK" magic and
 // varint header, then one length-prefixed record per monitored path (key,
 // AS path, tags) and per stable-baseline entry — 98 % of the bytes, never
-// through encoding/json — and the small sections (sessions, feed health,
-// incidents, tracker, pending campaigns) as one embedded JSON object. Every
+// through encoding/json — and the small sections (feed health, incidents,
+// tracker, pending campaigns) as one embedded JSON object. Every
 // count is checked against the remaining input before anything is
 // allocated for it (FuzzDecodeCheckpoint), and
-// internal/core/testdata/checkpoint_v3.golden pins the bytes. The store
+// internal/core/testdata/checkpoint_v4.golden pins the bytes. The store
 // wraps the engine bytes in one CRC32C frame behind a fixed 48-byte
 // envelope ("KCE1", event sequence, record cursor, bin end), so saving and
 // loading touch the payload only to checksum it, and a save holds no store
 // lock across its I/O. WAL frames stay JSON: at ~2 µs per append and
 // 1.2 MB per storm archive there is no measured case for a second frame
 // codec (BENCH_pr14.json). Upgrading across a checkpoint version is one
-// full re-ingest: an older build's checkpoint (versions 1 and 2 were JSON)
-// is refused by its first bytes, counted in store.checkpoints_discarded and
-// logged, and the boot falls through to record zero behind the replay gate
-// — same history, byte for byte.
+// full re-ingest: an older build's checkpoint is refused (versions 1 and 2
+// were JSON, refused by their first bytes; version 3 carried collector
+// session state, refused by its version), counted in
+// store.checkpoints_discarded and logged, and the boot falls through to
+// record zero behind the replay gate — same history, byte for byte.
 //
 // A checkpoint costs what changed since the previous one. The engine keeps
 // the two big sections encoded between captures — the checkpoint image
@@ -312,8 +313,8 @@
 //     dedup, priorities, budgets, verdict cache, backends)
 //   - internal/communities — community dictionary + documentation miner
 //   - internal/colo        — colocation map construction
-//   - internal/bgpstream   — unified multi-collector record feeds and the
-//     record-to-shard fan-out stage
+//   - internal/bgpstream   — the record-to-shard fan-out stage (route ops,
+//     peer-down broadcast) and the feed-health watchdog
 //   - internal/live        — streamed sources (archive replayer, synthetic
 //     soak generator) and the engine pump
 //   - internal/events      — the outage/incident event bus (with the
