@@ -569,9 +569,9 @@ func (h *onMessage) Handle(_ context.Context, r slog.Record) error {
 
 // TestSourceFailureKeepsOutageOpen cuts an archive mid-record while a
 // facility outage is open. A failed source is not an end of stream, so
-// after "source failed" the daemon serves the outage as open, not as
-// resolved at the last record (memory mode) nor nowhere at all (with
-// -data-dir, where the shutdown flush used to be muted).
+// after "source failed" the daemon serves the outage as open, in memory
+// mode and with -data-dir, and serves only the outages resolved before
+// the cut.
 func TestSourceFailureKeepsOutageOpen(t *testing.T) {
 	w, err := topology.Generate(topology.DefaultConfig())
 	if err != nil {
