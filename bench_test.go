@@ -385,6 +385,9 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 //     compressed into one month (stormMonth). Bin closes with diverts are
 //     frequent, so the barrier and the investigation, which run while
 //     every shard waits, weigh against the parallel apply.
+//   - rib/inline, rib/shards=N: the same month with a full RIB dump every
+//     48 h (ribMonth), the rib-backfill archive's shape. Nearly every op
+//     re-announces a route its path already holds.
 func BenchmarkEngineIngest(b *testing.B) {
 	hist := func(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
 		env := histEnv(b)
@@ -397,7 +400,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 	for _, in := range []struct {
 		prefix string
 		load   func(*testing.B) (*pipeline.Stack, []*mrt.Record)
-	}{{"", hist}, {"storm/", stormMonth}} {
+	}{{"", hist}, {"storm/", stormMonth}, {"rib/", ribMonth}} {
 		for _, shards := range []int{0, 1, 2, 4, 8} {
 			name := fmt.Sprintf("%sshards=%d", in.prefix, shards)
 			if shards == 0 {
@@ -557,8 +560,9 @@ var seedOne struct {
 
 // renderStorm renders the storm-durable workload's outage mix (30
 // facility, 12 IXP, 100 link and 20 AS outages) over the given number of
-// days of the seed-1 world, with only the initial RIB dump.
-func renderStorm(b *testing.B, days int) (*pipeline.Stack, []*mrt.Record) {
+// days of the seed-1 world, with a full RIB dump every ribDump (0: only the
+// initial one).
+func renderStorm(b *testing.B, days int, ribDump time.Duration) (*pipeline.Stack, []*mrt.Record) {
 	b.Helper()
 	s := &seedOne
 	s.once.Do(func() {
@@ -579,29 +583,41 @@ func renderStorm(b *testing.B, days int) (*pipeline.Stack, []*mrt.Record) {
 		FacilityOutages: 30, IXPOutages: 12, LinkOutages: 100, ASOutages: 20,
 		PartialFraction: 0.15, MinMembers: 6,
 	})
-	res, err := simulate.Render(s.w, sched, start, end, simulate.RenderConfig{Seed: 3, SessionResets: 2, StickyFraction: 0.05})
+	res, err := simulate.Render(s.w, sched, start, end, simulate.RenderConfig{
+		Seed: 3, SessionResets: 2, StickyFraction: 0.05, RIBDumpInterval: ribDump,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return s.stack, res.Records
 }
 
-// stormMonthInput is the storm mix compressed into 30 days, as
-// BenchmarkRender in internal/simulate renders it.
-var stormMonthInput struct {
+// monthInput is a month of the seed-1 world under the storm mix, rendered
+// once per process.
+type monthInput struct {
 	once  sync.Once
 	stack *pipeline.Stack
 	recs  []*mrt.Record
 }
 
-func stormMonth(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
+func (m *monthInput) load(b *testing.B, ribDump time.Duration) (*pipeline.Stack, []*mrt.Record) {
 	b.Helper()
-	s := &stormMonthInput
-	s.once.Do(func() { s.stack, s.recs = renderStorm(b, 30) })
-	if s.recs == nil {
-		b.Fatal("storm month render failed")
+	m.once.Do(func() { m.stack, m.recs = renderStorm(b, 30, ribDump) })
+	if m.recs == nil {
+		b.Fatal("month render failed")
 	}
-	return s.stack, s.recs
+	return m.stack, m.recs
+}
+
+// stormMonthInput is the storm mix compressed into 30 days, as
+// BenchmarkRender in internal/simulate renders it; ribMonthInput is the same
+// month with a RIB dump every 48 h, as the rib-backfill archive has.
+var stormMonthInput, ribMonthInput monthInput
+
+func stormMonth(b *testing.B) (*pipeline.Stack, []*mrt.Record) { return stormMonthInput.load(b, 0) }
+
+func ribMonth(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
+	return ribMonthInput.load(b, 48*time.Hour)
 }
 
 // stormState is the detection state keplerd checkpoints on the benchmark's
@@ -622,7 +638,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 	b.Helper()
 	s := &stormState
 	s.once.Do(func() {
-		stack, recs := renderStorm(b, 365)
+		stack, recs := renderStorm(b, 365, 0)
 		cfg := kepler.DefaultConfig()
 		cfg.FeedSilence = 30 * time.Minute
 		eng := stack.NewEngine(cfg, 2)

@@ -37,8 +37,17 @@ type SessionKey struct {
 type FeedWatchdog struct {
 	silence time.Duration
 
-	sessions   map[SessionKey]time.Time
-	collectors map[string]time.Time
+	// sessions and collectors hold each feed's last-seen stamp behind a
+	// pointer, so that a run of records from one session (a RIB dump, an
+	// update burst) refreshes the last session's slots without hashing.
+	sessions   map[SessionKey]*time.Time
+	collectors map[string]*time.Time
+	// last is the most recent record's session; lastSession and
+	// lastCollector are its slots, nil until the first Observe.
+	last          SessionKey
+	lastSession   *time.Time
+	lastCollector *time.Time
+
 	// degraded holds the feeds currently declared degraded; a session or
 	// collector key is present only while degraded.
 	degradedSessions   map[SessionKey]bool
@@ -50,8 +59,8 @@ type FeedWatchdog struct {
 func NewFeedWatchdog(silence time.Duration) *FeedWatchdog {
 	return &FeedWatchdog{
 		silence:            silence,
-		sessions:           make(map[SessionKey]time.Time),
-		collectors:         make(map[string]time.Time),
+		sessions:           make(map[SessionKey]*time.Time),
+		collectors:         make(map[string]*time.Time),
 		degradedSessions:   make(map[SessionKey]bool),
 		degradedCollectors: make(map[string]bool),
 	}
@@ -62,8 +71,26 @@ func NewFeedWatchdog(silence time.Duration) *FeedWatchdog {
 // proves the feed is alive. Records must arrive in non-decreasing time
 // order, as the merged stream guarantees.
 func (w *FeedWatchdog) Observe(r *mrt.Record) {
-	w.sessions[SessionKey{Collector: r.Collector, PeerAS: r.PeerAS}] = r.Time
-	w.collectors[r.Collector] = r.Time
+	if w.lastSession == nil || r.Collector != w.last.Collector {
+		w.lastCollector = stampOf(w.collectors, r.Collector)
+		w.lastSession = nil
+	}
+	if w.lastSession == nil || r.PeerAS != w.last.PeerAS {
+		w.last = SessionKey{Collector: r.Collector, PeerAS: r.PeerAS}
+		w.lastSession = stampOf(w.sessions, w.last)
+	}
+	*w.lastSession = r.Time
+	*w.lastCollector = r.Time
+}
+
+// stampOf returns key's stamp slot in m, adding one if key is new.
+func stampOf[K comparable](m map[K]*time.Time, key K) *time.Time {
+	p := m[key]
+	if p == nil {
+		p = new(time.Time)
+		m[key] = p
+	}
+	return p
 }
 
 // FeedScope discriminates watchdog transition subjects.
@@ -94,12 +121,12 @@ type FeedTransition struct {
 // it so a silence threshold crossing still closes an otherwise-empty bin.
 func (w *FeedWatchdog) Due(end time.Time) bool {
 	for key, last := range w.sessions {
-		if w.degradedSessions[key] != (end.Sub(last) >= w.silence) {
+		if w.degradedSessions[key] != (end.Sub(*last) >= w.silence) {
 			return true
 		}
 	}
 	for c, last := range w.collectors {
-		if w.degradedCollectors[c] != (end.Sub(last) >= w.silence) {
+		if w.degradedCollectors[c] != (end.Sub(*last) >= w.silence) {
 			return true
 		}
 	}
@@ -113,7 +140,8 @@ func (w *FeedWatchdog) Due(end time.Time) bool {
 // emission order is a pure function of the observed stream.
 func (w *FeedWatchdog) Evaluate(end time.Time) []FeedTransition {
 	var out []FeedTransition
-	for c, last := range w.collectors {
+	for c, stamp := range w.collectors {
+		last := *stamp
 		silent := end.Sub(last) >= w.silence
 		if w.degradedCollectors[c] == silent {
 			continue
@@ -128,7 +156,8 @@ func (w *FeedWatchdog) Evaluate(end time.Time) []FeedTransition {
 			Degraded: silent, LastSeen: last, At: end,
 		})
 	}
-	for key, last := range w.sessions {
+	for key, stamp := range w.sessions {
+		last := *stamp
 		silent := end.Sub(last) >= w.silence
 		if w.degradedSessions[key] == silent {
 			continue
@@ -200,7 +229,7 @@ func (s *FeedSnapshot) Coverage() float64 {
 func (w *FeedWatchdog) Snapshot(asOf time.Time) FeedSnapshot {
 	snap := FeedSnapshot{At: asOf, Silence: w.silence}
 	for c, last := range w.collectors {
-		st := FeedStatus{Collector: c, LastSeen: last, SilentFor: asOf.Sub(last), Degraded: w.degradedCollectors[c]}
+		st := FeedStatus{Collector: c, LastSeen: *last, SilentFor: asOf.Sub(*last), Degraded: w.degradedCollectors[c]}
 		snap.Collectors = append(snap.Collectors, st)
 		snap.CollectorsKnown++
 		if !st.Degraded {
@@ -208,7 +237,7 @@ func (w *FeedWatchdog) Snapshot(asOf time.Time) FeedSnapshot {
 		}
 	}
 	for key, last := range w.sessions {
-		st := FeedStatus{Collector: key.Collector, PeerAS: key.PeerAS, LastSeen: last, SilentFor: asOf.Sub(last), Degraded: w.degradedSessions[key]}
+		st := FeedStatus{Collector: key.Collector, PeerAS: key.PeerAS, LastSeen: *last, SilentFor: asOf.Sub(*last), Degraded: w.degradedSessions[key]}
 		snap.Sessions = append(snap.Sessions, st)
 		snap.SessionsKnown++
 		if !st.Degraded {
@@ -247,10 +276,10 @@ type FeedCheckpoint struct {
 func (w *FeedWatchdog) Checkpoint() FeedCheckpoint {
 	var c FeedCheckpoint
 	for coll, last := range w.collectors {
-		c.Collectors = append(c.Collectors, FeedEntry{Collector: coll, LastSeen: last, Degraded: w.degradedCollectors[coll]})
+		c.Collectors = append(c.Collectors, FeedEntry{Collector: coll, LastSeen: *last, Degraded: w.degradedCollectors[coll]})
 	}
 	for key, last := range w.sessions {
-		c.Sessions = append(c.Sessions, FeedEntry{Collector: key.Collector, PeerAS: key.PeerAS, LastSeen: last, Degraded: w.degradedSessions[key]})
+		c.Sessions = append(c.Sessions, FeedEntry{Collector: key.Collector, PeerAS: key.PeerAS, LastSeen: *last, Degraded: w.degradedSessions[key]})
 	}
 	less := func(a, b *FeedEntry) bool {
 		if a.Collector != b.Collector {
@@ -266,19 +295,20 @@ func (w *FeedWatchdog) Checkpoint() FeedCheckpoint {
 // Restore replaces the watchdog's state with a checkpoint. Must be called
 // before any Observe.
 func (w *FeedWatchdog) Restore(c FeedCheckpoint) {
-	w.collectors = make(map[string]time.Time, len(c.Collectors))
+	w.collectors = make(map[string]*time.Time, len(c.Collectors))
 	w.degradedCollectors = make(map[string]bool)
 	for _, e := range c.Collectors {
-		w.collectors[e.Collector] = e.LastSeen
+		*stampOf(w.collectors, e.Collector) = e.LastSeen
 		if e.Degraded {
 			w.degradedCollectors[e.Collector] = true
 		}
 	}
-	w.sessions = make(map[SessionKey]time.Time, len(c.Sessions))
+	w.sessions = make(map[SessionKey]*time.Time, len(c.Sessions))
 	w.degradedSessions = make(map[SessionKey]bool)
+	w.lastSession, w.lastCollector = nil, nil
 	for _, e := range c.Sessions {
 		key := SessionKey{Collector: e.Collector, PeerAS: e.PeerAS}
-		w.sessions[key] = e.LastSeen
+		*stampOf(w.sessions, key) = e.LastSeen
 		if e.Degraded {
 			w.degradedSessions[key] = true
 		}

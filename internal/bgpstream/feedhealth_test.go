@@ -121,3 +121,46 @@ func TestFeedWatchdogCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("restored snapshot diverged")
 	}
 }
+
+// TestFeedWatchdogObserveSlots pins Observe's cached stamp slots: over
+// records that switch session, peer and collector in every pattern, and
+// across a Restore, the checkpoint must be what plain per-record map
+// writes give, and refreshing the last session allocates nothing.
+func TestFeedWatchdogObserveSlots(t *testing.T) {
+	t0 := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	sessions := map[SessionKey]time.Time{}
+	collectors := map[string]time.Time{}
+	w := NewFeedWatchdog(5 * time.Minute)
+	colls := []string{"rrc00", "rrc01", "route-views2"}
+	for i := 0; i < 500; i++ {
+		coll, peer := colls[(i/7)%3], bgp.ASN(64500+(i/3)%4)
+		at := t0.Add(time.Duration(i) * time.Second)
+		w.Observe(feedRec(coll, peer, at))
+		sessions[SessionKey{Collector: coll, PeerAS: peer}] = at
+		collectors[coll] = at
+		if i == 250 {
+			r := NewFeedWatchdog(5 * time.Minute)
+			r.Restore(w.Checkpoint())
+			w = r
+		}
+	}
+	got := w.Checkpoint()
+	if len(got.Sessions) != len(sessions) || len(got.Collectors) != len(collectors) {
+		t.Fatalf("%d sessions and %d collectors, want %d and %d", len(got.Sessions), len(got.Collectors), len(sessions), len(collectors))
+	}
+	for _, e := range got.Sessions {
+		if want := sessions[SessionKey{Collector: e.Collector, PeerAS: e.PeerAS}]; !e.LastSeen.Equal(want) {
+			t.Errorf("session %s/%v last seen %v, want %v", e.Collector, e.PeerAS, e.LastSeen, want)
+		}
+	}
+	for _, e := range got.Collectors {
+		if want := collectors[e.Collector]; !e.LastSeen.Equal(want) {
+			t.Errorf("collector %s last seen %v, want %v", e.Collector, e.LastSeen, want)
+		}
+	}
+	r := feedRec("rrc00", 64500, t0.Add(time.Hour))
+	w.Observe(r)
+	if n := testing.AllocsPerRun(100, func() { w.Observe(r) }); n != 0 {
+		t.Errorf("refreshing the last session: %v allocations, want 0", n)
+	}
+}

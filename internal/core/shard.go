@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"slices"
 	"time"
 
 	"kepler/internal/bgp"
@@ -34,6 +35,15 @@ type pathState struct {
 	// investigation can intersect the old paths of diverted routes and
 	// recognize AS-level incidents (Section 4.3).
 	path bgp.Path
+	// comms is a copy of the communities of the announcement that set tags
+	// and path. held says that announcement went through announce and that
+	// every tag it kept past the stability window is in the stable
+	// baseline: then re-announcing the same route changes nothing but
+	// restoration (see apply). A state restored from a checkpoint or taken
+	// off the free list is not held, nor is one whose stable entry the bin
+	// cleanup removed while it held the tag.
+	comms bgp.Communities
+	held  bool
 }
 
 // find returns the tag for pop, or nil.
@@ -206,6 +216,8 @@ func (s *pathShard) releaseState(st *pathState) {
 	}
 	st.tags = st.tags[:0]
 	st.path = nil
+	st.comms = st.comms[:0]
+	st.held = false
 	s.freeStates = append(s.freeStates, st)
 }
 
@@ -250,18 +262,32 @@ func (s *pathShard) boundDirty() {
 // apply executes one fanned-out route op. Promotions due at or before the
 // op's time run first, so a shard promotes as it would processing each
 // record inline.
+//
+// A held path re-announced with the route it holds (most of a RIB dump)
+// takes the fast path: its deduplicated path and communities annotate to
+// the tags it has, so no tag is diverted, added or re-timed, the path
+// record is unchanged, and every tag past the stability window is already
+// stable. Sanitize cannot reject it either: it depends only on the prefix
+// (part of the key), the AS set and the loop status, which deduplication
+// keeps. Only restoration can still see it.
 func (s *pathShard) apply(op *bgpstream.RouteOp) {
 	s.runPromotions(op.Time)
+	key := PathKey{Peer: op.Peer, Prefix: op.Prefix}
 	switch op.Kind {
 	case bgpstream.OpPeerDown:
 		s.suspendPeer(op.Peer)
 	case bgpstream.OpWithdraw:
-		s.withdraw(PathKey{Peer: op.Peer, Prefix: op.Prefix}, op.Seq)
+		s.withdraw(key, op.Seq)
 	case bgpstream.OpAnnounce:
+		st := s.paths[key]
+		if st != nil && st.held && sameDedup(op.Path, st.path) && slices.Equal(op.Communities, st.comms) {
+			s.noteReturn(op.Time, key, st.tags)
+			return
+		}
 		if err := bgp.Sanitize(op.Prefix, op.Path); err != nil {
 			return
 		}
-		s.announce(op.Time, PathKey{Peer: op.Peer, Prefix: op.Prefix}, op.Path, op.Communities, op.Seq)
+		s.announce(op.Time, key, st, op.Path, op.Communities, op.Seq)
 	}
 }
 
@@ -282,9 +308,9 @@ func (s *pathShard) runPromotions(now time.Time) {
 	}
 }
 
-// announce updates a path with a new tagged route.
-func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp.Communities, seq uint64) {
-	st := s.paths[key]
+// announce updates a path with a new tagged route. st is the path's state,
+// nil for a path not monitored yet.
+func (s *pathShard) announce(at time.Time, key PathKey, st *pathState, path bgp.Path, comms bgp.Communities, seq uint64) {
 	if st == nil {
 		st = s.newState()
 		s.paths[key] = st
@@ -350,6 +376,8 @@ func (s *pathShard) announce(at time.Time, key PathKey, path bgp.Path, comms bgp
 		st.path = newPath
 		s.countPath(st.path, +1)
 	}
+	st.comms = append(st.comms[:0], comms...)
+	st.held = true
 	s.touchPath(key)
 
 	// A re-tag may return a diverted path to its baseline PoP.
@@ -524,6 +552,12 @@ func (s *pathShard) finishBin() {
 		for near, recs := range byNear {
 			for i := range recs {
 				s.removeStable(pop, recs[i].key)
+				if st := s.paths[recs[i].key]; st != nil {
+					// Re-tagged within the bin: the tag may be past the
+					// stability window without its entry, which only
+					// announce's slow path re-adds.
+					st.held = false
+				}
 				recs[i] = divertRec{} // drop oldPath references
 			}
 			if len(s.freeRecs) < maxFreeRecs {

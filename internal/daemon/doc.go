@@ -11,9 +11,10 @@
 //   - -archive replays an MRT-lite file (from cmd/topogen) through a
 //     rate-controlled replayer: -speed 1 re-creates the original arrival
 //     timing, -speed 60 compresses an archive minute into a second, and
-//     -speed 0 (the default) replays as fast as the hardware allows. After
-//     the archive drains, the daemon keeps serving its results until
-//     signalled.
+//     -speed 0 (the default) replays as fast as the hardware allows. The
+//     file is decoded a few batches ahead on a goroutine of its own
+//     (live.ReadAhead). After the archive drains, the daemon keeps serving
+//     its results until signalled.
 //   - -synthetic renders rolling scenario windows over the generated world
 //     forever — the soak-test mode; no file needed.
 //

@@ -106,7 +106,11 @@ func Run(ctx context.Context, c Config) error {
 			return err
 		}
 		defer f.Close()
-		tracked = live.Track(live.NewReplayer(mrt.NewReader(f), c.Speed))
+		// Decode runs a stage ahead of ingest, on its own goroutine; it is
+		// stopped before the file closes.
+		ahead := live.NewReadAhead(mrt.NewReader(f))
+		defer ahead.Close()
+		tracked = live.Track(live.NewReplayer(ahead, c.Speed))
 		dlog.Info("replaying archive", "archive", c.Archive, "speed", speedName(c.Speed))
 	}
 	var src live.Source = tracked

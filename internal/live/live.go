@@ -8,6 +8,11 @@
 // via the engine's lifecycle hooks (internal/events) rather than through
 // the pump's return value. Pump flushes the engine only at the end of the
 // stream: a shutdown or a failed source leaves outages in progress open.
+//
+// Under a Replayer, ReadAhead decodes an archive on a goroutine of its
+// own, a few batches ahead, so that MRT/BGP decode runs beside ingest
+// instead of on the ingest goroutine. The Replayer, Tracked cursors, Seek
+// and pacing sit above it unchanged.
 package live
 
 import (
@@ -220,11 +225,6 @@ type PumpResult struct {
 	Records int
 	// Last is the timestamp of the final record (zero if none arrived).
 	Last time.Time
-	// Outages completed during the run. At EOF that includes the final
-	// flush — exactly what the batch pipeline would have returned for the
-	// same records; after a cancellation or a source error it holds only
-	// what Process completed, and outages still in progress stay open.
-	Outages []core.Outage
 }
 
 // Pump drives the engine from the source until EOF, context cancellation
@@ -249,10 +249,10 @@ func Pump(ctx context.Context, src Source, eng *core.Engine) (PumpResult, error)
 		}
 		res.Records++
 		res.Last = rec.Time
-		res.Outages = append(res.Outages, eng.Process(rec)...)
+		eng.Process(rec)
 	}
 	if !res.Last.IsZero() {
-		res.Outages = append(res.Outages, eng.Flush(res.Last)...)
+		eng.Flush(res.Last)
 	}
 	return res, nil
 }

@@ -8,17 +8,14 @@
 package pipeline
 
 import (
-	"context"
 	"time"
 
 	"kepler/internal/as2org"
 	"kepler/internal/bgp"
-	"kepler/internal/bgpstream"
 	"kepler/internal/colo"
 	"kepler/internal/communities"
 	"kepler/internal/core"
 	"kepler/internal/geo"
-	"kepler/internal/live"
 	"kepler/internal/mrt"
 	"kepler/internal/registry"
 	"kepler/internal/routing"
@@ -97,14 +94,21 @@ func (s *Stack) RunEngine(records []*mrt.Record, cfg core.Config, dp core.DataPl
 	return run(eng, records, dp)
 }
 
-// run drives eng over records through the same live.Pump loop the keplerd
-// daemon uses, so the batch and serving paths cannot drift.
+// run drives eng over records as live.Pump does over a source that reaches
+// its end, Process per record and one Flush at the last, and collects the
+// outages those calls complete.
 func run(eng *core.Engine, records []*mrt.Record, dp core.DataPlane) ([]core.Outage, []core.Incident) {
 	if dp != nil {
 		eng.SetDataPlane(dp)
 	}
-	res, _ := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records)), eng)
-	return res.Outages, eng.Incidents()
+	var outs []core.Outage
+	for _, rec := range records {
+		outs = append(outs, eng.Process(rec)...)
+	}
+	if len(records) > 0 {
+		outs = append(outs, eng.Flush(records[len(records)-1].Time)...)
+	}
+	return outs, eng.Incidents()
 }
 
 // SimDataPlane validates suspected outages with targeted synthetic

@@ -1,15 +1,12 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
-	"kepler/internal/bgpstream"
 	"kepler/internal/core"
-	"kepler/internal/live"
 	"kepler/internal/metrics"
 	"kepler/internal/mrt"
 	"kepler/internal/probe"
@@ -23,11 +20,8 @@ func runProbed(t *testing.T, s *Stack, records []*mrt.Record, cfg core.Config, s
 	eng := s.NewEngine(cfg, shards)
 	defer eng.Close()
 	eng.SetProber(sched)
-	res, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(records)), eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Outages
+	outs, _ := run(eng, records, nil)
+	return outs
 }
 
 // locatedKey reduces an outage to its located identity — epicenter, start
