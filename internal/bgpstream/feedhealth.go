@@ -71,11 +71,10 @@ func NewFeedWatchdog(silence time.Duration) *FeedWatchdog {
 // proves the feed is alive. Records must arrive in non-decreasing time
 // order, as the merged stream guarantees.
 func (w *FeedWatchdog) Observe(r *mrt.Record) {
-	if w.lastSession == nil || r.Collector != w.last.Collector {
-		w.lastCollector = stampOf(w.collectors, r.Collector)
-		w.lastSession = nil
-	}
-	if w.lastSession == nil || r.PeerAS != w.last.PeerAS {
+	if w.lastSession == nil || r.PeerAS != w.last.PeerAS || r.Collector != w.last.Collector {
+		if w.lastCollector == nil || r.Collector != w.last.Collector {
+			w.lastCollector = stampOf(w.collectors, r.Collector)
+		}
 		w.last = SessionKey{Collector: r.Collector, PeerAS: r.PeerAS}
 		w.lastSession = stampOf(w.sessions, w.last)
 	}
@@ -295,6 +294,7 @@ func (w *FeedWatchdog) Checkpoint() FeedCheckpoint {
 // Restore replaces the watchdog's state with a checkpoint. Must be called
 // before any Observe.
 func (w *FeedWatchdog) Restore(c FeedCheckpoint) {
+	w.lastSession, w.lastCollector = nil, nil
 	w.collectors = make(map[string]*time.Time, len(c.Collectors))
 	w.degradedCollectors = make(map[string]bool)
 	for _, e := range c.Collectors {
@@ -305,7 +305,6 @@ func (w *FeedWatchdog) Restore(c FeedCheckpoint) {
 	}
 	w.sessions = make(map[SessionKey]*time.Time, len(c.Sessions))
 	w.degradedSessions = make(map[SessionKey]bool)
-	w.lastSession, w.lastCollector = nil, nil
 	for _, e := range c.Sessions {
 		key := SessionKey{Collector: e.Collector, PeerAS: e.PeerAS}
 		*stampOf(w.sessions, key) = e.LastSeen

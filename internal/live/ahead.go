@@ -16,7 +16,8 @@ const (
 )
 
 // errReadAheadClosed is what ReadAhead.Next returns once Close has stopped
-// the stage before its source ended.
+// the stage before its source ended. It is not io.EOF: a stopped stage is
+// not the end of the stream, which Pump would flush.
 var errReadAheadClosed = errors.New("live: read-ahead closed")
 
 // ReadAhead decodes a batch source on a goroutine of its own, at most
@@ -105,8 +106,9 @@ func (a *ReadAhead) run() {
 }
 
 // Next returns the next record, or the source's error once every record
-// read before it has been returned. After Close it returns
-// errReadAheadClosed, unless the source had already ended.
+// read before it has been returned. After Close, once the batches decoded
+// before it are read, it returns errReadAheadClosed, unless the source had
+// already ended.
 func (a *ReadAhead) Next() (*mrt.Record, error) {
 	for a.pos == len(a.cur) {
 		if a.err != nil {
