@@ -371,21 +371,16 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(records)), "records/op")
 }
 
-// BenchmarkEngineIngest measures multi-core ingestion throughput of the
-// engine, sweeping the shard count over two input shapes. records/sec is
-// the headline metric; inline is the engine without shard workers
-// (NewDetector), shards=1 the same work behind one worker and the fan-out
-// handshake.
+// BenchmarkEngineIngest measures the engine's ingestion throughput over
+// three input shapes, for the reference engine (NewDetector, every bin
+// closed) and the engine keplerd runs (NewEngine, idle bins skipped).
+// records/sec is the headline metric.
 //
-//   - inline, shards=N: the historical archive, led by a RIB dump. Higher
-//     shard counts spread the per-path work (community annotation,
-//     baseline maintenance) across cores with the investigator
-//     synchronized at bin boundaries.
-//   - storm/inline, storm/shards=N: the storm workload's outage mix
+//   - reference, engine: the historical archive, led by a RIB dump.
+//   - storm/reference, storm/engine: the storm workload's outage mix
 //     compressed into one month (stormMonth). Bin closes with diverts are
-//     frequent, so the barrier and the investigation, which run while
-//     every shard waits, weigh against the parallel apply.
-//   - rib/inline, rib/shards=N: the same month with a full RIB dump every
+//     frequent, so the investigation weighs against the per-path apply.
+//   - rib/reference, rib/engine: the same month with a full RIB dump every
 //     48 h (ribMonth), the rib-backfill archive's shape. Nearly every op
 //     re-announces a route its path already holds.
 func BenchmarkEngineIngest(b *testing.B) {
@@ -401,38 +396,31 @@ func BenchmarkEngineIngest(b *testing.B) {
 		prefix string
 		load   func(*testing.B) (*pipeline.Stack, []*mrt.Record)
 	}{{"", hist}, {"storm/", stormMonth}, {"rib/", ribMonth}} {
-		for _, shards := range []int{0, 1, 2, 4, 8} {
-			name := fmt.Sprintf("%sshards=%d", in.prefix, shards)
-			if shards == 0 {
-				name = in.prefix + "inline"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, name := range []string{"reference", "engine"} {
+			b.Run(in.prefix+name, func(b *testing.B) {
 				stack, records := in.load(b)
-				benchIngest(b, stack, records, shards)
+				benchIngest(b, stack, records, name == "engine")
 			})
 		}
 	}
 }
 
-// benchIngest feeds records through a fresh engine per iteration — inline
-// for shards == 0, else with that many shard workers — and reports
-// records/sec.
-func benchIngest(b *testing.B, stack *pipeline.Stack, records []*mrt.Record, shards int) {
+// benchIngest feeds records through a fresh engine per iteration — the
+// reference, or with skipIdle the engine that skips idle bins — and
+// reports records/sec.
+func benchIngest(b *testing.B, stack *pipeline.Stack, records []*mrt.Record, skipIdle bool) {
 	last := records[len(records)-1].Time
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var eng *kepler.Engine
-		if shards == 0 {
-			eng = stack.NewDetector(kepler.DefaultConfig())
-		} else {
-			eng = stack.NewEngine(kepler.DefaultConfig(), shards)
+		eng := stack.NewDetector(kepler.DefaultConfig())
+		if skipIdle {
+			eng = stack.NewEngine(kepler.DefaultConfig(), 0)
 		}
 		for _, rec := range records {
 			eng.Process(rec)
 		}
 		eng.Flush(last)
-		eng.Close()
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(len(records)*b.N)/secs, "records/sec")
@@ -622,7 +610,7 @@ func ribMonth(b *testing.B) (*pipeline.Stack, []*mrt.Record) {
 
 // stormState is the detection state keplerd checkpoints on the benchmark's
 // storm-durable workload: the seed-1 world under a year-long outage storm,
-// captured at the last bin barrier and restored into a 2-shard engine that
+// captured at the last bin barrier and restored into an engine that
 // Checkpoint can be called on repeatedly.
 var stormState struct {
 	once  sync.Once
@@ -641,8 +629,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 		stack, recs := renderStorm(b, 365, 0)
 		cfg := kepler.DefaultConfig()
 		cfg.FeedSilence = 30 * time.Minute
-		eng := stack.NewEngine(cfg, 2)
-		defer eng.Close()
+		eng := stack.NewEngine(cfg, 0)
 		eng.SetHooks(core.Hooks{BinClosed: func(time.Time) {
 			c, err := eng.Checkpoint()
 			if err == nil {
@@ -663,7 +650,7 @@ func stormCheckpoint(b *testing.B) (*core.Engine, []byte) {
 			s.err = err
 			return
 		}
-		s.eng = stack.NewEngine(cfg, 2)
+		s.eng = stack.NewEngine(cfg, 0)
 		s.err = s.eng.RestoreFrom(c)
 		s.stack, s.cfg, s.recs = stack, cfg, recs
 	})
@@ -699,7 +686,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := s.stack.NewEngine(s.cfg, 2)
+			eng := s.stack.NewEngine(s.cfg, 0)
 			if err := eng.RestoreFrom(c); err != nil {
 				b.Fatal(err)
 			}
@@ -709,7 +696,6 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.Close()
 			b.StartTimer()
 		}
 		report(b)
@@ -721,7 +707,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 		var stats metrics.CheckpointStats
 		var dirtyPaths, dirtyStable int64
 		for n := 0; n < b.N; {
-			eng := s.stack.NewEngine(s.cfg, 2)
+			eng := s.stack.NewEngine(s.cfg, 0)
 			eng.SetCheckpointStats(&stats)
 			var last time.Time
 			eng.SetHooks(core.Hooks{BinClosed: func(end time.Time) {
@@ -750,7 +736,6 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 					break
 				}
 			}
-			eng.Close()
 			if b.Failed() {
 				return
 			}

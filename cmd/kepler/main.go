@@ -5,20 +5,20 @@
 // generated with — the moral equivalent of Kepler refreshing its dictionary
 // and PeeringDB snapshot for the archive's time period.
 //
-// Replay runs on an engine with one path-state shard worker per core by
-// default, investigation synchronized at bin boundaries; -shards 1 runs one
-// worker, and every shard count produces identical output. Table dumps and
-// updates are fed through the engine one record at a time, and each outage
-// is printed as it completes.
+// Replay runs on the engine that skips idle bins (core.NewEngine): one
+// path-state shard on the reading goroutine, investigation at bin
+// boundaries, the output of the reference engine that closes every bin.
+// Table dumps and updates are fed through the engine one record at a time,
+// and each outage is printed as it completes.
 //
 // Outage and incident reports go to stdout in a fixed format; diagnostics
 // go to stderr through log/slog (-log-format text|json, -log-level).
-// -bin-stats additionally prints a staged bin-close latency summary (shard
-// barrier, divert merge, classification, ...) at exit.
+// -bin-stats additionally prints a staged bin-close latency summary (due
+// promotions, divert merge, classification, ...) at exit.
 //
 // Usage:
 //
-//	kepler -seed 1 -archive archive.mrt [-shards N] [-tfail 0.1] [-v]
+//	kepler -seed 1 -archive archive.mrt [-tfail 0.1] [-v]
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"runtime"
 	"time"
 
 	"kepler/internal/core"
@@ -65,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tfail    = fs.Float64("tfail", 0.10, "outage signal threshold")
 		verbose  = fs.Bool("v", false, "also print link/AS-level incidents")
 		unres    = fs.Bool("report-unresolved", true, "report outages whose epicenter could not be pinned (no data plane in replay mode)")
-		shards   = fs.Int("shards", runtime.GOMAXPROCS(0), "path-state shard workers; <= 0 one worker per core")
 		logFmt   = fs.String("log-format", "text", "stderr diagnostics format: text or json")
 		logLvl   = fs.String("log-level", "info", "minimum diagnostic severity: debug, info, warn or error")
 		binStats = fs.Bool("bin-stats", false, "print a staged bin-close latency summary at exit")
@@ -109,9 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	kcfg.Tfail = *tfail
 	kcfg.ReportUnresolved = *unres
 
-	// The engine resolves <= 0 to one worker per core.
-	eng := stack.NewEngine(kcfg, *shards)
-	defer eng.Close()
+	eng := stack.NewEngine(kcfg, 0)
 	var stage *metrics.BinStageStats
 	if *binStats {
 		stage = &metrics.BinStageStats{}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"kepler/internal/colo"
+	"kepler/internal/core"
 	"kepler/internal/mrt"
 	"kepler/internal/pipeline"
 	"kepler/internal/simulate"
@@ -51,27 +55,55 @@ func renderArchive(t *testing.T) string {
 	return path
 }
 
-// TestReplayShardCountsAgree replays one archive on one shard worker and
-// on three: the report on stdout must be byte-identical and hold the
-// injected outage, and a truncated archive must fail the run.
-func TestReplayShardCountsAgree(t *testing.T) {
+// TestReplayMatchesReference replays one archive, with incidents, and
+// prints what the reference engine (pipeline.Stack.Run, every bin closed)
+// finds on the same records in the same format: stdout must be
+// byte-identical and hold the injected outage. A truncated archive must
+// fail the run, and the removed -shards flag must be rejected.
+func TestReplayMatchesReference(t *testing.T) {
 	archive := renderArchive(t)
-	replay := func(shards string) string {
-		var stdout, stderr bytes.Buffer
-		if err := run([]string{"-seed", "1", "-archive", archive, "-shards", shards}, &stdout, &stderr); err != nil {
-			t.Fatalf("-shards %s: %v\n%s", shards, err, stderr.String())
-		}
-		if !strings.Contains(stderr.String(), "ingest finished") {
-			t.Errorf("-shards %s logged no ingest stats:\n%s", shards, stderr.String())
-		}
-		return stdout.String()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-seed", "1", "-archive", archive, "-v"}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
 	}
-	one, three := replay("1"), replay("3")
-	if !strings.Contains(one, "OUTAGE ") {
-		t.Fatalf("no OUTAGE line for the injected facility outage:\n%s", one)
+	if !strings.Contains(stderr.String(), "ingest finished") {
+		t.Errorf("logged no ingest stats:\n%s", stderr.String())
 	}
-	if one != three {
-		t.Errorf("stdout differs across shard counts:\n-shards 1:\n%s\n-shards 3:\n%s", one, three)
+	got := stdout.String()
+	if !strings.Contains(got, "OUTAGE ") {
+		t.Fatalf("no OUTAGE line for the injected facility outage:\n%s", got)
+	}
+
+	w, err := topology.Generate(topology.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := pipeline.Build(w, 77)
+	f, err := os.Open(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := mrt.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.ReportUnresolved = true
+	outs, incs := stack.Run(recs, cfg, nil)
+	var want bytes.Buffer
+	for _, o := range outs {
+		printOutage(&want, stack, o)
+	}
+	for _, inc := range incs {
+		if inc.Kind != core.IncidentPoP {
+			fmt.Fprintf(&want, "incident %s %-9s signal=%v affected=%d links=%d\n",
+				inc.Time.Format("2006-01-02 15:04"), inc.Kind, inc.SignalPoP,
+				len(inc.AffectedASes), inc.Links)
+		}
+	}
+	if got != want.String() {
+		t.Errorf("stdout differs from the reference engine's:\nkepler:\n%s\nreference:\n%s", got, want.String())
 	}
 
 	data, err := os.ReadFile(archive)
@@ -82,8 +114,12 @@ func TestReplayShardCountsAgree(t *testing.T) {
 	if err := os.WriteFile(cut, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-seed", "1", "-archive", cut, "-shards", "3"}, &stdout, &stderr); err == nil {
+	if err := run([]string{"-seed", "1", "-archive", cut}, io.Discard, io.Discard); err == nil {
 		t.Error("a truncated archive replayed without error")
+	}
+	stderr.Reset()
+	if err := run([]string{"-seed", "1", "-archive", archive, "-shards", "2"}, io.Discard, &stderr); !errors.Is(err, errUsage) ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards 2: err %v, stderr %q; want the flag rejected", err, stderr.String())
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -61,7 +60,6 @@ func parseFlags(args []string) (daemon.Config, error) {
 	fs.StringVar(&c.Listen, "listen", "127.0.0.1:8080", "HTTP listen address")
 	fs.Float64Var(&c.Tfail, "tfail", 0.10, "outage signal threshold, in (0,1]")
 	fs.BoolVar(&c.ReportUnresolved, "report-unresolved", true, "report outages whose epicenter could not be pinned (no data plane in replay mode)")
-	fs.IntVar(&c.Shards, "shards", runtime.GOMAXPROCS(0), "path-state shard workers; <= 0 selects one per core")
 	fs.IntVar(&c.SSEBuffer, "sse-buffer", 256, "per-client SSE event queue; a client stalled past it loses events")
 	fs.DurationVar(&c.ShutdownTimeout, "shutdown-timeout", 10*time.Second, "graceful HTTP shutdown budget")
 	fs.StringVar(&c.DataDir, "data-dir", "", "durable history directory (WAL + snapshots); empty keeps history in memory only")

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +51,7 @@ var flagTable = map[string][]flagRow{
 		{"pprof addr on listen", args("-seed 2 -synthetic -listen 127.0.0.1:8080 -pprof-addr 127.0.0.1:8080"), "collides with -listen"},
 		{"removed invest-workers", args("-seed 2 -synthetic -invest-workers 2"), "flag provided but not defined: -invest-workers"},
 		{"removed relay", args("-seed 2 -synthetic -relay=false"), "flag provided but not defined: -relay"},
+		{"removed shards", args("-seed 2 -synthetic -shards 2"), "flag provided but not defined: -shards"},
 		{"bogus log format", args("-seed 2 -synthetic -log-format yaml"), "-log-format must be"},
 		{"bogus log level", args("-seed 2 -synthetic -log-level verbose"), "-log-level must be one of"},
 		{"negative slow-bin threshold", args("-seed 2 -synthetic -slow-bin-ms -1"), "-slow-bin-ms must be non-negative"},
@@ -168,7 +168,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 	c.Logger = nil
 	want := daemon.Config{
 		Seed: 1, Archive: "a.mrt", Listen: "127.0.0.1:8080",
-		Tfail: 0.10, ReportUnresolved: true, Shards: runtime.GOMAXPROCS(0), Trace: true,
+		Tfail: 0.10, ReportUnresolved: true, Trace: true,
 		FeedSilence: 30 * time.Minute,
 		SSEBuffer:   256, ShutdownTimeout: 10 * time.Second, ResumeRing: 4096, ReadCache: 4096,
 		CompactMB: 8, CheckpointInterval: 15 * time.Minute, ProbeBudget: 256,

@@ -1,6 +1,6 @@
 // Quickstart: build a small synthetic Internet, inject one colocation
 // facility outage, stream the resulting BGP updates through Kepler's
-// sharded concurrent engine, and print the detected outage.
+// streaming engine, and print the detected outage.
 //
 //	go run ./examples/quickstart
 package main
@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
 	"kepler"
@@ -63,15 +62,14 @@ func main() {
 		len(res.Records), len(world.Collectors))
 
 	// 4. Stream the records through the engine: the per-path monitoring
-	// state is hash-partitioned across shard workers (one per core here),
-	// and the Section 4.3 signal investigation runs at each 60 s bin
-	// boundary over their merged state. The output is byte-for-byte what
-	// the inline kepler.NewDetector would emit. The data plane
-	// validates suspected epicenters with targeted traceroutes.
+	// state is updated record by record, and the Section 4.3 signal
+	// investigation runs at each 60 s bin boundary over it, skipping bins
+	// in which nothing happened. The output is byte-for-byte what the
+	// reference kepler.NewDetector would emit. The data plane validates
+	// suspected epicenters with targeted traceroutes.
 	cfg := kepler.DefaultConfig()
 	cfg.Tracing = true // record the evidence chain behind each detection
-	eng := kepler.NewEngine(cfg, stack.Dict, stack.Map, stack.Orgs, runtime.GOMAXPROCS(0))
-	defer eng.Close()
+	eng := kepler.NewEngine(cfg, stack.Dict, stack.Map, stack.Orgs)
 	eng.SetDataPlane(stack.NewSimDataPlane(res, 50000))
 
 	// Lifecycle hooks fire at bin boundaries as detection state changes —
@@ -143,8 +141,7 @@ func main() {
 		probe.Config{Workers: 4},
 	)
 	defer sched.Close()
-	async := kepler.NewEngine(kepler.DefaultConfig(), stack.Dict, stack.Map, stack.Orgs, runtime.GOMAXPROCS(0))
-	defer async.Close()
+	async := kepler.NewEngine(kepler.DefaultConfig(), stack.Dict, stack.Map, stack.Orgs)
 	async.SetProber(sched)
 	var asyncOutages []kepler.Outage
 	for _, rec := range res.Records {

@@ -9,8 +9,8 @@ import (
 	"kepler/internal/mrt"
 )
 
-// binCloseSetup builds a 2-shard engine over the microWorld whose facility
-// baseline spans both shards: 400 stable paths from each of near ASes 11, 12
+// binCloseSetup builds an engine over the microWorld whose facility baseline
+// holds 400 stable paths from each of near ASes 11, 12
 // and 13 toward the colocated far ASes 21..24, and per stable paths from
 // near AS 14 toward AS 99, which is not colocated there. It diverts every
 // path of 11, 12 and 13 in the bin after the baseline matured and returns
@@ -19,8 +19,7 @@ import (
 func binCloseSetup(t *testing.T, per int) (*Engine, *mrt.Record) {
 	t.Helper()
 	dict, cmap, _ := microWorld(t)
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, 2)
-	t.Cleanup(e.Close)
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 	prefix := func(near bgp.ASN, k int) string {
 		return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(near) + 20, byte(k >> 8), byte(k), 0}), 24).String()
 	}
@@ -38,7 +37,7 @@ func binCloseSetup(t *testing.T, per int) (*Engine, *mrt.Record) {
 		}
 	}
 	// Two keepalives past the stability window: the bin between them closes
-	// with every shard promoting its whole baseline.
+	// with the shard promoting its whole baseline.
 	matured := tBase.Add(49 * time.Hour)
 	e.Process(mkUpdate(matured, 98, "198.41.0.0/16", bgp.Path{98, 97}, nil))
 	e.Process(mkUpdate(matured.Add(time.Minute), 98, "198.41.0.0/16", bgp.Path{98, 97}, nil))
@@ -52,11 +51,11 @@ func binCloseSetup(t *testing.T, per int) (*Engine, *mrt.Record) {
 	return e, mkUpdate(divertAt.Add(time.Minute), 98, "198.41.0.0/16", bgp.Path{98, 97}, nil)
 }
 
-// TestBinCloseAllocs pins that a bin close reads the shards' stable
-// baselines in place: investigating a PoP whose baseline is 8x larger
+// TestBinCloseAllocs pins that a bin close reads the shard's stable
+// baseline in place: investigating a PoP whose baseline is 8x larger
 // (same ASes, more prefixes) allocates no more than a small constant
-// beyond the smaller case. Merging the shards' baselines into a fresh map
-// per bin would allocate in proportion to the baseline.
+// beyond the smaller case. Copying the baseline into a fresh map per bin
+// would allocate in proportion to it.
 func TestBinCloseAllocs(t *testing.T) {
 	const runs = 5
 	allocs := func(per int) float64 {

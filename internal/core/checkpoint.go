@@ -50,9 +50,9 @@ const checkpointMagic = "KPCK"
 // tracker, and any probe campaigns parked as pending confirmations.
 //
 // The encoding is deterministic — every map is flattened in sorted order —
-// so for one record stream the checkpoint bytes are identical regardless of
-// shard count, and a checkpoint can be restored into an engine with any
-// shard count. Restoring a checkpoint taken after record N and re-ingesting
+// so for one record stream the checkpoint bytes are identical for either
+// constructor, and a checkpoint can be restored into an engine built by
+// either. Restoring a checkpoint taken after record N and re-ingesting
 // records N+1.. reproduces byte-for-byte the state and lifecycle-hook
 // sequence of an uninterrupted run.
 //
@@ -95,8 +95,7 @@ func (c *Checkpoint) NumStable() int { return c.stable.n }
 // under a millisecond per checkpoint.
 type checkpointTail struct {
 	// Feed is the feed-health watchdog state (Config.FeedSilence); empty
-	// when the watchdog is disabled. It is global, not per-shard, so the
-	// encoding stays shard-count independent.
+	// when the watchdog is disabled.
 	Feed bgpstream.FeedCheckpoint `json:"feed"`
 
 	Incidents []Incident `json:"incidents,omitempty"`
@@ -477,11 +476,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 
 // capture assembles a checkpoint from quiesced pipeline state: the image
 // brought up to date for the two big sections, the small ones copied out of
-// the fan-out and the investigator. The caller guarantees exclusive access
-// to every shard (bin barrier, or a pipeline with no ops since its last
-// barrier).
-func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstream.Fanout, shards []*pathShard, inv *investigator) *Checkpoint {
-	cp.refresh(shards)
+// the fan-out and the investigator. The caller captures at a bin close, or
+// with no ops applied since the last one.
+func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstream.Fanout, s *pathShard, inv *investigator) *Checkpoint {
+	cp.refresh(s)
 	c := &Checkpoint{
 		Version:  CheckpointVersion,
 		BinStart: binStart,
@@ -554,12 +552,12 @@ func (cp *checkpointer) capture(binStart time.Time, records uint64, fan *bgpstre
 }
 
 // restoreCheckpoint loads a checkpoint into a fresh pipeline: paths and
-// stable-baseline entries are re-partitioned across the shards by fan's
-// hash, derived indexes and promotion queues are rebuilt, the tracker and
-// pending campaigns are reinstated, campaigns are re-submitted to the
-// prober, and the shards get the restoration watches exactly as the last
-// pre-checkpoint barrier left them.
-func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *investigator, fan *bgpstream.Fanout) error {
+// stable-baseline entries go into the shard, derived indexes and promotion
+// queues are rebuilt, the tracker and pending campaigns are reinstated,
+// campaigns are re-submitted to the prober, and the shard gets the
+// restoration watches exactly as the last pre-checkpoint bin close left
+// them.
+func restoreCheckpoint(c *Checkpoint, cfg Config, s *pathShard, inv *investigator) error {
 	if c.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, this build reads %d", c.Version, CheckpointVersion)
 	}
@@ -572,15 +570,12 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 		// runs, the same config binding every other knob has.
 		inv.feed.Restore(c.Feed)
 	}
-	at := func(key PathKey) *pathShard { return shards[fan.ShardOf(key.Peer, key.Prefix)] }
-
 	var rec pathRecord
 	err := c.paths.each(func(r *ckptReader) {
 		if r.pathRecord(&rec); r.err != nil {
 			return
 		}
 		key := rec.key
-		s := at(key)
 		st := &pathState{
 			tags: append(make([]pathTag, 0, len(rec.tags)), rec.tags...),
 			path: append(bgp.Path(nil), rec.path...),
@@ -601,15 +596,12 @@ func restoreCheckpoint(c *Checkpoint, cfg Config, shards []*pathShard, inv *inve
 	if err != nil {
 		return err
 	}
-	for _, s := range shards {
-		heap.Init(&s.promos)
-	}
+	heap.Init(&s.promos)
 	err = c.stable.each(func(r *ckptReader) {
 		pop, ends, key := r.stableRecord()
 		if r.err != nil {
 			return
 		}
-		s := at(key)
 		byNear := s.stable[pop]
 		if byNear == nil {
 			byNear = make(map[bgp.ASN]map[PathKey]popEnd)

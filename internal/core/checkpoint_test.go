@@ -39,11 +39,10 @@ func refRun(t *testing.T, recs []*mrt.Record, mkProber func() Prober) (outs []Ou
 // checkpoint at every BinClosed hook (subject to keep), stopping at the cut
 // index without a flush — the kill model. It returns the last kept
 // encoding.
-func checkpointEveryBin(t *testing.T, recs []*mrt.Record, cut, shards int, mkProber func() Prober, keep func(*Checkpoint) bool) []byte {
+func checkpointEveryBin(t *testing.T, recs []*mrt.Record, cut int, mkProber func() Prober, keep func(*Checkpoint) bool) []byte {
 	t.Helper()
 	dict, cmap, _ := microWorld(t)
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-	defer e.Close()
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 	if mkProber != nil {
 		e.SetProber(mkProber())
 	}
@@ -71,8 +70,8 @@ func checkpointEveryBin(t *testing.T, recs []*mrt.Record, cut, shards int, mkPro
 	return enc
 }
 
-// restoreAndFinish restores the checkpoint into a pipeline with the given
-// shard count (0 selects the inline engine), replays the record
+// restoreAndFinish restores the checkpoint into the reference engine New
+// (shards == 0) or into NewEngine's (shards == 1), replays the record
 // suffix and returns the drained outages plus the full incident log.
 func restoreAndFinish(t *testing.T, recs []*mrt.Record, enc []byte, shards int, mkProber func() Prober) ([]Outage, []Incident, *Checkpoint) {
 	t.Helper()
@@ -84,39 +83,22 @@ func restoreAndFinish(t *testing.T, recs []*mrt.Record, enc []byte, shards int, 
 	if c.Records >= uint64(len(recs)) {
 		t.Fatalf("checkpoint covers %d of %d records; nothing to re-ingest", c.Records, len(recs))
 	}
-	var outs []Outage
-	var incs []Incident
-	suffix := recs[c.Records:]
-	last := recs[len(recs)-1].Time
-	if shards == 0 {
-		d := New(DefaultConfig(), dict, cmap, nil)
-		if mkProber != nil {
-			d.SetProber(mkProber())
-		}
-		if err := d.RestoreFrom(c); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range suffix {
-			outs = append(outs, d.Process(r)...)
-		}
-		outs = append(outs, d.Flush(last)...)
-		incs = d.Incidents()
-	} else {
-		e := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-		defer e.Close()
-		if mkProber != nil {
-			e.SetProber(mkProber())
-		}
-		if err := e.RestoreFrom(c); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range suffix {
-			outs = append(outs, e.Process(r)...)
-		}
-		outs = append(outs, e.Flush(last)...)
-		incs = e.Incidents()
+	e := New(DefaultConfig(), dict, cmap, nil)
+	if shards == 1 {
+		e = NewEngine(DefaultConfig(), dict, cmap, nil)
 	}
-	return outs, incs, c
+	if mkProber != nil {
+		e.SetProber(mkProber())
+	}
+	if err := e.RestoreFrom(c); err != nil {
+		t.Fatal(err)
+	}
+	var outs []Outage
+	for _, r := range recs[c.Records:] {
+		outs = append(outs, e.Process(r)...)
+	}
+	outs = append(outs, e.Flush(recs[len(recs)-1].Time)...)
+	return outs, e.Incidents(), c
 }
 
 // scenarioStream builds the deterministic full-facility-divert stream of
@@ -159,15 +141,15 @@ func scenarioStream() (recs []*mrt.Record, failAt time.Time) {
 // TestCheckpointRestoreEquivalence is the tentpole contract: a pipeline
 // killed mid-stream and restored from its newest bin-barrier checkpoint,
 // re-ingesting only the record suffix, emits exactly the outages and
-// incidents of an uninterrupted run — across checkpointing and restoring
-// shard counts, including the sequential detector.
+// incidents of an uninterrupted run — restored into the reference engine
+// (restore-shards=0) and into NewEngine's (restore-shards=1).
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := genStream(seed, 4000)
 		wantOuts, wantIncs, countAt := refRun(t, recs, nil)
 		cut := len(recs) * 3 / 4
-		enc := checkpointEveryBin(t, recs, cut, 4, nil, nil)
-		for _, shards := range []int{0, 1, 4} {
+		enc := checkpointEveryBin(t, recs, cut, nil, nil)
+		for _, shards := range []int{0, 1} {
 			t.Run(fmt.Sprintf("seed=%d/restore-shards=%d", seed, shards), func(t *testing.T) {
 				outs, incs, c := restoreAndFinish(t, recs, enc, shards, nil)
 				wantSuffix := wantOuts[countAt[c.Records]:]
@@ -195,7 +177,7 @@ func TestCheckpointScenarioMidOutage(t *testing.T) {
 	}
 	// Keep only the signal-bin checkpoint: the outage must be open in it.
 	signalEnd := failAt.Add(60 * time.Second)
-	enc := checkpointEveryBin(t, recs, len(recs), 4, nil, func(c *Checkpoint) bool {
+	enc := checkpointEveryBin(t, recs, len(recs), nil, func(c *Checkpoint) bool {
 		return c.BinStart.Equal(signalEnd)
 	})
 	c, err := DecodeCheckpoint(enc)
@@ -205,7 +187,7 @@ func TestCheckpointScenarioMidOutage(t *testing.T) {
 	if len(c.Open) != 1 || len(c.Open[0].Waiting) != 12 {
 		t.Fatalf("checkpoint open outages = %+v, want one with 12 waiting paths", c.Open)
 	}
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 1} {
 		outs, incs, _ := restoreAndFinish(t, recs, enc, shards, nil)
 		if want := wantOuts[countAt[c.Records]:]; !reflect.DeepEqual(outs, want) {
 			t.Errorf("shards=%d: restored outages %+v, want %+v", shards, outs, want)
@@ -216,9 +198,9 @@ func TestCheckpointScenarioMidOutage(t *testing.T) {
 	}
 }
 
-// TestCheckpointDeterministicEncoding pins the shard-independence of the
-// encoding: the sequential detector and engines at several shard counts
-// produce byte-identical checkpoints at the same bin barrier. Captures are
+// TestCheckpointDeterministicEncoding pins that the encoding does not depend
+// on the constructor: the reference engine and NewEngine's produce
+// byte-identical checkpoints at the same bin barrier. Captures are
 // keyed by bin-end time (not hook count: the engine legitimately skips
 // idle bin closes that the detector walks through) and taken both with an
 // outage open and while it cools.
@@ -262,18 +244,14 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 		d.SetHooks(hooks)
 		return func(i int) { d.Process(recs[i]) }, d.Checkpoint
 	})
-	for _, shards := range []int{1, 3, 8} {
-		got := capture(func(hooks Hooks) (func(int), func() (*Checkpoint, error)) {
-			e := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-			t.Cleanup(e.Close)
-			e.SetHooks(hooks)
-			return func(i int) { e.Process(recs[i]) }, e.Checkpoint
-		})
-		for at, want := range ref {
-			if !bytes.Equal(got[at], want) {
-				t.Errorf("shards=%d checkpoint at %v diverges from detector (%d vs %d bytes)",
-					shards, at, len(got[at]), len(want))
-			}
+	got := capture(func(hooks Hooks) (func(int), func() (*Checkpoint, error)) {
+		e := NewEngine(DefaultConfig(), dict, cmap, nil)
+		e.SetHooks(hooks)
+		return func(i int) { e.Process(recs[i]) }, e.Checkpoint
+	})
+	for at, want := range ref {
+		if !bytes.Equal(got[at], want) {
+			t.Errorf("engine checkpoint at %v diverges from detector (%d vs %d bytes)", at, len(got[at]), len(want))
 		}
 	}
 }
@@ -284,8 +262,7 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 func TestCheckpointMidBinRejected(t *testing.T) {
 	recs := genStream(1, 500)
 	dict, cmap, _ := microWorld(t)
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, 2)
-	defer e.Close()
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 	for _, r := range recs {
 		e.Process(r)
 	}
@@ -321,7 +298,7 @@ func TestCheckpointRestoreWithProber(t *testing.T) {
 	if len(wantOuts) != 1 {
 		t.Fatalf("reference run found %d outages, want 1", len(wantOuts))
 	}
-	enc := checkpointEveryBin(t, recs, len(recs), 4, confirmAll, func(c *Checkpoint) bool {
+	enc := checkpointEveryBin(t, recs, len(recs), confirmAll, func(c *Checkpoint) bool {
 		return len(c.Pending) > 0
 	})
 	c, err := DecodeCheckpoint(enc)
@@ -340,7 +317,7 @@ func TestCheckpointRestoreWithProber(t *testing.T) {
 		t.Fatal("restore with pending campaigns and no prober succeeded")
 	}
 
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("restore-shards=%d", shards), func(t *testing.T) {
 			pr := confirmAll().(*scriptedProber)
 			outs, incs, c := restoreAndFinish(t, recs, enc, shards, func() Prober { return pr })
@@ -374,8 +351,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err := d.RestoreFrom(c); err == nil {
 		t.Fatal("restore accepted a future checkpoint version")
 	}
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, 2)
-	defer e.Close()
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 	if err := e.RestoreFrom(c); err == nil {
 		t.Fatal("engine restore accepted a future checkpoint version")
 	}
@@ -609,7 +585,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func TestCheckpointRoundTripPooledState(t *testing.T) {
 	recs := genStream(5, 4000)
 	cut := len(recs) / 2
-	enc := checkpointEveryBin(t, recs, cut, 4, nil, nil)
+	enc := checkpointEveryBin(t, recs, cut, nil, nil)
 	c, err := DecodeCheckpoint(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -618,7 +594,7 @@ func TestCheckpointRoundTripPooledState(t *testing.T) {
 
 	// Uninterrupted run: the reference encoding at every bin barrier.
 	full := map[time.Time][]byte{}
-	e1 := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	e1 := NewEngine(DefaultConfig(), dict, cmap, nil)
 	e1.SetHooks(Hooks{BinClosed: func(end time.Time) {
 		cc, err := e1.Checkpoint()
 		if err != nil {
@@ -638,8 +614,7 @@ func TestCheckpointRoundTripPooledState(t *testing.T) {
 	e1.Close()
 
 	// Restored run over the suffix, checkpointing at every barrier.
-	e2 := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
-	defer e2.Close()
+	e2 := NewEngine(DefaultConfig(), dict, cmap, nil)
 	if err := e2.RestoreFrom(c); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestEngineCloseIdempotent(t *testing.T) {
 		t.Fatalf("reference produced %d outages, want 1", len(want))
 	}
 
-	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil)
 	var outs []Outage
 	for _, r := range recs {
 		outs = append(outs, eng.Process(r)...)
@@ -95,11 +95,11 @@ func TestEngineCloseIdempotent(t *testing.T) {
 }
 
 // TestEngineFlushAfterClose pins the degraded-Flush contract: after Close,
-// Flush returns promptly (no send on closed shard channels) with whatever
-// had already completed.
+// Flush returns promptly with whatever had already completed, closing no
+// further bin.
 func TestEngineFlushAfterClose(t *testing.T) {
 	dict, cmap, _ := microWorld(t)
-	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 2)
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil)
 	recs := scenarioRecords()
 	for _, r := range recs {
 		eng.Process(r)
@@ -125,8 +125,7 @@ func TestEngineHooks(t *testing.T) {
 	dict, cmap, fid := microWorld(t)
 	recs := scenarioRecords()
 
-	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 3)
-	defer eng.Close()
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil)
 
 	var opened, updated []OutageStatus
 	var resolved []Outage
@@ -212,8 +211,7 @@ func TestDetectorHooksMatchEngine(t *testing.T) {
 		det.Flush(scenarioFlushAt())
 	})
 
-	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
-	defer eng.Close()
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil)
 	eSeq := collect(eng.SetHooks, func() {
 		for _, r := range recs {
 			eng.Process(r)
@@ -231,8 +229,8 @@ func TestDetectorHooksMatchEngine(t *testing.T) {
 
 // TestEngineFlushBeforeCurrentBin flushes the outage scenario halfway
 // through its restoration, at an instant before the current bin, which
-// therefore stays open with ops queued for the shards; then it replays the
-// rest of the stream. The engine must still match the detector.
+// therefore stays open with ops applied since the last bin close; then it
+// replays the rest of the stream. The engine must still match the detector.
 func TestEngineFlushBeforeCurrentBin(t *testing.T) {
 	dict, cmap, _ := microWorld(t)
 	recs := scenarioRecords()
@@ -256,8 +254,7 @@ func TestEngineFlushBeforeCurrentBin(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("reference produced no outages; comparison vacuous")
 	}
-	eng := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
-	defer eng.Close()
+	eng := NewEngine(DefaultConfig(), dict, cmap, nil)
 	if got := run(eng); !reflect.DeepEqual(got, want) {
 		t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", got, want)
 	}

@@ -2,26 +2,16 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"kepler/internal/as2org"
-	"kepler/internal/bgp"
 	"kepler/internal/bgpstream"
 	"kepler/internal/colo"
 	"kepler/internal/communities"
 	"kepler/internal/metrics"
 	"kepler/internal/mrt"
 )
-
-// engineBatchSize is how many route ops accumulate per shard before a
-// batch is shipped to its worker; barriers flush partial batches.
-const engineBatchSize = 256
-
-// engineQueueLen is the per-shard channel depth, in batches.
-const engineQueueLen = 64
 
 // binClock reproduces the pipeline's bin advancement: it yields every bin
 // end strictly before t's bin, in order, fast-forwarding across idle gaps.
@@ -53,81 +43,29 @@ func (c *binClock) advance(t time.Time, closeBin func(end time.Time)) {
 	}
 }
 
-// shardMsg is one unit on a shard worker's queue: an op batch, optionally
-// followed by a bin barrier.
-type shardMsg struct {
-	ops     []bgpstream.RouteOp
-	barrier *binBarrier
-}
-
-// binBarrier synchronizes all shards at a bin boundary: each worker runs
-// its due promotions, reports ready, and blocks until the investigator —
-// which owns shard state outright while they are paused — releases it.
-type binBarrier struct {
-	end    time.Time
-	ready  sync.WaitGroup
-	resume chan struct{}
-}
-
-// engineShard couples a path-state shard with its worker goroutine. free
-// carries fully consumed op slabs back to the dispatcher for reuse, so
-// steady-state batching stops allocating a fresh slice per batch.
-type engineShard struct {
-	ps   *pathShard
-	in   chan shardMsg
-	free chan []bgpstream.RouteOp
-	done chan struct{}
-}
-
-func (s *engineShard) run() {
-	defer close(s.done)
-	for msg := range s.in {
-		for i := range msg.ops {
-			s.ps.apply(&msg.ops[i])
-		}
-		if msg.ops != nil {
-			// Hand the consumed slab back without ever blocking; a full
-			// free queue just lets this one go to the GC.
-			select {
-			case s.free <- msg.ops[:0]:
-			default:
-			}
-		}
-		if b := msg.barrier; b != nil {
-			s.ps.runPromotions(b.end)
-			b.ready.Done()
-			<-b.resume
-		}
-	}
-}
-
-// Engine is the Kepler pipeline: a fan-out stage routes each record's
-// path-level ops to the path-state shards, which own disjoint hash
-// partitions of the per-path monitoring state (Section 4.2), and at every
-// 60 s bin close the investigator merges the shards' divert records and
-// reads their stable baselines in place to run the Section 4.3 signal
-// investigation. New builds it with one inline shard that applies ops on
-// the caller's goroutine and closes every bin; NewEngine builds it with N
-// shard workers synchronized at a bin barrier, which skips provably idle
-// bins. For any record stream both emit exactly the same Outages, Incidents
-// and checkpoints.
+// Engine is the Kepler pipeline: a fan-out stage turns each record into
+// path-level route ops, which one path-state shard applies on the caller's
+// goroutine (the per-path monitoring of Section 4.2), and at every 60 s bin
+// close the investigator reads the shard's divert records and stable
+// baseline in place to run the Section 4.3 signal investigation. New builds
+// it closing every bin; NewEngine builds it skipping provably idle bins. For
+// any record stream both emit exactly the same Outages, Incidents and
+// checkpoints.
 type Engine struct {
-	cfg Config
-	inv *investigator
-	// shards holds the shard workers; it is empty on an inline engine.
-	shards []*engineShard
-	// shardStates holds every path-state shard (the workers', or the one
-	// inline shard): the investigator's view and the checkpoint's shard
-	// list.
-	shardStates []*pathShard
-	fan         *bgpstream.Fanout
-	clock       binClock
-	ckpt        checkpointer
+	cfg   Config
+	inv   *investigator
+	ps    *pathShard
+	fan   *bgpstream.Fanout
+	clock binClock
+	ckpt  checkpointer
 
-	// opsSinceBarrier marks mid-bin per-path state: it lets a worker
-	// engine's idle bins skip the barrier handshake (with no ops dispatched
-	// and no outage state in flight, a bin close is a provable no-op) and
-	// gates Checkpoint outside a barrier.
+	// skipIdle makes a bin close with no ops applied since the last one, no
+	// outage tracked, no campaign parked and no feed transition due return
+	// at once: such a close is a provable no-op. New leaves it off, which
+	// keeps it the reference NewEngine is checked against.
+	skipIdle bool
+	// opsSinceBarrier marks mid-bin per-path state: it gates the idle-bin
+	// skip and Checkpoint outside a bin close.
 	opsSinceBarrier bool
 	stats           metrics.IngestStats
 
@@ -135,67 +73,43 @@ type Engine struct {
 	// (seeded by RestoreFrom); inProcess marks that a Process call is on
 	// the stack, so a checkpoint taken from inside a BinClosed hook knows
 	// the in-flight record's effects are not yet included. inBarrier scopes
-	// the bin-barrier window in which shard state may be read directly.
+	// the bin close in which a Checkpoint may be taken with ops applied
+	// since the previous one.
 	seen      uint64
 	inProcess bool
 	inBarrier bool
 
 	// lifecycle serializes Flush against Close so a daemon's shutdown path
-	// can race the two safely; closeOnce makes Close idempotent. Process
-	// remains single-goroutine and must happen-before any Flush or Close.
+	// can race the two safely. Process remains single-goroutine and must
+	// happen-before any Flush or Close.
 	lifecycle sync.Mutex
-	closeOnce sync.Once
 	closed    bool
 }
 
-// New builds an engine with one inline path-state shard: it starts no
-// goroutine, applies each record's ops on the caller's goroutine and closes
-// every bin, idle ones included, which keeps it the reference the worker
-// engine is checked against. orgs may be nil (operator-level classification
-// then degrades to AS-level). The data plane is optional via SetDataPlane.
+// New builds the reference engine: it starts no goroutine, applies each
+// record's ops on the caller's goroutine and closes every bin, idle ones
+// included. orgs may be nil (operator-level classification then degrades to
+// AS-level). The data plane is optional via SetDataPlane.
 func New(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table) *Engine {
-	return newEngine(cfg, dict, cmap, orgs, 0)
-}
-
-// NewEngine builds an engine with the given number of shard workers;
-// shards <= 0 selects GOMAXPROCS. orgs may be nil. Call Close when done to
-// stop the workers.
-func NewEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table, shards int) *Engine {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	e := &Engine{
+		cfg:   cfg,
+		ps:    newPathShard(cfg, dict, cmap),
+		fan:   bgpstream.NewFanout(1),
+		clock: binClock{interval: cfg.BinInterval},
 	}
-	e := newEngine(cfg, dict, cmap, orgs, shards)
-	for _, s := range e.shards {
-		go s.run()
+	e.inv = newInvestigator(cfg, cmap, orgs, e.ps)
+	if cfg.FeedSilence > 0 {
+		e.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
 	}
 	return e
 }
 
-// newEngine builds an engine over the given number of shard workers, not
-// yet started; zero workers leaves one inline shard.
-func newEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table, workers int) *Engine {
-	e := &Engine{
-		cfg:         cfg,
-		shards:      make([]*engineShard, workers),
-		shardStates: make([]*pathShard, max(workers, 1)),
-		fan:         bgpstream.NewFanout(max(workers, 1)),
-		clock:       binClock{interval: cfg.BinInterval},
-	}
-	for i := range e.shardStates {
-		e.shardStates[i] = newPathShard(cfg, dict, cmap)
-	}
-	for i := range e.shards {
-		e.shards[i] = &engineShard{
-			ps:   e.shardStates[i],
-			in:   make(chan shardMsg, engineQueueLen),
-			free: make(chan []bgpstream.RouteOp, engineQueueLen+1),
-			done: make(chan struct{}),
-		}
-	}
-	e.inv = newInvestigator(cfg, cmap, orgs, e.shardStates)
-	if cfg.FeedSilence > 0 {
-		e.inv.feed = bgpstream.NewFeedWatchdog(cfg.FeedSilence)
-	}
+// NewEngine builds the engine New builds, except that it skips the close of
+// a bin in which nothing was applied, tracked, parked or feed-due. It starts
+// no goroutine either. orgs may be nil.
+func NewEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table) *Engine {
+	e := New(cfg, dict, cmap, orgs)
+	e.skipIdle = true
 	return e
 }
 
@@ -219,7 +133,7 @@ func (e *Engine) PendingConfirmations() []PendingConfirmation { return e.inv.pen
 func (e *Engine) SetHooks(h Hooks) { e.inv.hooks = h }
 
 // SetBinStageStats installs the staged bin-close latency collector: every
-// non-idle bin close records per-stage wall-clock spans (barrier wait,
+// bin close that runs records per-stage wall-clock spans (due promotions,
 // divert merge, probe collection, classification, shard finish, hooks) into
 // s. Purely observational. It must be called before the first Process.
 func (e *Engine) SetBinStageStats(s *metrics.BinStageStats) { e.inv.binStage = s }
@@ -247,140 +161,38 @@ func (e *Engine) Process(rec *mrt.Record) []Outage {
 	if n := e.fan.Add(rec); n > 0 {
 		e.opsSinceBarrier = true
 		e.stats.Ops.Add(int64(n))
-		if len(e.shards) == 0 {
-			ops := e.fan.Take(0)
-			for i := range ops {
-				e.shardStates[0].apply(&ops[i])
-			}
-			e.fan.Recycle(0, ops)
+		ops := e.fan.Take(0)
+		for i := range ops {
+			e.ps.apply(&ops[i])
 		}
-	}
-	for i := range e.shards {
-		if e.fan.Pending(i) >= engineBatchSize {
-			s := e.shards[i]
-			s.in <- shardMsg{ops: e.fan.Take(i)}
-			e.reclaim(i)
-		}
+		e.fan.Recycle(0, ops)
 	}
 	e.inProcess = false
 	return e.inv.drainCompleted()
 }
 
-// reclaim recycles one consumed op slab (if a worker has returned any) into
-// shard i's fan-out accumulation buffer.
-func (e *Engine) reclaim(i int) {
-	select {
-	case buf := <-e.shards[i].free:
-		e.fan.Recycle(i, buf)
-	default:
-	}
-}
-
-// closeBin executes the barrier protocol for one bin boundary: flush
-// pending ops, pause every shard after its due promotions, reconcile path
-// returns, run the investigation over the merged diverts and the shards'
-// stable baselines in place, tick outage tracking, point the shards at the
-// restoration watches, and release them (which then drop their diverted
-// paths from the stable baseline).
+// closeBin closes one bin: run the promotions due at end, reconcile path
+// returns, run the investigation over the bin's diverts and the stable
+// baseline in place, tick outage tracking, point the shard at the
+// restoration watches, and drop the diverted paths from the stable
+// baseline.
 func (e *Engine) closeBin(end time.Time) {
-	if len(e.shards) > 0 && !e.opsSinceBarrier && e.inv.tracker.idle() && !e.inv.hasPending() && !e.inv.feedDue(end) {
-		return // nothing processed, tracked, parked or feed-due: the close is a no-op
+	if e.skipIdle && !e.opsSinceBarrier && e.inv.tracker.idle() && !e.inv.hasPending() && !e.inv.feedDue(end) {
+		return // nothing applied, tracked, parked or feed-due: the close is a no-op
 	}
-	t0 := time.Now() //keplervet:ignore walltime metrics span: barrier wall-time for IngestStats, never read by detection
-	b := e.pause(end)
-
-	// Shards are paused: the investigator owns their state until resume.
-	// inBarrier additionally licenses a Checkpoint taken from inside the
-	// BinClosed hook to read shard state directly.
-	e.inBarrier = true
-	var diverted map[colo.PoP]map[bgp.ASN][]divertRec
+	t0 := time.Now() //keplervet:ignore walltime metrics span: bin-close wall-time for IngestStats, never read by detection
+	e.ps.runPromotions(end)
 	if e.inv.binStage != nil {
-		e.inv.engineBarrier = time.Since(t0) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
-		tm := time.Now()                     //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
-		diverted = e.mergeDiverted()
-		e.inv.engineMerge = time.Since(tm) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
-	} else {
-		diverted = e.mergeDiverted()
+		e.inv.promoteSpan = time.Since(t0) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 	}
-	e.inv.closeBinOver(end, diverted)
+	// inBarrier licenses a Checkpoint taken from inside the BinClosed hook.
+	e.inBarrier = true
+	e.inv.closeBinOver(end)
 	e.inBarrier = false
-	e.resume(b)
 
 	e.opsSinceBarrier = false
 	e.stats.Bins.Add(1)
-	e.stats.BarrierNanos.Add(time.Since(t0).Nanoseconds()) //keplervet:ignore walltime metrics span: barrier wall-time counter, never read by detection
-}
-
-// pause ships every shard worker its pending ops followed by a barrier at
-// end, and waits until each has applied them, run its promotions due at end
-// and stopped. The caller owns all shard state until it calls resume(b).
-// An inline engine has applied its ops already and runs its promotions
-// here; its barrier is nil.
-func (e *Engine) pause(end time.Time) *binBarrier {
-	if len(e.shards) == 0 {
-		e.shardStates[0].runPromotions(end)
-		return nil
-	}
-	b := &binBarrier{end: end, resume: make(chan struct{})}
-	b.ready.Add(len(e.shards))
-	for i, s := range e.shards {
-		s.in <- shardMsg{ops: e.fan.Take(i), barrier: b}
-	}
-	b.ready.Wait()
-	return b
-}
-
-// resume releases the shard workers paused at b and recycles the op slabs
-// they returned.
-func (e *Engine) resume(b *binBarrier) {
-	if b == nil {
-		return
-	}
-	close(b.resume)
-	for i := range e.shards {
-		e.reclaim(i)
-	}
-}
-
-// mergeDiverted combines the shards' current-bin divert indexes. Slices
-// are ordered by global op sequence so the merged index is exactly the one
-// one inline shard would have built.
-func (e *Engine) mergeDiverted() map[colo.PoP]map[bgp.ASN][]divertRec {
-	var single *pathShard
-	contributors := 0
-	for _, s := range e.shardStates {
-		if len(s.diverted) > 0 {
-			contributors++
-			single = s
-		}
-	}
-	switch contributors {
-	case 0:
-		return nil
-	case 1:
-		// A lone contributor's slices are already in op order; the map is
-		// only read until the shards resume (finishBin replaces it).
-		return single.diverted
-	}
-	merged := make(map[colo.PoP]map[bgp.ASN][]divertRec)
-	for _, s := range e.shardStates {
-		for pop, byNear := range s.diverted {
-			dst := merged[pop]
-			if dst == nil {
-				dst = make(map[bgp.ASN][]divertRec)
-				merged[pop] = dst
-			}
-			for near, recs := range byNear {
-				dst[near] = append(dst[near], recs...)
-			}
-		}
-	}
-	for _, byNear := range merged {
-		for _, recs := range byNear {
-			sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-		}
-	}
-	return merged
+	e.stats.BarrierNanos.Add(time.Since(t0).Nanoseconds()) //keplervet:ignore walltime metrics span: bin-close wall-time counter, never read by detection
 }
 
 // Flush closes the current bin and any open outages as of the given time,
@@ -391,18 +203,11 @@ func (e *Engine) Flush(asOf time.Time) []Outage {
 	e.lifecycle.Lock()
 	defer e.lifecycle.Unlock()
 	if e.closed {
-		// The shard workers are gone, so no further bin can close; anything
-		// that completed before Close is still drainable.
+		// No further bin closes; anything that completed before Close is
+		// still drainable.
 		return e.inv.drainCompleted()
 	}
 	e.clock.advance(asOf.Add(e.cfg.BinInterval), e.closeBin)
-	if e.opsSinceBarrier {
-		// asOf precedes the current bin, which stays open. Let the shards
-		// apply what is queued first: settling the probes below edits the
-		// waiting maps their restoration watches read. A zero-time barrier
-		// runs no promotions.
-		e.resume(e.pause(time.Time{}))
-	}
 	e.inv.finishProbes(asOf)
 	e.inv.tracker.closeAll(asOf)
 	e.inv.tracker.drainCooling(e.inv)
@@ -430,28 +235,20 @@ func (e *Engine) FeedHealth(asOf time.Time) (snap bgpstream.FeedSnapshot, ok boo
 	return e.inv.feed.Snapshot(asOf), true
 }
 
-// Stats snapshots the engine's ingestion counters, including per-shard
-// queue depths (in batches).
-func (e *Engine) Stats() metrics.IngestSnapshot {
-	depths := make([]int, len(e.shards))
-	for i, s := range e.shards {
-		depths[i] = len(s.in)
-	}
-	return e.stats.Snapshot(depths)
-}
+// Stats snapshots the engine's ingestion counters.
+func (e *Engine) Stats() metrics.IngestSnapshot { return e.stats.Snapshot() }
 
 // Checkpoint captures the engine's complete detection state. It is valid
-// at bin barriers only: call it either from inside a BinClosed hook (the
-// shards are paused and the investigator's bin is fully closed) or between
-// Process calls while no route ops have been dispatched since the last bin
-// close — any other instant has per-bin divert state in flight that a
+// at bin closes only: call it either from inside a BinClosed hook (the
+// investigator's bin is fully closed) or between Process calls while no
+// route ops have been applied since the last bin close — any other instant has per-bin divert state in flight that a
 // checkpoint does not carry, and is rejected.
 //
 // The engine keeps the encoded form of the path and stable-baseline
 // sections — the checkpoint image — from one capture to the next, so a
 // capture costs what changed since the previous one: the first capture
 // (also the first after RestoreFrom, and one following a burst that
-// outgrew the shards' change lists, such as a RIB dump) encodes the whole
+// outgrew the shard's change lists, such as a RIB dump) encodes the whole
 // state and turns change tracking on; an engine that never checkpoints
 // tracks nothing. The bytes are those of a from-scratch encoding either
 // way. The returned checkpoint shares the image's chunks, which are never
@@ -459,22 +256,21 @@ func (e *Engine) Stats() metrics.IngestSnapshot {
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	records := e.seen
 	if e.inProcess {
-		// The in-flight record's ops apply after the barrier: its effects
+		// The in-flight record's ops apply after the bin close: its effects
 		// are not part of this checkpoint, so recovery re-reads it.
 		records--
 	}
 	if !e.inBarrier && e.opsSinceBarrier {
 		return nil, fmt.Errorf("core: Checkpoint outside a bin barrier with ops in flight; checkpoint from a BinClosed hook")
 	}
-	// Inside a barrier the shards are paused; outside one, no ops were added
-	// since the last, so every shard queue is empty and the workers are
-	// idle. Either way the state is the barrier state, safe to read from
-	// here, and the clock already stands where the next record resumes it.
-	return e.ckpt.capture(e.clock.start, records, e.fan, e.shardStates, e.inv), nil
+	// Inside a bin close, or with no ops applied since the last one, the
+	// state is the bin-close state, and the clock already stands where the
+	// next record resumes it.
+	return e.ckpt.capture(e.clock.start, records, e.fan, e.ps, e.inv), nil
 }
 
-// RestoreFrom loads a checkpoint produced by Checkpoint (on an engine of
-// any shard count, inline or not): the next Process call continues exactly
+// RestoreFrom loads a checkpoint produced by Checkpoint (on a reference
+// engine or not): the next Process call continues exactly
 // where the checkpointed pipeline stopped, so re-ingesting the record
 // suffix after Checkpoint.Records reproduces the uninterrupted run's output
 // and hook sequence byte for byte. It must be called before the first
@@ -484,7 +280,7 @@ func (e *Engine) RestoreFrom(c *Checkpoint) error {
 	if e.seen != 0 || !e.clock.start.IsZero() {
 		return fmt.Errorf("core: RestoreFrom must precede the first Process")
 	}
-	if err := restoreCheckpoint(c, e.cfg, e.shardStates, e.inv, e.fan); err != nil {
+	if err := restoreCheckpoint(c, e.cfg, e.ps, e.inv); err != nil {
 		return err
 	}
 	e.clock.start = c.BinStart
@@ -493,19 +289,12 @@ func (e *Engine) RestoreFrom(c *Checkpoint) error {
 	return nil
 }
 
-// Close stops the shard workers and waits for them to exit. Close is
-// idempotent and safe to call concurrently with Flush (daemon shutdown
-// paths race the two); Process must not be called afterwards.
+// Close ends the engine: a Flush after it only drains outages that already
+// completed. Close is idempotent and safe to call concurrently with Flush
+// (daemon shutdown paths race the two); Process must not be called
+// afterwards.
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		e.lifecycle.Lock()
-		defer e.lifecycle.Unlock()
-		e.closed = true
-		for _, s := range e.shards {
-			close(s.in)
-		}
-		for _, s := range e.shards {
-			<-s.done
-		}
-	})
+	e.lifecycle.Lock()
+	defer e.lifecycle.Unlock()
+	e.closed = true
 }

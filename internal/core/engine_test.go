@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -89,12 +90,11 @@ func runDetector(t *testing.T, recs []*mrt.Record, dp DataPlane) ([]Outage, []In
 	return outs, d.Incidents()
 }
 
-// runEngine replays the stream through the sharded pipeline.
-func runEngine(t *testing.T, recs []*mrt.Record, dp DataPlane, shards int) ([]Outage, []Incident) {
+// runEngine replays the stream through the engine that skips idle bins.
+func runEngine(t *testing.T, recs []*mrt.Record, dp DataPlane) ([]Outage, []Incident) {
 	t.Helper()
 	dict, cmap, _ := microWorld(t)
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-	defer e.Close()
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 	if dp != nil {
 		e.SetDataPlane(dp)
 	}
@@ -106,25 +106,23 @@ func runEngine(t *testing.T, recs []*mrt.Record, dp DataPlane, shards int) ([]Ou
 	return outs, e.Incidents()
 }
 
-// TestEngineMatchesDetectorRandomized is the refactor's correctness
-// contract: for any record stream, the sharded engine must emit exactly
-// the same outages and incidents as the sequential detector, at every
-// shard count.
+// TestEngineMatchesDetectorRandomized is the idle-bin skip's correctness
+// contract: for any record stream, NewEngine's engine must emit exactly the
+// same outages and incidents as the reference that closes every bin. The
+// engine's subtest is shards=1, after the one path-state shard it has.
 func TestEngineMatchesDetectorRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		recs := genStream(seed, 4000)
 		wantOuts, wantIncs := runDetector(t, recs, nil)
-		for _, shards := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				gotOuts, gotIncs := runEngine(t, recs, nil, shards)
-				if !reflect.DeepEqual(gotOuts, wantOuts) {
-					t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
-				}
-				if !reflect.DeepEqual(gotIncs, wantIncs) {
-					t.Errorf("incidents diverge:\n engine:   %+v\n detector: %+v", gotIncs, wantIncs)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d/shards=1", seed), func(t *testing.T) {
+			gotOuts, gotIncs := runEngine(t, recs, nil)
+			if !reflect.DeepEqual(gotOuts, wantOuts) {
+				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
+			}
+			if !reflect.DeepEqual(gotIncs, wantIncs) {
+				t.Errorf("incidents diverge:\n engine:   %+v\n detector: %+v", gotIncs, wantIncs)
+			}
+		})
 	}
 }
 
@@ -141,18 +139,16 @@ func TestEngineMatchesDetectorWithDataPlane(t *testing.T) {
 	recs := genStream(7, 4000)
 	seqDP := &countingDP{}
 	wantOuts, wantIncs := runDetector(t, recs, seqDP)
-	for _, shards := range []int{2, 8} {
-		dp := &countingDP{}
-		gotOuts, gotIncs := runEngine(t, recs, dp, shards)
-		if !reflect.DeepEqual(gotOuts, wantOuts) {
-			t.Errorf("shards=%d: outages diverge", shards)
-		}
-		if !reflect.DeepEqual(gotIncs, wantIncs) {
-			t.Errorf("shards=%d: incidents diverge", shards)
-		}
-		if dp.calls != seqDP.calls {
-			t.Errorf("shards=%d: data-plane probes = %d, detector issued %d", shards, dp.calls, seqDP.calls)
-		}
+	dp := &countingDP{}
+	gotOuts, gotIncs := runEngine(t, recs, dp)
+	if !reflect.DeepEqual(gotOuts, wantOuts) {
+		t.Error("outages diverge")
+	}
+	if !reflect.DeepEqual(gotIncs, wantIncs) {
+		t.Error("incidents diverge")
+	}
+	if dp.calls != seqDP.calls {
+		t.Errorf("data-plane probes = %d, detector issued %d", dp.calls, seqDP.calls)
 	}
 }
 
@@ -161,8 +157,7 @@ func TestEngineMatchesDetectorWithDataPlane(t *testing.T) {
 // duration and diverted-path accounting.
 func TestEngineScenario(t *testing.T) {
 	dict, cmap, fid := microWorld(t)
-	e := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
-	defer e.Close()
+	e := NewEngine(DefaultConfig(), dict, cmap, nil)
 
 	at := tBase
 	pfx := 0
@@ -215,10 +210,10 @@ func TestEngineScenario(t *testing.T) {
 	}
 }
 
-// TestInlineEngineIsReference pins what keeps New's engine the reference
-// the worker engine is checked against: it starts no goroutine, and it
-// closes every bin the stream crosses, idle ones included, where a
-// 4-shard engine skips the idle ones.
+// TestInlineEngineIsReference pins what separates the two constructors and
+// what does not: neither starts a goroutine, New closes every bin the
+// stream crosses, idle ones included, and NewEngine skips the idle ones
+// with the same outages, incidents and final checkpoint bytes.
 func TestInlineEngineIsReference(t *testing.T) {
 	dict, cmap, _ := microWorld(t)
 	var recs []*mrt.Record
@@ -231,38 +226,52 @@ func TestInlineEngineIsReference(t *testing.T) {
 	// the one Flush closes.
 	wantBins := int(last.Sub(recs[0].Time)/time.Minute) + 1
 
+	type result struct {
+		bins int
+		outs []Outage
+		incs []Incident
+		ckpt []byte
+	}
 	before := runtime.NumGoroutine()
-	check := func(stage string) {
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("after %s: %d goroutines, %d before New", stage, n, before)
+	replay := func(name string, e *Engine) result {
+		check := func(stage string) {
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s after %s: %d goroutines, %d before", name, stage, n, before)
+			}
 		}
+		check("construction")
+		var r result
+		e.SetHooks(Hooks{BinClosed: func(time.Time) { r.bins++ }})
+		for _, rec := range recs {
+			r.outs = append(r.outs, e.Process(rec)...)
+		}
+		check("Process")
+		r.outs = append(r.outs, e.Flush(last)...)
+		check("Flush")
+		r.incs = e.Incidents()
+		c, err := e.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.ckpt, err = c.Encode(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e.Close()
+		check("Close")
+		return r
 	}
-	inline := New(DefaultConfig(), dict, cmap, nil)
-	check("New")
-	bins := 0
-	inline.SetHooks(Hooks{BinClosed: func(time.Time) { bins++ }})
-	for _, r := range recs {
-		inline.Process(r)
+	ref := replay("New", New(DefaultConfig(), dict, cmap, nil))
+	if ref.bins != wantBins {
+		t.Errorf("New closed %d bins, want %d (one per bin end crossed)", ref.bins, wantBins)
 	}
-	check("Process")
-	inline.Flush(last)
-	check("Flush")
-	if bins != wantBins {
-		t.Errorf("inline engine closed %d bins, want %d (one per bin end crossed)", bins, wantBins)
+	got := replay("NewEngine", NewEngine(DefaultConfig(), dict, cmap, nil))
+	if got.bins >= ref.bins {
+		t.Errorf("NewEngine closed %d bins, New %d: want the idle ones skipped", got.bins, ref.bins)
 	}
-
-	workers := NewEngine(DefaultConfig(), dict, cmap, nil, 4)
-	defer workers.Close()
-	if n := runtime.NumGoroutine(); n < before+4 {
-		t.Errorf("4-shard engine: %d goroutines, want at least %d", n, before+4)
+	if !reflect.DeepEqual(got.outs, ref.outs) || !reflect.DeepEqual(got.incs, ref.incs) {
+		t.Errorf("NewEngine found %v / %v, New %v / %v", got.outs, got.incs, ref.outs, ref.incs)
 	}
-	sharded := 0
-	workers.SetHooks(Hooks{BinClosed: func(time.Time) { sharded++ }})
-	for _, r := range recs {
-		workers.Process(r)
-	}
-	workers.Flush(last)
-	if sharded >= bins {
-		t.Errorf("4-shard engine closed %d bins, the inline one %d: want the idle ones skipped", sharded, bins)
+	if !bytes.Equal(got.ckpt, ref.ckpt) {
+		t.Errorf("final checkpoints differ: %d vs %d bytes", len(got.ckpt), len(ref.ckpt))
 	}
 }

@@ -31,7 +31,7 @@ func runFeed(t *testing.T, r *Engine, recs []*mrt.Record) (trs []bgpstream.FeedT
 }
 
 // TestFeedEventsEngineDetectorEquivalence pins the watchdog's determinism
-// contract: the inline engine and engines at several shard counts fire
+// contract: the reference engine and NewEngine's (shards=1) fire
 // identical feed transition sequences for the same record stream, and
 // enabling the watchdog changes nothing about the detection output.
 func TestFeedEventsEngineDetectorEquivalence(t *testing.T) {
@@ -61,33 +61,30 @@ func TestFeedEventsEngineDetectorEquivalence(t *testing.T) {
 			t.Errorf("seed=%d: watchdog changed the incident log", seed)
 		}
 
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				e := NewEngine(cfg, dict, cmap, nil, shards)
-				defer e.Close()
-				trs, outs, incs, snap := runFeed(t, e, recs)
-				if !reflect.DeepEqual(trs, wantTrs) {
-					t.Errorf("feed transitions diverge: engine fired %d, detector %d\nengine: %+v\ndetector: %+v",
-						len(trs), len(wantTrs), trs, wantTrs)
-				}
-				if !reflect.DeepEqual(outs, wantOuts) {
-					t.Errorf("outage output diverges")
-				}
-				if !reflect.DeepEqual(incs, wantIncs) {
-					t.Errorf("incident log diverges")
-				}
-				if !reflect.DeepEqual(snap, wantSnap) {
-					t.Errorf("final feed snapshot diverges:\nengine: %+v\ndetector: %+v", snap, wantSnap)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d/shards=1", seed), func(t *testing.T) {
+			trs, outs, incs, snap := runFeed(t, NewEngine(cfg, dict, cmap, nil), recs)
+			if !reflect.DeepEqual(trs, wantTrs) {
+				t.Errorf("feed transitions diverge: engine fired %d, detector %d\nengine: %+v\ndetector: %+v",
+					len(trs), len(wantTrs), trs, wantTrs)
+			}
+			if !reflect.DeepEqual(outs, wantOuts) {
+				t.Errorf("outage output diverges")
+			}
+			if !reflect.DeepEqual(incs, wantIncs) {
+				t.Errorf("incident log diverges")
+			}
+			if !reflect.DeepEqual(snap, wantSnap) {
+				t.Errorf("final feed snapshot diverges:\nengine: %+v\ndetector: %+v", snap, wantSnap)
+			}
+		})
 	}
 }
 
 // TestFeedCheckpointRestoreEquivalence verifies the watchdog state
 // round-trips through Checkpoint/RestoreFrom: a restored pipeline replaying
 // the record suffix fires exactly the feed transitions the uninterrupted
-// reference fired after the checkpoint bin, across shard counts.
+// reference fired after the checkpoint bin, restored into the reference
+// engine (restore-shards=0) or NewEngine's (restore-shards=1).
 func TestFeedCheckpointRestoreEquivalence(t *testing.T) {
 	recs := genStream(2, 3000)
 	cfg := DefaultConfig()
@@ -101,7 +98,7 @@ func TestFeedCheckpointRestoreEquivalence(t *testing.T) {
 	}
 
 	// Checkpoint from the engine's BinClosed hooks up to the cut.
-	e := NewEngine(cfg, dict, cmap, nil, 4)
+	e := NewEngine(cfg, dict, cmap, nil)
 	var enc []byte
 	e.SetHooks(Hooks{BinClosed: func(end time.Time) {
 		c, err := e.Checkpoint()
@@ -118,7 +115,6 @@ func TestFeedCheckpointRestoreEquivalence(t *testing.T) {
 	for _, r := range recs[:cut] {
 		e.Process(r)
 	}
-	e.Close()
 	if enc == nil {
 		t.Fatal("no checkpoint captured before the cut")
 	}
@@ -138,13 +134,12 @@ func TestFeedCheckpointRestoreEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("restore-shards=%d", shards), func(t *testing.T) {
 			r := New(cfg, dict, cmap, nil)
-			if shards > 0 {
-				r = NewEngine(cfg, dict, cmap, nil, shards)
+			if shards == 1 {
+				r = NewEngine(cfg, dict, cmap, nil)
 			}
-			defer r.Close()
 			if err := r.RestoreFrom(c); err != nil {
 				t.Fatal(err)
 			}

@@ -14,16 +14,16 @@ import (
 // The checkpoint image is the encoded form of a checkpoint's two big
 // sections, kept alive between captures so that a capture costs what
 // changed since the previous one, not what is monitored. Each section is a
-// list of pages — runs of consecutive records in checkpoint order. Shards
-// note the path keys and stable entries they touch (pathShard.touchPath,
-// touchStable); a capture re-encodes exactly those, rebuilds the pages they
+// list of pages — runs of consecutive records in checkpoint order. The
+// shard notes the path keys and stable entries it touches
+// (pathShard.touchPath, touchStable); a capture re-encodes exactly those, rebuilds the pages they
 // fall into, and shares every other page with the checkpoints captured
 // before. A page is never written once built.
 //
 // Building the image from the shard maps (buildImage) is the same merge
 // with every record changed and no pages to merge into. It is the cold
-// start — first capture, first capture after RestoreFrom, a shard whose
-// dirty lists overflowed — and what the tests compare every warm capture
+// start — first capture, first capture after RestoreFrom, after the
+// shard's dirty lists overflowed — and what the tests compare every warm capture
 // against.
 
 // pageRecords caps a page. A capture rewrites every page a change falls
@@ -265,7 +265,7 @@ type ckptImage struct {
 	stableBuilder pageBuilder[stableKey, dirtyStable]
 }
 
-// sortMerge sorts what the shards reported dirty and merges the records as they
+// sortMerge sorts what the shard reported dirty and merges the records as they
 // now stand into the image. It reports how many distinct path records and
 // stable entries that was. A key reported twice carries the same current
 // state both times.
@@ -279,35 +279,28 @@ func (im *ckptImage) sortMerge(paths []dirtyPath, stable []dirtyStable) (nPaths,
 	return len(paths), len(stable)
 }
 
-// buildImage encodes the shards' whole path and stable state.
-func buildImage(shards []*pathShard) (im *ckptImage, nPaths, nStable int) {
-	var groups []stableKey // (pop, near) alone
-	for _, s := range shards {
-		nPaths += len(s.paths)
-		for pop, byNear := range s.stable {
-			for near, set := range byNear {
-				groups = append(groups, stableKey{pop: pop, near: near})
-				nStable += len(set)
-			}
+// buildImage encodes the shard's whole path and stable state.
+func buildImage(s *pathShard) (im *ckptImage, nPaths, nStable int) {
+	groups := make([]stableKey, 0, len(s.stable)) // (pop, near) alone
+	for pop, byNear := range s.stable {
+		for near, set := range byNear {
+			groups = append(groups, stableKey{pop: pop, near: near})
+			nStable += len(set)
 		}
 	}
-	paths := make([]dirtyPath, 0, nPaths)
-	for _, s := range shards {
-		for key, st := range s.paths {
-			paths = append(paths, dirtyPath{makeSortKey(key), st})
-		}
+	paths := make([]dirtyPath, 0, len(s.paths))
+	for key, st := range s.paths {
+		paths = append(paths, dirtyPath{makeSortKey(key), st})
 	}
-	// The baseline is already grouped by (pop, near) inside each shard:
-	// ordering the groups and then each group's few keys costs a fraction of
-	// one sort over every entry, and sortMerge finds the list in order.
+	// The baseline is already grouped by (pop, near): ordering the groups
+	// and then each group's few keys costs a fraction of one sort over every
+	// entry, and sortMerge finds the list in order.
 	slices.SortFunc(groups, stableKey.compare)
 	stable := make([]dirtyStable, 0, nStable)
-	for _, g := range slices.Compact(groups) {
+	for _, g := range groups {
 		from := len(stable)
-		for _, s := range shards {
-			for key, ends := range s.stable[g.pop][g.near] {
-				stable = append(stable, dirtyStable{stableKey{g.pop, g.near, makeSortKey(key)}, ends.far, true})
-			}
+		for key, ends := range s.stable[g.pop][g.near] {
+			stable = append(stable, dirtyStable{stableKey{g.pop, g.near, makeSortKey(key)}, ends.far, true})
 		}
 		slices.SortFunc(stable[from:], func(a, b dirtyStable) int { return a.sortKey.compare(b.sortKey) })
 	}
@@ -317,45 +310,35 @@ func buildImage(shards []*pathShard) (im *ckptImage, nPaths, nStable int) {
 }
 
 // checkpointer owns a pipeline's checkpoint image. It is used only where a
-// checkpoint may be captured: with every shard quiescent.
+// checkpoint may be captured: at a bin close, or with no ops applied since
+// the last one.
 type checkpointer struct {
 	image *ckptImage
 	stats *metrics.CheckpointStats
 }
 
-// refresh brings the image up to date with the shards and restarts their
-// dirty tracking: warm from the dirty lists when there is an image and
-// every shard tracked every change since it was last refreshed, cold from
-// the maps otherwise.
-func (cp *checkpointer) refresh(shards []*pathShard) {
-	warm := cp.image != nil
-	for _, s := range shards {
-		warm = warm && s.tracking
-	}
+// refresh brings the image up to date with the shard and restarts its
+// dirty tracking: warm from the dirty lists when there is an image and the
+// shard tracked every change since it was last refreshed, cold from the
+// maps otherwise.
+func (cp *checkpointer) refresh(s *pathShard) {
+	warm := cp.image != nil && s.tracking
 	var nPaths, nStable int
 	if warm {
-		var (
-			paths  []dirtyPath
-			stable []dirtyStable
-		)
-		for _, s := range shards {
-			paths = slices.Grow(paths, len(s.dirtyPaths))
-			for _, key := range s.dirtyPaths {
-				paths = append(paths, dirtyPath{makeSortKey(key), s.paths[key]})
-			}
-			stable = slices.Grow(stable, len(s.dirtyStable))
-			for _, e := range s.dirtyStable {
-				ends, live := s.stable[e.pop][e.near][e.key]
-				stable = append(stable, dirtyStable{stableKey{e.pop, e.near, makeSortKey(e.key)}, ends.far, live})
-			}
+		paths := make([]dirtyPath, 0, len(s.dirtyPaths))
+		for _, key := range s.dirtyPaths {
+			paths = append(paths, dirtyPath{makeSortKey(key), s.paths[key]})
+		}
+		stable := make([]dirtyStable, 0, len(s.dirtyStable))
+		for _, e := range s.dirtyStable {
+			ends, live := s.stable[e.pop][e.near][e.key]
+			stable = append(stable, dirtyStable{stableKey{e.pop, e.near, makeSortKey(e.key)}, ends.far, live})
 		}
 		nPaths, nStable = cp.image.sortMerge(paths, stable)
 	} else {
-		cp.image, nPaths, nStable = buildImage(shards)
+		cp.image, nPaths, nStable = buildImage(s)
 	}
-	for _, s := range shards {
-		s.tracking, s.dirtyPaths, s.dirtyStable = true, s.dirtyPaths[:0], s.dirtyStable[:0]
-	}
+	s.tracking, s.dirtyPaths, s.dirtyStable = true, s.dirtyPaths[:0], s.dirtyStable[:0]
 	if cp.stats != nil {
 		cp.stats.Captures.Add(1)
 		if !warm {

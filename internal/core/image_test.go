@@ -184,22 +184,22 @@ func churnStream() []*mrt.Record {
 	return recs
 }
 
-// newPipeline builds the pipeline the differential tests drive: the inline
-// engine for shards == 0, else an engine with that many shard workers.
+// newPipeline builds the pipeline the differential tests drive, with the
+// feed watchdog on: the reference engine New for shards == 0, NewEngine's,
+// with its one path-state shard, for shards == 1.
 func newPipeline(dict *communities.Dictionary, cmap *colo.Map, shards int) *Engine {
 	cfg := DefaultConfig()
 	cfg.FeedSilence = 30 * time.Minute
-	if shards == 0 {
-		return New(cfg, dict, cmap, nil)
+	if shards == 1 {
+		return NewEngine(cfg, dict, cmap, nil)
 	}
-	return NewEngine(cfg, dict, cmap, nil, shards)
+	return New(cfg, dict, cmap, nil)
 }
 
 // checkAgainstRebuild captures a checkpoint (on the pipeline's image, warm
 // whenever it can be) and requires its encoding to equal that of the same
 // checkpoint over an image built from scratch from the shard maps. It runs
-// inside BinClosed hooks, where a t.Fatal would leave an engine's workers
-// parked at the barrier: it reports with t.Error and the caller stops
+// inside BinClosed hooks: it reports with t.Error and the caller stops
 // feeding records once the test has failed.
 func checkAgainstRebuild(t *testing.T, p *Engine, end time.Time) []byte {
 	t.Helper()
@@ -214,7 +214,7 @@ func checkAgainstRebuild(t *testing.T, p *Engine, end time.Time) []byte {
 		return nil
 	}
 	scratch := *c
-	im, _, _ := buildImage(p.shardStates)
+	im, _, _ := buildImage(p.ps)
 	scratch.paths, scratch.stable = sectionOf(im.paths), sectionOf(im.stable)
 	want, err := scratch.Encode()
 	if err != nil {
@@ -241,8 +241,9 @@ func feed(t *testing.T, p *Engine, recs []*mrt.Record) {
 // checkpoint image: at every bin barrier of a storm and of a stream built to
 // hit each kind of change, a checkpoint captured on the warm image must be
 // byte-for-byte the checkpoint a from-scratch build of the same state
-// gives — for the inline engine, for engines of 1, 2 and 4 shards (whose bytes
-// must also agree with each other), and for an engine restored mid-stream.
+// gives — for the reference engine (shards=0), for NewEngine's (shards=1,
+// whose bytes must also agree with the reference's), and for an engine
+// restored mid-stream.
 func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 	type stream struct {
 		name string
@@ -252,7 +253,7 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 		// cold is how many captures must at least rebuild from the maps:
 		// the first, and on the churn stream the one after its session
 		// reset. An unchanged RIB dump dirties nothing, so the storm's dumps
-		// need not add one (its session resets may, on small shards).
+		// need not add one (its session resets may).
 		cold int64
 	}
 	mdict, mcmap, _ := microWorld(t)
@@ -260,10 +261,9 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 	for _, s := range []stream{{"churn", mdict, mcmap, churnStream(), 2}, {"storm", sdict, scmap, srecs, 1}} {
 		var ref map[time.Time][]byte // the detector's bytes per barrier
 		var mid []byte               // a checkpoint from the middle of the stream
-		for _, shards := range []int{0, 1, 2, 4} {
+		for _, shards := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
 				p := newPipeline(s.dict, s.cmap, shards)
-				defer p.Close()
 				stats := &metrics.CheckpointStats{}
 				p.SetCheckpointStats(stats)
 				encs := map[time.Time][]byte{}
@@ -308,8 +308,7 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := newPipeline(s.dict, s.cmap, 2)
-			defer p.Close()
+			p := newPipeline(s.dict, s.cmap, 1)
 			if err := p.RestoreFrom(c); err != nil {
 				t.Fatal(err)
 			}
@@ -341,16 +340,13 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 func TestCheckpointTrackingGuards(t *testing.T) {
 	dict, cmap, recs := stormStream(t)
 
-	never := NewEngine(DefaultConfig(), dict, cmap, nil, 2)
+	never := NewEngine(DefaultConfig(), dict, cmap, nil)
 	for _, r := range recs {
 		never.Process(r)
 	}
-	never.Close() // the workers have exited: shard state is ours to read
-	for i, s := range never.shardStates {
-		if s.tracking || s.dirtyPaths != nil || s.dirtyStable != nil {
-			t.Errorf("shard %d of an engine that never checkpointed: tracking=%v, %d dirty paths, %d dirty stable entries",
-				i, s.tracking, len(s.dirtyPaths), len(s.dirtyStable))
-		}
+	if s := never.ps; s.tracking || s.dirtyPaths != nil || s.dirtyStable != nil {
+		t.Errorf("an engine that never checkpointed: tracking=%v, %d dirty paths, %d dirty stable entries",
+			s.tracking, len(s.dirtyPaths), len(s.dirtyStable))
 	}
 
 	// Capture once, at the first barrier, then not again until the storm's
@@ -365,25 +361,21 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 	if dumpAt.IsZero() {
 		t.Fatal("the storm has no mid-run RIB dump")
 	}
-	p := newPipeline(dict, cmap, 2)
-	defer p.Close()
+	p := newPipeline(dict, cmap, 1)
 	stats := &metrics.CheckpointStats{}
 	p.SetCheckpointStats(stats)
 	captures := 0
 	p.SetHooks(Hooks{BinClosed: func(end time.Time) {
-		gaveUp := false
-		for i, s := range p.shardStates {
-			if n := len(s.dirtyPaths) + len(s.dirtyStable); n > max(len(s.paths), minDirtyBound) {
-				t.Errorf("shard %d holds %d dirty entries over %d live paths at %v", i, n, len(s.paths), end)
-			}
-			gaveUp = gaveUp || !s.tracking
+		s := p.ps
+		if n := len(s.dirtyPaths) + len(s.dirtyStable); n > max(len(s.paths), minDirtyBound) {
+			t.Errorf("the shard holds %d dirty entries over %d live paths at %v", n, len(s.paths), end)
 		}
 		switch {
 		case captures == 0:
 		case !end.After(dumpAt):
 			return
-		case captures == 1 && !gaveUp:
-			t.Error("every shard still tracking after a RIB dump since the last capture")
+		case captures == 1 && s.tracking:
+			t.Error("the shard is still tracking after a RIB dump since the last capture")
 		}
 		checkAgainstRebuild(t, p, end)
 		captures++
@@ -403,7 +395,7 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 // goroutine, which encodes it (into one reused buffer, as the saver does)
 // while the pipeline runs on through later barriers and later captures, and
 // the bytes must be those of encoding it synchronously at its barrier — for
-// the inline engine and for engines of 1, 2 and 4 shards. Run with -race: a
+// the reference engine (shards=0) and NewEngine's (shards=1). Run with -race: a
 // capture that aliased anything the pipeline still writes shows up here.
 func TestSaverEncodeRacesIngest(t *testing.T) {
 	mdict, mcmap, _ := microWorld(t)
@@ -414,10 +406,9 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 		cmap *colo.Map
 		recs []*mrt.Record
 	}{{"churn", mdict, mcmap, churnStream()}, {"storm", sdict, scmap, srecs}} {
-		for _, shards := range []int{0, 1, 2, 4} {
+		for _, shards := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
 				p := newPipeline(s.dict, s.cmap, shards)
-				defer p.Close()
 				type job struct {
 					end  time.Time
 					c    *Checkpoint
@@ -498,7 +489,7 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 		recs   []*mrt.Record
 		stride int // restore from every stride-th barrier
 	}{{"churn", mdict, mcmap, churnStream(), 1}, {"storm", sdict, scmap, srecs, 7}} {
-		for _, shards := range []int{0, 2} {
+		for _, shards := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
 				type barrier struct {
 					end    time.Time
@@ -511,7 +502,6 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 					barriers []barrier
 				)
 				p := newPipeline(s.dict, s.cmap, shards)
-				defer p.Close()
 				hooks := logTo(&ref)
 				logBin := hooks.BinClosed
 				hooks.BinClosed = func(end time.Time) {
@@ -550,7 +540,6 @@ func TestCheckpointRestoresAtEveryBarrier(t *testing.T) {
 					}
 					r.SetHooks(logTo(&got))
 					feed(t, r, s.recs[c.Records:])
-					r.Close()
 					if want := ref[b.logged:]; !slices.Equal(got, want) {
 						n := 0
 						for n < len(got) && n < len(want) && got[n] == want[n] {

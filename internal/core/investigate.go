@@ -183,7 +183,7 @@ func (inv *investigator) vanishedCommonAS(g *popGroup) bgp.ASN {
 		}
 		// Remaining monitored paths through z after the bin's changes: if
 		// fewer survive than left, z itself is the casualty.
-		if inv.view.pathsContaining(z) < divertedThrough {
+		if inv.ps.pathsContaining[z] < divertedThrough {
 			return z
 		}
 	}
@@ -287,7 +287,7 @@ func (inv *investigator) binVanishedAS(signals []signal) bgp.ASN {
 		return cands[i] < cands[j]
 	})
 	for _, z := range cands {
-		if inv.view.pathsContaining(z) < count[z] {
+		if inv.ps.pathsContaining[z] < count[z] {
 			return z
 		}
 	}
@@ -313,13 +313,13 @@ type groupResult struct {
 
 // classifyGroup runs the Section 4.3 classification flowchart over one
 // per-PoP signal group. It is pure with respect to the investigator — it
-// only reads quiesced shard state (via the view), the colocation map and
+// only reads the shard's bin-close state, the colocation map and
 // the org table; everything with side effects (data-plane probes, hooks,
 // the incident log) happens in investigate's ordered merge.
 func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) groupResult {
 	g := buildGroup(pop, sigs)
 	if inv.cfg.Tracing {
-		g.trace = newChapter(at, pop, sigs, inv.view.stableTotal(pop))
+		g.trace = newChapter(at, pop, sigs, inv.ps.stableTotal(pop))
 	}
 	affected := g.affectedASes()
 	inc := Incident{
@@ -433,7 +433,7 @@ func (inv *investigator) investigate(at time.Time, signals []signal) {
 
 	// Classification phase: every per-PoP group is classified by the pure
 	// classifyGroup (the groups are independent until the folding below,
-	// and classification only reads quiesced shard state).
+	// and classification only reads the shard's bin-close state).
 	results := make([]groupResult, len(order))
 	for i := range order {
 		results[i] = inv.classifyGroup(at, order[i], groups[order[i]], binCommon)
@@ -781,11 +781,13 @@ func (inv *investigator) probeCandidates(at time.Time, cands []colo.PoP, ch *Tra
 // past the stable baseline it is compared against.
 func (inv *investigator) affectedFractionWithFarAt(g *popGroup, f colo.FacilityID) (float64, int) {
 	stableTotal, divertedTotal := 0, 0
-	inv.view.eachStable(g.pop, func(ends popEnd) {
-		if ends.far != 0 && inv.cmap.AtFacility(ends.far, f) {
-			stableTotal++
+	for _, set := range inv.ps.stable[g.pop] {
+		for _, ends := range set {
+			if ends.far != 0 && inv.cmap.AtFacility(ends.far, f) {
+				stableTotal++
+			}
 		}
-	})
+	}
 	type pathLink struct {
 		key  PathKey
 		ends popEnd
@@ -942,7 +944,7 @@ func (inv *investigator) disambiguateFacility(g *popGroup, at time.Time) colo.Po
 // aggregateFraction is the share of the PoP's stable paths the group
 // diverted — the bin-level fraction of Section 4.2 before per-AS grouping.
 func (inv *investigator) aggregateFraction(g *popGroup) float64 {
-	total := inv.view.stableTotal(g.pop)
+	total := inv.ps.stableTotal(g.pop)
 	if total == 0 {
 		return 0
 	}

@@ -73,12 +73,12 @@ func TestVanishedCommonAS(t *testing.T) {
 	g := mkGroup(pop, recs)
 
 	// 99 retains plenty of monitored presence: hub alive, not AS-level.
-	d.shardStates[0].pathsContaining[99] = 50
+	d.ps.pathsContaining[99] = 50
 	if got := d.inv.vanishedCommonAS(g); got != 0 {
 		t.Errorf("healthy hub flagged: %v", got)
 	}
 	// 99's presence collapsed below the diverted count: AS-level.
-	d.shardStates[0].pathsContaining[99] = 1
+	d.ps.pathsContaining[99] = 1
 	if got := d.inv.vanishedCommonAS(g); got != 99 {
 		t.Errorf("vanished AS not flagged: %v", got)
 	}

@@ -11,68 +11,16 @@ import (
 	"kepler/internal/metrics"
 )
 
-// stateView gives the investigator read access to the per-path layer's
-// cross-path aggregates: the engine's shards (one inline, or N workers'),
-// read in place. It is only consulted during a bin close, while every
-// shard is paused, and nothing is merged or copied: a PathKey lives in
-// exactly one shard, so a per-shard sum is the count over the whole
-// baseline, and every caller folds the visited entries without depending on
-// their order.
-type stateView []*pathShard
-
-// stableCount returns the number of stable paths at pop whose near end is
-// near.
-func (v stateView) stableCount(pop colo.PoP, near bgp.ASN) int {
-	n := 0
-	for _, s := range v {
-		n += len(s.stable[pop][near])
-	}
-	return n
-}
-
-// stableTotal returns the number of stable paths at pop.
-func (v stateView) stableTotal(pop colo.PoP) int {
-	n := 0
-	for _, s := range v {
-		for _, set := range s.stable[pop] {
-			n += len(set)
-		}
-	}
-	return n
-}
-
-// eachStable calls fn for every stable path at pop, in no defined order.
-func (v stateView) eachStable(pop colo.PoP, fn func(ends popEnd)) {
-	for _, s := range v {
-		for _, set := range s.stable[pop] {
-			for _, ends := range set {
-				fn(ends)
-			}
-		}
-	}
-}
-
-// pathsContaining returns the number of monitored paths whose AS path
-// traverses a.
-func (v stateView) pathsContaining(a bgp.ASN) int {
-	n := 0
-	for _, s := range v {
-		n += s.pathsContaining[a]
-	}
-	return n
-}
-
 // investigator owns the cross-path layer of the pipeline: bin-boundary
 // threshold evaluation, Section 4.3 signal investigation, and outage
-// duration tracking. It runs strictly at bin boundaries, which is what
-// lets the per-path layer shard freely: all global reads happen while the
-// shards are synchronized.
+// duration tracking. It runs strictly at bin boundaries: all of its reads
+// across paths happen there.
 type investigator struct {
 	cfg   Config
 	cmap  *colo.Map
 	orgs  *as2org.Table
 	dp    DataPlane
-	view  stateView
+	ps    *pathShard
 	hooks Hooks
 
 	// prober, when set, replaces the synchronous dp with deferred probe
@@ -95,20 +43,18 @@ type investigator struct {
 	// non-idle bin close (SetBinStageStats). Purely observational: timing
 	// never influences detection.
 	binStage *metrics.BinStageStats
-	// engineBarrier/engineMerge carry the spans the Engine measured before
-	// entering closeBinOver (barrier wait, divert merge); on the inline
-	// engine the barrier is its own promotions. Consumed and reset by the
-	// next closeBinOver.
-	engineBarrier time.Duration
-	engineMerge   time.Duration
+	// promoteSpan carries the span the Engine measured before entering
+	// closeBinOver: the promotions due at the bin's end. Consumed and reset
+	// by the next closeBinOver.
+	promoteSpan time.Duration
 }
 
-func newInvestigator(cfg Config, cmap *colo.Map, orgs *as2org.Table, view stateView) *investigator {
+func newInvestigator(cfg Config, cmap *colo.Map, orgs *as2org.Table, ps *pathShard) *investigator {
 	return &investigator{
 		cfg:     cfg,
 		cmap:    cmap,
 		orgs:    orgs,
-		view:    view,
+		ps:      ps,
 		pending: make(map[uint64]*pendingConfirmation),
 		tracker: newOutageTracker(cfg),
 	}
@@ -130,10 +76,10 @@ type signal struct {
 
 // runBin evaluates the per-AS divergence thresholds for the bin ending at
 // binEnd and classifies any resulting signals (the signal-raising half of
-// closeBinOver). diverted is the bin's merged divert
-// index; callers tick the outage tracker and clean the stable baseline
-// afterwards.
-func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.ASN][]divertRec) {
+// closeBinOver) over the shard's divert index; callers tick the outage
+// tracker and clean the stable baseline afterwards.
+func (inv *investigator) runBin(binEnd time.Time) {
+	diverted := inv.ps.diverted
 	if len(diverted) == 0 {
 		return
 	}
@@ -164,20 +110,20 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 			for _, near := range nears {
 				divertedTotal += len(diverted[pop][near])
 			}
-			total := inv.view.stableTotal(pop)
+			total := inv.ps.stableTotal(pop)
 			if total == 0 || float64(divertedTotal)/float64(total) <= inv.cfg.Tfail {
 				continue
 			}
 			for _, near := range nears {
 				recs := diverted[pop][near]
-				signals = append(signals, signal{pop: pop, near: near, diverted: recs, stable: inv.view.stableCount(pop, near)})
+				signals = append(signals, signal{pop: pop, near: near, diverted: recs, stable: len(inv.ps.stable[pop][near])})
 			}
 			continue
 		}
 
 		for _, near := range nears {
 			recs := diverted[pop][near]
-			stableCount := inv.view.stableCount(pop, near) // still includes diverted ones
+			stableCount := len(inv.ps.stable[pop][near]) // still includes diverted ones
 			if stableCount == 0 {
 				continue
 			}
@@ -193,17 +139,14 @@ func (inv *investigator) runBin(binEnd time.Time, diverted map[colo.PoP]map[bgp.
 	}
 }
 
-// closeBinOver is the canonical bin-close sequence of every engine:
-// reconcile path returns, investigate the merged diverts, tick outage
-// tracking, point the shards at the restoration watches, then apply the
-// shards' end-of-bin baseline cleanup. The caller guarantees exclusive
-// access to every shard of inv.view (the inline engine runs on the
-// caller's goroutine; a worker engine holds its workers at the bin
-// barrier) and has already run promotions due at end. The investigation
-// reads the shards' maps in place, so it must finish before finishBin
-// edits them; the watches point at the tracker's and the parked campaigns'
-// own maps, which may change only while the shards are paused.
-func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[bgp.ASN][]divertRec) {
+// closeBinOver is the canonical bin-close sequence: reconcile path returns,
+// investigate the bin's diverts, tick outage tracking, point the shard at
+// the restoration watches, then apply the shard's end-of-bin baseline
+// cleanup. The caller has already run the promotions due at end. The
+// investigation reads the shard's maps in place, so it must finish before
+// finishBin edits them; the watches point at the tracker's and the parked
+// campaigns' own maps, which change only inside a bin close.
+func (inv *investigator) closeBinOver(end time.Time) {
 	// Staged timing (SetBinStageStats): each region below is bracketed with
 	// a monotonic-clock span. Total also covers the un-bracketed glue
 	// (tracker tick, watch distribution), so Total >= the stage sum.
@@ -212,12 +155,11 @@ func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[b
 	var start, t0 time.Time
 	if stage != nil {
 		spans.End = end
-		spans.Stage[metrics.StageBarrier] = inv.engineBarrier
-		spans.Stage[metrics.StageMerge] = inv.engineMerge
+		spans.Stage[metrics.StageBarrier] = inv.promoteSpan
 		start = time.Now() //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 		t0 = start
 	}
-	inv.engineBarrier, inv.engineMerge = 0, 0
+	inv.promoteSpan = 0
 	mark := func(i int) {
 		if stage != nil {
 			now := time.Now() //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
@@ -230,10 +172,7 @@ func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[b
 	// campaign's sentinel PoP reconcile onto the pending (so the verdict
 	// collection that follows promotes with the parked interval's returns
 	// already counted), the rest onto the tracker as before.
-	var evs []returnEvent
-	for _, s := range inv.view {
-		evs = append(evs, s.takeReturns()...)
-	}
+	evs := inv.ps.takeReturns()
 	if len(inv.pending) > 0 {
 		pendEvs := evs[:0:0]
 		trackEvs := evs[:0]
@@ -253,7 +192,7 @@ func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[b
 	inv.collectProbes(end)
 	inv.tracker.applyReturns(evs)
 	mark(metrics.StageCollect)
-	inv.runBin(end, diverted)
+	inv.runBin(end)
 	mark(metrics.StageClassify)
 	inv.tracker.tick(end, inv)
 	inv.pushWatches()
@@ -261,9 +200,7 @@ func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[b
 		// The tick/watch glue above stays un-bracketed.
 		t0 = time.Now() //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 	}
-	for _, s := range inv.view {
-		s.finishBin()
-	}
+	inv.ps.finishBin()
 	mark(metrics.StageFinish)
 	inv.fireFeedTransitions(end)
 	if inv.hooks.BinClosed != nil {
@@ -271,19 +208,15 @@ func (inv *investigator) closeBinOver(end time.Time, diverted map[colo.PoP]map[b
 	}
 	mark(metrics.StageHooks)
 	if stage != nil {
-		spans.Total = spans.Stage[metrics.StageBarrier] + spans.Stage[metrics.StageMerge] + time.Since(start) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
+		spans.Total = spans.Stage[metrics.StageBarrier] + time.Since(start) //keplervet:ignore walltime metrics span: staged bin-close histogram stamp
 		stage.Record(spans)
 	}
 }
 
-// pushWatches hands every shard the same restoration watches: the open
-// outages', then the parked campaigns'. A shard reads only the keys it owns;
-// the others never re-tag there.
+// pushWatches hands the shard the restoration watches: the open outages',
+// then the parked campaigns'.
 func (inv *investigator) pushWatches() {
-	ws := inv.pendingWatches(inv.tracker.watches(nil))
-	for _, s := range inv.view {
-		s.watches = ws
-	}
+	inv.ps.watches = inv.pendingWatches(inv.tracker.watches(nil))
 }
 
 // feedDue reports whether the watchdog has transitions pending at end,

@@ -109,12 +109,9 @@ func (t *outageTracker) observe(at time.Time, epicenter colo.PoP, g *popGroup, c
 	}
 }
 
-// applyReturns reconciles the shards' reported path returns into the
-// authoritative waiting/returned sets. It runs at every bin barrier before
-// signal investigation, so the tracker observes exactly the returns the
-// inline engine's walk would have recorded mid-bin; lastReturn
-// takes the max because the reports of concurrent shards arrive unordered
-// while the record stream itself is time-ordered.
+// applyReturns reconciles the shard's reported path returns into the
+// authoritative waiting/returned sets. It runs at every bin close before
+// signal investigation; lastReturn keeps the latest report.
 func (t *outageTracker) applyReturns(evs []returnEvent) {
 	for _, ev := range evs {
 		o := t.opened[ev.epicenter]
@@ -131,8 +128,8 @@ func (t *outageTracker) applyReturns(evs []returnEvent) {
 
 // watches appends one restoration watch per open outage with paths still
 // waiting, in epicenter order. A watch points at the outage's own waiting
-// and signalPops maps: the shards only read them, and the tracker mutates
-// them only at bin barriers, while the shards are paused.
+// and signalPops maps: the shard only reads them, and the tracker mutates
+// them only inside a bin close.
 func (t *outageTracker) watches(out []shardWatch) []shardWatch {
 	for _, pop := range t.open() {
 		if o := t.opened[pop]; len(o.waiting) > 0 {

@@ -193,11 +193,11 @@ func (w *shardTwin) compareAll(end time.Time) {
 // their state, as RestoreFrom does: no restored state is held.
 func (w *shardTwin) restore() {
 	re := func(s *pathShard) *pathShard {
-		im, _, _ := buildImage([]*pathShard{s})
+		im, _, _ := buildImage(s)
 		c := &Checkpoint{Version: CheckpointVersion}
 		c.paths, c.stable = sectionOf(im.paths), sectionOf(im.stable)
 		r := newPathShard(w.cfg, w.dict, w.cmap)
-		if err := restoreCheckpoint(c, w.cfg, []*pathShard{r}, newInvestigator(w.cfg, w.cmap, nil, nil), bgpstream.NewFanout(1)); err != nil {
+		if err := restoreCheckpoint(c, w.cfg, r, newInvestigator(w.cfg, w.cmap, nil, r)); err != nil {
 			w.t.Fatal(err)
 		}
 		r.watches = s.watches

@@ -66,15 +66,11 @@ func tagsHave(tags []pathTag, pop colo.PoP) bool {
 	return false
 }
 
-// divertRec is one path leaving a PoP within the current bin. seq is the
-// global op sequence number of the route op that caused the divert: the
-// investigator sorts merged per-shard slices on it to reproduce the exact
-// record-order slices of the inline engine.
+// divertRec is one path leaving a PoP within the current bin, in op order.
 type divertRec struct {
 	key     PathKey
 	ends    popEnd
 	oldPath bgp.Path
-	seq     uint64
 }
 
 // promo schedules a path's promotion into the stable baseline once its tag
@@ -96,11 +92,11 @@ func (q *promoQueue) Push(x any)        { *q = append(*q, x.(promo)) }
 func (q *promoQueue) Pop() any          { old := *q; n := len(old); p := old[n-1]; *q = old[:n-1]; return p }
 
 // shardWatch is one open outage's (or parked campaign's) restoration
-// bookkeeping as the shards see it between barriers. waiting and signalPops
-// are the tracker's (or the campaign's) own maps, which every shard reads
-// and none writes; they change only at bin barriers, while the shards are
-// paused. A shard reports each return it sees, and the barrier's
-// reconciliation drops a key reported twice in one bin.
+// bookkeeping as the shard sees it between bin closes. waiting and
+// signalPops are the tracker's (or the campaign's) own maps, which the
+// shard reads and never writes; they change only inside a bin close. The
+// shard reports each return it sees, and the bin close's reconciliation
+// drops a key reported twice in one bin.
 type shardWatch struct {
 	epicenter  colo.PoP
 	signalPops map[colo.PoP]bool
@@ -125,11 +121,10 @@ const (
 	maxFreeRecs   = 1024
 )
 
-// pathShard owns the per-path monitoring state (Section 4.2) for one hash
-// partition of the PathKey space. All of its state transitions depend only
-// on the ops of its own keys (plus broadcast peer-down ops), which is what
-// makes the layer embarrassingly parallel; only the bin-boundary signal
-// investigation reads across shards, while every shard is paused.
+// pathShard owns the per-path monitoring state (Section 4.2). Each path's
+// state transitions depend only on the ops of its own key (plus its peer's
+// peer-down ops); only the bin-boundary signal investigation reads across
+// paths.
 type pathShard struct {
 	cfg  Config
 	dict *communities.Dictionary
@@ -141,7 +136,7 @@ type pathShard struct {
 	// pathsOfPeer indexes paths by vantage for session-gap handling.
 	pathsOfPeer map[bgp.ASN]map[PathKey]bool
 	// pathsContaining counts monitored paths whose AS path traverses each
-	// ASN; signal investigation sums it across shards to tell a globally
+	// ASN; signal investigation reads it to tell a globally
 	// vanishing AS (AS-level incident) from a hub that merely lost one site.
 	pathsContaining map[bgp.ASN]int
 
@@ -277,7 +272,7 @@ func (s *pathShard) apply(op *bgpstream.RouteOp) {
 	case bgpstream.OpPeerDown:
 		s.suspendPeer(op.Peer)
 	case bgpstream.OpWithdraw:
-		s.withdraw(key, op.Seq)
+		s.withdraw(key)
 	case bgpstream.OpAnnounce:
 		st := s.paths[key]
 		if st != nil && st.held && sameDedup(op.Path, st.path) && slices.Equal(op.Communities, st.comms) {
@@ -287,7 +282,7 @@ func (s *pathShard) apply(op *bgpstream.RouteOp) {
 		if err := bgp.Sanitize(op.Prefix, op.Path); err != nil {
 			return
 		}
-		s.announce(op.Time, key, st, op.Path, op.Communities, op.Seq)
+		s.announce(op.Time, key, st, op.Path, op.Communities)
 	}
 }
 
@@ -310,7 +305,7 @@ func (s *pathShard) runPromotions(now time.Time) {
 
 // announce updates a path with a new tagged route. st is the path's state,
 // nil for a path not monitored yet.
-func (s *pathShard) announce(at time.Time, key PathKey, st *pathState, path bgp.Path, comms bgp.Communities, seq uint64) {
+func (s *pathShard) announce(at time.Time, key PathKey, st *pathState, path bgp.Path, comms bgp.Communities) {
 	if st == nil {
 		st = s.newState()
 		s.paths[key] = st
@@ -351,7 +346,7 @@ func (s *pathShard) announce(at time.Time, key PathKey, st *pathState, path bgp.
 	for i := range st.tags {
 		t := &st.tags[i]
 		if !tagsHave(newTags, t.pop) {
-			s.recordDivert(key, t.pop, t.ends, st.path, seq)
+			s.recordDivert(key, t.pop, t.ends, st.path)
 		}
 	}
 	// Newly tagged PoPs start their stability clock; kept PoPs keep it.
@@ -404,14 +399,14 @@ func (s *pathShard) noteReturn(at time.Time, key PathKey, newTags []pathTag) {
 }
 
 // withdraw removes a path entirely (explicit withdrawal).
-func (s *pathShard) withdraw(key PathKey, seq uint64) {
+func (s *pathShard) withdraw(key PathKey) {
 	st := s.paths[key]
 	if st == nil {
 		return
 	}
 	for i := range st.tags {
 		t := &st.tags[i]
-		s.recordDivert(key, t.pop, t.ends, st.path, seq)
+		s.recordDivert(key, t.pop, t.ends, st.path)
 	}
 	s.countPath(st.path, -1)
 	delete(s.paths, key)
@@ -506,7 +501,7 @@ func (s *pathShard) removeStable(pop colo.PoP, key PathKey) {
 
 // recordDivert notes that a stable path left a PoP within the current bin.
 // Non-stable paths are transient and ignored.
-func (s *pathShard) recordDivert(key PathKey, pop colo.PoP, ends popEnd, oldPath bgp.Path, seq uint64) {
+func (s *pathShard) recordDivert(key PathKey, pop colo.PoP, ends popEnd, oldPath bgp.Path) {
 	set := s.stable[pop][ends.near]
 	if _, stable := set[key]; !stable {
 		return
@@ -530,7 +525,16 @@ func (s *pathShard) recordDivert(key PathKey, pop colo.PoP, ends popEnd, oldPath
 			s.freeRecs = s.freeRecs[:n-1]
 		}
 	}
-	byNear[ends.near] = append(recs, divertRec{key: key, ends: ends, oldPath: oldPath, seq: seq})
+	byNear[ends.near] = append(recs, divertRec{key: key, ends: ends, oldPath: oldPath})
+}
+
+// stableTotal returns the number of stable paths at pop.
+func (s *pathShard) stableTotal(pop colo.PoP) int {
+	n := 0
+	for _, set := range s.stable[pop] {
+		n += len(set)
+	}
+	return n
 }
 
 // takeReturns hands the accumulated return events to the investigator.

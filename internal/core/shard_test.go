@@ -48,28 +48,28 @@ func recount(s *pathShard) map[bgp.ASN]int {
 // state already holds. At every barrier the kept counts must equal a
 // recount of the paths, and a pipeline restored from that barrier's
 // checkpoint, which rebuilds the counts from scratch, must hold the same
-// counts shard by shard. At the end every path must be the deduplicated
-// path of its key's last accepted announcement.
+// counts. At the end every path must be the deduplicated path of its key's
+// last accepted announcement. shards=0 runs the reference engine,
+// shards=1 NewEngine's.
 func TestPathsContainingMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := prependedStream(seed, 3000)
-		for _, shards := range []int{1, 3} {
+		for _, shards := range []int{0, 1} {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
 				dict, cmap, _ := microWorld(t)
-				e := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-				defer e.Close()
+				e := New(DefaultConfig(), dict, cmap, nil)
+				if shards == 1 {
+					e = NewEngine(DefaultConfig(), dict, cmap, nil)
+				}
 				var enc []byte
-				var live []map[bgp.ASN]int
+				var live map[bgp.ASN]int
 				barriers := 0
 				e.SetHooks(Hooks{BinClosed: func(end time.Time) {
 					barriers++
-					live = live[:0]
-					for i, s := range e.shardStates {
-						if got, want := s.pathsContaining, recount(s); !maps.Equal(got, want) {
-							t.Fatalf("barrier %v shard %d: pathsContaining %v, recount %v", end, i, got, want)
-						}
-						live = append(live, maps.Clone(s.pathsContaining))
+					if got, want := e.ps.pathsContaining, recount(e.ps); !maps.Equal(got, want) {
+						t.Fatalf("barrier %v: pathsContaining %v, recount %v", end, got, want)
 					}
+					live = maps.Clone(e.ps.pathsContaining)
 					c, err := e.Checkpoint()
 					if err != nil {
 						t.Fatal(err)
@@ -97,22 +97,17 @@ func TestPathsContainingMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := NewEngine(DefaultConfig(), dict, cmap, nil, shards)
-				defer r.Close()
+				r := NewEngine(DefaultConfig(), dict, cmap, nil)
 				if err := r.RestoreFrom(c); err != nil {
 					t.Fatal(err)
 				}
-				for i, s := range r.shardStates {
-					if !maps.Equal(s.pathsContaining, live[i]) {
-						t.Errorf("shard %d: restored %v, live %v", i, s.pathsContaining, live[i])
-					}
+				if !maps.Equal(r.ps.pathsContaining, live) {
+					t.Errorf("restored %v, live %v", r.ps.pathsContaining, live)
 				}
 				e.Flush(recs[len(recs)-1].Time)
-				for _, s := range e.shardStates {
-					for key, st := range s.paths {
-						if !st.path.Equal(last[key]) {
-							t.Fatalf("%v holds path %v, last announced %v", key, st.path, last[key])
-						}
+				for key, st := range e.ps.paths {
+					if !st.path.Equal(last[key]) {
+						t.Fatalf("%v holds path %v, last announced %v", key, st.path, last[key])
 					}
 				}
 			})

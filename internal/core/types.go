@@ -73,7 +73,7 @@ type Config struct {
 	// next record (Hooks.FeedRecovered). Liveness is judged on record
 	// timestamps only — never the wall clock — so the transition sequence
 	// is part of the deterministic output: byte-for-byte identical across
-	// shard counts, replay speeds and restarts. Zero disables the
+	// constructors, replay speeds and restarts. Zero disables the
 	// watchdog. Feed events never influence detection results.
 	FeedSilence time.Duration
 	// Tracing records a provenance trace per resolved outage — the evidence

@@ -26,7 +26,6 @@ type Config struct {
 
 	Tfail            float64       // -tfail: outage signal threshold
 	ReportUnresolved bool          // -report-unresolved
-	Shards           int           // -shards; <= 0 selects one per core
 	Trace            bool          // -trace: record provenance traces
 	FeedSilence      time.Duration // -feed-silence; 0 disables the watchdog
 	FeedFloor        float64       // -feed-floor; 0 disables the /healthz floor

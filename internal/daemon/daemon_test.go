@@ -34,7 +34,7 @@ import (
 func testConfig(archive string) Config {
 	return Config{
 		Seed: 1, Archive: archive, Listen: "127.0.0.1:0",
-		Tfail: 0.10, ReportUnresolved: true, Shards: 2, Trace: true,
+		Tfail: 0.10, ReportUnresolved: true, Trace: true,
 		FeedSilence: 30 * time.Minute,
 		SSEBuffer:   256, ShutdownTimeout: 10 * time.Second, ResumeRing: 4096, ReadCache: 4096,
 		CompactMB: 8, CheckpointInterval: 15 * time.Minute, ProbeBudget: 256,
@@ -370,7 +370,7 @@ func hasEventID(r io.Reader) bool {
 }
 
 // TestLiveServiceMatchesBatch is the serving layer's correctness contract:
-// the daemon (replayed archive → sharded engine with hooks → event bus →
+// the daemon (replayed archive → engine with hooks → event bus →
 // HTTP server) must report over the API exactly the outages and incidents
 // the batch NewDetector produces for the same archive, and the SSE stream
 // must deliver the same resolved-outage sequence. Run with -race:
@@ -412,13 +412,12 @@ func TestLiveServiceMatchesBatch(t *testing.T) {
 		t.Fatalf("reference views: %v (%d of %d)", err, len(want.Outages), len(wantOuts))
 	}
 
-	// The daemon over the same archive: memory mode, 4 shards, the batch
+	// The daemon over the same archive: memory mode, the batch
 	// detection config (the feed watchdog is on, as in keplerd; feed events
 	// never influence detection). The SSE clients subscribe inside Serving,
 	// before the first record: one filtered to resolved outages, the others
 	// streaming every kind. The poller reads throughout ingestion.
 	c := testConfig(writeArchive(t, res.Records))
-	c.Shards = 4
 	c.Trace = false
 	// The SSE queue receives every kind (filtering happens at write time);
 	// size it so a descheduled writer cannot lose a resolved event under

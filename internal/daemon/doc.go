@@ -1,10 +1,11 @@
 // Package daemon is Kepler as a long-lived service, what cmd/keplerd runs:
-// it ingests a streamed record source through the sharded detection engine
-// and serves detection results over an HTTP JSON API plus a
-// Server-Sent-Events stream while ingestion is running. This is the daemon
-// shape of the paper's deployment — a continuously-operating monitor rather
-// than a batch report. Config has one field per keplerd flag, named after
-// it; this doc speaks in flags.
+// it ingests a streamed record source through the detection engine (one
+// path-state shard on the ingest goroutine, idle bins skipped) and serves
+// detection results over an HTTP JSON API plus a Server-Sent-Events stream
+// while ingestion is running. This is the daemon shape of the paper's
+// deployment — a continuously-operating monitor rather than a batch report.
+// Config has one field per keplerd flag, named after it; this doc speaks in
+// flags.
 //
 // Two sources are available:
 //
@@ -110,7 +111,7 @@
 // Observability: the daemon logs through log/slog (keplerd builds the root
 // logger from -log-format text|json and -log-level debug|info|warn|error)
 // with component-scoped loggers for the store, probe scheduler, server and
-// source. Every bin close is measured in stages (shard barrier, divert
+// source. Every bin close is measured in stages (due promotions, divert
 // merge, probe collection, classification, baseline cleanup, hooks); the
 // fixed-bucket histograms appear in /v1/stats under bin_close and at
 // /metrics as kepler_bin_close_seconds / kepler_bin_close_stage_seconds.

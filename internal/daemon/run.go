@@ -213,7 +213,7 @@ func Run(ctx context.Context, c Config) error {
 	bus.SeedRing(sum.Tail)
 	ckptStats := &metrics.CheckpointStats{}
 	newEngine := func() *core.Engine {
-		e := stack.NewEngine(kcfg, c.Shards)
+		e := stack.NewEngine(kcfg, 0)
 		e.SetBinStageStats(binStage)
 		e.SetCheckpointStats(ckptStats)
 		if sched != nil {
@@ -554,7 +554,7 @@ func Run(ctx context.Context, c Config) error {
 	// Graceful teardown: Pump flushed the engine if the source ended, and
 	// only then (stopping is not an end of stream); close subscribers
 	// (closing the bus drains the relay, which then closes its clients),
-	// sync the store, stop the HTTP server, stop the shard workers.
+	// sync the store, stop the HTTP server, close the engine.
 	bus.Close()
 	if saver != nil {
 		saver.Close()
@@ -594,7 +594,7 @@ func speedName(speed float64) string {
 
 // slowBinAttrs renders one slow bin close as structured attributes: the
 // bin, the total, and every instrumented stage, so the report pinpoints
-// which stage (shard barrier, merge, probe collection, classification,
+// which stage (due promotions, merge, probe collection, classification,
 // baseline cleanup, hooks) ate the budget.
 func slowBinAttrs(sp metrics.BinSpans) []any {
 	attrs := make([]any, 0, 2*(metrics.NumBinStages+2))

@@ -7,8 +7,8 @@ import (
 
 // AtomicStats enforces the metrics counter contract: every exported
 // counter field of a `*Stats` struct in the metrics package must be an
-// atomic type (counters are written from the ingestion goroutine, shard
-// workers and HTTP handlers concurrently, and read lock-free by /v1/stats
+// atomic type (counters are written from the ingestion goroutine, the
+// checkpoint saver and HTTP handlers concurrently, and read lock-free by /v1/stats
 // and /metrics), and call sites everywhere must access those fields only
 // through their atomic method sets. Point-in-time `*Snapshot` structs are
 // plain by design and exempt.

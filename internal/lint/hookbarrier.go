@@ -13,8 +13,8 @@ import (
 // goroutine at bin boundaries — the only points where outage state is
 // allowed to change and where subscribers (event bus, store WAL, read
 // snapshots) are guaranteed a consistent view. A hook fired from any other
-// path publishes state mid-bin, which both races the shards and makes the
-// published event sequence depend on call timing instead of the stream.
+// path publishes state mid-bin, which makes the published event sequence
+// depend on call timing instead of the stream.
 //
 // The barrier roots — the functions from which hook firing is legitimate,
 // directly or transitively — are the bin-close sequence and the stream

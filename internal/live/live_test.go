@@ -215,8 +215,7 @@ func TestSyntheticFeedsEngine(t *testing.T) {
 	w := soakWorld(t)
 	syn := NewSynthetic(w, SyntheticConfig{Seed: 9, Window: 24 * time.Hour, Cycles: 1})
 	// An empty dictionary still ingests and bins (nothing tags).
-	eng := core.NewEngine(core.DefaultConfig(), communities.New(), w.Map, nil, 2)
-	defer eng.Close()
+	eng := core.NewEngine(core.DefaultConfig(), communities.New(), w.Map, nil)
 	res, err := Pump(context.Background(), syn, eng)
 	if err != nil {
 		t.Fatal(err)

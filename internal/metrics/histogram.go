@@ -115,17 +115,19 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Bin-close stages. Each bin barrier is decomposed into monotonic spans:
-// waiting for the shard workers to quiesce, merging their diverted-path
-// indexes, collecting asynchronous probe verdicts, the Section 4.3 signal
-// classification, the per-shard baseline cleanup, and the lifecycle hooks
-// (which a store-backed daemon uses for its synchronous WAL flush).
+// Bin-close stages. Each bin close is decomposed into monotonic spans: the
+// promotions due at the bin's end, collecting asynchronous probe verdicts,
+// the Section 4.3 signal classification, the stable-baseline cleanup, and
+// the lifecycle hooks (which a store-backed daemon uses for its synchronous
+// WAL flush). The merge stage is always zero: the one path-state shard's
+// divert index needs no merge. It stays so that /v1/stats and /metrics keep
+// their shape.
 const (
-	StageBarrier  = iota // shard barrier wait (the inline engine's promotions)
-	StageMerge           // per-shard diverted-index merge
+	StageBarrier  = iota // promotions due at the bin's end
+	StageMerge           // diverted-index merge; always zero
 	StageCollect         // async probe verdict collection + return application
 	StageClassify        // signal grouping, classification, disambiguation
-	StageFinish          // per-shard stable-baseline cleanup
+	StageFinish          // stable-baseline cleanup
 	StageHooks           // BinClosed hooks: event publication, store flush
 	NumBinStages
 )

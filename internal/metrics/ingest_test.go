@@ -14,7 +14,7 @@ func TestIngestStatsSnapshot(t *testing.T) {
 	s.Bins.Add(10)
 	s.BarrierNanos.Add(int64(20 * time.Millisecond))
 
-	snap := s.Snapshot([]int{1, 0, 3})
+	snap := s.Snapshot()
 	if snap.Records != 1000 || snap.Ops != 2500 || snap.Bins != 10 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -23,9 +23,6 @@ func TestIngestStatsSnapshot(t *testing.T) {
 	}
 	if snap.RecordsPerSec <= 0 {
 		t.Errorf("rate = %v, want > 0", snap.RecordsPerSec)
-	}
-	if len(snap.QueueDepths) != 3 || snap.QueueDepths[2] != 3 {
-		t.Errorf("queue depths = %v", snap.QueueDepths)
 	}
 	if line := snap.String(); !strings.Contains(line, "records=1000") || !strings.Contains(line, "bins=10") {
 		t.Errorf("render = %q", line)
@@ -41,7 +38,7 @@ func TestIngestStatsSnapshot(t *testing.T) {
 
 func TestIngestStatsZeroValue(t *testing.T) {
 	var s IngestStats
-	snap := s.Snapshot(nil)
+	snap := s.Snapshot()
 	if snap.RecordsPerSec != 0 || snap.BinLag != 0 {
 		t.Errorf("zero-value snapshot computed rates: %+v", snap)
 	}

@@ -43,7 +43,7 @@ func TestIngestStatsConcurrentWriters(t *testing.T) {
 					return
 				default:
 				}
-				snap := s.Snapshot([]int{0, 1})
+				snap := s.Snapshot()
 				// Counters only grow; a reader must never observe a
 				// negative or otherwise torn value. (Records/Ops are read
 				// at different instants, so no cross-counter invariant is
@@ -59,7 +59,7 @@ func TestIngestStatsConcurrentWriters(t *testing.T) {
 	close(stop)
 	rg.Wait()
 
-	snap := s.Snapshot(nil)
+	snap := s.Snapshot()
 	if snap.Records != writers*perWriter {
 		t.Errorf("records = %d, want %d", snap.Records, writers*perWriter)
 	}

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -13,12 +12,11 @@ import (
 
 // TestEngineEquivalenceOnSimulation drives the same seeded simulation
 // stream — a facility outage rendered over the full synthetic Internet —
-// through the inline engine and engines with shard workers at several
-// shard counts, asserting byte-for-byte identical Outage and Incident
-// output. This is the system-level counterpart of the randomized core test:
-// real dictionary, real colocation map, real noise. The rendered archive
-// leads with a table dump, so every subtest also streams a full RIB through
-// Process across its shards.
+// through the reference engine and NewEngine's (shards=1), asserting
+// byte-for-byte identical Outage and Incident output. This is the
+// system-level counterpart of the randomized core test: real dictionary,
+// real colocation map, real noise. The rendered archive leads with a table
+// dump, so the engine also streams a full RIB through Process.
 func TestEngineEquivalenceOnSimulation(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
@@ -42,17 +40,15 @@ func TestEngineEquivalenceOnSimulation(t *testing.T) {
 	if len(wantOuts) == 0 {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil, shards)
-			if !reflect.DeepEqual(gotOuts, wantOuts) {
-				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
-			}
-			if !reflect.DeepEqual(gotIncs, wantIncs) {
-				t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
-			}
-		})
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil)
+		if !reflect.DeepEqual(gotOuts, wantOuts) {
+			t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
+		}
+		if !reflect.DeepEqual(gotIncs, wantIncs) {
+			t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
+		}
+	})
 }
 
 // TestEngineEquivalenceWithDataPlane repeats the check with the simulated
@@ -75,7 +71,7 @@ func TestEngineEquivalenceWithDataPlane(t *testing.T) {
 	wantOuts, wantIncs := s.Run(res.Records, core.DefaultConfig(), seqDP)
 
 	engDP := s.NewSimDataPlane(res, 5000)
-	gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), engDP, 4)
+	gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), engDP)
 	if !reflect.DeepEqual(gotOuts, wantOuts) {
 		t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
 	}

@@ -66,17 +66,19 @@ func Build(w *topology.World, seed int64) *Stack {
 	return &Stack{World: w, Geo: w.Geo, Map: cmap, Dict: dict, Orgs: orgs}
 }
 
-// NewDetector builds an engine with one inline shard over the stack: no
-// goroutines, every bin closed (see core.New).
+// NewDetector builds the reference engine over the stack: every bin closed
+// (see core.New).
 func (s *Stack) NewDetector(cfg core.Config) *core.Engine {
 	return core.New(cfg, s.Dict, s.Map, s.Orgs)
 }
 
-// NewEngine builds an engine with shard workers over the stack; shards <= 0
-// selects GOMAXPROCS. The engine emits exactly the same outages and
-// incidents as NewDetector's. Callers own Close.
+// NewEngine builds the engine that skips idle bins over the stack (see
+// core.NewEngine). It emits exactly the same outages and incidents as
+// NewDetector's. shards is ignored: the engine has one path-state shard,
+// and the parameter goes when the benchmark harness, which calls this,
+// stops passing it (ROADMAP item 2).
 func (s *Stack) NewEngine(cfg core.Config, shards int) *core.Engine {
-	return core.NewEngine(cfg, s.Dict, s.Map, s.Orgs, shards)
+	return core.NewEngine(cfg, s.Dict, s.Map, s.Orgs)
 }
 
 // Run feeds a time-sorted record stream through a fresh inline engine and
@@ -86,12 +88,10 @@ func (s *Stack) Run(records []*mrt.Record, cfg core.Config, dp core.DataPlane) (
 	return run(s.NewDetector(cfg), records, dp)
 }
 
-// RunEngine is Run on an engine with the given number of shard workers,
-// with identical output for any stream.
-func (s *Stack) RunEngine(records []*mrt.Record, cfg core.Config, dp core.DataPlane, shards int) ([]core.Outage, []core.Incident) {
-	eng := s.NewEngine(cfg, shards)
-	defer eng.Close()
-	return run(eng, records, dp)
+// RunEngine is Run on the engine that skips idle bins, with identical
+// output for any stream.
+func (s *Stack) RunEngine(records []*mrt.Record, cfg core.Config, dp core.DataPlane) ([]core.Outage, []core.Incident) {
+	return run(s.NewEngine(cfg, 0), records, dp)
 }
 
 // run drives eng over records as live.Pump does over a source that reaches

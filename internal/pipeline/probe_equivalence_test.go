@@ -14,11 +14,14 @@ import (
 )
 
 // runProbed drives a record stream through an engine wired to the async
-// probe scheduler and returns the completed outages.
+// probe scheduler — the reference engine for shards == 0, NewEngine's for
+// shards == 1 — and returns the completed outages.
 func runProbed(t *testing.T, s *Stack, records []*mrt.Record, cfg core.Config, sched *probe.Scheduler, shards int) []core.Outage {
 	t.Helper()
-	eng := s.NewEngine(cfg, shards)
-	defer eng.Close()
+	eng := s.NewDetector(cfg)
+	if shards == 1 {
+		eng = s.NewEngine(cfg, 0)
+	}
 	eng.SetProber(sched)
 	outs, _ := run(eng, records, nil)
 	return outs
@@ -37,7 +40,7 @@ func locatedKey(o core.Outage) string {
 // path over a full simulated scenario — promotion re-observes at the
 // original signal time, and park-time provisional watches capture the
 // returns of the deferred bin, so even restoration instants line up. Run
-// under -race this also exercises the worker/barrier synchronization.
+// under -race this also exercises the scheduler's workers against bin closes.
 func TestProbeSchedulerEquivalence(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
@@ -60,7 +63,7 @@ func TestProbeSchedulerEquivalence(t *testing.T) {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m := &metrics.ProbeStats{}
 			engDP := s.NewSimDataPlane(res, 1<<30)
@@ -127,7 +130,7 @@ func TestProbeSchedulerBudgetStarvation(t *testing.T) {
 		Workers: 4, Budget: 1, Window: 365 * 24 * time.Hour, Metrics: m,
 	})
 	defer sched.Close()
-	outs := runProbed(t, s, res.Records, core.DefaultConfig(), sched, 2)
+	outs := runProbed(t, s, res.Records, core.DefaultConfig(), sched, 1)
 
 	if m.Executed.Load() != 1 {
 		t.Fatalf("executed = %d probes under a 1-probe budget", m.Executed.Load())

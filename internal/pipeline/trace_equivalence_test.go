@@ -14,18 +14,17 @@ import (
 )
 
 // runTraced replays a record stream with Config.Tracing enabled and a
-// TraceRecorded hook installed, through either the inline engine
-// (shards == 1) or one with shard workers, returning the detection output
-// plus the recorded evidence chains. It runs the loop Run/RunEngine run, so
-// the results are comparable to an untraced reference run.
+// TraceRecorded hook installed, through either the reference engine
+// (shards == 0) or NewEngine's (shards == 1), returning the detection
+// output plus the recorded evidence chains. It runs the loop Run/RunEngine
+// run, so the results are comparable to an untraced reference run.
 func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]core.Outage, []core.Incident, []core.OutageTrace) {
 	cfg.Tracing = true
 	var traces []core.OutageTrace
 	eng := s.NewDetector(cfg)
-	if shards != 1 {
-		eng = s.NewEngine(cfg, shards)
+	if shards == 1 {
+		eng = s.NewEngine(cfg, 0)
 	}
-	defer eng.Close()
 	eng.SetHooks(core.Hooks{TraceRecorded: func(tr core.OutageTrace) { traces = append(traces, tr) }})
 	outages, incidents := run(eng, records, nil)
 	return outages, incidents, traces
@@ -34,7 +33,7 @@ func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]
 // TestTracingEquivalence asserts the tentpole observability invariant:
 // provenance tracing must be a pure observer. The same seeded scenario is
 // replayed with tracing off (the reference) and with tracing on, through
-// the sequential detector and the 4-shard engine, and the Outage and
+// the reference engine and NewEngine's, and the Outage and
 // Incident output must be byte-for-byte identical in every run. It also
 // pins the trace contract itself — one trace per resolved outage, index-
 // aligned, carrying a non-empty evidence chain.
@@ -60,7 +59,7 @@ func TestTracingEquivalence(t *testing.T) {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			gotOuts, gotIncs, traces := runTraced(s, res.Records, core.DefaultConfig(), shards)
 			if !reflect.DeepEqual(gotOuts, wantOuts) {
@@ -144,14 +143,13 @@ func TestCheckpointStatsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOuts, wantIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil, 4)
+	wantOuts, wantIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil)
 	if len(wantOuts) == 0 {
 		t.Fatal("reference engine found nothing; equivalence would be vacuous")
 	}
 
 	run := func(stats *metrics.CheckpointStats) [][]byte {
-		eng := s.NewEngine(core.DefaultConfig(), 4)
-		defer eng.Close()
+		eng := s.NewEngine(core.DefaultConfig(), 0)
 		if stats != nil {
 			eng.SetCheckpointStats(stats)
 		}

@@ -76,7 +76,6 @@ func goldenServer(t *testing.T) *Server {
 				RecordsPerSec: 98765.4321,
 				BarrierTime:   1500 * time.Millisecond,
 				BinLag:        4347826 * time.Nanosecond,
-				QueueDepths:   []int{1, 0, 3},
 			}
 		},
 		Store: func() metrics.StoreSnapshot {

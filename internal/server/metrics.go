@@ -120,11 +120,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ing := s.opts.Ingest()
 		writeSeries(&b, ing)
 		writeFamily(&b, "kepler_ingest_barrier_seconds_total", "counter", "Cumulative wall time inside bin barriers.", ing.BarrierTime.Seconds())
-		depth := 0
-		for _, d := range ing.QueueDepths {
-			depth += d
-		}
-		writeFamily(&b, "kepler_ingest_queue_depth", "gauge", "Dispatched-but-unprocessed op batches across shards.", float64(depth))
 	}
 	if s.opts.Service != nil {
 		writeSeries(&b, s.opts.Service.Snapshot())

@@ -77,7 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := New(Options{
 		Service: svc,
 		Ingest: func() metrics.IngestSnapshot {
-			return metrics.IngestSnapshot{Records: 1234, Ops: 5678, Bins: 9, QueueDepths: []int{1, 2}}
+			return metrics.IngestSnapshot{Records: 1234, Ops: 5678, Bins: 9}
 		},
 		Store: func() metrics.StoreSnapshot { return store.Snapshot() },
 		Probe: func() metrics.ProbeSnapshot { return probe.Snapshot() },
@@ -104,7 +104,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"kepler_ready 1\n",
 		"kepler_ingest_records_total 1234\n",
-		"kepler_ingest_queue_depth 3\n",
 		"kepler_resolved_outages_total 1\n",
 		"kepler_open_outages 1\n",
 		"kepler_store_appends_total 42\n",

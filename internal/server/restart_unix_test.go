@@ -56,7 +56,7 @@ func TestRestartSaverKilledMidSave(t *testing.T) {
 		}
 		persisted = append(persisted, ev)
 	}))
-	eng1 := stack.NewEngine(cfg, 4)
+	eng1 := stack.NewEngine(cfg, 0)
 	stats1 := &metrics.CheckpointStats{}
 	var saverLog bytes.Buffer
 	sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, stats1, slog.New(slog.NewTextHandler(&saverLog, nil)))
@@ -169,7 +169,7 @@ func TestRestartSaverKilledMidSave(t *testing.T) {
 			}
 			evs2 = append(evs2, ev)
 		}))
-	eng2 := stack.NewEngine(cfg, 2)
+	eng2 := stack.NewEngine(cfg, 0)
 	defer eng2.Close()
 	if err := eng2.RestoreFrom(engCkpt); err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestTraceSurvivesRestart(t *testing.T) {
 			t.Errorf("phase 1 append: %v", err)
 		}
 	}))
-	eng1 := stack.NewEngine(cfg, 4)
+	eng1 := stack.NewEngine(cfg, 0)
 	eng1.SetHooks(events.EngineHooks(bus1))
 	if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(res.Records)), eng1); err != nil {
 		t.Fatal(err)

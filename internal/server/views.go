@@ -128,7 +128,6 @@ type IngestView struct {
 	metrics.IngestSnapshot
 	BarrierSeconds float64 `json:"barrier_seconds"`
 	BinLagSeconds  float64 `json:"bin_lag_seconds"`
-	QueueDepths    []int   `json:"queue_depths,omitempty"`
 }
 
 func ingestView(s metrics.IngestSnapshot) *IngestView {
@@ -136,7 +135,6 @@ func ingestView(s metrics.IngestSnapshot) *IngestView {
 		IngestSnapshot: s,
 		BarrierSeconds: s.BarrierTime.Seconds(),
 		BinLagSeconds:  s.BinLag.Seconds(),
-		QueueDepths:    s.QueueDepths,
 	}
 }
 

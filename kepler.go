@@ -6,30 +6,30 @@
 // PoP-level path divergence against a colocation map, and validating the
 // inferred epicenters against data-plane measurements.
 //
-// # Architecture: shards + investigator
+// # Architecture: decode stage + one shard + investigator
 //
-// The detection pipeline is split into two layers. The per-path layer —
-// community annotation, stable-baseline maintenance, divergence tracking
-// (Section 4.2) — depends only on the records of each (vantage, prefix)
-// path, so it is partitioned into path-state shards by a hash of the path
-// key. The cross-path layer — per-AS thresholding, Section 4.3 signal
-// investigation, and outage duration tracking — runs in a single
-// investigator that synchronizes the shards at every 60 s bin boundary
-// and reads their state in place. One type, Engine, implements it, with
-// two constructors:
+// The detection pipeline is split into two layers behind the record
+// decoder. The per-path layer — community annotation, stable-baseline
+// maintenance, divergence tracking (Section 4.2) — depends only on the
+// records of each (vantage, prefix) path; one path-state shard applies it
+// on the ingest goroutine. The cross-path layer — per-AS thresholding,
+// Section 4.3 signal investigation, and outage duration tracking — runs in
+// an investigator at every 60 s bin boundary and reads the shard's state
+// in place. Archive keplerd decodes MRT a stage ahead, on a goroutine of
+// its own (internal/live.ReadAhead). One type, Engine, implements the
+// pipeline, with two constructors:
 //
-//   - NewDetector — one inline shard: no goroutines, each record's ops
-//     applied on the caller's goroutine, every bin closed. It is the
-//     reference the sharded engine is checked against.
-//   - NewEngine — N shard workers behind a bin barrier, which skips the
-//     handshake for provably idle bins. It scales record ingestion across
-//     cores; for any stream it emits byte-for-byte the same Outages,
+//   - NewDetector — every bin closed. It is the reference the engine is
+//     checked against.
+//   - NewEngine — the same engine, skipping the close of provably idle
+//     bins; for any stream it emits byte-for-byte the same Outages,
 //     Incidents and checkpoints as NewDetector's engine.
 //
-// The shards keep their per-path records in pooled, recycled state structs
-// with small slice-backed tag sets (no per-update map churn; withdrawn
-// paths return their storage to per-shard free lists). Table dumps and
-// updates take the same ingest path, Engine.Process.
+// Neither starts a goroutine. The shard keeps its per-path records in
+// pooled, recycled state structs with small slice-backed tag sets (no
+// per-update map churn; withdrawn paths return their storage to free
+// lists). Table dumps and updates take the same ingest path,
+// Engine.Process.
 //
 // # Live service layer
 //
@@ -102,8 +102,8 @@
 // stable-baseline indexes, feed-health watchdog state, the investigator's
 // incident log and outage tracker, pending probe confirmations — in a
 // versioned, deterministic encoding: every collection is flattened sorted,
-// so the bytes are identical regardless of shard count and a checkpoint
-// restores (Engine.RestoreFrom) into a pipeline of any shard count.
+// so the bytes are identical for either constructor and a checkpoint
+// restores (Engine.RestoreFrom) into a pipeline built by either.
 // keplerd captures a checkpoint at bin closes at least
 // -checkpoint-interval of stream time apart and writes it as a CRC-framed,
 // atomically renamed segment beside the WAL (internal/store keeps the
@@ -115,7 +115,7 @@
 // generator re-renders one window from its seed), and replays only the
 // suffix under the same gate. A SIGKILL + checkpoint-restore run emits
 // byte-for-byte the event sequence of an uninterrupted run (pinned by
-// internal/server's restart equivalence tests at shards 1 and 4);
+// internal/server's restart equivalence tests);
 // store.resume_records in /v1/stats and /metrics reports the resume
 // offset, so recovery cost is observable and bounded by one checkpoint
 // interval plus one checkpoint save.
@@ -126,8 +126,7 @@
 // pages with the pipeline, so store.CheckpointSaver encodes it (into one
 // buffer it reuses), writes and fsyncs it on a goroutine of its own while
 // ingest runs on (TestSaverEncodeRacesIngest: the bytes are those of
-// encoding at the barrier, under -race, for the inline engine and 1, 2 and
-// 4 shards). One save is in flight at most and nothing queues: a checkpoint
+// encoding at the barrier, under -race, for both constructors). One save is in flight at most and nothing queues: a checkpoint
 // that comes due while the saver is busy stays due and is captured at the
 // first later barrier that finds it idle, from that barrier's state, so
 // the interval is a floor on the spacing and a restart re-ingests at most
@@ -167,13 +166,13 @@
 // A checkpoint costs what changed since the previous one. The engine keeps
 // the two big sections encoded between captures — the checkpoint image
 // (internal/core/image.go): pages of at most 32 consecutive records in
-// checkpoint order — and its shards note the path keys and stable-baseline
+// checkpoint order — and its shard notes the path keys and stable-baseline
 // entries they touch; a capture at the barrier re-encodes those, rebuilds
 // the pages they fall into in one merge pass and shares every other page
 // with the checkpoints before it, and Encode concatenates header, pages
 // and the JSON tail. The bytes are those of a from-scratch encoding
 // (TestCheckpointIncrementalEqualsRebuild compares the two at every barrier
-// of a storm, for the inline, 1-, 2- and 4-shard engines): building
+// of a storm, for both constructors): building
 // the image from the shard maps is the same merge with everything changed,
 // and is what the first capture, the first after RestoreFrom and one
 // following a burst that outgrew the change lists (a RIB dump between two
@@ -234,7 +233,7 @@
 // GET /v1/outages/{id}/trace plus a "trace" SSE event kind. Staged
 // bin-close latency (metrics.BinStageStats, Engine.SetBinStageStats)
 // decomposes every bin close into fixed-bucket duration histograms —
-// shard barrier, divert merge, probe collect, classify, finish, hooks —
+// due promotions, divert merge, probe collect, classify, finish, hooks —
 // exported as JSON quantiles in /v1/stats and as Prometheus histogram
 // series (kepler_bin_close_seconds, kepler_bin_close_stage_seconds) on
 // /metrics; keplerd -slow-bin-ms logs a structured per-stage report for
@@ -256,7 +255,7 @@
 // /v1/health/feeds, and kepler_feed_* series at /metrics. Because it
 // runs on stream time only, fires on the bin barrier, checkpoints with
 // the engine and sits under the replay gate, it is deterministic across
-// shard counts, replay speeds and restarts, and never perturbs detection
+// constructors, replay speeds and restarts, and never perturbs detection
 // output. keplerd -feed-floor turns coverage into readiness: /healthz
 // reports 503 while the ratio sits below the floor.
 //
@@ -276,8 +275,8 @@
 // # Determinism invariants
 //
 // Everything above rests on one promise: detection output is a pure
-// function of the record stream — byte-for-byte identical across shard
-// counts, restarts and async probing. The equivalence tests pin that
+// function of the record stream — byte-for-byte identical across the two
+// constructors, restarts and async probing. The equivalence tests pin that
 // promise at runtime; cmd/keplervet (internal/lint) enforces the coding
 // contracts behind it mechanically, with zero dependencies beyond the go
 // tool:
@@ -292,8 +291,7 @@
 //     are flagged there unless allowlisted as instrumentation.
 //   - hookbarrier — Hooks callbacks may fire only on the bin-close/flush
 //     barrier path (closeBinOver, Flush, finishProbes and their exclusive
-//     callees); anywhere else publishes state mid-bin and races the
-//     shards.
+//     callees); anywhere else publishes state mid-bin.
 //   - atomicstats — metrics *Stats counter fields must be atomic types
 //     and accessed only through their atomic method sets (concurrent
 //     writers, lock-free readers); *Snapshot copies are plain by design.
@@ -315,7 +313,7 @@
 //     dedup, priorities, budgets, verdict cache, backends)
 //   - internal/communities — community dictionary + documentation miner
 //   - internal/colo        — colocation map construction
-//   - internal/bgpstream   — the record-to-shard fan-out stage (route ops,
+//   - internal/bgpstream   — the record-to-route-op fan-out stage (route ops,
 //     peer-down broadcast) and the feed-health watchdog
 //   - internal/live        — streamed sources (archive replayer, synthetic
 //     soak generator) and the engine pump
@@ -324,16 +322,15 @@
 //   - internal/server      — the HTTP JSON API + SSE stream
 //   - internal/store       — the WAL-backed durable outage history
 //   - internal/metrics     — evaluation stats plus ingestion counters
-//     (records/sec, shard queue depth, bin lag), serving counters
+//     (records/sec, bin lag), serving counters
 //     (HTTP requests, SSE clients, bus drops) and store counters
 //     (appends, compactions, recovery)
 //   - internal/topology, internal/routing, internal/simulate — the
 //     synthetic Internet used for evaluation
 //
-// A minimal concurrent deployment:
+// A minimal streaming deployment:
 //
-//	eng := kepler.NewEngine(kepler.DefaultConfig(), dict, cmap, orgs, 0) // 0: one shard per core
-//	defer eng.Close()
+//	eng := kepler.NewEngine(kepler.DefaultConfig(), dict, cmap, orgs)
 //	for rec := range feed {
 //	    for _, outage := range eng.Process(rec) {
 //	        log.Printf("outage at %v: %v..%v", outage.PoP, outage.Start, outage.End)
@@ -371,10 +368,10 @@ import (
 type (
 	// Config carries Kepler's tuning parameters (thresholds, windows).
 	Config = core.Config
-	// Engine is the streaming detection pipeline: path-state shards plus
-	// a bin-synchronized investigator, built inline (NewDetector) or with
-	// shard workers (NewEngine), with identical output for any record
-	// stream.
+	// Engine is the streaming detection pipeline: one path-state shard
+	// plus a bin-synchronized investigator, closing every bin (NewDetector)
+	// or skipping idle ones (NewEngine), with identical output for any
+	// record stream.
 	Engine = core.Engine
 	// Outage is a completed PoP-level outage with duration and impact.
 	Outage = core.Outage
@@ -435,15 +432,16 @@ const (
 // oscillation gap.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewDetector builds an engine with one inline shard and no goroutines over
-// a mined dictionary, a merged colocation map and an optional
+// NewDetector builds the reference engine, which closes every bin, over a
+// mined dictionary, a merged colocation map and an optional
 // AS-to-organization table.
 func NewDetector(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable) *Engine {
 	return core.New(cfg, dict, cmap, orgs)
 }
 
-// NewEngine builds an engine with shard workers over the same inputs;
-// shards <= 0 selects one shard worker per core. Call Close when done.
-func NewEngine(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable, shards int) *Engine {
-	return core.NewEngine(cfg, dict, cmap, orgs, shards)
+// NewEngine builds the engine that skips provably idle bins over the same
+// inputs, with NewDetector's output for any stream. Neither starts a
+// goroutine.
+func NewEngine(cfg Config, dict *Dictionary, cmap *ColocationMap, orgs *OrgTable) *Engine {
+	return core.NewEngine(cfg, dict, cmap, orgs)
 }
