@@ -16,14 +16,14 @@ import (
 // changed since the previous one, not what is monitored. Each section is a
 // list of pages — runs of consecutive records in checkpoint order. The
 // shard notes the path keys and stable entries it touches
-// (pathShard.touchPath, touchStable); a capture re-encodes exactly those, rebuilds the pages they
-// fall into, and shares every other page with the checkpoints captured
-// before. A page is never written once built.
+// (pathShard.touchPath, touchStable); a capture re-encodes exactly those,
+// rebuilds the pages they fall into, and shares every other page with the
+// checkpoints captured before. A page is never written once built.
 //
 // Building the image from the shard maps (buildImage) is the same merge
 // with every record changed and no pages to merge into. It is the cold
-// start — first capture, first capture after RestoreFrom, after the
-// shard's dirty lists overflowed — and what the tests compare every warm capture
+// start — first capture, first capture after RestoreFrom, after the shard's
+// dirty lists overflowed — and what the tests compare every warm capture
 // against.
 
 // pageRecords caps a page. A capture rewrites every page a change falls

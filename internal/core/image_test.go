@@ -113,7 +113,7 @@ func dumpStream(t testing.TB) (*communities.Dictionary, *colo.Map, []*mrt.Record
 // followed by RIB dumps.
 func churnStream() []*mrt.Record {
 	// Each peer's table is large enough that the session reset overflows
-	// the dirty lists of every shard of a 4-shard engine.
+	// the shard's dirty lists.
 	const table = 200
 	var recs []*mrt.Record
 	prefix := func(i int) string { return fmt.Sprintf("20.0.%d.0/24", i) }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestIngestStatsConcurrentWriters drives every IngestStats counter from
-// many goroutines while snapshots are taken concurrently — the exact access
-// pattern of the sharded engine (ingest goroutine writing, HTTP stats
-// endpoint reading). Run with -race.
+// many goroutines while snapshots are taken concurrently — the engine's
+// access pattern (ingest goroutine writing, HTTP stats endpoint reading),
+// made harsher. Run with -race.
 func TestIngestStatsConcurrentWriters(t *testing.T) {
 	var s IngestStats
 	const writers, perWriter = 8, 1000
