@@ -71,8 +71,9 @@ func checkpointEveryBin(t *testing.T, recs []*mrt.Record, cut int, mkProber func
 }
 
 // restoreAndFinish restores the checkpoint into the reference engine New
-// (shards == 0) or into NewEngine's (shards == 1), replays the record
-// suffix and returns the drained outages plus the full incident log.
+// (shards == 0) or into NewEngine's, replays the record suffix — in one
+// piece for shards == 1, else cut into that many time shards (see relay) —
+// and returns the drained outages plus the full incident log.
 func restoreAndFinish(t *testing.T, recs []*mrt.Record, enc []byte, shards int, mkProber func() Prober) ([]Outage, []Incident, *Checkpoint) {
 	t.Helper()
 	dict, cmap, _ := microWorld(t)
@@ -83,21 +84,17 @@ func restoreAndFinish(t *testing.T, recs []*mrt.Record, enc []byte, shards int, 
 	if c.Records >= uint64(len(recs)) {
 		t.Fatalf("checkpoint covers %d of %d records; nothing to re-ingest", c.Records, len(recs))
 	}
-	e := New(DefaultConfig(), dict, cmap, nil)
-	if shards == 1 {
-		e = NewEngine(DefaultConfig(), dict, cmap, nil)
+	build := func() *Engine {
+		e := New(DefaultConfig(), dict, cmap, nil)
+		if shards > 0 {
+			e = NewEngine(DefaultConfig(), dict, cmap, nil)
+		}
+		if mkProber != nil {
+			e.SetProber(mkProber())
+		}
+		return e
 	}
-	if mkProber != nil {
-		e.SetProber(mkProber())
-	}
-	if err := e.RestoreFrom(c); err != nil {
-		t.Fatal(err)
-	}
-	var outs []Outage
-	for _, r := range recs[c.Records:] {
-		outs = append(outs, e.Process(r)...)
-	}
-	outs = append(outs, e.Flush(recs[len(recs)-1].Time)...)
+	outs, e := relay{build: build, from: enc}.run(t, recs, max(shards, 1))
 	return outs, e.Incidents(), c
 }
 
@@ -142,14 +139,16 @@ func scenarioStream() (recs []*mrt.Record, failAt time.Time) {
 // killed mid-stream and restored from its newest bin-barrier checkpoint,
 // re-ingesting only the record suffix, emits exactly the outages and
 // incidents of an uninterrupted run — restored into the reference engine
-// (restore-shards=0) and into NewEngine's (restore-shards=1).
+// (restore-shards=0), into NewEngine's (restore-shards=1), and into
+// NewEngine's with the suffix cut into four time shards, each restarted
+// from its predecessor's newest checkpoint (restore-shards=4).
 func TestCheckpointRestoreEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := genStream(seed, 4000)
 		wantOuts, wantIncs, countAt := refRun(t, recs, nil)
 		cut := len(recs) * 3 / 4
 		enc := checkpointEveryBin(t, recs, cut, nil, nil)
-		for _, shards := range []int{0, 1} {
+		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("seed=%d/restore-shards=%d", seed, shards), func(t *testing.T) {
 				outs, incs, c := restoreAndFinish(t, recs, enc, shards, nil)
 				wantSuffix := wantOuts[countAt[c.Records]:]

@@ -106,23 +106,126 @@ func runEngine(t *testing.T, recs []*mrt.Record, dp DataPlane) ([]Outage, []Inci
 	return outs, e.Incidents()
 }
 
+// relay runs a record stream cut into time shards, the way a restarted
+// daemon runs it: the stream is split at evenly spaced records, each shard
+// has an engine of its own, killed without a flush at the shard's end (or,
+// if it has captured no checkpoint by then, just after its first), and the
+// next shard's engine restores the newest checkpoint its predecessor
+// captured at a BinClosed hook and re-ingests from the first record that
+// checkpoint does not cover. Only the last engine flushes, and the run
+// stops feeding records once the test has failed.
+type relay struct {
+	build func() *Engine        // a fresh engine, prober or watchdog wired
+	hooks func(e *Engine) Hooks // the test's callbacks on e, or nil
+	from  []byte                // a checkpoint the first engine restores, or nil
+	// logged and rewind, when set, cut the test's own callback log back
+	// with the outages: what a killed engine logged after its newest
+	// checkpoint, its successor logs again.
+	logged func() int
+	rewind func(n int)
+}
+
+// run drives recs through n engines and returns the outages the run drains
+// as one uninterrupted run would, and the last engine. Every killed engine
+// must hand over a checkpoint of its own.
+func (r relay) run(t *testing.T, recs []*mrt.Record, n int) ([]Outage, *Engine) {
+	t.Helper()
+	enc, at := r.from, 0
+	if enc != nil {
+		c, err := DecodeCheckpoint(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = int(c.Records)
+	}
+	start := at
+	var outs []Outage
+	for i := 1; ; i++ {
+		e := r.build()
+		if enc != nil {
+			c, err := DecodeCheckpoint(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RestoreFrom(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var hooks Hooks
+		if r.hooks != nil {
+			hooks = r.hooks(e)
+		}
+		var drained []Outage
+		keepOuts, keepLog, handed := 0, 0, false
+		if r.logged != nil {
+			keepLog = r.logged()
+		}
+		if i < n {
+			bin := hooks.BinClosed
+			hooks.BinClosed = func(end time.Time) {
+				if bin != nil {
+					bin(end)
+				}
+				c, err := e.Checkpoint()
+				if err != nil {
+					t.Fatalf("checkpoint at %v: %v", end, err)
+				}
+				if enc, err = c.Encode(); err != nil {
+					t.Fatal(err)
+				}
+				// The record in flight is not in the checkpoint: its outages
+				// are the successor's to drain.
+				at, keepOuts, handed = int(c.Records), len(drained), true
+				if r.logged != nil {
+					keepLog = r.logged()
+				}
+			}
+		}
+		e.SetHooks(hooks)
+		from, cut := at, start+(len(recs)-start)*i/n
+		next := from
+		for ; next < len(recs) && (i == n || next < cut || !handed); next++ {
+			if drained = append(drained, e.Process(recs[next])...); t.Failed() {
+				return append(outs, drained...), e
+			}
+		}
+		if i == n {
+			drained = append(drained, e.Flush(recs[len(recs)-1].Time)...)
+			return append(outs, drained...), e
+		}
+		if !handed {
+			t.Fatalf("time shard %d of %d (records %d on) captured no checkpoint to hand over", i, n, from)
+		}
+		outs = append(outs, drained[:keepOuts]...)
+		if r.rewind != nil {
+			r.rewind(keepLog)
+		}
+		e.Close()
+	}
+}
+
 // TestEngineMatchesDetectorRandomized is the idle-bin skip's correctness
 // contract: for any record stream, NewEngine's engine must emit exactly the
-// same outages and incidents as the reference that closes every bin. The
-// engine's subtest is shards=1, after the one path-state shard it has.
+// same outages and incidents as the reference that closes every bin, run
+// in one piece (shards=1) or cut into that many time shards, each engine
+// restored from its predecessor's newest checkpoint (see relay).
 func TestEngineMatchesDetectorRandomized(t *testing.T) {
+	dict, cmap, _ := microWorld(t)
+	build := func() *Engine { return NewEngine(DefaultConfig(), dict, cmap, nil) }
 	for seed := int64(1); seed <= 4; seed++ {
 		recs := genStream(seed, 4000)
 		wantOuts, wantIncs := runDetector(t, recs, nil)
-		t.Run(fmt.Sprintf("seed=%d/shards=1", seed), func(t *testing.T) {
-			gotOuts, gotIncs := runEngine(t, recs, nil)
-			if !reflect.DeepEqual(gotOuts, wantOuts) {
-				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
-			}
-			if !reflect.DeepEqual(gotIncs, wantIncs) {
-				t.Errorf("incidents diverge:\n engine:   %+v\n detector: %+v", gotIncs, wantIncs)
-			}
-		})
+		for _, shards := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
+				gotOuts, e := relay{build: build}.run(t, recs, shards)
+				if !reflect.DeepEqual(gotOuts, wantOuts) {
+					t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
+				}
+				if gotIncs := e.Incidents(); !reflect.DeepEqual(gotIncs, wantIncs) {
+					t.Errorf("incidents diverge:\n engine:   %+v\n detector: %+v", gotIncs, wantIncs)
+				}
+			})
+		}
 	}
 }
 

@@ -31,9 +31,11 @@ func runFeed(t *testing.T, r *Engine, recs []*mrt.Record) (trs []bgpstream.FeedT
 }
 
 // TestFeedEventsEngineDetectorEquivalence pins the watchdog's determinism
-// contract: the reference engine and NewEngine's (shards=1) fire
-// identical feed transition sequences for the same record stream, and
-// enabling the watchdog changes nothing about the detection output.
+// contract: the reference engine and NewEngine's fire identical feed
+// transition sequences for the same record stream, run in one piece
+// (shards=1) or cut into four time shards restarted from checkpoints
+// (shards=4, see relay), and enabling the watchdog changes nothing about
+// the detection output.
 func TestFeedEventsEngineDetectorEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := genStream(seed, 3000)
@@ -61,22 +63,32 @@ func TestFeedEventsEngineDetectorEquivalence(t *testing.T) {
 			t.Errorf("seed=%d: watchdog changed the incident log", seed)
 		}
 
-		t.Run(fmt.Sprintf("seed=%d/shards=1", seed), func(t *testing.T) {
-			trs, outs, incs, snap := runFeed(t, NewEngine(cfg, dict, cmap, nil), recs)
-			if !reflect.DeepEqual(trs, wantTrs) {
-				t.Errorf("feed transitions diverge: engine fired %d, detector %d\nengine: %+v\ndetector: %+v",
-					len(trs), len(wantTrs), trs, wantTrs)
-			}
-			if !reflect.DeepEqual(outs, wantOuts) {
-				t.Errorf("outage output diverges")
-			}
-			if !reflect.DeepEqual(incs, wantIncs) {
-				t.Errorf("incident log diverges")
-			}
-			if !reflect.DeepEqual(snap, wantSnap) {
-				t.Errorf("final feed snapshot diverges:\nengine: %+v\ndetector: %+v", snap, wantSnap)
-			}
-		})
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
+				var trs []bgpstream.FeedTransition
+				logTr := func(tr bgpstream.FeedTransition) { trs = append(trs, tr) }
+				outs, e := relay{
+					build:  func() *Engine { return NewEngine(cfg, dict, cmap, nil) },
+					hooks:  func(*Engine) Hooks { return Hooks{FeedDegraded: logTr, FeedRecovered: logTr} },
+					logged: func() int { return len(trs) },
+					rewind: func(n int) { trs = trs[:n] },
+				}.run(t, recs, shards)
+				snap, _ := e.FeedHealth(recs[len(recs)-1].Time)
+				if !reflect.DeepEqual(trs, wantTrs) {
+					t.Errorf("feed transitions diverge: engine fired %d, detector %d\nengine: %+v\ndetector: %+v",
+						len(trs), len(wantTrs), trs, wantTrs)
+				}
+				if !reflect.DeepEqual(outs, wantOuts) {
+					t.Errorf("outage output diverges")
+				}
+				if !reflect.DeepEqual(e.Incidents(), wantIncs) {
+					t.Errorf("incident log diverges")
+				}
+				if !reflect.DeepEqual(snap, wantSnap) {
+					t.Errorf("final feed snapshot diverges:\nengine: %+v\ndetector: %+v", snap, wantSnap)
+				}
+			})
+		}
 	}
 }
 

@@ -185,12 +185,13 @@ func churnStream() []*mrt.Record {
 }
 
 // newPipeline builds the pipeline the differential tests drive, with the
-// feed watchdog on: the reference engine New for shards == 0, NewEngine's,
-// with its one path-state shard, for shards == 1.
+// feed watchdog on: the reference engine New for shards == 0, NewEngine's
+// otherwise; shards > 1 cuts the stream into that many time shards, one
+// engine each (see relay).
 func newPipeline(dict *communities.Dictionary, cmap *colo.Map, shards int) *Engine {
 	cfg := DefaultConfig()
 	cfg.FeedSilence = 30 * time.Minute
-	if shards == 1 {
+	if shards > 0 {
 		return NewEngine(cfg, dict, cmap, nil)
 	}
 	return New(cfg, dict, cmap, nil)
@@ -242,8 +243,9 @@ func feed(t *testing.T, p *Engine, recs []*mrt.Record) {
 // hit each kind of change, a checkpoint captured on the warm image must be
 // byte-for-byte the checkpoint a from-scratch build of the same state
 // gives — for the reference engine (shards=0), for NewEngine's (shards=1,
-// whose bytes must also agree with the reference's), and for an engine
-// restored mid-stream.
+// whose bytes must also agree with the reference's), for NewEngine's over
+// the stream cut into time shards restarted from checkpoints (shards=2 and
+// 4), and for an engine restored mid-stream.
 func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 	type stream struct {
 		name string
@@ -261,20 +263,26 @@ func TestCheckpointIncrementalEqualsRebuild(t *testing.T) {
 	for _, s := range []stream{{"churn", mdict, mcmap, churnStream(), 2}, {"storm", sdict, scmap, srecs, 1}} {
 		var ref map[time.Time][]byte // the detector's bytes per barrier
 		var mid []byte               // a checkpoint from the middle of the stream
-		for _, shards := range []int{0, 1} {
+		for _, shards := range []int{0, 1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
-				p := newPipeline(s.dict, s.cmap, shards)
 				stats := &metrics.CheckpointStats{}
-				p.SetCheckpointStats(stats)
 				encs := map[time.Time][]byte{}
 				quiet := 0
-				p.SetHooks(Hooks{BinClosed: func(end time.Time) {
-					encs[end] = checkAgainstRebuild(t, p, end)
-					if stats.DirtyPaths.Load() == 0 && stats.DirtyStable.Load() == 0 {
-						quiet++
-					}
-				}})
-				if feed(t, p, s.recs); t.Failed() {
+				build := func() *Engine {
+					p := newPipeline(s.dict, s.cmap, shards)
+					p.SetCheckpointStats(stats)
+					return p
+				}
+				hooks := func(p *Engine) Hooks {
+					return Hooks{BinClosed: func(end time.Time) {
+						encs[end] = checkAgainstRebuild(t, p, end)
+						if stats.DirtyPaths.Load() == 0 && stats.DirtyStable.Load() == 0 {
+							quiet++
+						}
+					}}
+				}
+				relay{build: build, hooks: hooks}.run(t, s.recs, max(shards, 1))
+				if t.Failed() {
 					return
 				}
 				snap := stats.Snapshot()
@@ -395,8 +403,11 @@ func TestCheckpointTrackingGuards(t *testing.T) {
 // goroutine, which encodes it (into one reused buffer, as the saver does)
 // while the pipeline runs on through later barriers and later captures, and
 // the bytes must be those of encoding it synchronously at its barrier — for
-// the reference engine (shards=0) and NewEngine's (shards=1). Run with -race: a
-// capture that aliased anything the pipeline still writes shows up here.
+// the reference engine (shards=0), NewEngine's (shards=1), and NewEngine's
+// over the stream cut into time shards restarted from checkpoints (shards=2
+// and 4, see relay), whose encodes race a restored engine's ingest too. Run
+// with -race: a capture that aliased anything the pipeline still writes
+// shows up here.
 func TestSaverEncodeRacesIngest(t *testing.T) {
 	mdict, mcmap, _ := microWorld(t)
 	sdict, scmap, srecs := stormStream(t)
@@ -406,9 +417,8 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 		cmap *colo.Map
 		recs []*mrt.Record
 	}{{"churn", mdict, mcmap, churnStream()}, {"storm", sdict, scmap, srecs}} {
-		for _, shards := range []int{0, 1} {
+		for _, shards := range []int{0, 1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", s.name, shards), func(t *testing.T) {
-				p := newPipeline(s.dict, s.cmap, shards)
 				type job struct {
 					end  time.Time
 					c    *Checkpoint
@@ -434,21 +444,24 @@ func TestSaverEncodeRacesIngest(t *testing.T) {
 					encoded <- n
 				}()
 				captured := 0
-				p.SetHooks(Hooks{BinClosed: func(end time.Time) {
-					c, err := p.Checkpoint()
-					if err != nil {
-						t.Errorf("checkpoint at %v: %v", end, err)
-						return
-					}
-					want, err := c.Encode()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					captured++
-					jobs <- job{end, c, want}
-				}})
-				feed(t, p, s.recs)
+				hooks := func(p *Engine) Hooks {
+					return Hooks{BinClosed: func(end time.Time) {
+						c, err := p.Checkpoint()
+						if err != nil {
+							t.Errorf("checkpoint at %v: %v", end, err)
+							return
+						}
+						want, err := c.Encode()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						captured++
+						jobs <- job{end, c, want}
+					}}
+				}
+				build := func() *Engine { return newPipeline(s.dict, s.cmap, shards) }
+				relay{build: build, hooks: hooks}.run(t, s.recs, max(shards, 1))
 				close(jobs)
 				if n := <-encoded; n != captured || n < 10 {
 					t.Errorf("%d checkpoints captured, %d encoded: want at least 10, all encoded", captured, n)

@@ -50,48 +50,64 @@ func recount(s *pathShard) map[bgp.ASN]int {
 // checkpoint, which rebuilds the counts from scratch, must hold the same
 // counts. At the end every path must be the deduplicated path of its key's
 // last accepted announcement. shards=0 runs the reference engine,
-// shards=1 NewEngine's.
+// shards=1 NewEngine's, and shards=3 NewEngine's over the stream cut into
+// three time shards, each engine restored from its predecessor's newest
+// checkpoint (see relay), whose restored counts are checked as it starts.
 func TestPathsContainingMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := prependedStream(seed, 3000)
-		for _, shards := range []int{0, 1} {
+		last := make(map[PathKey]bgp.Path)
+		for _, r := range recs {
+			if r.Update == nil {
+				continue
+			}
+			for _, p := range r.Update.Announced {
+				if bgp.Sanitize(p, r.Update.Attrs.ASPath) == nil {
+					last[PathKey{Peer: r.PeerAS, Prefix: p}] = r.Update.Attrs.ASPath.Dedup()
+				}
+			}
+		}
+		for _, shards := range []int{0, 1, 3} {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
 				dict, cmap, _ := microWorld(t)
-				e := New(DefaultConfig(), dict, cmap, nil)
-				if shards == 1 {
-					e = NewEngine(DefaultConfig(), dict, cmap, nil)
-				}
 				var enc []byte
 				var live map[bgp.ASN]int
-				barriers := 0
-				e.SetHooks(Hooks{BinClosed: func(end time.Time) {
-					barriers++
-					if got, want := e.ps.pathsContaining, recount(e.ps); !maps.Equal(got, want) {
-						t.Fatalf("barrier %v: pathsContaining %v, recount %v", end, got, want)
-					}
-					live = maps.Clone(e.ps.pathsContaining)
-					c, err := e.Checkpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if enc, err = c.Encode(); err != nil {
-						t.Fatal(err)
-					}
-				}})
-				last := make(map[PathKey]bgp.Path)
-				for _, r := range recs {
-					e.Process(r)
-					if r.Update == nil {
-						continue
-					}
-					for _, p := range r.Update.Announced {
-						if bgp.Sanitize(p, r.Update.Attrs.ASPath) == nil {
-							last[PathKey{Peer: r.PeerAS, Prefix: p}] = r.Update.Attrs.ASPath.Dedup()
+				barriers, restored := 0, 0
+				hooks := func(e *Engine) Hooks {
+					if live != nil {
+						// e was restored from the checkpoint of live's barrier.
+						restored++
+						if !maps.Equal(e.ps.pathsContaining, live) {
+							t.Errorf("restored %v, live %v", e.ps.pathsContaining, live)
 						}
 					}
+					return Hooks{BinClosed: func(end time.Time) {
+						barriers++
+						if got, want := e.ps.pathsContaining, recount(e.ps); !maps.Equal(got, want) {
+							t.Fatalf("barrier %v: pathsContaining %v, recount %v", end, got, want)
+						}
+						live = maps.Clone(e.ps.pathsContaining)
+						c, err := e.Checkpoint()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if enc, err = c.Encode(); err != nil {
+							t.Fatal(err)
+						}
+					}}
 				}
+				build := func() *Engine {
+					if shards == 0 {
+						return New(DefaultConfig(), dict, cmap, nil)
+					}
+					return NewEngine(DefaultConfig(), dict, cmap, nil)
+				}
+				_, e := relay{build: build, hooks: hooks}.run(t, recs, max(shards, 1))
 				if barriers < 10 {
 					t.Fatalf("only %d barriers", barriers)
+				}
+				if want := max(shards, 1) - 1; restored != want {
+					t.Errorf("%d engines restored mid-stream, want %d", restored, want)
 				}
 				c, err := DecodeCheckpoint(enc)
 				if err != nil {
@@ -104,7 +120,6 @@ func TestPathsContainingMatchesRebuild(t *testing.T) {
 				if !maps.Equal(r.ps.pathsContaining, live) {
 					t.Errorf("restored %v, live %v", r.ps.pathsContaining, live)
 				}
-				e.Flush(recs[len(recs)-1].Time)
 				for key, st := range e.ps.paths {
 					if !st.path.Equal(last[key]) {
 						t.Fatalf("%v holds path %v, last announced %v", key, st.path, last[key])

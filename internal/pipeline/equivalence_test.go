@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,8 +13,10 @@ import (
 
 // TestEngineEquivalenceOnSimulation drives the same seeded simulation
 // stream — a facility outage rendered over the full synthetic Internet —
-// through the reference engine and NewEngine's (shards=1), asserting
-// byte-for-byte identical Outage and Incident output. This is the
+// through the reference engine and Stack.NewEngine's, asserting
+// byte-for-byte identical Outage and Incident output. The subtests pass
+// Stack.NewEngine the shard counts the benchmark harness may pass it (it
+// passes GOMAXPROCS), which must not change the engine. This is the
 // system-level counterpart of the randomized core test: real dictionary,
 // real colocation map, real noise. The rendered archive leads with a table
 // dump, so the engine also streams a full RIB through Process.
@@ -40,15 +43,17 @@ func TestEngineEquivalenceOnSimulation(t *testing.T) {
 	if len(wantOuts) == 0 {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
-	t.Run("shards=1", func(t *testing.T) {
-		gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil)
-		if !reflect.DeepEqual(gotOuts, wantOuts) {
-			t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
-		}
-		if !reflect.DeepEqual(gotIncs, wantIncs) {
-			t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
-		}
-	})
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			gotOuts, gotIncs := run(s.NewEngine(core.DefaultConfig(), shards), res.Records, nil)
+			if !reflect.DeepEqual(gotOuts, wantOuts) {
+				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
+			}
+			if !reflect.DeepEqual(gotIncs, wantIncs) {
+				t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
+			}
+		})
+	}
 }
 
 // TestEngineEquivalenceWithDataPlane repeats the check with the simulated

@@ -14,13 +14,13 @@ import (
 )
 
 // runProbed drives a record stream through an engine wired to the async
-// probe scheduler — the reference engine for shards == 0, NewEngine's for
-// shards == 1 — and returns the completed outages.
+// probe scheduler — the reference engine for shards == 0, else
+// Stack.NewEngine's, passed shards — and returns the completed outages.
 func runProbed(t *testing.T, s *Stack, records []*mrt.Record, cfg core.Config, sched *probe.Scheduler, shards int) []core.Outage {
 	t.Helper()
 	eng := s.NewDetector(cfg)
-	if shards == 1 {
-		eng = s.NewEngine(cfg, 0)
+	if shards > 0 {
+		eng = s.NewEngine(cfg, shards)
 	}
 	eng.SetProber(sched)
 	outs, _ := run(eng, records, nil)
@@ -63,7 +63,7 @@ func TestProbeSchedulerEquivalence(t *testing.T) {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{0, 1} {
+	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			m := &metrics.ProbeStats{}
 			engDP := s.NewSimDataPlane(res, 1<<30)

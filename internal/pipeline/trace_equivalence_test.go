@@ -15,15 +15,15 @@ import (
 
 // runTraced replays a record stream with Config.Tracing enabled and a
 // TraceRecorded hook installed, through either the reference engine
-// (shards == 0) or NewEngine's (shards == 1), returning the detection
-// output plus the recorded evidence chains. It runs the loop Run/RunEngine
+// (shards == 0) or Stack.NewEngine's, passed shards, returning the
+// detection output plus the recorded evidence chains. It runs the loop Run/RunEngine
 // run, so the results are comparable to an untraced reference run.
 func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]core.Outage, []core.Incident, []core.OutageTrace) {
 	cfg.Tracing = true
 	var traces []core.OutageTrace
 	eng := s.NewDetector(cfg)
-	if shards == 1 {
-		eng = s.NewEngine(cfg, 0)
+	if shards > 0 {
+		eng = s.NewEngine(cfg, shards)
 	}
 	eng.SetHooks(core.Hooks{TraceRecorded: func(tr core.OutageTrace) { traces = append(traces, tr) }})
 	outages, incidents := run(eng, records, nil)
@@ -59,7 +59,7 @@ func TestTracingEquivalence(t *testing.T) {
 		t.Fatal("reference detector found nothing; equivalence would be vacuous")
 	}
 
-	for _, shards := range []int{0, 1} {
+	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			gotOuts, gotIncs, traces := runTraced(s, res.Records, core.DefaultConfig(), shards)
 			if !reflect.DeepEqual(gotOuts, wantOuts) {

@@ -510,10 +510,11 @@ func failOnSaverLog(t *testing.T) *slog.Logger {
 // publish byte-for-byte the same outage/incident/probe event sequence as
 // one uninterrupted run — with the active-measurement path wired — while
 // the re-ingested prefix stays bounded by the checkpoint cadence rather
-// than the stream length. The engines are NewEngine's (restore-shards=1):
-// the reference engine publishes a bin_closed event for idle bins too. Run
-// with -race: the checkpointing phase runs the saver and scheduler
-// workers beside ingest.
+// than the stream length. The engines are Stack.NewEngine's, the
+// restoring one passed the shard count the subtest names, which must not
+// change it (the reference engine publishes a bin_closed event for idle
+// bins too). Run with -race: the checkpointing phase runs the saver and
+// scheduler workers beside ingest.
 func TestRestartEquivalenceCheckpointed(t *testing.T) {
 	stack, _, res, cfg, start := restartScenario(t)
 	const ckptInterval = 6 * time.Hour // stream time between checkpoints
@@ -543,138 +544,140 @@ func TestRestartEquivalenceCheckpointed(t *testing.T) {
 		t.Fatalf("reference run published %d probe and %d resolved events; the scenario must exercise both", probeEvents, resolvedEvents)
 	}
 
-	t.Run("restore-shards=1", func(t *testing.T) {
-		dir := t.TempDir()
+	for _, restoreShards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("restore-shards=%d", restoreShards), func(t *testing.T) {
+			dir := t.TempDir()
 
-		// ---- Phase 1: checkpointing daemon, SIGKILLed mid-archive.
-		// CompactBytes: 1: checkpointed recovery must compose with
-		// sealed segments and incremental snapshot manifests.
-		st1, err := store.Open(store.Options{Dir: dir, CompactBytes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var persisted []events.Event
-		bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
-			if err := st1.Append(ev); err != nil {
-				t.Errorf("phase 1 append: %v", err)
-			}
-			persisted = append(persisted, ev)
-		}))
-		eng1 := stack.NewEngine(cfg, 0)
-		eng1.SetProber(newSched(t, stack, res))
-		hooks1 := events.EngineHooks(bus1)
-		publishBin := hooks1.BinClosed
-		// As internal/daemon saves them: captured in the hook, written by the
-		// saver while ingest runs on, at whatever pace this machine gives
-		// the two.
-		sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, nil, failOnSaverLog(t))
-		checkpoint := saverHook(t, sv1, eng1, bus1, nil, nil)
-		hooks1.BinClosed = func(end time.Time) {
-			publishBin(end)
-			checkpoint(end)
-		}
-		eng1.SetHooks(hooks1)
-		cut := &countingCut{cutSource: cutSource{
-			src:    live.Adapt(bgpstream.NewSliceSource(res.Records)),
-			cutoff: start.Add(8 * 24 * time.Hour),
-		}}
-		if _, err := live.Pump(context.Background(), cut, eng1); err != context.Canceled {
-			t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
-		}
-		bus1.Close()
-		eng1.Close()
-		// SIGKILL model: st1 abandoned, never Closed — the kill lands just
-		// after the save in flight, if any, finished (one that lands
-		// mid-save is TestRestartSaverKilledMidSave).
-		sv1.Close()
-
-		// ---- Phase 2: recover, restore the checkpoint, re-ingest the suffix.
-		stats2 := &metrics.StoreStats{}
-		st2, err := store.Open(store.Options{Dir: dir, CompactBytes: 1, Metrics: stats2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st2.Close()
-		hist := st2.History()
-		if got := uint64(len(persisted)); got != hist.LastSeq {
-			t.Fatalf("durable horizon %d but phase 1 published %d events", hist.LastSeq, got)
-		}
-		var engCkpt *core.Checkpoint
-		ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
-			if c.EventSeq > hist.LastSeq {
-				return fmt.Errorf("checkpoint ahead of durable horizon")
-			}
-			ec, err := core.DecodeCheckpoint(c.Engine)
+			// ---- Phase 1: checkpointing daemon, SIGKILLed mid-archive.
+			// CompactBytes: 1: checkpointed recovery must compose with
+			// sealed segments and incremental snapshot manifests.
+			st1, err := store.Open(store.Options{Dir: dir, CompactBytes: 1})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			engCkpt = ec
-			return nil
-		})
-		if ck == nil {
-			t.Fatal("no usable checkpoint recovered")
-		}
-		// Bounded recovery: the replayed prefix (checkpoint to kill) is a
-		// sliver of the records the killed process had ingested, set by
-		// the checkpoint cadence, not the stream length.
-		reingested := cut.delivered - int(ck.Records)
-		if reingested < 0 || reingested > cut.delivered/2 {
-			t.Fatalf("checkpoint at record %d, kill at %d: replayed prefix %d is not bounded",
-				ck.Records, cut.delivered, reingested)
-		}
-		stats2.ResumeSeq.Store(int64(ck.EventSeq))
-		stats2.ResumeRecords.Store(int64(ck.Records))
-
-		var evs2 []events.Event
-		bus2 := events.New(nil,
-			events.WithStartSeq(hist.LastSeq),
-			events.WithSink(func(ev events.Event) {
-				if err := st2.Append(ev); err != nil {
-					t.Errorf("phase 2 append: %v", err)
+			var persisted []events.Event
+			bus1 := events.New(nil, events.WithSink(func(ev events.Event) {
+				if err := st1.Append(ev); err != nil {
+					t.Errorf("phase 1 append: %v", err)
 				}
-				evs2 = append(evs2, ev)
+				persisted = append(persisted, ev)
 			}))
-		eng2 := stack.NewEngine(cfg, 0)
-		defer eng2.Close()
-		eng2.SetProber(newSched(t, stack, res))
-		if err := eng2.RestoreFrom(engCkpt); err != nil {
-			t.Fatal(err)
-		}
-		eng2.SetHooks(events.GateHooks(events.EngineHooks(bus2), hist.LastSeq-ck.EventSeq))
-		suffix := res.Records[ck.Records:]
-		if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(suffix)), eng2); err != nil {
-			t.Fatal(err)
-		}
-		bus2.Close()
-		if got := eng2.Stats().Records; got != int64(len(suffix)) {
-			t.Errorf("restored engine ingested %d records, suffix has %d", got, len(suffix))
-		}
-		// The recovery gauges a daemon would export: resumed well past
-		// record zero.
-		snap := stats2.Snapshot()
-		if snap.ResumeRecords == 0 || snap.ResumeSeq == 0 {
-			t.Errorf("resume gauges = %d/%d, want non-zero", snap.ResumeRecords, snap.ResumeSeq)
-		}
-
-		// Byte-for-byte: the persisted prefix plus the post-restore
-		// publication equals the uninterrupted run's event sequence —
-		// outages, incidents, bins and probe lifecycle alike.
-		all := append(append([]events.Event{}, persisted...), evs2...)
-		if len(all) != len(refEvents) {
-			t.Fatalf("restarted run published %d events, uninterrupted run %d", len(all), len(refEvents))
-		}
-		for i := range all {
-			got, want := marshalEvent(t, all[i]), marshalEvent(t, refEvents[i])
-			if !bytes.Equal(got, want) {
-				t.Fatalf("event %d diverges across the restart:\n got  %s\n want %s", i, got, want)
+			eng1 := stack.NewEngine(cfg, 0)
+			eng1.SetProber(newSched(t, stack, res))
+			hooks1 := events.EngineHooks(bus1)
+			publishBin := hooks1.BinClosed
+			// As internal/daemon saves them: captured in the hook, written by the
+			// saver while ingest runs on, at whatever pace this machine gives
+			// the two.
+			sv1 := store.NewCheckpointSaver(st1, ckptInterval, time.Time{}, nil, failOnSaverLog(t))
+			checkpoint := saverHook(t, sv1, eng1, bus1, nil, nil)
+			hooks1.BinClosed = func(end time.Time) {
+				publishBin(end)
+				checkpoint(end)
 			}
-		}
-		// And a third boot would recover the identical history.
-		final := st2.History()
-		if final.LastSeq != uint64(len(refEvents)) {
-			t.Errorf("durable seq %d, want %d", final.LastSeq, len(refEvents))
-		}
-	})
+			eng1.SetHooks(hooks1)
+			cut := &countingCut{cutSource: cutSource{
+				src:    live.Adapt(bgpstream.NewSliceSource(res.Records)),
+				cutoff: start.Add(8 * 24 * time.Hour),
+			}}
+			if _, err := live.Pump(context.Background(), cut, eng1); err != context.Canceled {
+				t.Fatalf("phase 1 pump error = %v, want context.Canceled", err)
+			}
+			bus1.Close()
+			eng1.Close()
+			// SIGKILL model: st1 abandoned, never Closed — the kill lands just
+			// after the save in flight, if any, finished (one that lands
+			// mid-save is TestRestartSaverKilledMidSave).
+			sv1.Close()
+
+			// ---- Phase 2: recover, restore the checkpoint, re-ingest the suffix.
+			stats2 := &metrics.StoreStats{}
+			st2, err := store.Open(store.Options{Dir: dir, CompactBytes: 1, Metrics: stats2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			hist := st2.History()
+			if got := uint64(len(persisted)); got != hist.LastSeq {
+				t.Fatalf("durable horizon %d but phase 1 published %d events", hist.LastSeq, got)
+			}
+			var engCkpt *core.Checkpoint
+			ck := st2.LoadCheckpoint(func(c *store.Checkpoint) error {
+				if c.EventSeq > hist.LastSeq {
+					return fmt.Errorf("checkpoint ahead of durable horizon")
+				}
+				ec, err := core.DecodeCheckpoint(c.Engine)
+				if err != nil {
+					return err
+				}
+				engCkpt = ec
+				return nil
+			})
+			if ck == nil {
+				t.Fatal("no usable checkpoint recovered")
+			}
+			// Bounded recovery: the replayed prefix (checkpoint to kill) is a
+			// sliver of the records the killed process had ingested, set by
+			// the checkpoint cadence, not the stream length.
+			reingested := cut.delivered - int(ck.Records)
+			if reingested < 0 || reingested > cut.delivered/2 {
+				t.Fatalf("checkpoint at record %d, kill at %d: replayed prefix %d is not bounded",
+					ck.Records, cut.delivered, reingested)
+			}
+			stats2.ResumeSeq.Store(int64(ck.EventSeq))
+			stats2.ResumeRecords.Store(int64(ck.Records))
+
+			var evs2 []events.Event
+			bus2 := events.New(nil,
+				events.WithStartSeq(hist.LastSeq),
+				events.WithSink(func(ev events.Event) {
+					if err := st2.Append(ev); err != nil {
+						t.Errorf("phase 2 append: %v", err)
+					}
+					evs2 = append(evs2, ev)
+				}))
+			eng2 := stack.NewEngine(cfg, restoreShards)
+			defer eng2.Close()
+			eng2.SetProber(newSched(t, stack, res))
+			if err := eng2.RestoreFrom(engCkpt); err != nil {
+				t.Fatal(err)
+			}
+			eng2.SetHooks(events.GateHooks(events.EngineHooks(bus2), hist.LastSeq-ck.EventSeq))
+			suffix := res.Records[ck.Records:]
+			if _, err := live.Pump(context.Background(), live.Adapt(bgpstream.NewSliceSource(suffix)), eng2); err != nil {
+				t.Fatal(err)
+			}
+			bus2.Close()
+			if got := eng2.Stats().Records; got != int64(len(suffix)) {
+				t.Errorf("restored engine ingested %d records, suffix has %d", got, len(suffix))
+			}
+			// The recovery gauges a daemon would export: resumed well past
+			// record zero.
+			snap := stats2.Snapshot()
+			if snap.ResumeRecords == 0 || snap.ResumeSeq == 0 {
+				t.Errorf("resume gauges = %d/%d, want non-zero", snap.ResumeRecords, snap.ResumeSeq)
+			}
+
+			// Byte-for-byte: the persisted prefix plus the post-restore
+			// publication equals the uninterrupted run's event sequence —
+			// outages, incidents, bins and probe lifecycle alike.
+			all := append(append([]events.Event{}, persisted...), evs2...)
+			if len(all) != len(refEvents) {
+				t.Fatalf("restarted run published %d events, uninterrupted run %d", len(all), len(refEvents))
+			}
+			for i := range all {
+				got, want := marshalEvent(t, all[i]), marshalEvent(t, refEvents[i])
+				if !bytes.Equal(got, want) {
+					t.Fatalf("event %d diverges across the restart:\n got  %s\n want %s", i, got, want)
+				}
+			}
+			// And a third boot would recover the identical history.
+			final := st2.History()
+			if final.LastSeq != uint64(len(refEvents)) {
+				t.Errorf("durable seq %d, want %d", final.LastSeq, len(refEvents))
+			}
+		})
+	}
 }
 
 // TestDrainKillRestartKeepsFlushResolutions covers drain → SIGKILL →
