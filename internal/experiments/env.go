@@ -38,19 +38,20 @@ type Env struct {
 	End       time.Time
 }
 
-// histConfig is the world used for the five-year analysis.
-func histConfig() topology.Config {
+// histConfig is the world used for the five-year analysis at seed offset
+// s; s = 0 is the canonical world.
+func histConfig(s int64) topology.Config {
 	cfg := topology.DefaultConfig()
-	cfg.Seed = 2012
+	cfg.Seed = 2012 + 101*s
 	return cfg
 }
 
 // histSchedule injects the paper-scale incident mix: 103 facility and 56
 // IXP outages over five years (Section 6.1), on a bed of link- and AS-level
-// background noise.
-func histSchedule(w *topology.World) simulate.ScheduleConfig {
+// background noise. s is the seed offset of histConfig.
+func histSchedule(s int64) simulate.ScheduleConfig {
 	return simulate.ScheduleConfig{
-		Seed:            41,
+		Seed:            41 + 7*s,
 		Start:           HistStart.Add(4 * 24 * time.Hour), // past the stability window
 		End:             HistEnd.Add(-4 * 24 * time.Hour),
 		FacilityOutages: 103,
@@ -80,32 +81,42 @@ func Historical() (*Env, error) {
 }
 
 func buildHistorical() (*Env, error) {
-	w, err := topology.Generate(histConfig())
-	if err != nil {
-		return nil, err
-	}
-	stack := pipeline.Build(w, 7)
-	schedule := simulate.GenerateSchedule(w, histSchedule(w))
-	res, err := simulate.Render(w, schedule, HistStart, HistEnd, simulate.RenderConfig{
-		Seed:            43,
-		RIBDumpInterval: 60 * 24 * time.Hour,
-		SessionResets:   25,
-	})
+	env, err := renderHistorical(0)
 	if err != nil {
 		return nil, err
 	}
 	// Detection runs with the targeted-measurement backend, as the real
 	// system does: unresolved localizations consult it, and inferred
 	// epicenters are cross-checked (Section 4.4).
-	dp := stack.NewSimDataPlane(res, 500000)
-	outages, incidents := stack.Run(res.Records, core.DefaultConfig(), dp)
+	dp := env.Stack.NewSimDataPlane(env.Res, 500000)
+	env.Outages, env.Incidents = env.Stack.Run(env.Res.Records, core.DefaultConfig(), dp)
+	return env, nil
+}
+
+// renderHistorical builds the five-year world, its sources and its
+// rendered archive at seed offset s (topology 2012+101s, schedule 41+7s,
+// render 43+13s, sources 7+s), without running detection. s = 0 is the
+// canonical world.
+func renderHistorical(s int64) (*Env, error) {
+	w, err := topology.Generate(histConfig(s))
+	if err != nil {
+		return nil, err
+	}
+	stack := pipeline.Build(w, 7+s)
+	schedule := simulate.GenerateSchedule(w, histSchedule(s))
+	res, err := simulate.Render(w, schedule, HistStart, HistEnd, simulate.RenderConfig{
+		Seed:            43 + 13*s,
+		RIBDumpInterval: 60 * 24 * time.Hour,
+		SessionResets:   25,
+	})
+	if err != nil {
+		return nil, err
+	}
 	return &Env{
-		Stack:     stack,
-		Schedule:  schedule,
-		Res:       res,
-		Outages:   outages,
-		Incidents: incidents,
-		Start:     HistStart,
-		End:       HistEnd,
+		Stack:    stack,
+		Schedule: schedule,
+		Res:      res,
+		Start:    HistStart,
+		End:      HistEnd,
 	}, nil
 }

@@ -97,31 +97,60 @@ type ValidationResult struct {
 	FalsePositives int // detected with no matching ground-truth incident
 	FalseNegatives int // full outages at trackable infrastructure missed
 	PartialMissed  int // partial outages missed (paper: 4, mis-classified)
+	// FullTrackable counts the full outages at trackable infrastructure,
+	// detected or not: the denominator of recall.
+	FullTrackable int
+	// Localized splits TruePositives by how the detection located its
+	// truth, indexed by Match (MatchPoP, MatchCity, MatchRelated).
+	Localized [matchKinds]int
+}
+
+// Precision is the fraction of detections that match a truth.
+func (r *ValidationResult) Precision() float64 {
+	return float64(r.TruePositives) / float64(maxInt(1, r.Detected))
+}
+
+// Recall is the fraction of full outages at trackable infrastructure that
+// were detected.
+func (r *ValidationResult) Recall() float64 {
+	return float64(r.FullTrackable-r.FalseNegatives) / float64(maxInt(1, r.FullTrackable))
 }
 
 // matchWindow tolerates detection/report timing slack.
 const matchWindow = 3 * time.Hour
 
-// truthMatches reports whether a detected outage corresponds to event ev.
-func truthMatches(env *Env, o core.Outage, ev reports.Event) bool {
+// Match is how a detected outage located a ground-truth event.
+type Match int
+
+const (
+	NoMatch      Match = iota
+	MatchPoP           // the detection names the failed PoP itself
+	MatchCity          // a city-level detection names the failed PoP's city
+	MatchRelated       // a facility hosting the failed IXP's fabric, or vice versa
+	matchKinds
+)
+
+// truthMatches reports whether, and how, a detected outage corresponds to
+// event ev.
+func truthMatches(env *Env, o core.Outage, ev reports.Event) Match {
 	dt := o.Start.Sub(ev.Time)
 	if dt < -matchWindow || dt > matchWindow {
-		return false
+		return NoMatch
 	}
 	if o.PoP == ev.PoP {
-		return true
+		return MatchPoP
 	}
 	// City-level detections match events in that city (multi-PoP
 	// abstraction); facility detections match IXP events whose fabric the
 	// facility hosts, and vice versa (Figure 2's interdependence).
 	if o.PoP.Kind == colo.PoPCity && uint32(env.Stack.Map.CityOf(ev.PoP)) == o.PoP.ID {
-		return true
+		return MatchCity
 	}
 	if o.PoP.Kind == colo.PoPFacility && ev.PoP.Kind == colo.PoPIXP {
 		if ix, ok := env.Stack.Map.IXP(colo.IXPID(ev.PoP.ID)); ok {
 			for _, f := range ix.Facilities {
 				if uint32(f) == o.PoP.ID {
-					return true
+					return MatchRelated
 				}
 			}
 		}
@@ -130,12 +159,12 @@ func truthMatches(env *Env, o core.Outage, ev reports.Event) bool {
 		if ix, ok := env.Stack.Map.IXP(colo.IXPID(o.PoP.ID)); ok {
 			for _, f := range ix.Facilities {
 				if uint32(f) == ev.PoP.ID {
-					return true
+					return MatchRelated
 				}
 			}
 		}
 	}
-	return false
+	return NoMatch
 }
 
 // Validation computes the Section 5.3 accounting.
@@ -145,16 +174,16 @@ func Validation(env *Env) *ValidationResult {
 
 	matchedTruth := make(map[int]bool)
 	for _, o := range env.Outages {
-		matched := false
+		match := NoMatch
 		for _, ev := range env.Res.Truth {
-			if truthMatches(env, o, ev) {
-				matched = true
+			if match = truthMatches(env, o, ev); match != NoMatch {
 				matchedTruth[ev.ID] = true
 				break
 			}
 		}
-		if matched {
+		if match != NoMatch {
 			r.TruePositives++
+			r.Localized[match]++
 			for _, rep := range reported {
 				if rep.Matches(o.PoP, o.Start, env.Stack.Map) {
 					r.Publicly++
@@ -168,9 +197,6 @@ func Validation(env *Env) *ValidationResult {
 
 	covered := env.Stack.Dict.Covers
 	for _, ev := range env.Res.Truth {
-		if matchedTruth[ev.ID] {
-			continue
-		}
 		trackable := false
 		switch ev.PoP.Kind {
 		case colo.PoPFacility:
@@ -187,6 +213,12 @@ func Validation(env *Env) *ValidationResult {
 			}
 		}
 		if !trackable {
+			continue
+		}
+		if ev.Full {
+			r.FullTrackable++
+		}
+		if matchedTruth[ev.ID] {
 			continue
 		}
 		if ev.Full {
