@@ -14,7 +14,7 @@
 // Outage and incident reports go to stdout in a fixed format; diagnostics
 // go to stderr through log/slog (-log-format text|json, -log-level).
 // -bin-stats additionally prints a staged bin-close latency summary (due
-// promotions, divert merge, classification, ...) at exit.
+// promotions, probe collection, classification, ...) at exit.
 //
 // Usage:
 //

@@ -111,8 +111,8 @@
 // Observability: the daemon logs through log/slog (keplerd builds the root
 // logger from -log-format text|json and -log-level debug|info|warn|error)
 // with component-scoped loggers for the store, probe scheduler, server and
-// source. Every bin close is measured in stages (due promotions, divert
-// merge, probe collection, classification, baseline cleanup, hooks); the
+// source. Every bin close is measured in stages (due promotions, probe
+// collection, classification, baseline cleanup, hooks); the
 // fixed-bucket histograms appear in /v1/stats under bin_close and at
 // /metrics as kepler_bin_close_seconds / kepler_bin_close_stage_seconds.
 // -slow-bin-ms logs a structured per-stage report for any bin close over the

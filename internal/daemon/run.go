@@ -594,8 +594,8 @@ func speedName(speed float64) string {
 
 // slowBinAttrs renders one slow bin close as structured attributes: the
 // bin, the total, and every instrumented stage, so the report pinpoints
-// which stage (due promotions, merge, probe collection, classification,
-// baseline cleanup, hooks) ate the budget.
+// which stage (due promotions, probe collection, classification, baseline
+// cleanup, hooks) ate the budget.
 func slowBinAttrs(sp metrics.BinSpans) []any {
 	attrs := make([]any, 0, 2*(metrics.NumBinStages+2))
 	attrs = append(attrs, "bin", sp.End, "total", sp.Total)

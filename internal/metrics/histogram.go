@@ -119,12 +119,9 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 // promotions due at the bin's end, collecting asynchronous probe verdicts,
 // the Section 4.3 signal classification, the stable-baseline cleanup, and
 // the lifecycle hooks (which a store-backed daemon uses for its synchronous
-// WAL flush). The merge stage is always zero: the one path-state shard's
-// divert index needs no merge. It stays so that /v1/stats and /metrics keep
-// their shape.
+// WAL flush).
 const (
 	StageBarrier  = iota // promotions due at the bin's end
-	StageMerge           // diverted-index merge; always zero
 	StageCollect         // async probe verdict collection + return application
 	StageClassify        // signal grouping, classification, disambiguation
 	StageFinish          // stable-baseline cleanup
@@ -134,7 +131,7 @@ const (
 
 // BinStageNames maps stage indexes to their metric label values.
 var BinStageNames = [NumBinStages]string{
-	"barrier", "merge", "probe_collect", "classify", "finish", "hooks",
+	"barrier", "probe_collect", "classify", "finish", "hooks",
 }
 
 // BinSpans carries the measured spans of one bin close.

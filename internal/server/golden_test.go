@@ -57,11 +57,14 @@ func goldenServer(t *testing.T) *Server {
 	feed.Degraded.Store(3)
 	feed.Recovered.Store(2)
 
+	// Distinct per-stage multipliers, so a series that moves to another
+	// stage label shows in both goldens.
+	mult := [metrics.NumBinStages]int{1, 3, 4, 5, 6}
 	var bins metrics.BinStageStats
 	for i := 1; i <= 3; i++ {
 		spans := metrics.BinSpans{End: t0, Total: time.Duration(i) * 30 * time.Millisecond}
 		for s := range spans.Stage {
-			spans.Stage[s] = time.Duration(i*(s+1)) * time.Millisecond
+			spans.Stage[s] = time.Duration(i*mult[s]) * time.Millisecond
 		}
 		bins.Record(spans)
 	}
