@@ -35,7 +35,7 @@ func main() {
 
 	// Run the detector over the case archive and show that A and C are
 	// localized to buildings while B stays an AS-level incident.
-	dp := cs.Stack.NewSimDataPlane(cs.Res, 100000)
+	dp := cs.Stack.NewSimDataPlane(cs.Res)
 	outages, incidents := cs.Stack.Run(cs.Res.Records, core.DefaultConfig(), dp)
 	fmt.Println("detected outages:")
 	for _, o := range outages {

@@ -12,6 +12,7 @@ import (
 
 	"kepler"
 	"kepler/internal/colo"
+	"kepler/internal/metrics"
 	"kepler/internal/pipeline"
 	"kepler/internal/probe"
 	"kepler/internal/simulate"
@@ -66,11 +67,19 @@ func main() {
 	// investigation runs at each 60 s bin boundary over it, skipping bins
 	// in which nothing happened. The output is byte-for-byte what the
 	// reference kepler.NewDetector would emit. The data plane validates
-	// suspected epicenters with targeted traceroutes.
+	// suspected epicenters with targeted traceroutes, through a probe
+	// scheduler: a suspected epicenter parks as a probe campaign —
+	// deduplicated, prioritized (facility > IXP > city), budgeted,
+	// measured by the scheduler's workers while ingestion runs on — whose
+	// verdict promotes, refutes or expires it at the next bin barrier.
 	cfg := kepler.DefaultConfig()
 	cfg.Tracing = true // record the evidence chain behind each detection
 	eng := kepler.NewEngine(cfg, stack.Dict, stack.Map, stack.Orgs)
-	eng.SetDataPlane(stack.NewSimDataPlane(res, 50000))
+	dp := stack.NewSimDataPlane(res)
+	probeStats := &metrics.ProbeStats{}
+	sched := probe.NewScheduler(dp, probe.Config{Workers: 4, Metrics: probeStats})
+	defer sched.Close()
+	eng.SetProber(sched)
 
 	// Lifecycle hooks fire at bin boundaries as detection state changes —
 	// the same callbacks internal/daemon bridges onto its event bus and
@@ -127,29 +136,13 @@ func main() {
 		fmt.Println("no outages detected — unexpected; try a different seed")
 	}
 
-	// 6. The same validation also runs asynchronously: wire a probe
-	// scheduler instead of the inline data plane and a suspected epicenter
-	// parks as a probe campaign — deduplicated, prioritized (facility >
-	// IXP > city), budgeted, measured concurrently — whose verdict
-	// promotes, refutes or expires it at the next bin barrier. With an
-	// unbounded budget the located outages are identical to the inline
-	// path; unlike it, a bin close never blocks on a measurement platform.
-	// (No cooldown cache here: exact parity with the inline path means
-	// re-measuring, exactly as openOutageFor would.)
-	sched := probe.NewScheduler(
-		probe.OverDataPlane(stack.NewSimDataPlane(res, 50000)),
-		probe.Config{Workers: 4},
-	)
-	defer sched.Close()
-	async := kepler.NewEngine(kepler.DefaultConfig(), stack.Dict, stack.Map, stack.Orgs)
-	async.SetProber(sched)
-	var asyncOutages []kepler.Outage
-	for _, rec := range res.Records {
-		asyncOutages = append(asyncOutages, async.Process(rec)...)
-	}
-	asyncOutages = append(asyncOutages, async.Flush(end)...)
-	fmt.Printf("\nasync probe scheduler located %d outage(s) — same set as the inline data plane (%d)\n",
-		len(asyncOutages), len(outages))
+	// 6. What the measurements cost: the scheduler's counters (keplerd
+	// serves the same at /v1/stats and /metrics). Probe.Config.Budget caps
+	// executed probes per sliding window; here it is unbounded, and the
+	// worker count never changes what is detected.
+	ps := probeStats.Snapshot()
+	fmt.Printf("\nprobe scheduler: %d campaign(s), %d target(s), %d probe(s) executed (%d targeted traceroutes)\n",
+		ps.Campaigns, ps.Targets, ps.Executed, dp.Used())
 
 	// 7. The same pipeline runs as a long-lived service: internal/daemon wires
 	// a streamed source into this engine and serves results over HTTP while

@@ -284,15 +284,7 @@ func TestCheckpointMidBinRejected(t *testing.T) {
 // run did.
 func TestCheckpointRestoreWithProber(t *testing.T) {
 	recs, _ := scenarioStream()
-	confirmAll := func() Prober {
-		return &scriptedProber{answer: func(req ProbeRequest) []ProbeResult {
-			results := make([]ProbeResult, len(req.Candidates))
-			for i, c := range req.Candidates {
-				results[i] = ProbeResult{Target: c, Confirmed: true, HasData: true}
-			}
-			return results
-		}}
-	}
+	confirmAll := func() Prober { return answering(true, true) }
 	wantOuts, wantIncs, countAt := refRun(t, recs, confirmAll)
 	if len(wantOuts) != 1 {
 		t.Fatalf("reference run found %d outages, want 1", len(wantOuts))

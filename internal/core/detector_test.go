@@ -361,22 +361,11 @@ func TestOscillationMerging(t *testing.T) {
 	}
 }
 
-type stubDataPlane struct {
-	confirm bool
-	hasData bool
-	calls   int
-}
-
-func (s *stubDataPlane) Confirm(colo.PoP, time.Time) (bool, bool) {
-	s.calls++
-	return s.confirm, s.hasData
-}
-
 func TestDataPlaneFalsePositiveSuppression(t *testing.T) {
 	dict, cmap, _ := microWorld(t)
 	d := New(DefaultConfig(), dict, cmap, nil)
-	dp := &stubDataPlane{confirm: false, hasData: true}
-	d.SetDataPlane(dp)
+	pr := answering(false, true)
+	d.SetProber(pr)
 	at := seedStable(t, d, 3)
 
 	at = at.Add(time.Hour)
@@ -391,7 +380,7 @@ func TestDataPlaneFalsePositiveSuppression(t *testing.T) {
 	}
 	d.Process(mkUpdate(at.Add(2*time.Minute), 99, "198.41.0.0/16", bgp.Path{99, 98}, nil))
 
-	if dp.calls == 0 {
+	if len(pr.reqs) == 0 {
 		t.Fatal("data plane never consulted")
 	}
 	if outs := d.Flush(at.Add(24 * time.Hour)); len(outs) != 0 {
@@ -402,7 +391,7 @@ func TestDataPlaneFalsePositiveSuppression(t *testing.T) {
 func TestDataPlaneConfirmation(t *testing.T) {
 	dict, cmap, fid := microWorld(t)
 	d := New(DefaultConfig(), dict, cmap, nil)
-	d.SetDataPlane(&stubDataPlane{confirm: true, hasData: true})
+	d.SetProber(answering(true, true))
 	at := seedStable(t, d, 3)
 
 	at = at.Add(time.Hour)

@@ -89,7 +89,7 @@ type Engine struct {
 // New builds the reference engine: it starts no goroutine, applies each
 // record's ops on the caller's goroutine and closes every bin, idle ones
 // included. orgs may be nil (operator-level classification then degrades to
-// AS-level). The data plane is optional via SetDataPlane.
+// AS-level). The data plane is optional via SetProber.
 func New(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *as2org.Table) *Engine {
 	e := &Engine{
 		cfg:   cfg,
@@ -113,14 +113,10 @@ func NewEngine(cfg Config, dict *communities.Dictionary, cmap *colo.Map, orgs *a
 	return e
 }
 
-// SetDataPlane wires the synchronous targeted-measurement backend. It must
-// be called before the first Process.
-func (e *Engine) SetDataPlane(dp DataPlane) { e.inv.dp = dp }
-
-// SetProber wires the asynchronous probe scheduler: epicenter confirmation
-// becomes a deferred campaign whose verdict is collected at a later bin
-// barrier (see Prober and PendingConfirmation). Mutually exclusive with
-// SetDataPlane; it must be called before the first Process.
+// SetProber wires the data plane: epicenter confirmation and candidate
+// disambiguation become deferred probe campaigns whose verdicts are
+// collected at a later bin barrier (see Prober and PendingConfirmation).
+// It must be called before the first Process.
 func (e *Engine) SetProber(p Prober) { e.inv.prober = p }
 
 // PendingConfirmations snapshots the signal groups parked behind probe

@@ -35,8 +35,8 @@ type Hooks struct {
 	// accessors (OpenOutageStatuses, Incidents, Stats) are safe to call
 	// from inside the callback; servers use it to refresh read snapshots.
 	BinClosed func(end time.Time)
-	// ProbeRequested fires when a signal group is parked pending an
-	// asynchronous probe campaign (SetProber mode only).
+	// ProbeRequested fires when a signal group is parked pending a probe
+	// campaign (SetProber mode only).
 	ProbeRequested func(PendingConfirmation)
 	// ProbeConfirmed fires when a campaign verdict resolves a pending
 	// confirmation — promoted to a located outage (Located), suppressed as

@@ -19,8 +19,8 @@ type popGroup struct {
 	fars    map[bgp.ASN]bool
 	paths   int
 	// probeCands is the disambiguation candidate set recorded by
-	// resolveByProbe in asynchronous-prober mode: openOutageFor parks the
-	// group as a campaign over these instead of probing inline.
+	// resolveByProbe: with a prober wired, openOutageFor parks the group as
+	// a campaign over these.
 	probeCands []colo.PoP
 	// trace is the provenance chapter under construction (Config.Tracing);
 	// nil when tracing is disabled. Built during the pure classification.
@@ -304,18 +304,12 @@ type groupResult struct {
 	// epicenter is the disambiguated epicenter of a PoP-level group (zero
 	// when unresolved).
 	epicenter colo.PoP
-	// needProbe asks the serial merge to probe the group's recorded
-	// candidates against the synchronous data plane: classification itself
-	// is pure, so inline dp.Confirm calls are deferred to the merge where
-	// they run in deterministic group order.
-	needProbe bool
 }
 
 // classifyGroup runs the Section 4.3 classification flowchart over one
 // per-PoP signal group. It is pure with respect to the investigator — it
 // only reads the shard's bin-close state, the colocation map and
-// the org table; everything with side effects (data-plane probes, hooks,
-// the incident log) happens in investigate's ordered merge.
+// the org table; the incident log and hooks are investigate's.
 func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) groupResult {
 	g := buildGroup(pop, sigs)
 	if inv.cfg.Tracing {
@@ -382,12 +376,6 @@ func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal
 		inc.PoP = epicenter
 		r.popLevel = true
 		r.epicenter = epicenter
-		// An unresolved epicenter with recorded candidates and a
-		// synchronous data plane resolves by inline probing at the merge;
-		// in asynchronous-prober mode openOutageFor parks a campaign
-		// instead.
-		r.needProbe = !epicenter.IsValid() && len(g.probeCands) > 0 &&
-			inv.prober == nil && inv.dp != nil
 	default:
 		// Too few disjoint ends for PoP-level, broader than one AS:
 		// conservative AS-level classification.
@@ -431,25 +419,11 @@ func (inv *investigator) investigate(at time.Time, signals []signal) {
 
 	binCommon := inv.binVanishedAS(signals)
 
-	// Classification phase: every per-PoP group is classified by the pure
-	// classifyGroup (the groups are independent until the folding below,
-	// and classification only reads the shard's bin-close state).
-	results := make([]groupResult, len(order))
-	for i := range order {
-		results[i] = inv.classifyGroup(at, order[i], groups[order[i]], binCommon)
-	}
-
-	// Serial merge, in group order: run the data-plane probes that
-	// classification deferred (keeping the dp.Confirm call sequence
-	// identical to a fully sequential investigation), log the incident,
-	// fire hooks, and collect the PoP-level groups.
-	for i := range results {
-		r := &results[i]
-		if r.needProbe {
-			epi := inv.probeCandidates(at, r.group.probeCands, r.group.trace)
-			r.inc.PoP = epi
-			r.epicenter = epi
-		}
+	// Classify every per-PoP group in group order (the groups are
+	// independent until the folding below), log the incident, fire hooks,
+	// and collect the PoP-level groups.
+	for _, pop := range order {
+		r := inv.classifyGroup(at, pop, groups[pop], binCommon)
 		inv.incidents = append(inv.incidents, r.inc)
 		if inv.hooks.IncidentClassified != nil {
 			inv.hooks.IncidentClassified(r.inc)
@@ -607,52 +581,30 @@ func (inv *investigator) investigate(at time.Time, signals []signal) {
 	}
 }
 
-// openOutageFor validates against the data plane and hands the signal to
-// the duration tracker. Unresolved epicenters (disambiguation did not
-// converge to a specific infrastructure) are dropped — Kepler never
+// openOutageFor hands the signal to the duration tracker, or, with a
+// prober wired, parks it behind a probe campaign that confirms the
+// epicenter or picks it among the recorded candidates. Unresolved
+// epicenters (disambiguation did not converge to a specific
+// infrastructure) without candidates to probe are dropped — Kepler never
 // reports a location it could not corroborate; the signal remains visible
-// in the incident log.
+// in the incident log — unless Config.ReportUnresolved opens them at the
+// signal PoP.
 func (inv *investigator) openOutageFor(at time.Time, epicenter colo.PoP, g *popGroup) {
-	confirmed, checked := false, false
-	if !epicenter.IsValid() {
-		if inv.prober != nil && len(g.probeCands) > 0 {
-			// Asynchronous mode: disambiguation deferred to a campaign over
-			// the recorded candidates; the group parks until the verdict.
-			inv.park(at, colo.PoP{}, g.probeCands, g)
-			return
-		}
-		if inv.cfg.ReportUnresolved && inv.dp == nil && inv.prober == nil {
-			epicenter = g.pop
-		} else {
-			return
-		}
-	} else if inv.prober != nil {
-		// Asynchronous mode: the epicenter is known but unvalidated; park a
-		// single-target confirmation campaign instead of probing inline.
+	switch {
+	case inv.prober != nil && epicenter.IsValid():
+		// Confirmation campaign: the epicenter is known but unvalidated.
 		inv.park(at, epicenter, []colo.PoP{epicenter}, g)
 		return
-	}
-	if inv.dp != nil {
-		c, hasData := inv.dp.Confirm(epicenter, at)
-		if g.trace != nil && g.trace.Probe == nil {
-			// Validation of an already-localized epicenter; disambiguation
-			// probes (recorded by probeCandidates) take precedence.
-			g.trace.Probe = &TraceProbe{
-				Outcome:    "inline",
-				Candidates: []colo.PoP{epicenter},
-				Results:    []TraceProbeResult{{Target: epicenter, Confirmed: c, HasData: hasData}},
-				Epicenter:  epicenter,
-			}
-		}
-		if hasData {
-			checked = true
-			confirmed = c
-			if !confirmed {
-				// Data plane contradicts the control plane: treat as a
-				// false positive and do not open an outage (Section 4.4).
-				return
-			}
-		}
+	case inv.prober != nil && len(g.probeCands) > 0:
+		// Disambiguation campaign over the recorded candidates.
+		inv.park(at, colo.PoP{}, g.probeCands, g)
+		return
+	case epicenter.IsValid():
+		// Localized, with no prober to confirm it: opens unvalidated.
+	case inv.cfg.ReportUnresolved && inv.prober == nil:
+		epicenter = g.pop
+	default:
+		return
 	}
 	if g.trace != nil && epicenter != g.trace.Epicenter {
 		// Collateral folding or city abstraction moved the group off the
@@ -662,7 +614,7 @@ func (inv *investigator) openOutageFor(at time.Time, epicenter colo.PoP, g *popG
 		g.trace.Epicenter = epicenter
 	}
 	existed := inv.tracker.opened[epicenter] != nil
-	inv.tracker.observe(at, epicenter, g, confirmed, checked)
+	inv.tracker.observe(at, epicenter, g, false, false)
 	if o := inv.tracker.opened[epicenter]; o != nil {
 		inv.traceAppend(o, g.trace)
 		switch {
@@ -725,52 +677,6 @@ func (inv *investigator) facilitiesOfAffected(g *popGroup, minShare float64, cap
 		out = out[:cap]
 	}
 	return out
-}
-
-// probeCandidates runs targeted data-plane measurements against candidate
-// epicenters when the control plane cannot converge (Section 4.3: "we
-// cannot make an inference and resort to targeted traceroute queries to
-// discover the outage source"). A failing facility also takes down the IXP
-// ports and city paths it hosts, so coarser candidates confirm alongside
-// it: the most specific granularity with exactly one confirmed candidate
-// wins; two confirmed candidates of the same granularity stay ambiguous.
-func (inv *investigator) probeCandidates(at time.Time, cands []colo.PoP, ch *TraceChapter) colo.PoP {
-	if inv.dp == nil {
-		return colo.PoP{}
-	}
-	var tp *TraceProbe
-	if ch != nil {
-		tp = &TraceProbe{Outcome: "inline", Candidates: append([]colo.PoP(nil), cands...)}
-		ch.Probe = tp
-	}
-	confirmed := map[colo.PoPKind][]colo.PoP{}
-	for _, cand := range cands {
-		ok, hasData := inv.dp.Confirm(cand, at)
-		if tp != nil {
-			tp.Results = append(tp.Results, TraceProbeResult{Target: cand, Confirmed: hasData && ok, HasData: hasData})
-		}
-		if hasData && ok {
-			confirmed[cand.Kind] = append(confirmed[cand.Kind], cand)
-		}
-	}
-	pick := func() colo.PoP {
-		for _, kind := range []colo.PoPKind{colo.PoPFacility, colo.PoPIXP, colo.PoPCity} {
-			switch len(confirmed[kind]) {
-			case 0:
-				continue
-			case 1:
-				return confirmed[kind][0]
-			default:
-				return colo.PoP{} // several peers of one granularity: ambiguous
-			}
-		}
-		return colo.PoP{}
-	}
-	epi := pick()
-	if tp != nil {
-		tp.Epicenter = epi
-	}
-	return epi
 }
 
 // affectedFractionWithFarAt computes diverted/stable over the group's

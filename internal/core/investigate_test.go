@@ -84,50 +84,35 @@ func TestVanishedCommonAS(t *testing.T) {
 	}
 }
 
-type scriptedDP struct {
-	confirm map[colo.PoP]bool
-	calls   int
-}
-
-func (s *scriptedDP) Confirm(p colo.PoP, _ time.Time) (bool, bool) {
-	s.calls++
-	c, ok := s.confirm[p]
-	if !ok {
-		return false, true
-	}
-	return c, true
-}
-
+// TestProbeCandidatesSpecificity pins how a disambiguation campaign's
+// verdict picks the epicenter among its candidates: the most specific
+// granularity with exactly one confirmed candidate wins.
 func TestProbeCandidatesSpecificity(t *testing.T) {
-	dict, cmap, _ := microWorld(t)
-	d := New(DefaultConfig(), dict, cmap, nil)
-	at := time.Now()
-
-	// No data plane: nothing resolvable.
-	if got := d.inv.probeCandidates(at, []colo.PoP{colo.FacilityPoP(1)}, nil); got.IsValid() {
-		t.Errorf("probe without dp resolved %v", got)
-	}
-
-	// A facility and the IXP containing it both confirm: facility wins.
-	dp := &scriptedDP{confirm: map[colo.PoP]bool{
-		colo.FacilityPoP(5): true,
-		colo.IXPPoP(2):      true,
-	}}
-	d.SetDataPlane(dp)
-	got := d.inv.probeCandidates(at, []colo.PoP{colo.IXPPoP(2), colo.FacilityPoP(5), colo.FacilityPoP(6)}, nil)
-	if got != colo.FacilityPoP(5) {
-		t.Errorf("probe = %v, want facility:5", got)
-	}
-
-	// Two confirmed facilities: ambiguous.
-	dp.confirm[colo.FacilityPoP(6)] = true
-	if got := d.inv.probeCandidates(at, []colo.PoP{colo.FacilityPoP(5), colo.FacilityPoP(6)}, nil); got.IsValid() {
-		t.Errorf("ambiguous probe resolved %v", got)
-	}
-
-	// Only the IXP confirms: IXP wins.
-	if got := d.inv.probeCandidates(at, []colo.PoP{colo.IXPPoP(2), colo.FacilityPoP(7)}, nil); got != colo.IXPPoP(2) {
-		t.Errorf("probe = %v, want ixp:2", got)
+	confirmed := func(p colo.PoP) ProbeResult { return ProbeResult{Target: p, Confirmed: true, HasData: true} }
+	refuted := func(p colo.PoP) ProbeResult { return ProbeResult{Target: p, HasData: true} }
+	for _, tc := range []struct {
+		name    string
+		results []ProbeResult
+		want    colo.PoP
+	}{
+		{"no data", []ProbeResult{{Target: colo.FacilityPoP(1)}}, colo.PoP{}},
+		{"unmeasured confirmation ignored", []ProbeResult{{Target: colo.FacilityPoP(1), Confirmed: true}}, colo.PoP{}},
+		{"facility beats the IXP containing it",
+			[]ProbeResult{confirmed(colo.IXPPoP(2)), confirmed(colo.FacilityPoP(5)), refuted(colo.FacilityPoP(6))},
+			colo.FacilityPoP(5)},
+		{"two confirmed facilities stay ambiguous",
+			[]ProbeResult{confirmed(colo.FacilityPoP(5)), confirmed(colo.FacilityPoP(6))}, colo.PoP{}},
+		{"ambiguous facilities do not fall back to the IXP",
+			[]ProbeResult{confirmed(colo.IXPPoP(2)), confirmed(colo.FacilityPoP(5)), confirmed(colo.FacilityPoP(6))}, colo.PoP{}},
+		{"only the IXP confirms", []ProbeResult{confirmed(colo.IXPPoP(2)), refuted(colo.FacilityPoP(7))}, colo.IXPPoP(2)},
+		{"IXP beats the city", []ProbeResult{confirmed(colo.CityPoP(3)), confirmed(colo.IXPPoP(2))}, colo.IXPPoP(2)},
+		{"only the city confirms", []ProbeResult{confirmed(colo.CityPoP(3)), refuted(colo.IXPPoP(2))}, colo.CityPoP(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := selectConfirmed(ProbeVerdict{ID: 1, Results: tc.results}); got != tc.want {
+				t.Errorf("selectConfirmed = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -19,12 +19,12 @@ type investigator struct {
 	cfg   Config
 	cmap  *colo.Map
 	orgs  *as2org.Table
-	dp    DataPlane
 	ps    *pathShard
 	hooks Hooks
 
-	// prober, when set, replaces the synchronous dp with deferred probe
-	// campaigns; pending holds the parked signal groups awaiting verdicts.
+	// prober, when set, validates and localizes epicenters with deferred
+	// probe campaigns; pending holds the parked signal groups awaiting
+	// verdicts.
 	prober   Prober
 	pending  map[uint64]*pendingConfirmation
 	probeSeq uint64

@@ -8,10 +8,10 @@ import (
 	"kepler/internal/colo"
 )
 
-// Prober is the asynchronous data-plane interface (Section 4.3/4.4 under
-// the measurement budgets public platforms impose): instead of answering a
-// point-in-time Confirm call inline, the investigator submits probe
-// campaigns at bin close and collects their verdicts at later bin closes.
+// Prober is the data-plane interface (Section 4.3/4.4 under the
+// measurement budgets public platforms impose): the investigator submits
+// probe campaigns at bin close and collects their verdicts at later bin
+// closes.
 // A signal group whose epicenter awaits probing is parked as a pending
 // confirmation in the meantime (see PendingConfirmation) so bin closes stay
 // fast and deterministic while measurements run concurrently.
@@ -56,7 +56,7 @@ type ProbeResult struct {
 	Confirmed bool
 	// HasData is false when no measurement was possible (budget exhausted,
 	// no baseline pairs, backend loss); the control-plane inference then
-	// stands unvalidated, exactly as in the synchronous DataPlane path.
+	// stands unvalidated.
 	HasData bool
 }
 
@@ -132,8 +132,8 @@ type pendingConfirmation struct {
 	// for the parked interval: provisional shard watches (keyed by
 	// pendingWatchPoP) record path returns that happen while the verdict is
 	// outstanding, and promotion transfers them onto the opened outage — a
-	// return in the parked bin must count exactly as it would have had the
-	// synchronous path opened the outage at the signal bin.
+	// return in the parked bin counts exactly as it would have had the
+	// outage opened at the signal bin.
 	waiting    map[PathKey]bool
 	returned   map[PathKey]bool
 	lastReturn time.Time
@@ -316,9 +316,11 @@ func resultFor(v ProbeVerdict, target colo.PoP) ProbeResult {
 	return ProbeResult{Target: target}
 }
 
-// selectConfirmed mirrors the synchronous probeCandidates selection: the
-// most specific granularity with exactly one confirmed candidate wins; two
-// confirmed candidates of one granularity stay ambiguous.
+// selectConfirmed picks a disambiguation campaign's epicenter. A failing
+// facility also takes down the IXP ports and city paths it hosts, so
+// coarser candidates confirm alongside it: the most specific granularity
+// with exactly one confirmed candidate wins; two confirmed candidates of
+// one granularity stay ambiguous.
 func selectConfirmed(v ProbeVerdict) colo.PoP {
 	confirmed := map[colo.PoPKind][]colo.PoP{}
 	for _, r := range v.Results {
@@ -341,9 +343,7 @@ func selectConfirmed(v ProbeVerdict) colo.PoP {
 
 // resolvePending applies one campaign verdict: the parked group is promoted
 // into the outage tracker at its original signal time, discarded as a
-// data-plane-contradicted false positive, or resolved unlocated. The
-// decision table is exactly the synchronous openOutageFor/probeCandidates
-// logic, shifted one bin later.
+// data-plane-contradicted false positive, or resolved unlocated.
 func (inv *investigator) resolvePending(p *pendingConfirmation, v ProbeVerdict) {
 	out := ProbeOutcome{Pending: p.status()}
 	var epicenter colo.PoP
@@ -364,7 +364,7 @@ func (inv *investigator) resolvePending(p *pendingConfirmation, v ProbeVerdict) 
 				return
 			}
 		}
-		// No data: the inference stands unvalidated, as in the sync path.
+		// No data: the inference stands unvalidated.
 		epicenter = p.epicenter
 	} else {
 		// Disambiguation campaign: pick the unique confirmed candidate.
@@ -411,7 +411,7 @@ func (inv *investigator) resolvePending(p *pendingConfirmation, v ProbeVerdict) 
 	inv.tracker.observe(p.at, epicenter, g, confirmed, checked)
 	// Transfer the returns the provisional watches recorded while the
 	// verdict was outstanding: the opened outage's restoration state must
-	// equal what the synchronous path would have accumulated by now.
+	// equal what it would have accumulated had it opened at the signal bin.
 	if o := inv.tracker.opened[epicenter]; o != nil {
 		for key := range p.returned {
 			if o.waiting[key] {
@@ -462,11 +462,8 @@ func (inv *investigator) finishProbes(asOf time.Time) {
 // resolveByProbe is the shared tail of the disambiguation fallbacks: it
 // records the candidate set on the group and reports the epicenter
 // unresolved. Probing itself happens later, outside classification — which
-// keeps classifyGroup pure: with a synchronous data plane, investigate
-// probes the recorded candidates inline during its serial merge (in
-// deterministic group order, fixing the dp.Confirm sequence); with an
-// asynchronous prober, openOutageFor parks the group as a disambiguation
-// campaign over them.
+// keeps classifyGroup pure: with a prober wired, openOutageFor parks the
+// group as a disambiguation campaign over the candidates.
 func (inv *investigator) resolveByProbe(_ time.Time, g *popGroup, cands []colo.PoP) colo.PoP {
 	if g.trace != nil {
 		g.trace.step(TraceStep{Stage: "probe-fallback",

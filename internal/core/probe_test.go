@@ -35,6 +35,18 @@ func (p *scriptedProber) Submit(req ProbeRequest) {
 	p.ready = append(p.ready, ProbeVerdict{ID: req.ID, Results: results})
 }
 
+// answering returns a scriptedProber that answers every candidate of every
+// campaign with one verdict.
+func answering(confirmed, hasData bool) *scriptedProber {
+	return &scriptedProber{answer: func(req ProbeRequest) []ProbeResult {
+		out := make([]ProbeResult, len(req.Candidates))
+		for i, c := range req.Candidates {
+			out[i] = ProbeResult{Target: c, Confirmed: confirmed, HasData: hasData}
+		}
+		return out
+	}}
+}
+
 func (p *scriptedProber) Collect(time.Time) []ProbeVerdict {
 	out := p.ready
 	p.ready = nil
@@ -137,14 +149,7 @@ func TestProbeParkAndPromote(t *testing.T) {
 func TestProbeRefutedSuppresses(t *testing.T) {
 	dict, cmap, _ := microWorld(t)
 	d := New(DefaultConfig(), dict, cmap, nil)
-	pr := &scriptedProber{answer: func(req ProbeRequest) []ProbeResult {
-		out := make([]ProbeResult, len(req.Candidates))
-		for i, c := range req.Candidates {
-			out[i] = ProbeResult{Target: c, Confirmed: false, HasData: true}
-		}
-		return out
-	}}
-	d.SetProber(pr)
+	d.SetProber(answering(false, true))
 	var outcomes []ProbeOutcome
 	d.SetHooks(Hooks{ProbeConfirmed: func(o ProbeOutcome) { outcomes = append(outcomes, o) }})
 
@@ -167,7 +172,7 @@ func TestProbeRefutedSuppresses(t *testing.T) {
 
 // TestProbeNoDataPromotesUnvalidated pins the budget-exhaustion shape: a
 // verdict with no measurement data leaves the control-plane inference
-// standing, exactly as the synchronous path does when Confirm has no data.
+// standing, unvalidated.
 func TestProbeNoDataPromotesUnvalidated(t *testing.T) {
 	dict, cmap, fid := microWorld(t)
 	d := New(DefaultConfig(), dict, cmap, nil)

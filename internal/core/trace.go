@@ -92,9 +92,8 @@ type TraceProbeResult struct {
 }
 
 // TraceProbe records the data-plane campaign that validated (or localized)
-// the chapter's group: inline DataPlane probes or an asynchronous campaign
-// (Campaign is the pending-confirmation id, zero for inline probing).
-// Outcome is "promoted", "confirmed", "unvalidated" or "inline".
+// the chapter's group. Campaign is the pending-confirmation id. Outcome is
+// "promoted", "confirmed" or "unvalidated".
 type TraceProbe struct {
 	Campaign   uint64
 	Outcome    string

@@ -49,15 +49,14 @@ type Config struct {
 	// far-end ASes for a PoP-level classification (3 each).
 	MinDisjointEnds int
 	// ReportUnresolved opens outages at the signal PoP even when
-	// disambiguation cannot converge and no data plane is available to
-	// probe candidates. Off by default: the paper's pipeline never
+	// disambiguation cannot converge and no prober is wired to probe
+	// candidates. Off by default: the paper's pipeline never
 	// reports a location it could not corroborate, but operators running
 	// without measurement infrastructure may prefer recall over precision.
 	ReportUnresolved bool
-	// ProbeTTL bounds how long a signal group parked behind an asynchronous
-	// probe campaign (SetProber) waits for its verdict before expiring
-	// unreported. Zero selects 10 minutes. Irrelevant to the synchronous
-	// DataPlane path.
+	// ProbeTTL bounds how long a signal group parked behind a probe
+	// campaign (SetProber) waits for its verdict before expiring
+	// unreported. Zero selects 10 minutes.
 	ProbeTTL time.Duration
 	// DisablePerASGrouping reverts to thresholding the aggregate path
 	// fraction per PoP instead of per near-end AS. The paper introduces
@@ -170,16 +169,6 @@ type Outage struct {
 // Duration returns the outage duration (the sum of oscillation segments is
 // approximated by End-Start once merged).
 func (o *Outage) Duration() time.Duration { return o.End.Sub(o.Start) }
-
-// DataPlane abstracts the targeted-measurement backend (Section 4.4):
-// given a suspected PoP outage, it reports whether the data plane confirms
-// that baseline paths stopped crossing the PoP.
-type DataPlane interface {
-	// Confirm returns (confirmed, hasData): hasData=false means no
-	// measurements were possible and the control-plane inference stands
-	// unvalidated.
-	Confirm(pop colo.PoP, at time.Time) (confirmed, hasData bool)
-}
 
 // PathKey identifies one monitored path: a vantage AS's route to a prefix.
 // Kepler deduplicates the same vantage across collectors.

@@ -55,9 +55,8 @@ func Run(ctx context.Context, c Config) error {
 
 	// Active-measurement substrate: the probe scheduler measures against
 	// the simulated traceroute layer of the rendered scenario windows,
-	// installed as the synthetic source rotates them. Per-window platform
-	// budgets are effectively unbounded — the scheduler's sliding window is
-	// the enforced cap.
+	// installed as the synthetic source rotates them. The scheduler's
+	// sliding-window budget is the one cap.
 	var (
 		probeStats *metrics.ProbeStats
 		wdp        *pipeline.WindowDataPlane
@@ -65,8 +64,8 @@ func Run(ctx context.Context, c Config) error {
 	)
 	if c.ProbeBackend != probeBackendNone {
 		probeStats = &metrics.ProbeStats{}
-		wdp = stack.NewWindowDataPlane(1 << 30)
-		backend := probe.Backend(probe.OverDataPlane(wdp))
+		wdp = stack.NewWindowDataPlane()
+		backend := probe.Backend(wdp)
 		if c.ProbeBackend == probeBackendSimFault {
 			backend = &probe.Fault{
 				Inner:    backend,

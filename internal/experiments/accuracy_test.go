@@ -12,9 +12,6 @@ import (
 	"testing"
 
 	"kepler/internal/core"
-	"kepler/internal/mrt"
-	"kepler/internal/pipeline"
-	"kepler/internal/probe"
 )
 
 var updateAccuracy = flag.Bool("update", false, "rewrite ACCURACY.json from the current detector")
@@ -53,12 +50,8 @@ var accuracyConfigs = []struct {
 	run  func(env *Env) []core.Outage
 }{
 	{"paper", func(env *Env) []core.Outage {
-		outs, _ := env.Stack.Run(env.Res.Records, core.DefaultConfig(), env.Stack.NewSimDataPlane(env.Res, 500000))
+		outs, _ := env.Stack.Run(env.Res.Records, core.DefaultConfig(), env.Stack.NewSimDataPlane(env.Res))
 		return outs
-	}},
-	{"async", func(env *Env) []core.Outage {
-		return runAsync(env.Stack, env.Res.Records, core.DefaultConfig(),
-			probe.OverDataPlane(env.Stack.NewSimDataPlane(env.Res, 500000)))
 	}},
 	{"no-dp", func(env *Env) []core.Outage {
 		outs, _ := env.Stack.Run(env.Res.Records, core.DefaultConfig(), nil)
@@ -70,22 +63,6 @@ var accuracyConfigs = []struct {
 		outs, _ := env.Stack.Run(env.Res.Records, cfg, nil)
 		return outs
 	}},
-}
-
-// runAsync is Stack.Run with the data plane behind a probe scheduler.
-func runAsync(s *pipeline.Stack, records []*mrt.Record, cfg core.Config, b probe.Backend) []core.Outage {
-	eng := s.NewDetector(cfg)
-	sched := probe.NewScheduler(b, probe.Config{})
-	defer sched.Close()
-	eng.SetProber(sched)
-	var outs []core.Outage
-	for _, rec := range records {
-		outs = append(outs, eng.Process(rec)...)
-	}
-	if len(records) > 0 {
-		outs = append(outs, eng.Flush(records[len(records)-1].Time)...)
-	}
-	return outs
 }
 
 // scoreSeed renders the world at seed offset s and scores every

@@ -88,7 +88,7 @@ func buildHistorical() (*Env, error) {
 	// Detection runs with the targeted-measurement backend, as the real
 	// system does: unresolved localizations consult it, and inferred
 	// epicenters are cross-checked (Section 4.4).
-	dp := env.Stack.NewSimDataPlane(env.Res, 500000)
+	dp := env.Stack.NewSimDataPlane(env.Res)
 	env.Outages, env.Incidents = env.Stack.Run(env.Res.Records, core.DefaultConfig(), dp)
 	return env, nil
 }

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"kepler/internal/core"
+	"kepler/internal/metrics"
 	"kepler/internal/mrt"
+	"kepler/internal/probe"
 	"kepler/internal/simulate"
 )
 
@@ -45,7 +47,7 @@ func TestEngineEquivalenceOnSimulation(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			gotOuts, gotIncs := run(s.NewEngine(core.DefaultConfig(), shards), res.Records, nil)
+			gotOuts, gotIncs := run(s.NewEngine(core.DefaultConfig(), shards), res.Records)
 			if !reflect.DeepEqual(gotOuts, wantOuts) {
 				t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
 			}
@@ -57,8 +59,8 @@ func TestEngineEquivalenceOnSimulation(t *testing.T) {
 }
 
 // TestEngineEquivalenceWithDataPlane repeats the check with the simulated
-// data plane attached: probe order, budget consumption and confirmation
-// flags must all line up.
+// data plane attached through a probe scheduler: the campaigns, the
+// probes they execute and the confirmation flags must all line up.
 func TestEngineEquivalenceWithDataPlane(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
@@ -72,18 +74,34 @@ func TestEngineEquivalenceWithDataPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqDP := s.NewSimDataPlane(res, 5000)
-	wantOuts, wantIncs := s.Run(res.Records, core.DefaultConfig(), seqDP)
-
-	engDP := s.NewSimDataPlane(res, 5000)
-	gotOuts, gotIncs := s.RunEngine(res.Records, core.DefaultConfig(), engDP)
-	if !reflect.DeepEqual(gotOuts, wantOuts) {
-		t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", gotOuts, wantOuts)
+	var runs [2]struct {
+		dp   *SimDataPlane
+		m    metrics.ProbeStats
+		outs []core.Outage
+		incs []core.Incident
 	}
-	if !reflect.DeepEqual(gotIncs, wantIncs) {
-		t.Errorf("incidents diverge (%d vs %d)", len(gotIncs), len(wantIncs))
+	for i, eng := range []*core.Engine{s.NewDetector(core.DefaultConfig()), s.NewEngine(core.DefaultConfig(), 0)} {
+		r := &runs[i]
+		r.dp = s.NewSimDataPlane(res)
+		sched := probe.NewScheduler(r.dp, probe.Config{Metrics: &r.m})
+		eng.SetProber(sched)
+		r.outs, r.incs = run(eng, res.Records)
+		sched.Close()
 	}
-	if engDP.Used() != seqDP.Used() {
-		t.Errorf("traceroute budget spent %d, detector spent %d", engDP.Used(), seqDP.Used())
+	want, got := &runs[0], &runs[1]
+	if !reflect.DeepEqual(got.outs, want.outs) {
+		t.Errorf("outages diverge:\n engine:   %+v\n detector: %+v", got.outs, want.outs)
+	}
+	if !reflect.DeepEqual(got.incs, want.incs) {
+		t.Errorf("incidents diverge (%d vs %d)", len(got.incs), len(want.incs))
+	}
+	if want.m.Campaigns.Load() == 0 {
+		t.Fatal("detector submitted no campaigns; the comparison is vacuous")
+	}
+	if g, w := got.m.Snapshot(), want.m.Snapshot(); g != w {
+		t.Errorf("engine's probe counters %+v, detector's %+v", g, w)
+	}
+	if got.dp.Used() != want.dp.Used() {
+		t.Errorf("engine ran %d traceroutes, detector %d", got.dp.Used(), want.dp.Used())
 	}
 }

@@ -8,6 +8,7 @@
 package pipeline
 
 import (
+	"sync/atomic"
 	"time"
 
 	"kepler/internal/as2org"
@@ -17,6 +18,7 @@ import (
 	"kepler/internal/core"
 	"kepler/internal/geo"
 	"kepler/internal/mrt"
+	"kepler/internal/probe"
 	"kepler/internal/registry"
 	"kepler/internal/routing"
 	"kepler/internal/simulate"
@@ -81,26 +83,25 @@ func (s *Stack) NewEngine(cfg core.Config, shards int) *core.Engine {
 	return core.NewEngine(cfg, s.Dict, s.Map, s.Orgs)
 }
 
-// Run feeds a time-sorted record stream through a fresh inline engine and
-// returns all completed outages and classified incidents. A non-nil dp
-// enables data-plane validation.
-func (s *Stack) Run(records []*mrt.Record, cfg core.Config, dp core.DataPlane) ([]core.Outage, []core.Incident) {
-	return run(s.NewDetector(cfg), records, dp)
-}
-
-// RunEngine is Run on the engine that skips idle bins, with identical
-// output for any stream.
-func (s *Stack) RunEngine(records []*mrt.Record, cfg core.Config, dp core.DataPlane) ([]core.Outage, []core.Incident) {
-	return run(s.NewEngine(cfg, 0), records, dp)
+// Run feeds a time-sorted record stream through a fresh reference engine
+// and returns all completed outages and classified incidents. A non-nil dp
+// enables data-plane validation: the engine measures it through a probe
+// scheduler with the default configuration (no budget, no cooldown), closed
+// on return.
+func (s *Stack) Run(records []*mrt.Record, cfg core.Config, dp probe.Backend) ([]core.Outage, []core.Incident) {
+	eng := s.NewDetector(cfg)
+	if dp != nil {
+		sched := probe.NewScheduler(dp, probe.Config{})
+		defer sched.Close()
+		eng.SetProber(sched)
+	}
+	return run(eng, records)
 }
 
 // run drives eng over records as live.Pump does over a source that reaches
 // its end, Process per record and one Flush at the last, and collects the
 // outages those calls complete.
-func run(eng *core.Engine, records []*mrt.Record, dp core.DataPlane) ([]core.Outage, []core.Incident) {
-	if dp != nil {
-		eng.SetDataPlane(dp)
-	}
+func run(eng *core.Engine, records []*mrt.Record) ([]core.Outage, []core.Incident) {
 	var outs []core.Outage
 	for _, rec := range records {
 		outs = append(outs, eng.Process(rec)...)
@@ -111,34 +112,34 @@ func run(eng *core.Engine, records []*mrt.Record, dp core.DataPlane) ([]core.Out
 	return outs, eng.Incidents()
 }
 
-// SimDataPlane validates suspected outages with targeted synthetic
-// traceroutes, mirroring Section 4.4: it selects member pairs whose healthy
-// baseline paths cross the suspected PoP, re-traces them under the failure
-// state at the queried instant, and confirms when most baseline paths no
-// longer cross the PoP.
+// SimDataPlane is the probe.Backend over a rendered scenario: it validates
+// suspected outages with targeted synthetic traceroutes, mirroring
+// Section 4.4. It selects member pairs whose healthy baseline paths cross
+// the suspected PoP, re-traces them under the failure state at the queried
+// instant, and confirms when most baseline paths no longer cross the PoP.
+// It has no budget of its own: the probe scheduler's is the one that is
+// enforced. Safe for concurrent use: the traced substrate is read-only.
 type SimDataPlane struct {
-	res      *simulate.Result
-	tracer   *traceroute.Tracer
-	cmap     *colo.Map
-	platform *traceroute.Platform
+	res    *simulate.Result
+	tracer *traceroute.Tracer
+	cmap   *colo.Map
 	// maxPairs bounds targeted measurements per query (platform etiquette).
 	maxPairs int
+	used     atomic.Int64
 }
 
-// NewSimDataPlane builds the data plane over a rendered scenario. budget
-// caps the total number of targeted traceroutes.
-func (s *Stack) NewSimDataPlane(res *simulate.Result, budget int) *SimDataPlane {
+// NewSimDataPlane builds the data plane over a rendered scenario.
+func (s *Stack) NewSimDataPlane(res *simulate.Result) *SimDataPlane {
 	return &SimDataPlane{
 		res:      res,
 		tracer:   traceroute.NewTracer(res.Engine),
 		cmap:     s.Map,
-		platform: &traceroute.Platform{Budget: budget},
 		maxPairs: 8,
 	}
 }
 
-// Used returns the number of traceroutes spent.
-func (dp *SimDataPlane) Used() int { return dp.platform.Used }
+// Used returns the number of targeted traceroutes run.
+func (dp *SimDataPlane) Used() int { return int(dp.used.Load()) }
 
 // crossesPoP reports whether a trace crosses the PoP at the right
 // granularity.
@@ -199,8 +200,8 @@ func (dp *SimDataPlane) pairsAt(pop colo.PoP) [][2]bgp.ASN {
 	return out
 }
 
-// Confirm implements core.DataPlane.
-func (dp *SimDataPlane) Confirm(pop colo.PoP, at time.Time) (bool, bool) {
+// Probe implements probe.Backend.
+func (dp *SimDataPlane) Probe(pop colo.PoP, at time.Time) (bool, bool) {
 	pairs := dp.pairsAt(pop)
 	if len(pairs) == 0 {
 		return false, false
@@ -231,11 +232,8 @@ func (dp *SimDataPlane) Confirm(pop colo.PoP, at time.Time) (bool, bool) {
 			continue
 		}
 		baseline++
-		nt, err := dp.platform.Trace(dp.tracer, tbl(nowTables, nowMask, dst), src)
-		if err == traceroute.ErrBudget {
-			return false, false
-		}
-		if err != nil || !dp.crossesPoP(nt, pop) {
+		dp.used.Add(1)
+		if nt, ok := dp.tracer.Trace(tbl(nowTables, nowMask, dst), src); !ok || !dp.crossesPoP(nt, pop) {
 			affected++
 		}
 	}

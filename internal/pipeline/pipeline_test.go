@@ -201,7 +201,7 @@ func TestEndToEndWithDataPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := s.NewSimDataPlane(res, 5000)
+	dp := s.NewSimDataPlane(res)
 	outages, _ := s.Run(res.Records, core.DefaultConfig(), dp)
 
 	found := false

@@ -13,34 +13,28 @@ import (
 	"kepler/internal/simulate"
 )
 
-// runProbed drives a record stream through an engine wired to the async
-// probe scheduler — the reference engine for shards == 0, else
-// Stack.NewEngine's, passed shards — and returns the completed outages.
-func runProbed(t *testing.T, s *Stack, records []*mrt.Record, cfg core.Config, sched *probe.Scheduler, shards int) []core.Outage {
+// runProbed drives a record stream through an engine wired to the probe
+// scheduler — the reference engine for shards == 0, else Stack.NewEngine's,
+// passed shards — and returns the completed outages and the incidents.
+func runProbed(t *testing.T, s *Stack, records []*mrt.Record, cfg core.Config, sched *probe.Scheduler, shards int) ([]core.Outage, []core.Incident) {
 	t.Helper()
 	eng := s.NewDetector(cfg)
 	if shards > 0 {
 		eng = s.NewEngine(cfg, shards)
 	}
 	eng.SetProber(sched)
-	outs, _ := run(eng, records, nil)
-	return outs
+	return run(eng, records)
 }
 
-// locatedKey reduces an outage to its located identity — epicenter, start
-// and data-plane verdict — for readable set diffs when the byte-for-byte
-// comparison below fails.
-func locatedKey(o core.Outage) string {
-	return fmt.Sprintf("%s|%d|%v|%v", o.PoP, o.Start.Unix(), o.Confirmed, o.DataPlaneChecked)
-}
-
-// TestProbeSchedulerEquivalence is the async-vs-sync pin: with an
-// unbounded budget and an instant backend, the scheduler-driven engine
-// must emit byte-for-byte the outages of the synchronous batch DataPlane
-// path over a full simulated scenario — promotion re-observes at the
-// original signal time, and park-time provisional watches capture the
-// returns of the deferred bin, so even restoration instants line up. Run
-// under -race this also exercises the scheduler's workers against bin closes.
+// TestProbeSchedulerEquivalence pins that the data-plane path is a pure
+// function of the record stream: Stack.Run's output (the reference
+// detector behind a default four-worker scheduler) must come out byte for
+// byte the same through one worker or four, and through the reference
+// engine (shards=0) or Stack.NewEngine's, passed shards. Promotion
+// re-observes at the original signal time, and park-time provisional
+// watches capture the returns of the deferred bin, so even restoration
+// instants line up. Run under -race this also exercises the scheduler's
+// workers against bin closes.
 func TestProbeSchedulerEquivalence(t *testing.T) {
 	s := buildStack(t)
 	target := bestTarget(s)
@@ -57,49 +51,30 @@ func TestProbeSchedulerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqDP := s.NewSimDataPlane(res, 1<<30)
-	wantOuts, _ := s.Run(res.Records, core.DefaultConfig(), seqDP)
+	wantOuts, wantIncs := s.Run(res.Records, core.DefaultConfig(), s.NewSimDataPlane(res))
 	if len(wantOuts) == 0 {
-		t.Fatal("reference detector found nothing; equivalence would be vacuous")
+		t.Fatal("reference run found nothing; equivalence would be vacuous")
 	}
 
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			m := &metrics.ProbeStats{}
-			engDP := s.NewSimDataPlane(res, 1<<30)
-			sched := probe.NewScheduler(probe.OverDataPlane(engDP), probe.Config{
-				Workers: 4, Metrics: m, // unbounded budget, no cache: exact sync parity
-			})
-			defer sched.Close()
-			gotOuts := runProbed(t, s, res.Records, core.DefaultConfig(), sched, shards)
-
-			if !reflect.DeepEqual(gotOuts, wantOuts) {
-				want := map[string]bool{}
-				for _, o := range wantOuts {
-					want[locatedKey(o)] = true
-				}
-				got := map[string]bool{}
-				for _, o := range gotOuts {
-					got[locatedKey(o)] = true
-				}
-				for k := range want {
-					if !got[k] {
-						t.Errorf("sync located %s, async did not", k)
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					m := &metrics.ProbeStats{}
+					sched := probe.NewScheduler(s.NewSimDataPlane(res), probe.Config{Workers: workers, Metrics: m})
+					defer sched.Close()
+					gotOuts, gotIncs := runProbed(t, s, res.Records, core.DefaultConfig(), sched, shards)
+					if !reflect.DeepEqual(gotOuts, wantOuts) {
+						t.Errorf("outages diverge (%d, Stack.Run %d):\n got:      %+v\n Stack.Run: %+v",
+							len(gotOuts), len(wantOuts), gotOuts, wantOuts)
 					}
-				}
-				for k := range got {
-					if !want[k] {
-						t.Errorf("async located %s, sync did not", k)
+					if !reflect.DeepEqual(gotIncs, wantIncs) {
+						t.Errorf("incidents diverge (%d, Stack.Run %d)", len(gotIncs), len(wantIncs))
 					}
-				}
-				t.Errorf("outages diverge byte-for-byte (async %d, sync %d):\n async: %+v\n sync:  %+v",
-					len(gotOuts), len(wantOuts), gotOuts, wantOuts)
-			}
-			if m.Campaigns.Load() == 0 {
-				t.Error("async run submitted no campaigns; equivalence would be vacuous")
-			}
-			if m.Denied.Load() != 0 {
-				t.Errorf("unbounded budget denied %d probes", m.Denied.Load())
+					if m.Campaigns.Load() == 0 {
+						t.Error("no campaigns submitted; equivalence would be vacuous")
+					}
+				})
 			}
 		})
 	}
@@ -108,7 +83,7 @@ func TestProbeSchedulerEquivalence(t *testing.T) {
 // TestProbeSchedulerBudgetStarvation is the end-to-end budget scenario: a
 // one-probe budget over a window wider than the stream leaves later
 // campaigns unmeasured. Confirmation campaigns then promote unvalidated
-// (the sync no-data contract), so every located outage past the first
+// (the no-data contract), so every located outage past the first
 // verdict must carry DataPlaneChecked=false, and the denial counter must
 // account for the starved probes.
 func TestProbeSchedulerBudgetStarvation(t *testing.T) {
@@ -125,12 +100,11 @@ func TestProbeSchedulerBudgetStarvation(t *testing.T) {
 	}
 
 	m := &metrics.ProbeStats{}
-	engDP := s.NewSimDataPlane(res, 1<<30)
-	sched := probe.NewScheduler(probe.OverDataPlane(engDP), probe.Config{
+	sched := probe.NewScheduler(s.NewSimDataPlane(res), probe.Config{
 		Workers: 4, Budget: 1, Window: 365 * 24 * time.Hour, Metrics: m,
 	})
 	defer sched.Close()
-	outs := runProbed(t, s, res.Records, core.DefaultConfig(), sched, 1)
+	outs, _ := runProbed(t, s, res.Records, core.DefaultConfig(), sched, 1)
 
 	if m.Executed.Load() != 1 {
 		t.Fatalf("executed = %d probes under a 1-probe budget", m.Executed.Load())

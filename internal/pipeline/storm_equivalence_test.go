@@ -70,7 +70,7 @@ func TestEngineEquivalenceOnStorm(t *testing.T) {
 			t.Logf("reference: %d outages, %d incidents", len(wantOuts), len(wantIncs))
 			for _, shards := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					gotOuts, gotIncs := run(s.NewEngine(tc.cfg, shards), records, nil)
+					gotOuts, gotIncs := run(s.NewEngine(tc.cfg, shards), records)
 					if !reflect.DeepEqual(gotOuts, wantOuts) {
 						t.Errorf("outages diverge (%d vs %d):\n engine:   %+v\n detector: %+v", len(gotOuts), len(wantOuts), gotOuts, wantOuts)
 					}

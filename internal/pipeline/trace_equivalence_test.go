@@ -16,8 +16,8 @@ import (
 // runTraced replays a record stream with Config.Tracing enabled and a
 // TraceRecorded hook installed, through either the reference engine
 // (shards == 0) or Stack.NewEngine's, passed shards, returning the
-// detection output plus the recorded evidence chains. It runs the loop Run/RunEngine
-// run, so the results are comparable to an untraced reference run.
+// detection output plus the recorded evidence chains. It runs the loop Run
+// runs, so the results are comparable to an untraced reference run.
 func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]core.Outage, []core.Incident, []core.OutageTrace) {
 	cfg.Tracing = true
 	var traces []core.OutageTrace
@@ -26,7 +26,7 @@ func runTraced(s *Stack, records []*mrt.Record, cfg core.Config, shards int) ([]
 		eng = s.NewEngine(cfg, shards)
 	}
 	eng.SetHooks(core.Hooks{TraceRecorded: func(tr core.OutageTrace) { traces = append(traces, tr) }})
-	outages, incidents := run(eng, records, nil)
+	outages, incidents := run(eng, records)
 	return outages, incidents, traces
 }
 
@@ -143,7 +143,7 @@ func TestCheckpointStatsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOuts, wantIncs := s.RunEngine(res.Records, core.DefaultConfig(), nil)
+	wantOuts, wantIncs := run(s.NewEngine(core.DefaultConfig(), 0), res.Records)
 	if len(wantOuts) == 0 {
 		t.Fatal("reference engine found nothing; equivalence would be vacuous")
 	}

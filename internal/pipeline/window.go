@@ -14,20 +14,18 @@ import (
 // is stale archive the platform no longer covers.
 const keepWindows = 2
 
-// WindowDataPlane is a core.DataPlane over a rolling sequence of rendered
-// scenario windows — the shape a probe backend needs when the daemon's
-// source is the endless Synthetic generator rather than one batch render.
-// Install hands it each freshly rendered window (live.SyntheticConfig's
-// OnWindow hook); Confirm routes each query to the window containing the
-// queried instant and answers no-data outside the retained horizon.
+// WindowDataPlane is the probe.Backend over a rolling sequence of rendered
+// scenario windows — the shape keplerd's -synthetic source needs, since it
+// renders endless windows rather than one batch. Install hands it each
+// freshly rendered window (live.SyntheticConfig's OnWindow hook); Probe
+// routes each query to the window's SimDataPlane containing the queried
+// instant and answers no-data outside the retained horizon.
 //
-// Install runs on the ingest goroutine while Confirm runs on probe worker
-// goroutines; the window list is mutex-guarded. The per-window SimDataPlane
-// itself is not safe for concurrent use — callers serialize Confirm (the
-// probe scheduler's OverDataPlane adapter does).
+// Install runs on the ingest goroutine while Probe runs on probe worker
+// goroutines; the window list is mutex-guarded, and each window's
+// SimDataPlane is safe for concurrent use.
 type WindowDataPlane struct {
-	stack  *Stack
-	budget int
+	stack *Stack
 
 	mu   sync.Mutex
 	wins []simWindow // oldest first, at most keepWindows
@@ -38,16 +36,15 @@ type simWindow struct {
 	dp         *SimDataPlane
 }
 
-// NewWindowDataPlane builds a rolling data plane; budget is the traceroute
-// platform budget granted to each window's substrate.
-func (s *Stack) NewWindowDataPlane(budget int) *WindowDataPlane {
-	return &WindowDataPlane{stack: s, budget: budget}
+// NewWindowDataPlane builds a rolling data plane with no window installed.
+func (s *Stack) NewWindowDataPlane() *WindowDataPlane {
+	return &WindowDataPlane{stack: s}
 }
 
 // Install registers a rendered window, evicting the oldest beyond the
 // retention horizon. Its signature matches live.SyntheticConfig.OnWindow.
 func (w *WindowDataPlane) Install(res *simulate.Result, start, end time.Time) {
-	dp := w.stack.NewSimDataPlane(res, w.budget)
+	dp := w.stack.NewSimDataPlane(res)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.wins = append(w.wins, simWindow{start: start, end: end, dp: dp})
@@ -56,8 +53,8 @@ func (w *WindowDataPlane) Install(res *simulate.Result, start, end time.Time) {
 	}
 }
 
-// Confirm implements core.DataPlane.
-func (w *WindowDataPlane) Confirm(pop colo.PoP, at time.Time) (bool, bool) {
+// Probe implements probe.Backend.
+func (w *WindowDataPlane) Probe(pop colo.PoP, at time.Time) (bool, bool) {
 	w.mu.Lock()
 	var dp *SimDataPlane
 	for _, win := range w.wins {
@@ -70,5 +67,5 @@ func (w *WindowDataPlane) Confirm(pop colo.PoP, at time.Time) (bool, bool) {
 	if dp == nil {
 		return false, false // outside the retained archive: unmeasurable
 	}
-	return dp.Confirm(pop, at)
+	return dp.Probe(pop, at)
 }

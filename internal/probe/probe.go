@@ -1,8 +1,11 @@
-// Package probe is Kepler's active-measurement subsystem: an asynchronous
-// scheduler that turns the investigator's point-in-time confirmation needs
-// into probe campaigns executed concurrently against a pluggable Backend,
-// under the measurement budgets public platforms impose (Section 4.3: "we
-// resort to targeted traceroute queries to discover the outage source").
+// Package probe is Kepler's active-measurement subsystem, and its one path
+// to the data plane: an asynchronous scheduler that turns the
+// investigator's point-in-time confirmation needs into probe campaigns
+// executed concurrently against a pluggable Backend, under the measurement
+// budgets public platforms impose (Section 4.3: "we resort to targeted
+// traceroute queries to discover the outage source"; Section 4.4's
+// validation). The paper experiments, the examples and keplerd all measure
+// through it.
 //
 // The engine parks a signal group and submits a campaign at bin close
 // (core.Prober); the scheduler deduplicates targets against in-flight
@@ -13,7 +16,7 @@
 // completed verdicts back at the next bin barrier. Collect waits for every
 // outstanding campaign, which makes the engine's output a pure function of
 // the record stream — the property the store's replay gate and the
-// async-vs-sync equivalence test rely on. A bin close therefore waits on a
+// worker-count equivalence test rely on. A bin close therefore waits on a
 // slow backend.
 //
 // Worker scheduling must never influence results for that property to
@@ -37,10 +40,15 @@ import (
 	"kepler/internal/slogx"
 )
 
-// Backend executes one measurement: does the data plane confirm an outage
-// of pop as of the stream instant at? hasData=false means no measurement
-// was possible. Implementations must be safe for concurrent use; wrap a
-// single-threaded core.DataPlane with OverDataPlane.
+// Backend is Kepler's measurement interface (Section 4.4): it executes one
+// measurement — does the data plane confirm an outage of pop as of the
+// stream instant at, that is, did the baseline paths stop crossing it?
+// hasData=false means no measurement was possible (no vantage, loss), and
+// the control-plane inference then stands unvalidated. Implementations
+// must be safe for concurrent use: the scheduler's workers call Probe in
+// parallel. pipeline.SimDataPlane and pipeline.WindowDataPlane measure the
+// simulated substrate; Replay serves recorded verdicts; Fault wraps any
+// backend with latency and loss.
 type Backend interface {
 	Probe(pop colo.PoP, at time.Time) (confirmed, hasData bool)
 }
@@ -49,9 +57,9 @@ type Backend interface {
 type Config struct {
 	// Workers is the number of concurrent probe executors (default 4).
 	Workers int
-	// Budget caps executed probes per Window; <= 0 is unbounded. A probe
-	// that cannot get a slot completes immediately as no-data — the
-	// exhausted-platform behavior of the synchronous path.
+	// Budget caps executed probes per Window; <= 0 is unbounded. It is the
+	// one measurement budget: a probe that cannot get a slot completes
+	// immediately as no-data, the exhausted-platform behavior.
 	Budget int
 	// Window is the sliding budget window, in stream time (default 1h).
 	Window time.Duration
@@ -433,24 +441,6 @@ func (s *Scheduler) worker() {
 		s.cacheStage = append(s.cacheStage, t)
 		s.mu.Unlock()
 	}
-}
-
-// OverDataPlane adapts a synchronous core.DataPlane as a Backend,
-// serializing calls — the simulation-backed data plane shares routing
-// caches and a platform budget that are not safe for concurrent use.
-func OverDataPlane(dp core.DataPlane) Backend {
-	return &dpBackend{dp: dp}
-}
-
-type dpBackend struct {
-	mu sync.Mutex
-	dp core.DataPlane
-}
-
-func (b *dpBackend) Probe(pop colo.PoP, at time.Time) (bool, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dp.Confirm(pop, at)
 }
 
 // cacheEntry is one cached verdict.

@@ -422,7 +422,7 @@ func (c *countingCut) Next(ctx context.Context) (*mrt.Record, error) {
 // Collect-waits-all) over the scenario's simulated traceroute substrate.
 func newSched(t *testing.T, stack *pipeline.Stack, res *simulate.Result) *probe.Scheduler {
 	t.Helper()
-	sched := probe.NewScheduler(probe.OverDataPlane(stack.NewSimDataPlane(res, 1<<30)), probe.Config{Workers: 2})
+	sched := probe.NewScheduler(stack.NewSimDataPlane(res), probe.Config{Workers: 2})
 	t.Cleanup(sched.Close)
 	return sched
 }

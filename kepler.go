@@ -194,29 +194,28 @@
 //
 // The paper's pipeline falls back to targeted traceroutes when the control
 // plane cannot pin an epicenter (Section 4.3) and validates inferences
-// against the data plane (Section 4.4). Two integration shapes exist. The
-// synchronous DataPlane interface answers Confirm inline at bin close —
-// the batch pipeline's mode. The asynchronous Prober (Engine.SetProber,
-// internal/probe) instead parks the signal group as a pending
-// confirmation and submits a probe campaign: the scheduler deduplicates
-// targets against in-flight probes and a cooldown-guarded LRU verdict
-// cache, orders execution by localization specificity (facility > IXP >
-// city, newest signal first), enforces a sliding-window measurement
-// budget (denied probes resolve as no-data, the exhausted-platform
-// contract), and delivers verdicts at the next bin barrier, where the
-// parked group is promoted to a located outage, suppressed as a
-// data-plane-contradicted false positive, resolved unlocated, or expired
-// after Config.ProbeTTL. With an unbounded budget and an instant backend
-// the async path locates the outages the synchronous path does on the
-// equivalence test's one-outage scenario; on the five-year historical
-// world the two differ (35 outages sync, 37 async). Probes run while
-// ingestion continues, and the next bin barrier waits for them, so the
-// output stays a pure function of the record stream. Campaign lifecycle
-// surfaces through three more Hooks (probe requested/confirmed/expired),
-// persists through the store WAL (a restarted keplerd recovers mid-flight
-// campaigns), and serves at /v1/probes; keplerd enables it with
-// -probe-backend and -probe-budget, and exports every counter at the
-// Prometheus-format /metrics endpoint.
+// against the data plane (Section 4.4). There is one path to the data
+// plane, shaped as budgeted public platforms impose: a Prober
+// (Engine.SetProber, internal/probe) over a probe.Backend. The paper
+// experiments and the examples run it through internal/pipeline's
+// Stack.Run (an unbounded budget over the simulated traceroute layer),
+// keplerd -synthetic runs it live. At bin close the engine parks the
+// signal group as a pending confirmation and submits a probe campaign:
+// the scheduler deduplicates targets against in-flight probes and a
+// cooldown-guarded LRU verdict cache, orders execution by localization
+// specificity (facility > IXP > city, newest signal first), enforces a
+// sliding-window measurement budget (denied probes resolve as no-data, the
+// exhausted-platform contract), and delivers verdicts at the next bin
+// barrier, where the parked group is promoted to a located outage,
+// suppressed as a data-plane-contradicted false positive, resolved
+// unlocated, or expired after Config.ProbeTTL. Probes run while ingestion
+// continues, and the next bin barrier waits for them, so the output stays
+// a pure function of the record stream, whatever the worker count.
+// Campaign lifecycle surfaces through three more Hooks (probe
+// requested/confirmed/expired), persists through the store WAL (a
+// restarted keplerd recovers mid-flight campaigns), and serves at
+// /v1/probes; keplerd enables it with -probe-backend and -probe-budget,
+// and exports every counter at the Prometheus-format /metrics endpoint.
 //
 // # Observability
 //
@@ -233,7 +232,7 @@
 // GET /v1/outages/{id}/trace plus a "trace" SSE event kind. Staged
 // bin-close latency (metrics.BinStageStats, Engine.SetBinStageStats)
 // decomposes every bin close into fixed-bucket duration histograms —
-// due promotions, divert merge, probe collect, classify, finish, hooks —
+// due promotions, probe collect, classify, finish, hooks —
 // exported as JSON quantiles in /v1/stats and as Prometheus histogram
 // series (kepler_bin_close_seconds, kepler_bin_close_stage_seconds) on
 // /metrics; keplerd -slow-bin-ms logs a structured per-stage report for
@@ -379,9 +378,7 @@ type (
 	Incident = core.Incident
 	// IncidentKind is the signal classification granularity.
 	IncidentKind = core.IncidentKind
-	// DataPlane hooks targeted measurements into validation synchronously.
-	DataPlane = core.DataPlane
-	// Prober is the asynchronous measurement interface: probe campaigns
+	// Prober is the data-plane measurement interface: probe campaigns
 	// submitted at bin close, verdicts collected at later bin barriers
 	// (implemented by internal/probe.Scheduler).
 	Prober = core.Prober
