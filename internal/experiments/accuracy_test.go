@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
-	"sync"
 	"testing"
 
 	"kepler/internal/core"
@@ -88,7 +86,7 @@ func scoreSeed(t *testing.T, s int64) []accuracyRow {
 			Detected: r.Detected, TP: r.TruePositives, FP: r.FalsePositives, FN: r.FalseNegatives,
 			PartialMissed: r.PartialMissed, FullTrackable: r.FullTrackable,
 			Precision: round3(r.Precision()), Recall: round3(r.Recall()),
-			LocatedPoP: r.Localized[MatchPoP], LocatedCity: r.Localized[MatchCity], LocatedRel: r.Localized[MatchRelated],
+			LocatedPoP: r.LocatedPoP, LocatedCity: r.LocatedCity, LocatedRel: r.LocatedRelated,
 		})
 	}
 	return rows
@@ -122,42 +120,29 @@ func TestAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed worlds skipped in -short mode")
 	}
-	seeds := int64(accuracySeeds)
+	seeds := accuracySeeds
 	if raceEnabled {
 		if *updateAccuracy {
 			t.Fatal("-update scores every seed: run it without -race")
 		}
 		seeds = 1
 	}
-	var (
-		mu  sync.Mutex
-		got []accuracyRow
-	)
+	perSeed := make([][]accuracyRow, seeds)
 	t.Run("seeds", func(t *testing.T) {
-		for s := int64(0); s < seeds; s++ {
-			s := s
+		for s := range perSeed {
 			t.Run(fmt.Sprintf("s=%d", s), func(t *testing.T) {
 				t.Parallel()
-				rows := scoreSeed(t, s)
-				mu.Lock()
-				got = append(got, rows...)
-				mu.Unlock()
+				perSeed[s] = scoreSeed(t, int64(s))
 			})
 		}
 	})
 	if t.Failed() {
 		return
 	}
-	order := map[string]int{}
-	for i, c := range accuracyConfigs {
-		order[c.name] = i
+	var got []accuracyRow
+	for _, rows := range perSeed {
+		got = append(got, rows...)
 	}
-	sort.Slice(got, func(i, j int) bool {
-		if got[i].Seed != got[j].Seed {
-			return got[i].Seed < got[j].Seed
-		}
-		return order[got[i].Config] < order[got[j].Config]
-	})
 	if *updateAccuracy {
 		if err := os.WriteFile(accuracyFile, encodeAccuracy(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -166,7 +151,7 @@ func TestAccuracy(t *testing.T) {
 	}
 	raw, err := os.ReadFile(accuracyFile)
 	if err != nil {
-		t.Fatalf("%v (run go test -run TestAccuracy -update ./internal/experiments)", err)
+		t.Fatalf("%v (run go test -run TestAccuracy ./internal/experiments -update)", err)
 	}
 	var want []accuracyRow
 	if err := json.Unmarshal(raw, &want); err != nil {
@@ -175,7 +160,7 @@ func TestAccuracy(t *testing.T) {
 	if raceEnabled {
 		kept := want[:0]
 		for _, r := range want {
-			if r.Seed < seeds {
+			if r.Seed < int64(seeds) {
 				kept = append(kept, r)
 			}
 		}

@@ -100,9 +100,11 @@ type ValidationResult struct {
 	// FullTrackable counts the full outages at trackable infrastructure,
 	// detected or not: the denominator of recall.
 	FullTrackable int
-	// Localized splits TruePositives by how the detection located its
-	// truth, indexed by Match (MatchPoP, MatchCity, MatchRelated).
-	Localized [matchKinds]int
+	// TruePositives split by how the detection located its truth: the
+	// failed PoP itself, its city (multi-PoP abstraction), or a facility
+	// hosting the failed IXP's fabric or vice versa (Figure 2's
+	// interdependence).
+	LocatedPoP, LocatedCity, LocatedRelated int
 }
 
 // Precision is the fraction of detections that match a truth.
@@ -119,38 +121,37 @@ func (r *ValidationResult) Recall() float64 {
 // matchWindow tolerates detection/report timing slack.
 const matchWindow = 3 * time.Hour
 
-// Match is how a detected outage located a ground-truth event.
-type Match int
+// match is how a detected outage located a ground-truth event.
+type match int
 
 const (
-	NoMatch      Match = iota
-	MatchPoP           // the detection names the failed PoP itself
-	MatchCity          // a city-level detection names the failed PoP's city
-	MatchRelated       // a facility hosting the failed IXP's fabric, or vice versa
-	matchKinds
+	noMatch      match = iota
+	matchPoP           // the detection names the failed PoP itself
+	matchCity          // a city-level detection names the failed PoP's city
+	matchRelated       // a facility hosting the failed IXP's fabric, or vice versa
 )
 
 // truthMatches reports whether, and how, a detected outage corresponds to
 // event ev.
-func truthMatches(env *Env, o core.Outage, ev reports.Event) Match {
+func truthMatches(env *Env, o core.Outage, ev reports.Event) match {
 	dt := o.Start.Sub(ev.Time)
 	if dt < -matchWindow || dt > matchWindow {
-		return NoMatch
+		return noMatch
 	}
 	if o.PoP == ev.PoP {
-		return MatchPoP
+		return matchPoP
 	}
 	// City-level detections match events in that city (multi-PoP
 	// abstraction); facility detections match IXP events whose fabric the
 	// facility hosts, and vice versa (Figure 2's interdependence).
 	if o.PoP.Kind == colo.PoPCity && uint32(env.Stack.Map.CityOf(ev.PoP)) == o.PoP.ID {
-		return MatchCity
+		return matchCity
 	}
 	if o.PoP.Kind == colo.PoPFacility && ev.PoP.Kind == colo.PoPIXP {
 		if ix, ok := env.Stack.Map.IXP(colo.IXPID(ev.PoP.ID)); ok {
 			for _, f := range ix.Facilities {
 				if uint32(f) == o.PoP.ID {
-					return MatchRelated
+					return matchRelated
 				}
 			}
 		}
@@ -159,12 +160,12 @@ func truthMatches(env *Env, o core.Outage, ev reports.Event) Match {
 		if ix, ok := env.Stack.Map.IXP(colo.IXPID(o.PoP.ID)); ok {
 			for _, f := range ix.Facilities {
 				if uint32(f) == ev.PoP.ID {
-					return MatchRelated
+					return matchRelated
 				}
 			}
 		}
 	}
-	return NoMatch
+	return noMatch
 }
 
 // Validation computes the Section 5.3 accounting.
@@ -174,16 +175,23 @@ func Validation(env *Env) *ValidationResult {
 
 	matchedTruth := make(map[int]bool)
 	for _, o := range env.Outages {
-		match := NoMatch
+		m := noMatch
 		for _, ev := range env.Res.Truth {
-			if match = truthMatches(env, o, ev); match != NoMatch {
+			if m = truthMatches(env, o, ev); m != noMatch {
 				matchedTruth[ev.ID] = true
 				break
 			}
 		}
-		if match != NoMatch {
+		switch m {
+		case matchPoP:
+			r.LocatedPoP++
+		case matchCity:
+			r.LocatedCity++
+		case matchRelated:
+			r.LocatedRelated++
+		}
+		if m != noMatch {
 			r.TruePositives++
-			r.Localized[match]++
 			for _, rep := range reported {
 				if rep.Matches(o.PoP, o.Start, env.Stack.Map) {
 					r.Publicly++
