@@ -373,9 +373,7 @@ const goldenCheckpoint = "testdata/checkpoint_v4.golden"
 // here; after a bump, regenerate with `go test ./internal/core -run
 // TestCheckpointGolden -update` and rename the file.
 func TestCheckpointGolden(t *testing.T) {
-	recs, failAt := scenarioStream()
-	recs = append([]*mrt.Record{mkUpdate(tBase, 11, "2a00:1450::/32", bgp.Path{11, 21},
-		bgp.Communities{bgp.MakeCommunity(11, 51001)})}, recs...)
+	recs, failAt := goldenStream()
 	dict, cmap, _ := microWorld(t)
 	d := New(DefaultConfig(), dict, cmap, nil)
 	var enc []byte
@@ -425,6 +423,17 @@ func TestCheckpointGolden(t *testing.T) {
 	if !bytes.Equal(again, want) {
 		t.Fatal("Encode(Decode(golden)) != golden")
 	}
+}
+
+// goldenStream is scenarioStream behind one more tagged path, an IPv6 one
+// from AS 11 that never diverts. So 12 of the facility's 13 colocated paths
+// divert, below the colocation margin: disambiguation passes the near
+// facility, eliminates the one far-end candidate facility and settles on
+// partial-outage consistency.
+func goldenStream() ([]*mrt.Record, time.Time) {
+	recs, failAt := scenarioStream()
+	return append([]*mrt.Record{mkUpdate(tBase, 11, "2a00:1450::/32", bgp.Path{11, 21},
+		bgp.Communities{bgp.MakeCommunity(11, 51001)})}, recs...), failAt
 }
 
 // TestCheckpointCodecRoundTrip drives the field shapes the scenario world
