@@ -130,8 +130,8 @@ func TestStablePromotionAndSignal(t *testing.T) {
 	if !found {
 		t.Fatalf("no PoP-level incident at facility %d: %+v", fid, incidents)
 	}
-	if open := d.OpenOutages(); len(open) != 1 {
-		t.Fatalf("open outages = %v", open)
+	if open := d.OpenOutageStatuses(); len(open) != 1 || open[0].PoP != colo.FacilityPoP(fid) {
+		t.Fatalf("open outages = %+v, want one at facility:%d", open, fid)
 	}
 }
 

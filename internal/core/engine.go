@@ -214,9 +214,6 @@ func (e *Engine) Flush(asOf time.Time) []Outage {
 // Process calls (the investigator appends at bin boundaries).
 func (e *Engine) Incidents() []Incident { return e.inv.incidents }
 
-// OpenOutages returns the PoPs with ongoing outages.
-func (e *Engine) OpenOutages() []colo.PoP { return e.inv.tracker.open() }
-
 // OpenOutageStatuses snapshots every ongoing outage, sorted by epicenter.
 // Only valid between Process calls or inside a BinClosed hook.
 func (e *Engine) OpenOutageStatuses() []OutageStatus { return e.inv.tracker.openStatuses() }

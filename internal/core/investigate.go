@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,13 +18,16 @@ type popGroup struct {
 	links   map[popEnd]bool
 	nears   map[bgp.ASN]bool
 	fars    map[bgp.ASN]bool
-	paths   int
+	// affected is every near and far AS of the group's links, ascending.
+	affected []bgp.ASN
+	paths    int
 	// probeCands is the disambiguation candidate set recorded by
 	// resolveByProbe: with a prober wired, openOutageFor parks the group as
 	// a campaign over these.
 	probeCands []colo.PoP
 	// trace is the provenance chapter under construction (Config.Tracing);
-	// nil when tracing is disabled. Built during the pure classification.
+	// nil when tracing is disabled or the group is not PoP-level. Built
+	// during the pure classification.
 	trace *TraceChapter
 }
 
@@ -44,23 +48,17 @@ func buildGroup(pop colo.PoP, signals []signal) *popGroup {
 			}
 		}
 	}
-	return g
-}
-
-func (g *popGroup) affectedASes() []bgp.ASN {
-	set := map[bgp.ASN]bool{}
+	g.affected = make([]bgp.ASN, 0, len(g.nears)+len(g.fars))
 	for a := range g.nears {
-		set[a] = true
+		g.affected = append(g.affected, a)
 	}
 	for a := range g.fars {
-		set[a] = true
+		if !g.nears[a] {
+			g.affected = append(g.affected, a)
+		}
 	}
-	out := make([]bgp.ASN, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(g.affected)
+	return g
 }
 
 // commonAS returns the single AS every affected link shares, or 0.
@@ -294,103 +292,67 @@ func (inv *investigator) binVanishedAS(signals []signal) bgp.ASN {
 	return 0
 }
 
-// groupResult is the outcome of classifying one per-PoP signal group.
-type groupResult struct {
-	group *popGroup
-	inc   Incident
-	// popLevel marks a PoP-level classification whose (group, epicenter)
-	// continues into collateral folding and outage opening.
-	popLevel bool
-	// epicenter is the disambiguated epicenter of a PoP-level group (zero
-	// when unresolved).
-	epicenter colo.PoP
-}
-
 // classifyGroup runs the Section 4.3 classification flowchart over one
-// per-PoP signal group. It is pure with respect to the investigator — it
-// only reads the shard's bin-close state, the colocation map and
-// the org table; the incident log and hooks are investigate's.
-func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) groupResult {
+// per-PoP signal group and returns its incident. A PoP-level incident
+// carries the disambiguated epicenter as its PoP (zero when unresolved) and
+// comes with its group, which continues into collateral folding and outage
+// opening; any other verdict returns a nil group. Only a PoP-level group
+// can reach an outage, so only it gets a provenance chapter. classifyGroup
+// is pure with respect to the investigator — it only reads the shard's
+// bin-close state, the colocation map and the org table; the incident log
+// and hooks are investigate's.
+func (inv *investigator) classifyGroup(at time.Time, pop colo.PoP, sigs []signal, binCommon bgp.ASN) (Incident, *popGroup) {
 	g := buildGroup(pop, sigs)
+	inc := Incident{
+		Time: at, SignalPoP: pop, PoP: pop, Kind: IncidentAS,
+		AffectedASes: g.affected, Links: len(g.links), Paths: g.paths,
+	}
+	if binCommon != 0 {
+		// One vanished AS explains the whole bin's churn.
+		inc.CommonAS = binCommon
+		return inc, nil
+	}
+	if len(g.affected) <= inv.cfg.MinInvestigationASes {
+		inc.Kind = IncidentLink
+		return inc, nil
+	}
+	// One AS common to every affected link; else every diverted route used
+	// to traverse one common AS and that AS lost (nearly) all of its
+	// monitored paths globally: its disappearance, not the tagged PoP,
+	// explains the signal.
+	if inc.CommonAS = g.commonAS(); inc.CommonAS != 0 {
+		return inc, nil
+	}
+	if inc.CommonAS = inv.vanishedCommonAS(g); inc.CommonAS != 0 {
+		return inc, nil
+	}
+	if inv.commonOrgEverywhere(g) {
+		inc.Kind = IncidentOperator
+		return inc, nil
+	}
+	// The aggregate gate keeps collateral dribble (a few rerouted paths
+	// that merely *crossed* the PoP) from masquerading as a PoP outage,
+	// while staying below Tfail itself so that partial outages of regional
+	// ASes — the reason Section 4.2 groups per AS in the first place —
+	// still qualify. A group broader than one AS that fails the gate or
+	// has too few disjoint ends keeps the conservative AS-level verdict.
+	nears, fars := inv.distinctNonSiblings(g.nears), inv.distinctNonSiblings(g.fars)
+	frac := inv.aggregateFraction(g)
+	if nears < inv.cfg.MinDisjointEnds || fars < inv.cfg.MinDisjointEnds || frac < inv.cfg.Tfail/2 {
+		return inc, nil
+	}
+	inc.Kind = IncidentPoP
 	if inv.cfg.Tracing {
 		g.trace = newChapter(at, pop, sigs, inv.ps.stableTotal(pop))
-	}
-	affected := g.affectedASes()
-	inc := Incident{
-		Time: at, SignalPoP: pop, PoP: pop,
-		AffectedASes: affected, Links: len(g.links), Paths: g.paths,
-	}
-	r := groupResult{group: g}
-	switch {
-	case binCommon != 0:
-		// One vanished AS explains the whole bin's churn.
-		inc.Kind = IncidentAS
-		inc.CommonAS = binCommon
-		if g.trace != nil {
-			g.trace.step(TraceStep{Stage: "classify",
-				Outcome: fmt.Sprintf("AS-level: vanished AS%d explains the whole bin's churn", binCommon)})
-		}
-	case len(affected) <= inv.cfg.MinInvestigationASes:
-		inc.Kind = IncidentLink
-		if g.trace != nil {
-			g.trace.step(TraceStep{Stage: "classify",
-				Outcome: fmt.Sprintf("link-level: only %d affected ASes (investigation threshold %d)",
-					len(affected), inv.cfg.MinInvestigationASes)})
-		}
-	case g.commonAS() != 0:
-		inc.Kind = IncidentAS
-		inc.CommonAS = g.commonAS()
-		if g.trace != nil {
-			g.trace.step(TraceStep{Stage: "classify",
-				Outcome: fmt.Sprintf("AS-level: AS%d is common to every affected link", inc.CommonAS)})
-		}
-	case inv.vanishedCommonAS(g) != 0:
-		// Every diverted route used to traverse one common AS and
-		// that AS lost (nearly) all of its monitored paths globally:
-		// its disappearance, not the tagged PoP, explains the signal.
-		inc.Kind = IncidentAS
-		inc.CommonAS = inv.vanishedCommonAS(g)
-		if g.trace != nil {
-			g.trace.step(TraceStep{Stage: "classify",
-				Outcome: fmt.Sprintf("AS-level: AS%d on nearly every diverted path and globally vanished", inc.CommonAS)})
-		}
-	case inv.commonOrgEverywhere(g):
-		inc.Kind = IncidentOperator
 		g.trace.step(TraceStep{Stage: "classify",
-			Outcome: "operator-level: one organization touches every affected link"})
-	case inv.distinctNonSiblings(g.nears) >= inv.cfg.MinDisjointEnds &&
-		inv.distinctNonSiblings(g.fars) >= inv.cfg.MinDisjointEnds &&
-		inv.aggregateFraction(g) >= inv.cfg.Tfail/2:
-		// The aggregate gate keeps collateral dribble (a few rerouted
-		// paths that merely *crossed* the PoP) from masquerading as a
-		// PoP outage, while staying below Tfail itself so that partial
-		// outages of regional ASes — the reason Section 4.2 groups per
-		// AS in the first place — still qualify.
-		inc.Kind = IncidentPoP
-		if g.trace != nil {
-			g.trace.step(TraceStep{Stage: "classify",
-				Outcome: fmt.Sprintf("PoP-level: %d near / %d far disjoint organizations, aggregate fraction %.2f",
-					inv.distinctNonSiblings(g.nears), inv.distinctNonSiblings(g.fars), inv.aggregateFraction(g))})
-		}
-		epicenter := inv.disambiguate(g, at)
-		inc.PoP = epicenter
-		r.popLevel = true
-		r.epicenter = epicenter
-	default:
-		// Too few disjoint ends for PoP-level, broader than one AS:
-		// conservative AS-level classification.
-		inc.Kind = IncidentAS
-		g.trace.step(TraceStep{Stage: "classify",
-			Outcome: "AS-level fallback: too few disjoint ends for a PoP-level inference"})
+			Outcome: fmt.Sprintf("PoP-level: %d near / %d far disjoint organizations, aggregate fraction %.2f",
+				nears, fars, frac)})
 	}
-	r.inc = inc
+	inc.PoP = inv.disambiguate(g)
 	if g.trace != nil {
-		g.trace.Kind = inc.Kind.String()
-		if r.popLevel {
-			g.trace.Epicenter = r.epicenter
-		}
+		g.trace.Epicenter = inc.PoP
 	}
-	return r
+	return inc, g
 }
 
 // investigate classifies this bin's signals and feeds PoP-level epicenters
@@ -423,13 +385,13 @@ func (inv *investigator) investigate(at time.Time, signals []signal) {
 	// independent until the folding below), log the incident, fire hooks,
 	// and collect the PoP-level groups.
 	for _, pop := range order {
-		r := inv.classifyGroup(at, pop, groups[pop], binCommon)
-		inv.incidents = append(inv.incidents, r.inc)
+		inc, g := inv.classifyGroup(at, pop, groups[pop], binCommon)
+		inv.incidents = append(inv.incidents, inc)
 		if inv.hooks.IncidentClassified != nil {
-			inv.hooks.IncidentClassified(r.inc)
+			inv.hooks.IncidentClassified(inc)
 		}
-		if r.popLevel {
-			popLevel = append(popLevel, resolved{group: r.group, epicenter: r.epicenter})
+		if inc.Kind == IncidentPoP {
+			popLevel = append(popLevel, resolved{group: g, epicenter: inc.PoP})
 		}
 	}
 
@@ -629,14 +591,14 @@ func (inv *investigator) openOutageFor(at time.Time, epicenter colo.PoP, g *popG
 // disambiguate locates the epicenter of a PoP-level signal group
 // (Section 4.3, "Disambiguation of Outage Signals" and "Increasing Signal
 // Resolution").
-func (inv *investigator) disambiguate(g *popGroup, at time.Time) colo.PoP {
+func (inv *investigator) disambiguate(g *popGroup) colo.PoP {
 	switch g.pop.Kind {
 	case colo.PoPFacility:
-		return inv.disambiguateFacility(g, at)
+		return inv.disambiguateFacility(g)
 	case colo.PoPIXP:
-		return inv.refineIXP(g, at)
+		return inv.refineIXP(g)
 	case colo.PoPCity:
-		return inv.refineCity(g, at)
+		return inv.refineCity(g)
 	default:
 		return g.pop
 	}
@@ -647,17 +609,16 @@ func (inv *investigator) disambiguate(g *popGroup, at time.Time) colo.PoP {
 // "facilities where the affected far-end ASes have a presence" candidate
 // set of Section 4.3.
 func (inv *investigator) facilitiesOfAffected(g *popGroup, minShare float64, cap int) []colo.FacilityID {
-	affected := g.affectedASes()
-	if len(affected) == 0 {
+	if len(g.affected) == 0 {
 		return nil
 	}
 	count := map[colo.FacilityID]int{}
-	for _, a := range affected {
+	for _, a := range g.affected {
 		for _, fid := range inv.cmap.FacilitiesOf(a) {
 			count[fid]++
 		}
 	}
-	min := int(minShare * float64(len(affected)))
+	min := int(minShare * float64(len(g.affected)))
 	if min < 2 {
 		min = 2
 	}
@@ -722,7 +683,7 @@ func (inv *investigator) affectedFractionWithFarAt(g *popGroup, f colo.FacilityI
 // if the paths with far ends colocated in the signalled facility are
 // (almost) all affected, the near-end facility is the epicenter; otherwise
 // candidate far-end facilities are examined; otherwise common IXPs.
-func (inv *investigator) disambiguateFacility(g *popGroup, at time.Time) colo.PoP {
+func (inv *investigator) disambiguateFacility(g *popGroup) colo.PoP {
 	f := colo.FacilityID(g.pop.ID)
 	if frac, n := inv.affectedFractionWithFarAt(g, f); n > 0 && frac >= inv.cfg.ColocationMargin {
 		if g.trace != nil {
@@ -844,7 +805,7 @@ func (inv *investigator) disambiguateFacility(g *popGroup, at time.Time) colo.Po
 			probes = append(probes, colo.FacilityPoP(fid))
 		}
 	}
-	return inv.resolveByProbe(at, g, probes)
+	return inv.resolveByProbe(g, probes)
 }
 
 // aggregateFraction is the share of the PoP's stable paths the group
@@ -914,7 +875,7 @@ func exclusiveBest(affected []bgp.ASN, memberSets [][]bgp.ASN) int {
 // while other facilities' members are fine, the outage is the facility's,
 // not the exchange's (Figure 2(b)). A full IXP outage affects members at
 // every fabric facility and therefore stays IXP-level.
-func (inv *investigator) refineIXP(g *popGroup, at time.Time) colo.PoP {
+func (inv *investigator) refineIXP(g *popGroup) colo.PoP {
 	ix := colo.IXPID(g.pop.ID)
 	ixp, ok := inv.cmap.IXP(ix)
 	if !ok || len(ixp.Facilities) < 2 {
@@ -926,7 +887,7 @@ func (inv *investigator) refineIXP(g *popGroup, at time.Time) colo.PoP {
 			memberSets[i] = f.Members
 		}
 	}
-	idx := exclusiveBest(g.affectedASes(), memberSets)
+	idx := exclusiveBest(g.affected, memberSets)
 	if idx >= 0 {
 		chosen := colo.FacilityPoP(ixp.Facilities[idx])
 		if g.trace != nil {
@@ -946,20 +907,19 @@ func (inv *investigator) refineIXP(g *popGroup, at time.Time) colo.PoP {
 	// of the dead links are the exchange's own members; collateral signals
 	// (rerouted paths that merely crossed the exchange) fail one of the
 	// two and stay unresolved.
-	if inv.aggregateFraction(g) >= 0.5 &&
-		inv.farConsistency(g, func(a bgp.ASN) bool { return inv.cmap.AtIXP(a, ix) }) >= inv.cfg.ColocationMargin {
+	frac := inv.aggregateFraction(g)
+	members := inv.farConsistency(g, func(a bgp.ASN) bool { return inv.cmap.AtIXP(a, ix) })
+	if frac >= 0.5 && members >= inv.cfg.ColocationMargin {
 		if g.trace != nil {
 			g.trace.step(TraceStep{Stage: "ixp-wide", Chosen: g.pop,
-				Outcome: fmt.Sprintf("aggregate fraction %.2f with member-consistent far ends: exchange-wide outage",
-					inv.aggregateFraction(g))})
+				Outcome: fmt.Sprintf("aggregate fraction %.2f with member-consistent far ends: exchange-wide outage", frac)})
 		}
 		return g.pop
 	}
 	if g.trace != nil {
 		g.trace.step(TraceStep{Stage: "ixp-wide",
 			Outcome: fmt.Sprintf("aggregate fraction %.2f / far-end member consistency %.2f below the exchange-wide bar",
-				inv.aggregateFraction(g),
-				inv.farConsistency(g, func(a bgp.ASN) bool { return inv.cmap.AtIXP(a, ix) }))})
+				frac, members)})
 	}
 	// Probe the exchange, its fabric facilities, and the facilities where
 	// the affected members concentrate — a collateral IXP signal often
@@ -975,7 +935,7 @@ func (inv *investigator) refineIXP(g *popGroup, at time.Time) colo.PoP {
 			cands = append(cands, colo.FacilityPoP(fid))
 		}
 	}
-	return inv.resolveByProbe(at, g, cands)
+	return inv.resolveByProbe(g, cands)
 }
 
 // farConsistency is the fraction of diverted far ends satisfying member.
@@ -1001,10 +961,9 @@ func (inv *investigator) farConsistency(g *popGroup, member func(bgp.ASN) bool) 
 // refineCity raises the resolution of a city-tagged signal to a facility or
 // IXP in that city when the affected/unaffected split isolates exactly one
 // (Section 4.3: city signals check facilities first, then IXPs).
-func (inv *investigator) refineCity(g *popGroup, at time.Time) colo.PoP {
+func (inv *investigator) refineCity(g *popGroup) colo.PoP {
 	city := geo.CityID(g.pop.ID)
-	affected := g.affectedASes()
-	if len(affected) == 0 {
+	if len(g.affected) == 0 {
 		return g.pop
 	}
 	// Candidates are every facility and IXP in the city, compared on
@@ -1029,7 +988,7 @@ func (inv *investigator) refineCity(g *popGroup, at time.Time) colo.PoP {
 			memberSets = append(memberSets, nil)
 		}
 	}
-	idx := exclusiveBest(affected, memberSets)
+	idx := exclusiveBest(g.affected, memberSets)
 	if idx >= 0 {
 		if g.trace != nil {
 			g.trace.step(TraceStep{Stage: "exclusive-membership",
@@ -1060,24 +1019,24 @@ func (inv *investigator) refineCity(g *popGroup, at time.Time) colo.PoP {
 		}
 		return false
 	}
-	if inv.aggregateFraction(g) >= 0.5 && inv.farConsistency(g, inCity) >= inv.cfg.ColocationMargin {
+	frac, resident := inv.aggregateFraction(g), inv.farConsistency(g, inCity)
+	if frac >= 0.5 && resident >= inv.cfg.ColocationMargin {
 		if g.trace != nil {
 			g.trace.step(TraceStep{Stage: "city-wide", Chosen: g.pop,
-				Outcome: fmt.Sprintf("aggregate fraction %.2f with city-resident far ends: city-wide incident",
-					inv.aggregateFraction(g))})
+				Outcome: fmt.Sprintf("aggregate fraction %.2f with city-resident far ends: city-wide incident", frac)})
 		}
 		return g.pop
 	}
 	if g.trace != nil {
 		g.trace.step(TraceStep{Stage: "city-wide",
 			Outcome: fmt.Sprintf("aggregate fraction %.2f / far-end city consistency %.2f below the city-wide bar",
-				inv.aggregateFraction(g), inv.farConsistency(g, inCity))})
+				frac, resident)})
 	}
 	// Probe candidates hosting at least one affected AS: a genuine
 	// building or exchange outage confirms uniquely; collateral signals
 	// (paths that merely crossed the city) confirm nowhere.
 	affectedSet := map[bgp.ASN]bool{}
-	for _, a := range affected {
+	for _, a := range g.affected {
 		affectedSet[a] = true
 	}
 	var probes []colo.PoP
@@ -1097,7 +1056,7 @@ func (inv *investigator) refineCity(g *popGroup, at time.Time) colo.PoP {
 	if len(probes) > maxProbes {
 		probes = probes[:maxProbes]
 	}
-	return inv.resolveByProbe(at, g, probes)
+	return inv.resolveByProbe(g, probes)
 }
 
 func intersectIXPs(a, b []colo.IXPID) []colo.IXPID {

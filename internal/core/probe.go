@@ -163,7 +163,7 @@ func snapPending(id uint64, at, deadline time.Time, epicenter colo.PoP, cands []
 		epicenter:  epicenter,
 		candidates: append([]colo.PoP(nil), cands...),
 		signalPop:  g.pop,
-		affected:   g.affectedASes(),
+		affected:   append([]bgp.ASN(nil), g.affected...),
 		paths:      g.paths,
 		waiting:    make(map[PathKey]bool, g.paths),
 		returned:   make(map[PathKey]bool),
@@ -464,7 +464,7 @@ func (inv *investigator) finishProbes(asOf time.Time) {
 // unresolved. Probing itself happens later, outside classification — which
 // keeps classifyGroup pure: with a prober wired, openOutageFor parks the
 // group as a disambiguation campaign over the candidates.
-func (inv *investigator) resolveByProbe(_ time.Time, g *popGroup, cands []colo.PoP) colo.PoP {
+func (inv *investigator) resolveByProbe(g *popGroup, cands []colo.PoP) colo.PoP {
 	if g.trace != nil {
 		g.trace.step(TraceStep{Stage: "probe-fallback",
 			Candidates: append([]colo.PoP(nil), cands...),

@@ -121,7 +121,7 @@ func TestProbeParkAndPromote(t *testing.T) {
 	if got := d.PendingConfirmations(); len(got) != 1 || got[0].Paths != 12 {
 		t.Fatalf("pending = %+v, want one 12-path confirmation", got)
 	}
-	if n := len(d.OpenOutages()); n != 0 {
+	if n := len(d.OpenOutageStatuses()); n != 0 {
 		t.Fatalf("outage opened before the verdict arrived (%d open)", n)
 	}
 
@@ -161,7 +161,7 @@ func TestProbeRefutedSuppresses(t *testing.T) {
 	if len(outcomes) != 1 || outcomes[0].Located || !outcomes[0].Checked {
 		t.Fatalf("outcome = %+v, want checked+unlocated", outcomes)
 	}
-	if n := len(d.OpenOutages()); n != 0 {
+	if n := len(d.OpenOutageStatuses()); n != 0 {
 		t.Fatalf("refuted signal still opened %d outages", n)
 	}
 	outs := d.Flush(at.Add(2 * time.Hour))

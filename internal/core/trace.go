@@ -13,10 +13,13 @@ import (
 // diverted stable paths, localization candidates considered and
 // eliminated, collateral folds, data-plane verdicts — that the pipeline
 // otherwise discards at each bin close. With Config.Tracing enabled the
-// investigator records that chain per signal group, accumulates it on the
-// group's open outage across bins, and hands the finished OutageTrace to
-// Hooks.TraceRecorded immediately after the OutageResolved callback of the
-// same outage (so trace i always describes resolved outage i).
+// investigator records that chain per PoP-level signal group, accumulates
+// it on the group's open outage across bins, and hands the finished
+// OutageTrace to Hooks.TraceRecorded immediately after the OutageResolved
+// callback of the same outage (so trace i always describes resolved outage
+// i). Only a PoP-level group can reach an outage, so link-, AS- and
+// operator-level groups get no chapter: their verdicts live in the
+// incident log.
 //
 // Traces are derived output: recording never influences classification,
 // disambiguation, probing or outage tracking, so detection output is
@@ -103,13 +106,16 @@ type TraceProbe struct {
 }
 
 // TraceChapter is the evidence one bin's investigation contributed to an
-// outage: the signal group (per-AS signals with stable-baseline counts and
-// sampled diverted paths), the classification verdict, the disambiguation
-// steps walked, any collateral fold, and the probe campaign verdict.
+// outage: the PoP-level signal group (per-AS signals with stable-baseline
+// counts and sampled diverted paths), the classification step, the
+// disambiguation steps walked, any collateral fold, and the probe campaign
+// verdict.
 type TraceChapter struct {
 	Bin       time.Time
 	SignalPoP colo.PoP
-	// Kind is the classification verdict (IncidentKind String form).
+	// Kind is the classification verdict in IncidentKind String form. It is
+	// always "pop", since only PoP-level groups get a chapter; it is kept
+	// because the served JSON of TraceVersion 1 carries it.
 	Kind string
 	// Epicenter is where disambiguation (plus folding/city abstraction)
 	// finally attributed the group; zero while unresolved.
@@ -139,14 +145,15 @@ type OutageTrace struct {
 	DroppedChapters int `json:",omitempty"`
 }
 
-// newChapter captures the chapter skeleton for one signal group: bin,
-// signal PoP, baseline count and sampled per-AS signals. Old AS paths are
+// newChapter captures the chapter skeleton for one PoP-level signal group:
+// bin, signal PoP, baseline count and sampled per-AS signals. Old AS paths are
 // deep-copied — the shard recycles its divert slabs at finishBin, so no
 // shard-owned memory may outlive the barrier inside a trace.
 func newChapter(at time.Time, pop colo.PoP, sigs []signal, stableTotal int) *TraceChapter {
 	ch := &TraceChapter{
 		Bin:          at,
 		SignalPoP:    pop,
+		Kind:         IncidentPoP.String(),
 		StableTotal:  stableTotal,
 		TotalSignals: len(sigs),
 	}
